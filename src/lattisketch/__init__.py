@@ -6,10 +6,8 @@ into a latent vector, and decoded back into pen strokes by a mixture
 density LSTM. Everything runs on numpy with hand-written gradients.
 """
 
-from .decoder import (DecoderConfig, MixtureParams, StepLoss, generate, gmm_nll,
-                      init_decoder_params, init_state, mixture_from_head,
-                      sample_stroke, step, teacher_forced_backward,
-                      teacher_forced_nll)
+from .decoder import (DecoderConfig, generate, init_decoder_params, init_state,
+                      teacher_forced_backward, teacher_forced_nll)
 from .encoder import (EncoderConfig, LatentSample, count_parameters, embed_nodes,
                       encode, encode_graphs, encode_graphs_backward, encode_layer,
                       init_encoder_params, pool_nodes, propagate, reparameterize,
@@ -56,9 +54,8 @@ __all__ = [
     "propagate", "encode_layer", "pool_nodes", "encode_graphs",
     "encode_graphs_backward", "encode", "reparameterize",
     "reparameterize_backward", "count_parameters",
-    "DecoderConfig", "MixtureParams", "StepLoss", "init_decoder_params",
-    "init_state", "mixture_from_head", "step", "gmm_nll", "sample_stroke",
-    "generate", "teacher_forced_nll", "teacher_forced_backward",
+    "DecoderConfig", "init_decoder_params", "init_state", "generate",
+    "teacher_forced_nll", "teacher_forced_backward",
     "ParameterStore", "save_checkpoint", "load_checkpoint", "checkpoint_hash",
     "TrainConfig", "PipelineConfig", "OptimizerState", "TrainItem", "ModelBundle",
     "lr_schedule", "clip_gradients", "adam_update", "train_step", "init_params",

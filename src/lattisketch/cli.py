@@ -235,7 +235,7 @@ def cmd_train(args) -> int:
     pcfg = build_pipeline_config(args)
     out = _ensure_out(args)
     summary = fit(args.data, pcfg, out, resume=args.resume)
-    write_manifest(out, "train", pcfg.configs_dict(), pcfg.train.seed,
+    write_manifest(out, "train", summary["pcfg"].configs_dict(), pcfg.train.seed,
                    list(args.data), [summary["checkpoint"], summary["loss_csv"]],
                    checkpoint=summary["checkpoint"])
     print(f"trained {summary['iterations']} iterations on {summary['items']} items")

@@ -14,14 +14,13 @@ from the forward run carry the needed intermediates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, log_softmax, logsumexp, softmax
+from scipy.special import expit, log_softmax, logsumexp
 
-from .errors import OutOfRange, ShapeMismatch
+from .errors import NumericalUnderflow, OutOfRange, ShapeMismatch
 from .params import ParameterStore
-from .sketch_data import PEN_DOWN, PEN_END, VectorSketch
+from .sketch_data import PEN_END, VectorSketch
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 # floor for 1 - rho^2 so the density stays finite if tanh saturates
@@ -52,45 +51,6 @@ class DecoderConfig:
     @property
     def head_width(self) -> int:
         return 6 * self.M + 3
-
-
-@dataclass
-class MixtureParams:
-    """One step's output distribution; all component arrays have length M."""
-
-    pi: np.ndarray
-    mu_x: np.ndarray
-    mu_y: np.ndarray
-    sigma_x: np.ndarray
-    sigma_y: np.ndarray
-    rho: np.ndarray
-    pen: np.ndarray
-    log_pi: np.ndarray | None = None
-    pen_log: np.ndarray | None = None
-
-    def __post_init__(self):
-        with np.errstate(divide="ignore"):
-            if self.log_pi is None:
-                self.log_pi = np.log(self.pi)
-            if self.pen_log is None:
-                self.pen_log = np.log(self.pen)
-
-    def validate(self) -> None:
-        if abs(float(self.pi.sum()) - 1.0) > 1e-6:
-            raise OutOfRange("mixture weights do not sum to 1")
-        if np.any(self.sigma_x <= 0) or np.any(self.sigma_y <= 0):
-            raise OutOfRange("non-positive deviation")
-        if np.any(np.abs(self.rho) >= 1.0):
-            raise OutOfRange("correlation outside (-1, 1)")
-
-
-class StepLoss(NamedTuple):
-    offset: float
-    pen: float
-
-    @property
-    def total(self) -> float:
-        return self.offset + self.pen
 
 
 def init_decoder_params(cfg: DecoderConfig, rng: np.random.Generator,
@@ -132,153 +92,71 @@ def _lstm_cell(x, h, c, store: ParameterStore):
     return o * tc, c_new, (i, f, g, o, c, tc)
 
 
-def mixture_from_head(y: np.ndarray, M: int, temperature: float | None = None) -> MixtureParams:
-    """Split + activate a head vector; tempering only when a temperature is given.
+def _head(Y: np.ndarray, M: int):
+    """Split and activate (..., 6M+3) head outputs.
 
-    Tempering divides the mixture and pen logits by tau and multiplies the
-    deviations by sqrt(tau); tau = 1 reproduces the eval-mode parameters
-    exactly.
+    Returns (log_pi, mu_x, mu_y, log_sx, log_sy, rho, s, pen_logp): mixture
+    log-weights, means, log-deviations, correlations, the floored
+    s = max(1 - rho^2, RHO_S_FLOOR) and pen log-probabilities.
     """
-    if y.shape[-1] != 6 * M + 3:
-        raise ShapeMismatch(f"head vector has {y.shape[-1]} entries, want {6 * M + 3}")
-    pl = y[..., :M]
-    mu_x = y[..., M : 2 * M]
-    mu_y = y[..., 2 * M : 3 * M]
-    lsx = y[..., 3 * M : 4 * M]
-    lsy = y[..., 4 * M : 5 * M]
-    rr = y[..., 5 * M : 6 * M]
-    pen_logits = y[..., 6 * M :]
-    root_tau = 1.0
-    if temperature is not None:
-        pl = pl / temperature
-        pen_logits = pen_logits / temperature
-        root_tau = np.sqrt(temperature)
-    log_pi = log_softmax(pl, axis=-1)
-    pen_log = log_softmax(pen_logits, axis=-1)
-    return MixtureParams(
-        pi=np.exp(log_pi),
-        mu_x=mu_x,
-        mu_y=mu_y,
-        sigma_x=np.exp(lsx) * root_tau,
-        sigma_y=np.exp(lsy) * root_tau,
-        rho=np.tanh(rr),
-        pen=np.exp(pen_log),
-        log_pi=log_pi,
-        pen_log=pen_log,
-    )
+    rho = np.tanh(Y[..., 5 * M : 6 * M])
+    return (log_softmax(Y[..., :M], axis=-1), Y[..., M : 2 * M], Y[..., 2 * M : 3 * M],
+            Y[..., 3 * M : 4 * M], Y[..., 4 * M : 5 * M], rho,
+            np.maximum(1.0 - rho * rho, RHO_S_FLOOR), log_softmax(Y[..., 6 * M :], axis=-1))
 
 
-def step(prev: np.ndarray, z: np.ndarray, state, store: ParameterStore,
-         cfg: DecoderConfig, temperature: float | None = None):
-    """One decoder step on a single sequence; returns (MixtureParams, new state)."""
-    prev = np.asarray(prev).reshape(-1)
-    z = np.asarray(z).reshape(-1)
-    if prev.shape[0] != 5 or z.shape[0] != cfg.z_dim:
-        raise ShapeMismatch(f"prev {prev.shape} / z {z.shape} do not fit config")
-    h, c = state
-    if h.shape[-1] != cfg.hidden_size or c.shape[-1] != cfg.hidden_size:
-        raise ShapeMismatch("state width does not match config")
-    x = np.concatenate([prev, z])
-    h_new, c_new, _ = _lstm_cell(x, h, c, store)
-    y = h_new @ store["dec.head.W"] + store["dec.head.b"]
-    mp = mixture_from_head(y, cfg.M, temperature)
-    mp.validate()
-    return mp, (h_new, c_new)
+def _draw(logits: np.ndarray, rng: np.random.Generator) -> int:
+    """Inverse-CDF categorical draw; a zero-probability category is never drawn."""
+    cdf = np.cumsum(np.exp(logits - logits.max()))
+    if not cdf[-1] >= 1.0:  # NaN from a non-finite head
+        raise NumericalUnderflow("non-finite mixture or pen logits")
+    return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
 
 
-def _component_log_density(mp_or_parts, dx, dy):
-    """log N_j(dx, dy) per component from (mu, sigma, rho) arrays."""
-    mu_x, mu_y, sigma_x, sigma_y, rho = mp_or_parts
-    zx = (dx - mu_x) / sigma_x
-    zy = (dy - mu_y) / sigma_y
-    s = np.maximum(1.0 - rho * rho, RHO_S_FLOOR)
-    q = zx * zx - 2.0 * rho * zx * zy + zy * zy
-    return -(LOG_2PI + np.log(sigma_x) + np.log(sigma_y) + 0.5 * np.log(s)) - q / (2.0 * s)
+def _sample(head, tau: float, rng: np.random.Generator):
+    """Draw (dx, dy, pen) from one step's activated head at temperature tau.
 
-
-def gmm_nll(mp: MixtureParams, target) -> StepLoss:
-    """Single-step NLL split into its offset and pen parts.
-
-    offset = -log sum_j pi_j N_j(dx, dy), computed via log-sum-exp;
-    pen = -log p(true pen). Sequence-level masking (offsets ignored after
-    the end step) and the 1/n_max normalization happen in the sequence
-    loss, not here.
+    Mixture and pen log-probabilities are divided by tau and deviations
+    scaled by sqrt(tau). The correlated part uses sqrt(s), the floor the
+    training loss uses, so a saturated correlation still samples.
     """
-    target = np.asarray(target, dtype=np.float64).reshape(-1)
-    if target.shape[0] == 3:
-        dx, dy = target[0], target[1]
-        pen_idx = int(target[2])
-    elif target.shape[0] == 5:
-        dx, dy = target[0], target[1]
-        pen_idx = int(np.argmax(target[2:5]))
-    else:
-        raise ShapeMismatch("target must be (dx, dy, pen) or a stroke-5 row")
-    log_n = _component_log_density(
-        (mp.mu_x, mp.mu_y, mp.sigma_x, mp.sigma_y, mp.rho), dx, dy
-    )
-    offset = -float(logsumexp(mp.log_pi + log_n))
-    pen = -float(mp.pen_log[pen_idx])
-    loss = StepLoss(offset=offset, pen=pen)
-    if not np.isfinite(loss.offset) or not np.isfinite(loss.pen):
-        from .errors import NumericalUnderflow
-
-        raise NumericalUnderflow("non-finite step loss")
-    return loss
-
-
-def sample_stroke(mp: MixtureParams, temperature: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw one stroke-5 row from a (re)tempered mixture.
-
-    mp is expected untempered (eval mode); tempering here divides the
-    log-weights and pen log-probabilities by tau and scales the
-    deviations by sqrt(tau), matching step()'s sampling-mode transform.
-    """
-    if temperature <= 0.0:
-        raise OutOfRange("temperature must be positive")
-    pi_t = softmax(np.asarray(mp.log_pi, dtype=np.float64) / temperature)
-    pi_t = pi_t / pi_t.sum()
-    j = int(rng.choice(pi_t.shape[0], p=pi_t))
-    root_tau = np.sqrt(temperature)
-    sx = mp.sigma_x[j] * root_tau
-    sy = mp.sigma_y[j] * root_tau
-    rho = mp.rho[j]
+    log_pi, mu_x, mu_y, lsx, lsy, rho, s, pen_logp = head
+    j = _draw(log_pi / tau, rng)
     u, v = rng.standard_normal(2)
-    dx = mp.mu_x[j] + sx * u
-    dy = mp.mu_y[j] + sy * (rho * u + np.sqrt(max(1.0 - rho * rho, 0.0)) * v)
-    pen_t = softmax(np.asarray(mp.pen_log, dtype=np.float64) / temperature)
-    pen_t = pen_t / pen_t.sum()
-    pen = int(rng.choice(3, p=pen_t))
-    row = np.zeros(5)
-    row[0], row[1] = dx, dy
-    row[2 + pen] = 1.0
-    return row
+    root_tau = np.sqrt(tau)
+    dx = mu_x[j] + np.exp(lsx[j]) * root_tau * u
+    dy = mu_y[j] + np.exp(lsy[j]) * root_tau * (rho[j] * u + np.sqrt(s[j]) * v)
+    return dx, dy, _draw(pen_logp / tau, rng)
 
 
 def generate(z: np.ndarray, store: ParameterStore, cfg: DecoderConfig,
-             rng: np.random.Generator, temperature: float | None = None) -> VectorSketch:
-    """Autoregressive rollout from the start token (0, 0, down).
+             rng: np.random.Generator) -> VectorSketch:
+    """Autoregressive rollout from the start token (0, 0, down) at cfg.temperature.
 
-    Stops at the first sampled pen=end; hitting the n_max cap forces the
-    final step's pen to end so the output always satisfies the sketch
-    invariants. Offsets are scaled back to pixels by cfg.offset_scale.
+    Runs in the store's dtype. Stops at the first sampled pen=end; hitting
+    the n_max cap forces the final step's pen to end so the output always
+    satisfies the sketch invariants. Offsets are scaled back to pixels by
+    cfg.offset_scale.
     """
-    tau = cfg.temperature if temperature is None else temperature
-    state = init_state(np.asarray(z).reshape(-1), store)
-    prev = START_ROW.copy()
-    rows = []
-    for _ in range(cfg.n_max):
-        mp, state = step(prev, z, state, store, cfg)
-        row = sample_stroke(mp, tau, rng)
-        rows.append(row)
-        prev = row
-        if row[4] == 1.0:
+    dtype = store["dec.head.W"].dtype
+    z = np.asarray(z, dtype=dtype).reshape(-1)
+    if z.shape[0] != cfg.z_dim:
+        raise ShapeMismatch(f"z has {z.shape[0]} entries, want {cfg.z_dim}")
+    h, c = init_state(z, store)
+    x = np.concatenate([START_ROW.astype(dtype), z])
+    steps = np.zeros((cfg.n_max, 3))
+    for n in range(cfg.n_max):
+        h, c, _ = _lstm_cell(x, h, c, store)
+        head = _head(h @ store["dec.head.W"] + store["dec.head.b"], cfg.M)
+        dx, dy, pen = _sample(head, cfg.temperature, rng)
+        steps[n] = dx, dy, pen
+        x[:5] = dx, dy, 0.0, 0.0, 0.0
+        x[2 + pen] = 1.0
+        if pen == PEN_END:
             break
-    out = np.array(rows)
-    if out[-1, 4] != 1.0:  # truncated by the cap
-        out[-1, 2:5] = (0.0, 0.0, 1.0)
-    pens = np.argmax(out[:, 2:5], axis=1).astype(np.float64)
-    steps = np.column_stack([out[:, 0] * cfg.offset_scale,
-                             out[:, 1] * cfg.offset_scale, pens])
+    steps = steps[: n + 1]
+    steps[-1, 2] = PEN_END  # a rollout truncated by the cap ends here
+    steps[:, :2] *= cfg.offset_scale
     return VectorSketch(steps)
 
 
@@ -341,18 +219,10 @@ def teacher_forced_nll(targets: np.ndarray, z: np.ndarray, store: ParameterStore
     Y = H.reshape(B * T, hs) @ store["dec.head.W"] + store["dec.head.b"]
     Y = Y.reshape(B, T, cfg.head_width)
 
-    log_pi = log_softmax(Y[:, :, :M], axis=-1)
-    mu_x = Y[:, :, M : 2 * M]
-    mu_y = Y[:, :, 2 * M : 3 * M]
-    lsx = Y[:, :, 3 * M : 4 * M]
-    lsy = Y[:, :, 4 * M : 5 * M]
-    rho = np.tanh(Y[:, :, 5 * M : 6 * M])
-    pen_logp = log_softmax(Y[:, :, 6 * M :], axis=-1)
-
+    log_pi, mu_x, mu_y, lsx, lsy, rho, s, pen_logp = _head(Y, M)
     sx, sy = np.exp(lsx), np.exp(lsy)
     zx = (targets[:, :, 0:1] - mu_x) / sx
     zy = (targets[:, :, 1:2] - mu_y) / sy
-    s = np.maximum(1.0 - rho * rho, RHO_S_FLOOR)
     q = zx * zx - 2.0 * rho * zx * zy + zy * zy
     log_n = -(LOG_2PI + lsx + lsy + 0.5 * np.log(s)) - q / (2.0 * s)
     comp = log_pi + log_n

@@ -266,7 +266,13 @@ def encode_graphs_backward(dpsi: np.ndarray, cache, store: ParameterStore,
 
 def encode(G: SketchGraph, store: ParameterStore, cfg: EncoderConfig,
            train_mode: bool = False, rng=None) -> np.ndarray:
-    """Sketch embedding psi for one graph (entries strictly inside (-1, 1))."""
+    """Sketch embedding psi for one graph, entries in [-1, 1].
+
+    Propagation is unnormalized, so on inky inputs (hundreds of lattice
+    points) the pooled features grow large; in eval mode the batch-norm
+    running statistics need not scale them back, and float32 entries
+    then saturate to exactly +-1.
+    """
     psi, _ = encode_graphs([G], store, cfg, train_mode=train_mode, rng=rng)
     return psi[0]
 

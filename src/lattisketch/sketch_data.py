@@ -374,14 +374,15 @@ def read_pgm(path) -> RasterSketch:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
         raise MalformedRecord("non-numeric PGM header field") from exc
-    if maxval <= 0 or width <= 0 or height <= 0:
+    if not 0 < maxval < 65536 or width <= 0 or height <= 0:
         raise MalformedRecord("bad PGM dimensions")
 
     if magic == b"P5":
         pos += 1  # exactly one whitespace byte after maxval
-        data = np.frombuffer(blob, dtype=np.uint8, count=width * height, offset=pos)
-        if data.size < width * height:
+        sample = np.dtype(">u2" if maxval > 255 else np.uint8)  # 16-bit is big-endian
+        if len(blob) - pos < width * height * sample.itemsize:
             raise MalformedRecord("truncated PGM payload")
+        data = np.frombuffer(blob, dtype=sample, count=width * height, offset=pos)
     elif magic == b"P2":
         values = blob[pos:].split()
         if len(values) < width * height:

@@ -321,6 +321,10 @@ def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None,
         log_cb=None) -> dict:
     """Run the training loop; writes checkpoints and a per-iteration loss CSV.
 
+    A resumed run keeps the checkpoint's lattice, graph, encoder and decoder
+    configs and takes the train config from pcfg. The summary's "pcfg" is
+    the resolved config every step and checkpoint used.
+
     The loss CSV (out_dir/loss.csv) carries one row per iteration executed
     in this call: iteration,lr,loss with fixed float formatting, so two
     identical runs produce byte-identical files.
@@ -335,7 +339,8 @@ def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None,
         store = bundle.store
         opt = bundle.opt or OptimizerState.fresh(store)
         start = bundle.iteration
-        pcfg = bundle.pcfg
+        # architecture from the checkpoint, schedule from the caller
+        pcfg = replace(bundle.pcfg, train=tcfg)
         scale = pcfg.decoder.offset_scale
     else:
         scale = offset_scale_of(sketches)
@@ -374,6 +379,7 @@ def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None,
         "skipped_parse": skipped_parse,
         "skipped_lattice": skipped_lattice,
         "offset_scale": scale,
+        "pcfg": pcfg,
     }
 
 

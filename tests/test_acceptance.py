@@ -153,12 +153,21 @@ def test_criterion_03_gradient_audit():
 
 
 def test_criterion_04_analytic_nll():
-    mp = ls.MixtureParams(
-        pi=np.array([1.0]), mu_x=np.array([0.0]), mu_y=np.array([0.0]),
-        sigma_x=np.array([1.0]), sigma_y=np.array([1.0]), rho=np.array([0.0]),
-        pen=np.array([1 / 3, 1 / 3, 1 / 3]))
-    at_mean = ls.gmm_nll(mp, np.array([0.0, 0.0, 1.0, 0.0, 0.0])).offset
-    at_unit = ls.gmm_nll(mp, np.array([1.0, 0.0, 1.0, 0.0, 0.0])).offset
+    # M=1 and a zero head output give one standard bivariate normal and a
+    # uniform pen; one step with n_max=1 minus the pen term log 3 leaves
+    # the offset NLL
+    cfg = ls.DecoderConfig(hidden_size=4, M=1, n_max=1, z_dim=2)
+    store = ls.init_decoder_params(cfg, np.random.default_rng(0), dtype=np.float64)
+    store["dec.head.W"] = np.zeros_like(store["dec.head.W"])
+    store["dec.head.b"] = np.zeros_like(store["dec.head.b"])
+
+    def offset_nll(dx):
+        target = np.array([[[dx, 0.0, 1.0, 0.0, 0.0]]])
+        loss, _ = ls.teacher_forced_nll(target, np.zeros((1, 2)), store, cfg)
+        return loss - float(np.log(3.0))
+
+    at_mean = offset_nll(0.0)
+    at_unit = offset_nll(1.0)
     want_mean = float(np.log(2 * np.pi))
     err_mean = abs(at_mean - want_mean)
     err_unit = abs(at_unit - (want_mean + 0.5))

@@ -33,6 +33,9 @@ def test_train_wrote_outputs_and_manifest(workdir):
     assert manifest["seed"] == 0
     assert manifest["checkpoint_hash"] == ls.checkpoint_hash(workdir["ckpt"])
     assert manifest["config"]["encoder"]["d"] == 8
+    # the resolved config, with the offset scale fit derived from the data
+    scale = ls.load_model(workdir["ckpt"]).pcfg.decoder.offset_scale
+    assert manifest["config"]["decoder"]["offset_scale"] == scale != 1.0
 
 
 def test_params_reports_expected_total(tmp_path, capsys):
@@ -118,6 +121,15 @@ def test_img2sketch_from_pgm(workdir, square_sketch):
                      "--input", str(pgm), "--out", str(out), "--seed", "4"])
     assert code == 0
     assert (out / "img2sketch.svg").exists()
+
+
+def test_img2sketch_truncated_pgm_exit_3(workdir, capsys):
+    pgm = workdir["tmp"] / "short.pgm"
+    pgm.write_bytes(b"P5\n256 256\n255\n" + bytes(100))
+    code = dispatch(["img2sketch", "--checkpoint", str(workdir["ckpt"]),
+                     "--input", str(pgm), "--out", str(workdir["tmp"] / "i2s_short")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_eval_writes_metrics(workdir, capsys):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import lattisketch as ls
-from lattisketch.decoder import LOG_2PI, mixture_from_head, sample_stroke
+from lattisketch import decoder
+from lattisketch.decoder import LOG_2PI, _head, _sample
 
 
 @pytest.fixture
@@ -17,12 +18,78 @@ def dec_store(dec_cfg):
     return ls.init_decoder_params(dec_cfg, np.random.default_rng(0))
 
 
-def single_component_mp(mu=(0.0, 0.0), sigma=(1.0, 1.0), rho=0.0, pen=None):
-    pen = np.log(pen) if pen is not None else np.zeros(3)
-    return ls.MixtureParams(
-        pi=np.array([1.0]), mu_x=np.array([mu[0]]), mu_y=np.array([mu[1]]),
-        sigma_x=np.array([sigma[0]]), sigma_y=np.array([sigma[1]]),
-        rho=np.array([rho]), pen=np.exp(pen - np.logaddexp.reduce(pen)))
+def head_vector(M=1, logits=0.0, mu_x=0.0, mu_y=0.0, log_sx=0.0, log_sy=0.0,
+                rho_raw=0.0, pen=(0.0, 0.0, 0.0)):
+    """A raw (6M+3) head output from its parts, in the decoder's layout."""
+    parts = (logits, mu_x, mu_y, log_sx, log_sy, rho_raw)
+    return np.concatenate([np.broadcast_to(np.asarray(p, float), (M,)) for p in parts]
+                          + [np.asarray(pen, float)])
+
+
+def head_nll(y, target):
+    """(offset, pen) NLL of one stroke-5 row through teacher_forced_nll,
+    with a zero head matrix pinning the head output to y."""
+    M = (len(y) - 3) // 6
+    cfg = ls.DecoderConfig(hidden_size=4, M=M, n_max=1, z_dim=2)
+    store = ls.init_decoder_params(cfg, np.random.default_rng(0), dtype=np.float64)
+    store["dec.head.W"] = np.zeros_like(store["dec.head.W"])
+    store["dec.head.b"] = np.asarray(y, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)[None, None]
+    loss, cache = ls.teacher_forced_nll(target, np.zeros((1, 2)), store, cfg)
+    offset = -float(cache["lse"][0, 0])
+    return offset, loss - offset
+
+
+def softmax(a):
+    e = np.exp(a - np.max(a))
+    return e / e.sum()
+
+
+def naive_mixture_nll(pi, mu_x, mu_y, sigma_x, sigma_y, rho, dx, dy):
+    """Direct density evaluation, no log-sum-exp tricks."""
+    total = 0.0
+    for j in range(len(pi)):
+        zx = (dx - mu_x[j]) / sigma_x[j]
+        zy = (dy - mu_y[j]) / sigma_y[j]
+        s = 1.0 - rho[j] * rho[j]
+        norm = 1.0 / (2.0 * np.pi * sigma_x[j] * sigma_y[j] * np.sqrt(s))
+        q = zx * zx - 2 * rho[j] * zx * zy + zy * zy
+        total += pi[j] * norm * np.exp(-q / (2 * s))
+    return -np.log(total)
+
+
+def reference_step_nll(y, target, M):
+    """Offset and pen NLL of one stroke-5 row under raw head output y."""
+    offset = naive_mixture_nll(softmax(y[:M]), y[M : 2 * M], y[2 * M : 3 * M],
+                               np.exp(y[3 * M : 4 * M]), np.exp(y[4 * M : 5 * M]),
+                               np.tanh(y[5 * M : 6 * M]), target[0], target[1])
+    return offset, -np.log(softmax(y[6 * M :])[np.argmax(target[2:5])])
+
+
+def sigmoid(a):
+    return 1.0 / (1.0 + np.exp(-a))
+
+
+def reference_lstm_step(x, h, c, store):
+    """One LSTM step from the store's arrays; gates in (i, f, g, o) order."""
+    a = x @ store["dec.lstm.Wx"] + h @ store["dec.lstm.Wh"] + store["dec.lstm.b"]
+    i, f, g, o = np.split(a, 4)
+    c = sigmoid(f) * c + sigmoid(i) * np.tanh(g)
+    return sigmoid(o) * np.tanh(c), c
+
+
+def reference_sample(pi, mu_x, mu_y, sigma_x, sigma_y, rho, pen, rng):
+    """Untempered draw: inverse CDF over pi, correlated normal, inverse CDF over pen."""
+    j = int(np.searchsorted(np.cumsum(pi), rng.random() * pi.sum(), side="right"))
+    u, v = rng.standard_normal(2)
+    dx = mu_x[j] + sigma_x[j] * u
+    dy = mu_y[j] + sigma_y[j] * (rho[j] * u + np.sqrt(1.0 - rho[j] ** 2) * v)
+    k = int(np.searchsorted(np.cumsum(pen), rng.random() * pen.sum(), side="right"))
+    return dx, dy, k
+
+
+def sample(y, tau, rng):
+    return _sample(_head(np.asarray(y), (len(y) - 3) // 6), tau, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -51,125 +118,105 @@ def test_init_state_bounded_and_deterministic(dec_cfg, dec_store):
 
 def test_zero_head_gives_uniform_mixture():
     M = 4
-    mp = mixture_from_head(np.zeros(6 * M + 3), M)
-    assert np.allclose(mp.pi, 1.0 / M)
-    assert np.allclose(mp.sigma_x, 1.0) and np.allclose(mp.sigma_y, 1.0)
-    assert np.allclose(mp.rho, 0.0)
-    assert np.allclose(mp.pen, 1.0 / 3)
+    log_pi, _, _, log_sx, log_sy, rho, s, pen_logp = _head(np.zeros(6 * M + 3), M)
+    assert np.allclose(np.exp(log_pi), 1.0 / M)
+    assert np.allclose(log_sx, 0.0) and np.allclose(log_sy, 0.0)
+    assert np.allclose(rho, 0.0) and np.allclose(s, 1.0)
+    assert np.allclose(np.exp(pen_logp), 1.0 / 3)
 
 
-def test_step_ranges_and_shapes(dec_cfg, dec_store):
+def test_head_ranges_and_shapes(dec_cfg, dec_store):
     z = np.random.default_rng(1).standard_normal(dec_cfg.z_dim)
-    state = ls.init_state(z, dec_store)
-    mp, state2 = ls.step(np.array([0, 0, 1, 0, 0.0]), z, state, dec_store, dec_cfg)
-    assert mp.pi.sum() == pytest.approx(1.0, abs=1e-6)
-    assert np.all(mp.sigma_x > 0) and np.all(mp.sigma_y > 0)
-    assert np.all(np.abs(mp.rho) < 1.0)
-    assert mp.pen.sum() == pytest.approx(1.0, abs=1e-6)
-    assert state2[0].shape == (dec_cfg.hidden_size,)
+    h, _ = ls.init_state(z, dec_store)
+    head = _head(h @ dec_store["dec.head.W"] + dec_store["dec.head.b"], dec_cfg.M)
+    log_pi, mu_x, mu_y, log_sx, log_sy, rho, s, pen_logp = head
+    for part in head[:-1]:
+        assert part.shape == (dec_cfg.M,)
+    assert pen_logp.shape == (3,)
+    assert np.exp(log_pi).sum() == pytest.approx(1.0, abs=1e-6)
+    assert np.all(np.abs(rho) < 1.0) and np.all((s > 0) & (s <= 1.0))
+    assert np.exp(pen_logp).sum() == pytest.approx(1.0, abs=1e-6)
 
 
-def test_step_shape_mismatch(dec_cfg, dec_store):
-    z = np.zeros(dec_cfg.z_dim)
-    state = ls.init_state(z, dec_store)
+def test_generate_shape_mismatch(dec_cfg, dec_store):
     with pytest.raises(ls.ShapeMismatch):
-        ls.step(np.zeros(4), z, state, dec_store, dec_cfg)
-    with pytest.raises(ls.ShapeMismatch):
-        ls.step(np.zeros(5), np.zeros(dec_cfg.z_dim + 1), state, dec_store, dec_cfg)
+        ls.generate(np.zeros(dec_cfg.z_dim + 1), dec_store, dec_cfg,
+                    np.random.default_rng(0))
 
 
 def test_temperature_concentrates_pi():
-    M = 3
-    y = np.zeros(6 * M + 3)
-    y[:M] = [0.5, 2.0, 1.0]  # pi logits, argmax at component 1
-    hot = mixture_from_head(y, M, temperature=1e-3)
-    assert hot.pi[1] > 0.999
-    warm = mixture_from_head(y, M, temperature=1.0)
-    assert warm.pi[1] < 0.7
+    # components sit far apart with tiny deviations, so dx names the component
+    y = head_vector(3, logits=[0.5, 2.0, 1.0], mu_x=[0.0, 10.0, 20.0], log_sx=-20.0,
+                    log_sy=-20.0)
+    rng = np.random.default_rng(0)
+    hot = [round(sample(y, 1e-3, rng)[0] / 10.0) for _ in range(200)]
+    assert hot == [1] * 200
+    warm = [round(sample(y, 1.0, rng)[0] / 10.0) for _ in range(2000)]
+    assert np.mean(np.array(warm) == 1) < 0.7
 
 
 def test_temperature_one_matches_eval_exactly():
-    rng = np.random.default_rng(2)
-    y = rng.standard_normal(6 * 5 + 3)
-    ev = mixture_from_head(y, 5)
-    t1 = mixture_from_head(y, 5, temperature=1.0)
-    for field in ("pi", "mu_x", "mu_y", "sigma_x", "sigma_y", "rho", "pen"):
-        assert np.array_equal(getattr(ev, field), getattr(t1, field)), field
+    M = 5
+    y = np.random.default_rng(2).standard_normal(6 * M + 3)
+    untempered = (softmax(y[:M]), y[M : 2 * M], y[2 * M : 3 * M], np.exp(y[3 * M : 4 * M]),
+                  np.exp(y[4 * M : 5 * M]), np.tanh(y[5 * M : 6 * M]), softmax(y[6 * M :]))
+    for seed in range(20):
+        got = sample(y, 1.0, np.random.default_rng(seed))
+        want = reference_sample(*untempered, np.random.default_rng(seed))
+        assert got == want
 
 
 def test_temperature_scales_sigma():
-    y = np.zeros(6 * 2 + 3)
-    mp = mixture_from_head(y, 2, temperature=0.25)
-    assert np.allclose(mp.sigma_x, 0.5)  # sqrt(tau) scaling
+    y = head_vector(1)
+    one = np.ones(1)
+    for seed in range(10):
+        got = sample(y, 0.25, np.random.default_rng(seed))
+        want = reference_sample(one, 0 * one, 0 * one, 0.5 * one, 0.5 * one, 0 * one,
+                                np.full(3, 1 / 3), np.random.default_rng(seed))
+        assert got == pytest.approx(want, abs=1e-12)  # sqrt(tau) scaling
 
 
 # ---------------------------------------------------------------------------
-# gmm_nll
+# mixture NLL through teacher_forced_nll
 
 
 def test_nll_standard_normal_at_mean():
-    mp = single_component_mp()
-    loss = ls.gmm_nll(mp, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
-    assert loss.offset == pytest.approx(LOG_2PI, abs=1e-6)
+    offset, _ = head_nll(head_vector(), [0.0, 0.0, 1.0, 0.0, 0.0])
+    assert offset == pytest.approx(LOG_2PI, abs=1e-6)
 
 
 def test_nll_standard_normal_at_unit_offset():
-    mp = single_component_mp()
-    loss = ls.gmm_nll(mp, np.array([1.0, 0.0, 1.0, 0.0, 0.0]))
-    assert loss.offset == pytest.approx(LOG_2PI + 0.5, abs=1e-6)
+    offset, _ = head_nll(head_vector(), [1.0, 0.0, 1.0, 0.0, 0.0])
+    assert offset == pytest.approx(LOG_2PI + 0.5, abs=1e-6)
 
 
 def test_nll_pen_term_is_cross_entropy():
-    mp = single_component_mp(pen=np.array([0.7, 0.2, 0.1]))
-    loss = ls.gmm_nll(mp, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
-    assert loss.pen == pytest.approx(-np.log(0.7), abs=1e-9)
-    assert loss.total == pytest.approx(loss.offset + loss.pen)
-
-
-def naive_mixture_nll(mp, dx, dy):
-    """Direct density evaluation, no log-sum-exp tricks."""
-    total = 0.0
-    for j in range(len(mp.pi)):
-        sx, sy, rho = mp.sigma_x[j], mp.sigma_y[j], mp.rho[j]
-        zx = (dx - mp.mu_x[j]) / sx
-        zy = (dy - mp.mu_y[j]) / sy
-        s = 1.0 - rho * rho
-        norm = 1.0 / (2.0 * np.pi * sx * sy * np.sqrt(s))
-        q = zx * zx - 2 * rho * zx * zy + zy * zy
-        total += mp.pi[j] * norm * np.exp(-q / (2 * s))
-    return -np.log(total)
+    y = head_vector(pen=np.log([0.7, 0.2, 0.1]))
+    offset, pen = head_nll(y, [0.0, 0.0, 1.0, 0.0, 0.0])
+    assert pen == pytest.approx(-np.log(0.7), abs=1e-9)
+    assert offset == pytest.approx(LOG_2PI, abs=1e-6)
 
 
 def test_nll_matches_naive_density_oracle():
     rng = np.random.default_rng(3)
     for _ in range(25):
         M = int(rng.integers(1, 6))
-        logits = rng.standard_normal(M)
-        pi = np.exp(logits) / np.exp(logits).sum()
-        mp = ls.MixtureParams(
-            pi=pi,
-            mu_x=rng.standard_normal(M), mu_y=rng.standard_normal(M),
-            sigma_x=np.exp(rng.standard_normal(M) * 0.3),
-            sigma_y=np.exp(rng.standard_normal(M) * 0.3),
-            rho=np.tanh(rng.standard_normal(M) * 0.5),
-            pen=np.array([0.5, 0.3, 0.2]))
+        y = head_vector(M, logits=rng.standard_normal(M), mu_x=rng.standard_normal(M),
+                        mu_y=rng.standard_normal(M), log_sx=rng.standard_normal(M) * 0.3,
+                        log_sy=rng.standard_normal(M) * 0.3,
+                        rho_raw=rng.standard_normal(M) * 0.5, pen=np.log([0.5, 0.3, 0.2]))
         dx, dy = rng.standard_normal(2) * 2
-        got = ls.gmm_nll(mp, np.array([dx, dy, 0.0, 1.0, 0.0]))
-        assert got.offset == pytest.approx(naive_mixture_nll(mp, dx, dy), abs=1e-6)
+        target = np.array([dx, dy, 0.0, 1.0, 0.0])
+        got, _ = head_nll(y, target)
+        want, _ = reference_step_nll(y, target, M)
+        assert got == pytest.approx(want, abs=1e-6)
 
 
 def test_nll_finite_for_large_offsets():
-    mp = single_component_mp(sigma=(0.5, 0.5))
+    y = head_vector(log_sx=np.log(0.5), log_sy=np.log(0.5))
     for dx in (-1e3, 1e3):
-        loss = ls.gmm_nll(mp, np.array([dx, 1e3, 0.0, 0.0, 1.0]))
-        assert np.isfinite(loss.total)
-
-
-def test_nll_accepts_stroke3_target():
-    mp = single_component_mp()
-    a = ls.gmm_nll(mp, np.array([0.0, 0.0, 0.0]))  # pen index 0
-    b = ls.gmm_nll(mp, np.array([0.0, 0.0, 1.0, 0.0, 0.0]))
-    assert a.total == pytest.approx(b.total)
+        offset, pen = head_nll(y, [dx, 1e3, 0.0, 0.0, 1.0])
+        assert np.isfinite(offset + pen)
 
 
 # ---------------------------------------------------------------------------
@@ -177,23 +224,24 @@ def test_nll_accepts_stroke3_target():
 
 
 def test_sample_degenerate_component_returns_mean():
-    mp = single_component_mp(mu=(3.0, -2.0), sigma=(1e-12, 1e-12))
-    row = sample_stroke(mp, 1e-6, np.random.default_rng(0))
-    assert row[0] == pytest.approx(3.0, abs=1e-5)
-    assert row[1] == pytest.approx(-2.0, abs=1e-5)
+    y = head_vector(mu_x=3.0, mu_y=-2.0, log_sx=np.log(1e-12), log_sy=np.log(1e-12))
+    dx, dy, _ = sample(y, 1e-6, np.random.default_rng(0))
+    assert dx == pytest.approx(3.0, abs=1e-5)
+    assert dy == pytest.approx(-2.0, abs=1e-5)
 
 
 def test_sample_pen_forced():
-    mp = single_component_mp(pen=np.array([1.0 - 2e-12, 1e-12, 1e-12]))
+    y = head_vector(pen=np.log([1.0 - 2e-12, 1e-12, 1e-12]))
     for seed in range(10):
-        row = sample_stroke(mp, 1.0, np.random.default_rng(seed))
-        assert row[2] == 1.0 and row[3] == 0.0 and row[4] == 0.0
+        assert sample(y, 1.0, np.random.default_rng(seed))[2] == ls.PEN_DOWN
 
 
 def test_sample_monte_carlo_mean():
-    mp = single_component_mp(mu=(1.5, -0.5), sigma=(2.0, 1.0), rho=0.3)
+    y = head_vector(mu_x=1.5, mu_y=-0.5, log_sx=np.log(2.0), log_sy=0.0,
+                    rho_raw=np.arctanh(0.3))
+    head = _head(y, 1)
     rng = np.random.default_rng(7)
-    draws = np.array([sample_stroke(mp, 1.0, rng)[:2] for _ in range(100_000)])
+    draws = np.array([_sample(head, 1.0, rng)[:2] for _ in range(100_000)])
     se_x = 2.0 / np.sqrt(len(draws))
     se_y = 1.0 / np.sqrt(len(draws))
     assert abs(draws[:, 0].mean() - 1.5) < 3 * se_x
@@ -201,10 +249,10 @@ def test_sample_monte_carlo_mean():
 
 
 def test_sample_deterministic_per_seed():
-    mp = single_component_mp(sigma=(1.0, 1.0))
-    a = sample_stroke(mp, 0.4, np.random.default_rng(11))
-    b = sample_stroke(mp, 0.4, np.random.default_rng(11))
-    assert np.array_equal(a, b)
+    y = head_vector()
+    a = sample(y, 0.4, np.random.default_rng(11))
+    b = sample(y, 0.4, np.random.default_rng(11))
+    assert a == b
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +293,38 @@ def test_generate_applies_offset_scale(dec_cfg, dec_store):
     assert np.array_equal(scaled.steps[:, 2], base.steps[:, 2])
 
 
+def test_generate_never_draws_zero_probability_pen(dec_cfg, dec_store):
+    # the benchmark's heal model: pen=end underflows to probability 0 in float32
+    dec_store["dec.head.b"][6 * dec_cfg.M + ls.PEN_END] = -50.0
+    for seed in range(20):
+        sk = ls.generate(np.zeros(dec_cfg.z_dim), dec_store, dec_cfg,
+                         np.random.default_rng(seed))
+        assert sk.n_steps == dec_cfg.n_max
+
+
+def test_generate_non_finite_head_raises(dec_cfg, dec_store):
+    dec_store["dec.head.b"][0] = np.nan
+    with pytest.raises(ls.NumericalUnderflow):
+        ls.generate(np.zeros(dec_cfg.z_dim), dec_store, dec_cfg, np.random.default_rng(0))
+
+
+def test_generate_state_stays_in_store_dtype(dec_cfg, dec_store, monkeypatch):
+    dtypes = []
+
+    def spy(x, h, c, store):
+        out = cell(x, h, c, store)
+        dtypes.append((x.dtype, out[0].dtype, out[1].dtype))
+        return out
+
+    cell = decoder._lstm_cell
+    monkeypatch.setattr(decoder, "_lstm_cell", spy)
+    dec_store["dec.head.b"][6 * dec_cfg.M + ls.PEN_END] = -50.0
+    z = np.random.default_rng(3).standard_normal(dec_cfg.z_dim)  # float64
+    ls.generate(z, dec_store, dec_cfg, np.random.default_rng(0))
+    assert len(dtypes) == dec_cfg.n_max
+    assert set(dtypes) == {(np.dtype(np.float32),) * 3}
+
+
 # ---------------------------------------------------------------------------
 # teacher forcing
 
@@ -258,7 +338,7 @@ def batch_targets(rng, B, T):
 
 
 def test_teacher_forced_nll_matches_stepwise_oracle(dec_cfg, dec_store):
-    """Batch NLL equals a per-sequence loop of step() + gmm_nll."""
+    """Batch NLL equals a per-sequence loop of reference LSTM steps + scalar NLL."""
     rng = np.random.default_rng(4)
     B, T = 3, 6
     targets = batch_targets(rng, B, T)
@@ -267,15 +347,16 @@ def test_teacher_forced_nll_matches_stepwise_oracle(dec_cfg, dec_store):
 
     total = 0.0
     for b in range(B):
-        state = ls.init_state(z[b], dec_store)
+        h, c = np.split(np.tanh(z[b] @ dec_store["dec.init.W"] + dec_store["dec.init.b"]), 2)
         prev = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
         end_seen = False
         for t in range(T):
-            mp, state = ls.step(prev, z[b], state, dec_store, dec_cfg)
-            step_loss = ls.gmm_nll(mp, targets[b, t])
+            h, c = reference_lstm_step(np.concatenate([prev, z[b]]), h, c, dec_store)
+            y = h @ dec_store["dec.head.W"] + dec_store["dec.head.b"]
+            offset, pen = reference_step_nll(y, targets[b, t], dec_cfg.M)
             if not end_seen:
-                total += step_loss.offset
-            total += step_loss.pen
+                total += offset
+            total += pen
             if targets[b, t, 4] == 1.0:
                 end_seen = True
             prev = targets[b, t]

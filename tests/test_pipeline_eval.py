@@ -1,5 +1,7 @@
 """Healing, retrieval and the evaluation sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,24 @@ def test_heal_outputs_valid_sketches(tiny_model, square_sketch):
         if not sk.is_empty():
             ok += 1
     assert ok >= 19  # >= 95 percent nonempty valid outputs
+
+
+def test_heal_with_saturated_correlations(tiny_model, square_sketch):
+    # float32 tanh rounds to exactly +-1 here; sampling and training both
+    # floor 1 - rho^2 instead of failing
+    store = tiny_model.store.copy()
+    M = tiny_model.pcfg.decoder.M
+    store["dec.head.b"][5 * M : 6 * M] = 25.0
+    bundle = replace(tiny_model, store=store)
+    raster = ls.rasterize(square_sketch, 256)
+    for seed in range(5):
+        sk, _ = ls.heal(ls.HealRequest(raster=raster, p_mask=0.1, seed=seed), bundle)
+        sk.validate()
+        targets = ls.to_stroke5(sk, sk.n_steps)[None].astype(np.float32)
+        z = np.zeros((1, tiny_model.pcfg.decoder.z_dim))
+        loss, cache = ls.teacher_forced_nll(targets, z, store, tiny_model.pcfg.decoder)
+        assert np.isfinite(loss)
+    assert np.any(np.abs(cache["rho"]) == 1.0)
 
 
 def test_edge_to_sketch_lattice_on_outline(tiny_model):

@@ -288,6 +288,28 @@ def test_read_pgm_ascii(tmp_path):
     assert np.array_equal(r.pixels, [[1, 0], [0, 1]])
 
 
+def test_read_pgm_truncated_p5_payload(tmp_path):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(b"P5\n4 4\n255\n" + bytes(10))
+    with pytest.raises(ls.MalformedRecord, match="truncated PGM payload"):
+        ls.read_pgm(path)
+
+
+def test_read_pgm_16bit_samples(tmp_path):
+    pixels = np.full((4, 4), 65535, dtype=">u2")
+    pixels[1] = 0  # one dark row
+    path = tmp_path / "deep.pgm"
+    path.write_bytes(b"P5\n4 4\n65535\n" + pixels.tobytes())
+    r = ls.read_pgm(path)
+    assert np.array_equal(r.pixels, (pixels == 0).astype(np.uint8))
+    path.write_bytes(b"P5\n4 4\n65535\n" + pixels.tobytes()[:-1])
+    with pytest.raises(ls.MalformedRecord, match="truncated PGM payload"):
+        ls.read_pgm(path)
+    path.write_bytes(b"P5\n4 4\n65536\n" + pixels.tobytes())  # beyond 16 bits
+    with pytest.raises(ls.MalformedRecord, match="bad PGM dimensions"):
+        ls.read_pgm(path)
+
+
 # ---------------------------------------------------------------------------
 # properties
 

@@ -200,6 +200,27 @@ def test_fit_resume_reproduces_loss_sequence(tmp_path, toy_dataset):
     assert got == want
 
 
+def test_fit_resume_takes_callers_schedule(tmp_path, toy_dataset):
+    ckpt = tmp_path / "r" / "ckpt_final.ckpt"
+    ls.fit(toy_dataset, small_pcfg(iterations=2, batch_size=2), tmp_path / "r")
+    before = ls.load_model(ckpt).store
+    summary = ls.fit(toy_dataset, small_pcfg(iterations=4, batch_size=2, lr0=0.5),
+                     tmp_path / "r", resume=str(ckpt))
+    with open(summary["loss_csv"]) as fh:
+        logged = [float(r[1]) for r in list(csv.reader(fh))[3:]]
+    assert logged == pytest.approx([ls.lr_schedule(it, 0.5) for it in (2, 3)], rel=1e-9)
+    # Adam moves a value by at most about lr per step, so on the
+    # checkpoint's 1e-3 schedule nothing could move by 0.1 in two steps
+    after = ls.load_model(summary["checkpoint"])
+    moved = max(float(np.abs(after.store[n] - before[n]).max())
+                for n in before.trainable_names())
+    assert moved > 0.1
+    assert after.header["configs"]["train"]["iterations"] == 4
+    assert after.header["configs"]["train"]["lr0"] == 0.5
+    assert summary["pcfg"].train.lr0 == 0.5
+    assert summary["pcfg"].decoder.offset_scale == after.pcfg.decoder.offset_scale
+
+
 def test_fit_empty_dataset_raises(tmp_path):
     empty = tmp_path / "empty.ndjson"
     empty.write_text("")
