@@ -17,8 +17,8 @@ from .errors import (AllItemsSkipped, CheckpointFormatError, CheckpointWriteFail
                      NumericalUnderflow, OutOfRange, SequenceTooLong, ShapeMismatch,
                      TokenOutOfVocabulary)
 from .graph_builder import (GraphConfig, SketchGraph, build_adjacency,
-                            graph_from_json_obj, normalized_distances,
-                            pairwise_distances, tokenize, tokenize_all)
+                            graph_from_json_obj, pairwise_distances, tokenize,
+                            tokenize_all)
 from .lattice import (LatticeConfig, SketchLattice, lattice_from_json_obj,
                       line_positions, mask_lattice, sample_lattice)
 from .params import (ParameterStore, checkpoint_hash, load_checkpoint,
@@ -48,7 +48,7 @@ __all__ = [
     "LatticeConfig", "SketchLattice", "line_positions", "sample_lattice",
     "mask_lattice", "lattice_from_json_obj",
     "GraphConfig", "SketchGraph", "tokenize", "tokenize_all",
-    "pairwise_distances", "normalized_distances", "build_adjacency",
+    "pairwise_distances", "build_adjacency",
     "graph_from_json_obj",
     "EncoderConfig", "LatentSample", "init_encoder_params", "embed_nodes",
     "propagate", "encode_layer", "pool_nodes", "encode_graphs",

@@ -153,10 +153,13 @@ def _effective_adjacency(A: np.ndarray, cfg: EncoderConfig, dtype) -> np.ndarray
     return A
 
 
-def encode_layer(V: np.ndarray, A: np.ndarray, store: ParameterStore, cfg: EncoderConfig,
+def encode_layer(V: np.ndarray, A_eff: np.ndarray, store: ParameterStore, cfg: EncoderConfig,
                  layer: int, train_mode: bool = False, rng=None):
-    """V' = V + Dropout(ReLU-chained MLP units applied to A @ V); returns (V', cache)."""
-    A_eff = _effective_adjacency(A, cfg, V.dtype)
+    """V' = V + Dropout(ReLU-chained MLP units applied to A_eff @ V); returns (V', cache).
+
+    A_eff is the effective adjacency, already in V's dtype and row-normalized
+    when cfg asks for it; encode_graphs makes it once per graph for all layers.
+    """
     X = propagate(V, A_eff)
     acts = [X]
     for w_name, b_name in _layer_affines(cfg, layer):
@@ -210,9 +213,10 @@ def encode_graphs(graphs, store: ParameterStore, cfg: EncoderConfig,
         if g.m == 0:
             raise EmptyLattice("graph has no nodes")
         V = embed_nodes(g.tokens, store, cfg)
+        A_eff = _effective_adjacency(g.adjacency, cfg, V.dtype)
         layer_caches = []
         for layer in range(cfg.K):
-            V, c = encode_layer(V, g.adjacency, store, cfg, layer, train_mode, rng)
+            V, c = encode_layer(V, A_eff, store, cfg, layer, train_mode, rng)
             layer_caches.append(c)
         pooled[b] = pool_nodes(V, cfg)
         graph_caches.append((g.tokens, g.adjacency.shape[0], layer_caches))

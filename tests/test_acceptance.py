@@ -1,7 +1,8 @@
 """Acceptance suite: nine go/no-go checks for the whole pipeline.
 
-Each criterion prints one PASS/FAIL line (through pytest's terminal
-reporter, which bypasses output capture) and then asserts. Criteria 7-9
+Each criterion prints one PASS/FAIL line and then asserts. The line goes
+through pytest's terminal reporter with output capture suspended, so it
+shows in a plain `pytest -q` log as well as under `-s`. Criteria 7-9
 share one desk-scale trained model built by the session fixture below;
 expect the first run to spend a few minutes training it.
 """
@@ -17,19 +18,23 @@ import pytest
 import lattisketch as ls
 
 _terminal = None
+_capture = None
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _grab_terminal_reporter(request):
-    global _terminal
+    global _terminal, _capture
     _terminal = request.config.pluginmanager.getplugin("terminalreporter")
+    _capture = request.config.pluginmanager.getplugin("capturemanager")
 
 
 def report(num, ok, detail):
     line = f"[criterion {num}] {'PASS' if ok else 'FAIL'}: {detail}"
-    if _terminal is not None:
-        _terminal.write_line("")
-        _terminal.write_line(line)
+    if _terminal is not None and _capture is not None:
+        # the reporter writes to the process's stdout, which capture redirects
+        with _capture.global_and_fixture_disabled():
+            _terminal.write_line("")
+            _terminal.write_line(line)
     else:
         print(line, file=sys.__stdout__, flush=True)
     print(line)  # also lands in the captured block shown on failure

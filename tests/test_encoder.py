@@ -190,6 +190,18 @@ def test_encode_permutation_invariant(enc_cfg, enc_store):
         assert np.allclose(psi_p, psi, atol=1e-6)
 
 
+def test_encode_row_normalize_divides_every_layer_by_row_sums(enc_cfg, enc_store):
+    g = random_graph(np.random.default_rng(5), m=10)
+    a = g.adjacency.astype(np.float32)
+    pre = ls.SketchGraph(tokens=g.tokens, adjacency=a / a.sum(axis=1, keepdims=True),
+                         embed_mode=g.embed_mode, side=g.side)
+    norm_cfg = replace(enc_cfg, row_normalize=True)
+    assert np.array_equal(ls.encode(g, enc_store, norm_cfg),
+                          ls.encode(pre, enc_store, enc_cfg))
+    assert not np.allclose(ls.encode(g, enc_store, enc_cfg),
+                           ls.encode(pre, enc_store, enc_cfg))
+
+
 def test_encode_single_node_graph(enc_cfg, enc_store):
     g = make_graph([[40, 40]])
     assert ls.encode(g, enc_store, enc_cfg).shape == (enc_cfg.d,)

@@ -10,6 +10,27 @@ def points_lattice(pts, side=256, n=32):
     return ls.SketchLattice(points=np.asarray(pts, dtype=np.int64), side=side, n=n)
 
 
+def dense_adjacency(L, cfg):
+    """Oracle: the adjacency computed densely from the m x m x 2 difference tensor."""
+    m = L.m
+    norm = ls.pairwise_distances(L) / (L.side * np.sqrt(2.0))
+    linked = np.zeros((m, m), dtype=bool)
+    if m > 1:
+        if cfg.proximity == "nearby":
+            linked = norm < cfg.d_t
+            np.fill_diagonal(linked, False)
+        else:
+            probe = norm.copy()
+            np.fill_diagonal(probe, np.inf)
+            nearest = np.argmin(probe, axis=1)
+            linked[np.arange(m), nearest] = True
+            linked |= linked.T
+    a = np.where(linked, 1.0 - norm, 0.0)
+    if cfg.self_loops:
+        np.fill_diagonal(a, 1.0)
+    return a
+
+
 # ---------------------------------------------------------------------------
 # tokenize
 
@@ -167,6 +188,57 @@ def test_adjacency_translation_invariant_tokens_change():
     assert not np.array_equal(
         ls.tokenize_all(points_lattice(pts), "joint"),
         ls.tokenize_all(points_lattice(pts + 100), "joint"))
+
+
+def random_lattice(rng, side, m):
+    """Row-major sorted distinct points, some pinned to the canvas border."""
+    pts = rng.integers(0, side, size=(m, 2))
+    border = rng.random((m, 2)) < 0.1
+    pts[border] = rng.choice([0, side - 1], size=int(border.sum()))
+    pts = np.unique(pts, axis=0)
+    return points_lattice(pts[np.lexsort((pts[:, 0], pts[:, 1]))], side=side)
+
+
+@pytest.mark.parametrize("side", [64, 256])
+@pytest.mark.parametrize("proximity", ["nearby", "nearest"])
+@pytest.mark.parametrize("self_loops", [True, False])
+def test_adjacency_bit_identical_to_dense_oracle(side, proximity, self_loops):
+    rng = np.random.default_rng(side + 7 * self_loops + (proximity == "nearest"))
+    diag = side * np.sqrt(2.0)
+    # 0.125 * diag = side / 8 * sqrt(2), the length of offset (side/8, side/8):
+    # pairs at exactly that offset sit on the threshold
+    for d_t in (0.05, 0.125, 0.2, 0.5, 0.99):
+        cfg = ls.GraphConfig(proximity=proximity, d_t=d_t, self_loops=self_loops)
+        for m in (1, 2, 3, 17, 150, 300):
+            lat = random_lattice(rng, side, m)
+            assert np.array_equal(ls.build_adjacency(lat, cfg).adjacency,
+                                  dense_adjacency(lat, cfg)), (d_t, m)
+        k = side // 8
+        on_threshold = points_lattice([[0, 0], [k, k], [2 * k, 0], [side - 1, side - 1]],
+                                      side=side)
+        assert np.array_equal(ls.build_adjacency(on_threshold, cfg).adjacency,
+                              dense_adjacency(on_threshold, cfg))
+    assert ls.pairwise_distances(on_threshold)[0, 1] / diag == 0.125
+
+
+def test_adjacency_bit_identical_with_ties_corners_and_duplicates():
+    # equidistant neighbours (nearest tie-break), all four canvas corners,
+    # and a repeated point, which links to its copy at weight 1
+    pts = [[0, 0], [255, 0], [128, 64], [120, 64], [136, 64], [0, 255], [255, 255]]
+    for lat in (points_lattice(pts), points_lattice(pts + [[120, 64]])):
+        for proximity in ("nearby", "nearest"):
+            for self_loops in (True, False):
+                cfg = ls.GraphConfig(proximity=proximity, d_t=0.2, self_loops=self_loops)
+                assert np.array_equal(ls.build_adjacency(lat, cfg).adjacency,
+                                      dense_adjacency(lat, cfg))
+
+
+@pytest.mark.parametrize("proximity", ["nearby", "nearest"])
+@pytest.mark.parametrize("bad", [[256, 5], [5, -1]])
+def test_adjacency_point_off_canvas_raises(proximity, bad):
+    lat = points_lattice([[0, 0], [3, 4], bad])
+    with pytest.raises(ls.OutOfRange):
+        ls.build_adjacency(lat, ls.GraphConfig(proximity=proximity))
 
 
 def test_adjacency_empty_lattice_raises():

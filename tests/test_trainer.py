@@ -257,20 +257,35 @@ def test_model_round_trip_preserves_configs(tmp_path, toy_dataset):
 # gradient audit
 
 
-def test_audit_all_arrays_small():
+def small_audit_pcfg(**encoder_kwargs):
     pcfg = small_pcfg()
-    audit_pcfg = ls.PipelineConfig(
-        encoder=replace(pcfg.encoder, d=8),
+    return ls.PipelineConfig(
+        encoder=replace(pcfg.encoder, d=8, **encoder_kwargs),
         decoder=ls.DecoderConfig(hidden_size=8, M=2, n_max=16, z_dim=8),
         train=pcfg.train)
+
+
+def assert_audit_passes(audit_pcfg, probe):
     store = ls.init_params(audit_pcfg, seed=0, dtype=np.float64)
-    probe = ls.audit_probe(audit_pcfg, seed=0)
     report = ls.finite_diff_audit(store, probe, audit_pcfg)
     trainable = set(store.trainable_names())
     assert set(report) == trainable
     for name, entry in report.items():
         assert entry["max_rel_err"] < 1e-3, name
         assert entry["checked"] > 0
+
+
+def test_audit_all_arrays_small():
+    audit_pcfg = small_audit_pcfg()
+    assert_audit_passes(audit_pcfg, ls.audit_probe(audit_pcfg, seed=0))
+
+
+def test_audit_all_arrays_small_row_normalized():
+    audit_pcfg = small_audit_pcfg(row_normalize=True)
+    probe = ls.audit_probe(audit_pcfg, seed=0)
+    # the normalization must change some row, or this audits nothing new
+    assert any(not np.allclose(g.adjacency.sum(axis=1), 1.0) for g in probe["graphs"])
+    assert_audit_passes(audit_pcfg, probe)
 
 
 def test_audit_deterministic():
