@@ -7,6 +7,9 @@ pen-state categorical. Training minimizes the negative log-likelihood of
 the target strokes under that distribution; there is no KL term, the
 latent stays stochastic through the reparameterization alone.
 
+Both paths split the input projection [x, z] W_x + b into the stroke
+row's share and z's share, computing the latter once per sequence.
+
 Backward passes are hand-written (full backprop through time); caches
 from the forward run carry the needed intermediates.
 """
@@ -20,7 +23,7 @@ from scipy.special import expit, log_softmax, logsumexp
 
 from .errors import NumericalUnderflow, OutOfRange, ShapeMismatch
 from .params import ParameterStore
-from .sketch_data import PEN_END, VectorSketch
+from .sketch_data import PEN_DOWN, PEN_END, VectorSketch
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 # floor for 1 - rho^2 so the density stays finite if tanh saturates
@@ -79,30 +82,39 @@ def init_state(z: np.ndarray, store: ParameterStore):
     return s[..., :h], s[..., h:]
 
 
-def _lstm_cell(x, h, c, store: ParameterStore):
-    """One LSTM step; returns (h', c', gate cache)."""
+def _lstm_cell(a_x, h, c, Wh):
+    """One LSTM step from the input projection a_x = x W_x + b.
+
+    Returns (h', c', gates, tanh(c')); gates holds the activated i, f, g, o
+    blocks side by side.
+    """
     hs = h.shape[-1]
-    a = x @ store["dec.lstm.Wx"] + h @ store["dec.lstm.Wh"] + store["dec.lstm.b"]
-    i = expit(a[..., :hs])
-    f = expit(a[..., hs : 2 * hs])
-    g = np.tanh(a[..., 2 * hs : 3 * hs])
-    o = expit(a[..., 3 * hs :])
+    a = a_x + h @ Wh
+    gates = expit(a)
+    gates[..., 2 * hs : 3 * hs] = np.tanh(a[..., 2 * hs : 3 * hs])
+    i, f, g, o = (gates[..., k * hs : (k + 1) * hs] for k in range(4))
     c_new = f * c + i * g
     tc = np.tanh(c_new)
-    return o * tc, c_new, (i, f, g, o, c, tc)
+    return o * tc, c_new, gates, tc
+
+
+def _columns(Y: np.ndarray, M: int):
+    """Views (logits, mu_x, mu_y, log_sx, log_sy, rho_raw, pen_logits) of (..., 6M+3) outputs."""
+    return (Y[..., :M], Y[..., M : 2 * M], Y[..., 2 * M : 3 * M], Y[..., 3 * M : 4 * M],
+            Y[..., 4 * M : 5 * M], Y[..., 5 * M : 6 * M], Y[..., 6 * M :])
+
+
+def _correlation(rho_raw):
+    """(rho, s): rho = tanh(rho_raw) and the floored s = max(1 - rho^2, RHO_S_FLOOR)."""
+    rho = np.tanh(rho_raw)
+    return rho, np.maximum(1.0 - rho * rho, RHO_S_FLOOR)
 
 
 def _head(Y: np.ndarray, M: int):
-    """Split and activate (..., 6M+3) head outputs.
-
-    Returns (log_pi, mu_x, mu_y, log_sx, log_sy, rho, s, pen_logp): mixture
-    log-weights, means, log-deviations, correlations, the floored
-    s = max(1 - rho^2, RHO_S_FLOOR) and pen log-probabilities.
-    """
-    rho = np.tanh(Y[..., 5 * M : 6 * M])
-    return (log_softmax(Y[..., :M], axis=-1), Y[..., M : 2 * M], Y[..., 2 * M : 3 * M],
-            Y[..., 3 * M : 4 * M], Y[..., 4 * M : 5 * M], rho,
-            np.maximum(1.0 - rho * rho, RHO_S_FLOOR), log_softmax(Y[..., 6 * M :], axis=-1))
+    """Activated (log_pi, mu_x, mu_y, log_sx, log_sy, rho, s, pen_logp) of (..., 6M+3) outputs."""
+    logits, mu_x, mu_y, lsx, lsy, rho_raw, pen_logits = _columns(Y, M)
+    return (log_softmax(logits, axis=-1), mu_x, mu_y, lsx, lsy, *_correlation(rho_raw),
+            log_softmax(pen_logits, axis=-1))
 
 
 def _draw(logits: np.ndarray, rng: np.random.Generator) -> int:
@@ -113,20 +125,22 @@ def _draw(logits: np.ndarray, rng: np.random.Generator) -> int:
     return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
 
 
-def _sample(head, tau: float, rng: np.random.Generator):
-    """Draw (dx, dy, pen) from one step's activated head at temperature tau.
+def _sample(y: np.ndarray, M: int, tau: float, rng: np.random.Generator):
+    """Draw (dx, dy, pen) from one step's raw head output y at temperature tau.
 
-    Mixture and pen log-probabilities are divided by tau and deviations
-    scaled by sqrt(tau). The correlated part uses sqrt(s), the floor the
-    training loss uses, so a saturated correlation still samples.
+    Mixture and pen logits are divided by tau (softmax(log_softmax(l) / tau)
+    is softmax(l / tau)) and deviations scaled by sqrt(tau). Only the drawn
+    component's correlation is activated, with the floor the training loss
+    uses, so a saturated correlation still samples.
     """
-    log_pi, mu_x, mu_y, lsx, lsy, rho, s, pen_logp = head
-    j = _draw(log_pi / tau, rng)
+    logits, mu_x, mu_y, lsx, lsy, rho_raw, pen_logits = _columns(y, M)
+    j = _draw(logits / tau, rng)
+    rho, s = _correlation(rho_raw[j])
     u, v = rng.standard_normal(2)
     root_tau = np.sqrt(tau)
     dx = mu_x[j] + np.exp(lsx[j]) * root_tau * u
-    dy = mu_y[j] + np.exp(lsy[j]) * root_tau * (rho[j] * u + np.sqrt(s[j]) * v)
-    return dx, dy, _draw(pen_logp / tau, rng)
+    dy = mu_y[j] + np.exp(lsy[j]) * root_tau * (rho * u + np.sqrt(s) * v)
+    return dx, dy, _draw(pen_logits / tau, rng)
 
 
 def generate(z: np.ndarray, store: ParameterStore, cfg: DecoderConfig,
@@ -143,31 +157,24 @@ def generate(z: np.ndarray, store: ParameterStore, cfg: DecoderConfig,
     if z.shape[0] != cfg.z_dim:
         raise ShapeMismatch(f"z has {z.shape[0]} entries, want {cfg.z_dim}")
     h, c = init_state(z, store)
-    x = np.concatenate([START_ROW.astype(dtype), z])
+    Wx, Wh = store["dec.lstm.Wx"], store["dec.lstm.Wh"]
+    # projection of a row with offsets 0 for each pen state, z's share included
+    pen_proj = Wx[2:5] + (z @ Wx[5:] + store["dec.lstm.b"])
+    a_x = pen_proj[PEN_DOWN]  # the start token (0, 0, down)
     steps = np.zeros((cfg.n_max, 3))
     for n in range(cfg.n_max):
-        h, c, _ = _lstm_cell(x, h, c, store)
-        head = _head(h @ store["dec.head.W"] + store["dec.head.b"], cfg.M)
-        dx, dy, pen = _sample(head, cfg.temperature, rng)
+        h, c, _, _ = _lstm_cell(a_x, h, c, Wh)
+        y = h @ store["dec.head.W"] + store["dec.head.b"]
+        dx, dy, pen = _sample(y, cfg.M, cfg.temperature, rng)
         steps[n] = dx, dy, pen
-        x[:5] = dx, dy, 0.0, 0.0, 0.0
-        x[2 + pen] = 1.0
         if pen == PEN_END:
             break
+        # the draws are float64 scalars: cast so the state stays in dtype
+        a_x = pen_proj[pen] + np.array([dx, dy], dtype=dtype) @ Wx[:2]
     steps = steps[: n + 1]
     steps[-1, 2] = PEN_END  # a rollout truncated by the cap ends here
     steps[:, :2] *= cfg.offset_scale
     return VectorSketch(steps)
-
-
-def _offset_mask(targets: np.ndarray) -> np.ndarray:
-    """1.0 up to and including the end step, 0.0 after (per sequence)."""
-    pen_idx = np.argmax(targets[:, :, 2:5], axis=2)
-    is_end = pen_idx == PEN_END
-    has_end = is_end.any(axis=1)
-    first_end = np.where(has_end, is_end.argmax(axis=1), targets.shape[1] - 1)
-    t_idx = np.arange(targets.shape[1])
-    return (t_idx[None, :] <= first_end[:, None]).astype(targets.dtype)
 
 
 def teacher_forced_nll(targets: np.ndarray, z: np.ndarray, store: ParameterStore,
@@ -194,30 +201,21 @@ def teacher_forced_nll(targets: np.ndarray, z: np.ndarray, store: ParameterStore
     x_prev = np.empty((B, T, 5), dtype=dtype)
     x_prev[:, 0, :] = START_ROW
     x_prev[:, 1:, :] = targets[:, :-1, :]
-    X = np.concatenate([x_prev, np.broadcast_to(z[:, None, :], (B, T, cfg.z_dim))], axis=2)
-    X = np.ascontiguousarray(X, dtype=dtype)
+    Wx, Wh = store["dec.lstm.Wx"], store["dec.lstm.Wh"]
+    A_x = (x_prev.reshape(B * T, 5) @ Wx[:5]).reshape(B, T, 4 * hs)
+    A_x += (z.astype(dtype) @ Wx[5:] + store["dec.lstm.b"])[:, None, :]
 
     s_init = np.tanh(z @ store["dec.init.W"] + store["dec.init.b"])
-    h, c = s_init[:, :hs], s_init[:, hs:]
-    h0 = h
-    H = np.empty((B, T, hs), dtype=dtype)
-    H_prev = np.empty((B, T, hs), dtype=dtype)
+    H = np.empty((B, T + 1, hs), dtype=dtype)  # states before the first step and after each
+    C = np.empty((B, T + 1, hs), dtype=dtype)
+    H[:, 0], C[:, 0] = s_init[:, :hs], s_init[:, hs:]
     gates = np.empty((B, T, 4 * hs), dtype=dtype)
-    C_prev = np.empty((B, T, hs), dtype=dtype)
     TC = np.empty((B, T, hs), dtype=dtype)
     for t in range(T):
-        H_prev[:, t] = h
-        h, c, (i, f, g, o, c_prev, tc) = _lstm_cell(X[:, t], h, c, store)
-        H[:, t] = h
-        gates[:, t, :hs] = i
-        gates[:, t, hs : 2 * hs] = f
-        gates[:, t, 2 * hs : 3 * hs] = g
-        gates[:, t, 3 * hs :] = o
-        C_prev[:, t] = c_prev
-        TC[:, t] = tc
+        H[:, t + 1], C[:, t + 1], gates[:, t], TC[:, t] = _lstm_cell(
+            A_x[:, t], H[:, t], C[:, t], Wh)
 
-    Y = H.reshape(B * T, hs) @ store["dec.head.W"] + store["dec.head.b"]
-    Y = Y.reshape(B, T, cfg.head_width)
+    Y = H[:, 1:] @ store["dec.head.W"] + store["dec.head.b"]
 
     log_pi, mu_x, mu_y, lsx, lsy, rho, s, pen_logp = _head(Y, M)
     sx, sy = np.exp(lsx), np.exp(lsy)
@@ -228,17 +226,18 @@ def teacher_forced_nll(targets: np.ndarray, z: np.ndarray, store: ParameterStore
     comp = log_pi + log_n
     lse = logsumexp(comp, axis=-1)
 
-    off_mask = _offset_mask(targets)
     pen_target = np.argmax(targets[:, :, 2:5], axis=2)
+    is_end = pen_target == PEN_END
+    # offsets count up to and including each sequence's first end step
+    off_mask = (np.cumsum(is_end, axis=1) - is_end == 0).astype(targets.dtype)
     pen_nll = -np.take_along_axis(pen_logp, pen_target[:, :, None], axis=2)[:, :, 0]
     loss = float((-(lse) * off_mask).sum() + pen_nll.sum()) / (B * cfg.n_max)
 
     cache = {
-        "targets": targets, "X": X, "H": H, "H_prev": H_prev, "gates": gates,
-        "C_prev": C_prev, "TC": TC, "Y": Y, "log_pi": log_pi, "comp": comp,
-        "lse": lse, "zx": zx, "zy": zy, "sx": sx, "sy": sy, "rho": rho, "s": s,
-        "q": q, "pen_logp": pen_logp, "pen_target": pen_target,
-        "off_mask": off_mask, "s_init": s_init, "z": z, "h0": h0, "B": B, "T": T,
+        "targets": targets, "x_prev": x_prev, "H": H, "C": C, "gates": gates, "TC": TC,
+        "Y": Y, "log_pi": log_pi, "comp": comp, "lse": lse, "zx": zx, "zy": zy, "sx": sx,
+        "sy": sy, "rho": rho, "s": s, "q": q, "pen_logp": pen_logp, "pen_target": pen_target,
+        "off_mask": off_mask, "s_init": s_init, "z": z, "B": B, "T": T,
     }
     return loss, cache
 
@@ -257,52 +256,51 @@ def teacher_forced_backward(cache: dict, store: ParameterStore, cfg: DecoderConf
     pi = np.exp(cache["log_pi"])
 
     dY = np.empty_like(cache["Y"])
-    dY[:, :, :M] = (pi - resp) * w
+    d_logits, d_mu_x, d_mu_y, d_lsx, d_lsy, d_rho, d_pen = _columns(dY, M)
+    d_logits[...] = (pi - resp) * w
     # d log N / d(mu, log sigma, rho_raw); the tanh factor 1 - rho^2 = s
     # is folded into the rho_raw formula already
     gx = (zx - rho * zy) / s
     gy = (zy - rho * zx) / s
-    dY[:, :, M : 2 * M] = -resp * gx / sx * w
-    dY[:, :, 2 * M : 3 * M] = -resp * gy / sy * w
-    dY[:, :, 3 * M : 4 * M] = resp * (1.0 - zx * gx) * w
-    dY[:, :, 4 * M : 5 * M] = resp * (1.0 - zy * gy) * w
-    dY[:, :, 5 * M : 6 * M] = -resp * (rho + zx * zy - rho * q / s) * w
+    d_mu_x[...] = -resp * gx / sx * w
+    d_mu_y[...] = -resp * gy / sy * w
+    d_lsx[...] = resp * (1.0 - zx * gx) * w
+    d_lsy[...] = resp * (1.0 - zy * gy) * w
+    d_rho[...] = -resp * (rho + zx * zy - rho * q / s) * w
     pen_onehot = np.zeros((B, T, 3), dtype=dtype)
     np.put_along_axis(pen_onehot, cache["pen_target"][:, :, None], 1.0, axis=2)
-    dY[:, :, 6 * M :] = (np.exp(cache["pen_logp"]) - pen_onehot) / (B * cfg.n_max)
+    d_pen[...] = (np.exp(cache["pen_logp"]) - pen_onehot) / (B * cfg.n_max)
 
     dY2 = dY.reshape(B * T, cfg.head_width)
-    grads["dec.head.W"] += cache["H"].reshape(B * T, hs).T @ dY2
+    grads["dec.head.W"] += cache["H"][:, 1:].reshape(B * T, hs).T @ dY2
     grads["dec.head.b"] += dY2.sum(axis=0)
     dH = (dY2 @ store["dec.head.W"].T).reshape(B, T, hs)
 
-    gates, C_prev, TC = cache["gates"], cache["C_prev"], cache["TC"]
+    gates, C, TC = cache["gates"], cache["C"], cache["TC"]
     dA = np.empty((B, T, 4 * hs), dtype=dtype)
     dh_next = np.zeros((B, hs), dtype=dtype)
     dc_next = np.zeros((B, hs), dtype=dtype)
     Wh = store["dec.lstm.Wh"]
     for t in range(T - 1, -1, -1):
-        i = gates[:, t, :hs]
-        f = gates[:, t, hs : 2 * hs]
-        g = gates[:, t, 2 * hs : 3 * hs]
-        o = gates[:, t, 3 * hs :]
+        i, f, g, o = (gates[:, t, k * hs : (k + 1) * hs] for k in range(4))
         tc = TC[:, t]
         dh = dH[:, t] + dh_next
         do = dh * tc
         dc = dc_next + dh * o * (1.0 - tc * tc)
         dA[:, t, :hs] = dc * g * i * (1.0 - i)
-        dA[:, t, hs : 2 * hs] = dc * C_prev[:, t] * f * (1.0 - f)
+        dA[:, t, hs : 2 * hs] = dc * C[:, t] * f * (1.0 - f)
         dA[:, t, 2 * hs : 3 * hs] = dc * i * (1.0 - g * g)
         dA[:, t, 3 * hs :] = do * o * (1.0 - o)
         dh_next = dA[:, t] @ Wh.T
         dc_next = dc * f
 
     dA2 = dA.reshape(B * T, 4 * hs)
-    grads["dec.lstm.Wx"] += cache["X"].reshape(B * T, -1).T @ dA2
-    grads["dec.lstm.Wh"] += cache["H_prev"].reshape(B * T, hs).T @ dA2
-    grads["dec.lstm.b"] += dA2.sum(axis=0)
-    dX = (dA2 @ store["dec.lstm.Wx"].T).reshape(B, T, 5 + cfg.z_dim)
-    dz = dX[:, :, 5:].sum(axis=1)
+    dA_seq = dA.sum(axis=1)  # z's share of the projection is the same at every step
+    grads["dec.lstm.Wx"][:5] += cache["x_prev"].reshape(B * T, 5).T @ dA2
+    grads["dec.lstm.Wx"][5:] += cache["z"].T @ dA_seq
+    grads["dec.lstm.Wh"] += cache["H"][:, :-1].reshape(B * T, hs).T @ dA2
+    grads["dec.lstm.b"] += dA_seq.sum(axis=0)
+    dz = dA_seq @ store["dec.lstm.Wx"][5:].T
 
     # initial state: (h0, c0) = tanh(z W + b)
     ds_init = np.concatenate([dh_next, dc_next], axis=1) * (1.0 - cache["s_init"] ** 2)

@@ -20,7 +20,7 @@ from . import decoder as dec_mod
 from . import encoder as enc_mod
 from .decoder import DecoderConfig
 from .encoder import EncoderConfig
-from .errors import (AllItemsSkipped, DatasetEmpty, OutOfRange)
+from .errors import AllItemsSkipped, DatasetEmpty, NumericalUnderflow, OutOfRange
 from .graph_builder import GraphConfig, build_adjacency
 from .lattice import LatticeConfig, SketchLattice, mask_lattice, sample_lattice
 from .params import ParameterStore, load_checkpoint, save_checkpoint
@@ -76,6 +76,9 @@ class PipelineConfig:
             )
         if self.lattice.side != self.encoder.side:
             raise OutOfRange("lattice and encoder disagree on the canvas side")
+        if self.graph.embed_mode != self.encoder.embed_mode:
+            raise OutOfRange(f"graph embed_mode={self.graph.embed_mode!r} must equal "
+                             f"encoder embed_mode={self.encoder.embed_mode!r}")
 
     def configs_dict(self) -> dict:
         return {
@@ -162,7 +165,10 @@ def train_step(items: list, store: ParameterStore, opt: OptimizerState,
     Per item: mask the cached lattice, build the proximity graph, encode
     the batch, reparameterize, teacher-forced decoder NLL; then backprop,
     clip, Adam. Items whose lattice empties out are skipped; a batch with
-    nothing left aborts.
+    nothing left aborts. A non-finite loss raises NumericalUnderflow before
+    backprop, leaving the trainable parameters and the optimizer state as
+    they were (the forward pass has already moved the batch-norm running
+    statistics).
     """
     if not items:
         raise AllItemsSkipped("empty batch")
@@ -182,6 +188,8 @@ def train_step(items: list, store: ParameterStore, opt: OptimizerState,
     sample = enc_mod.reparameterize(psi, store, rng=rng)
     targets = _batch_targets(kept, pcfg.decoder.n_max, store["dec.head.W"].dtype)
     loss, dec_cache = dec_mod.teacher_forced_nll(targets, sample.z, store, pcfg.decoder)
+    if not np.isfinite(loss):
+        raise NumericalUnderflow(f"non-finite training loss {loss}")
 
     grads = store.zero_grads()
     dz = dec_mod.teacher_forced_backward(dec_cache, store, pcfg.decoder, grads)

@@ -37,7 +37,8 @@ def report(num, ok, detail):
             _terminal.write_line(line)
     else:
         print(line, file=sys.__stdout__, flush=True)
-    print(line)  # also lands in the captured block shown on failure
+    if _capture is not None and _capture.is_globally_capturing():
+        print(line)  # also lands in the captured block shown on failure
     return ok
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import lattisketch as ls
 from lattisketch import decoder
@@ -89,7 +90,34 @@ def reference_sample(pi, mu_x, mu_y, sigma_x, sigma_y, rho, pen, rng):
 
 
 def sample(y, tau, rng):
-    return _sample(_head(np.asarray(y), (len(y) - 3) // 6), tau, rng)
+    return _sample(np.asarray(y), (len(y) - 3) // 6, tau, rng)
+
+
+def reference_rollout(z, store, cfg, rng):
+    """Float64 rollout one step at a time: the full [x, z] W_x + h W_h + b
+    projection, draws from log-softmax probabilities tempered by tau."""
+    M, tau = cfg.M, cfg.temperature
+    root_tau = np.sqrt(tau)
+    h, c = np.split(np.tanh(z @ store["dec.init.W"] + store["dec.init.b"]), 2)
+    prev = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
+    steps = []
+    for _ in range(cfg.n_max):
+        h, c = reference_lstm_step(np.concatenate([prev, z]), h, c, store)
+        y = h @ store["dec.head.W"] + store["dec.head.b"]
+        log_pi = y[:M] - logsumexp(y[:M])
+        pen_logp = y[6 * M :] - logsumexp(y[6 * M :])
+        dx, dy, pen = reference_sample(
+            softmax(log_pi / tau), y[M : 2 * M], y[2 * M : 3 * M],
+            np.exp(y[3 * M : 4 * M]) * root_tau, np.exp(y[4 * M : 5 * M]) * root_tau,
+            np.tanh(y[5 * M : 6 * M]), softmax(pen_logp / tau), rng)
+        steps.append([dx, dy, pen])
+        if pen == ls.PEN_END:
+            break
+        prev = np.array([dx, dy, 0.0, 0.0, 0.0])
+        prev[2 + pen] = 1.0
+    steps = np.array(steps)
+    steps[-1, 2] = ls.PEN_END
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +267,8 @@ def test_sample_pen_forced():
 def test_sample_monte_carlo_mean():
     y = head_vector(mu_x=1.5, mu_y=-0.5, log_sx=np.log(2.0), log_sy=0.0,
                     rho_raw=np.arctanh(0.3))
-    head = _head(y, 1)
     rng = np.random.default_rng(7)
-    draws = np.array([_sample(head, 1.0, rng)[:2] for _ in range(100_000)])
+    draws = np.array([_sample(y, 1, 1.0, rng)[:2] for _ in range(100_000)])
     se_x = 2.0 / np.sqrt(len(draws))
     se_y = 1.0 / np.sqrt(len(draws))
     assert abs(draws[:, 0].mean() - 1.5) < 3 * se_x
@@ -308,12 +335,26 @@ def test_generate_non_finite_head_raises(dec_cfg, dec_store):
         ls.generate(np.zeros(dec_cfg.z_dim), dec_store, dec_cfg, np.random.default_rng(0))
 
 
+def test_generate_matches_float64_reference_rollout(dec_cfg):
+    store = ls.init_decoder_params(dec_cfg, np.random.default_rng(0), dtype=np.float64)
+    lengths = set()
+    for seed in range(20):
+        z = np.random.default_rng([12, seed]).standard_normal(dec_cfg.z_dim)
+        got = ls.generate(z, store, dec_cfg, np.random.default_rng([13, seed])).steps
+        want = reference_rollout(z, store, dec_cfg, np.random.default_rng([13, seed]))
+        assert got.shape == want.shape
+        assert np.array_equal(got[:, 2], want[:, 2])
+        assert np.allclose(got[:, :2], want[:, :2], rtol=0.0, atol=1e-9)
+        lengths.add(len(got))
+    assert len(lengths) > 3  # rollouts of several lengths, not all cut at step 1
+
+
 def test_generate_state_stays_in_store_dtype(dec_cfg, dec_store, monkeypatch):
     dtypes = []
 
-    def spy(x, h, c, store):
-        out = cell(x, h, c, store)
-        dtypes.append((x.dtype, out[0].dtype, out[1].dtype))
+    def spy(a_x, h, c, Wh):
+        out = cell(a_x, h, c, Wh)
+        dtypes.append((a_x.dtype, out[0].dtype, out[1].dtype))
         return out
 
     cell = decoder._lstm_cell

@@ -120,6 +120,30 @@ def test_train_step_updates_params():
     assert loss2 != loss1  # parameters moved between the two calls
 
 
+def test_train_step_non_finite_loss_leaves_state():
+    pcfg = small_pcfg()
+    items = make_items(pcfg)
+    store = ls.init_params(pcfg)
+    store["dec.head.b"][0] = np.nan
+    opt = ls.OptimizerState.fresh(store)
+    snapshot = {n: store[n].copy() for n in store.trainable_names()}
+    with pytest.raises(ls.NumericalUnderflow):
+        ls.train_step(items[:4], store, opt, pcfg, np.random.default_rng(0))
+    for name, arr in snapshot.items():
+        assert np.array_equal(store[name], arr, equal_nan=True), name
+    assert opt.iteration == 0
+    assert all(not m.any() for m in opt.m.values())
+    assert all(not v.any() for v in opt.v.values())
+
+
+def test_pipeline_config_rejects_embed_mode_mismatch():
+    joint = ls.EncoderConfig(embed_mode="joint")
+    with pytest.raises(ls.OutOfRange):
+        ls.PipelineConfig(encoder=joint)  # graph keeps the factorized default
+    pcfg = ls.PipelineConfig(graph=ls.GraphConfig(embed_mode="joint"), encoder=joint)
+    assert pcfg.graph.embed_mode == pcfg.encoder.embed_mode == "joint"
+
+
 def test_zero_lr_update_is_noop():
     # TrainConfig rejects lr0=0 (all constants positive), so drive the
     # update directly with a zero step size
