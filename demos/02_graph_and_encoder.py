@@ -46,13 +46,13 @@ d = np.hypot(*(lat.points[i] - lat.points[j]).astype(float))
 print(f"sample edge ({i},{j}): distance {d:.1f}px, "
       f"weight {g_near.adjacency[i, j]:.4f}")
 
-# Each node is also tokenized from its (x, y) cell for the embedding
-# table. Factorized mode sums a row embedding and a column embedding.
-print(f"tokens head: {g_near.tokens[:5]}")
+# Each node keeps its (x, y) cell; the encoder looks up its embedding
+# from it. Factorized mode sums an x-row and a y-row embedding.
+print(f"points head: {g_near.points[:5].tolist()}")
 
 # A small untrained encoder. Eval mode uses running batch-norm stats and
 # skips dropout, so the embedding is a pure function of the graph.
-ecfg = ls.EncoderConfig(d=32, K=2, side=256)
+ecfg = ls.EncoderConfig(d=32, K=2)
 store = ls.init_encoder_params(ecfg, np.random.default_rng(42))
 
 psi = ls.encode(g_near, store, ecfg, train_mode=False)
@@ -64,9 +64,8 @@ assert np.all(np.abs(psi) <= 1.0)
 # Permutation invariance: shuffle the nodes, embedding must not move.
 perm = np.random.default_rng(3).permutation(lat.m)
 g_perm = ls.SketchGraph(
-    tokens=g_near.tokens[perm],
+    points=g_near.points[perm],
     adjacency=g_near.adjacency[np.ix_(perm, perm)],
-    embed_mode=g_near.embed_mode,
     side=g_near.side,
 )
 psi_perm = ls.encode(g_perm, store, ecfg, train_mode=False)

@@ -29,7 +29,7 @@ print(f"dataset files: {[p.name for p in data_paths]}")
 # components, short sequences. Big enough to learn the two shapes.
 pcfg = ls.PipelineConfig(
     lattice=ls.LatticeConfig(n=32, side=256),
-    encoder=ls.EncoderConfig(d=16, K=2, side=256),
+    encoder=ls.EncoderConfig(d=16, K=2),
     decoder=ls.DecoderConfig(hidden_size=32, M=5, n_max=64, z_dim=16),
     train=ls.TrainConfig(batch_size=8, iterations=200, seed=1,
                          checkpoint_every=100),

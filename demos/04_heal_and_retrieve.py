@@ -25,7 +25,7 @@ work = pathlib.Path(tempfile.mkdtemp(prefix="lattisketch_demo_"))
 
 data_paths = ls.generate_dataset(work / "data", n_per_category=80, seed=0)
 pcfg = ls.PipelineConfig(
-    encoder=ls.EncoderConfig(d=32, K=2, side=256),
+    encoder=ls.EncoderConfig(d=32, K=2),
     decoder=ls.DecoderConfig(hidden_size=64, M=5, n_max=64, z_dim=32),
     train=ls.TrainConfig(batch_size=16, iterations=600, seed=3,
                          checkpoint_every=600),

@@ -52,7 +52,8 @@ for n in (8, 16, 32):
 # --- vectorize through a model -------------------------------------------
 data_paths = ls.generate_dataset(work / "data", n_per_category=60, seed=0)
 pcfg = ls.PipelineConfig(
-    encoder=ls.EncoderConfig(d=32, K=2, side=side),
+    lattice=ls.LatticeConfig(side=side),
+    encoder=ls.EncoderConfig(d=32, K=2),
     decoder=ls.DecoderConfig(hidden_size=64, M=5, n_max=64, z_dim=32),
     train=ls.TrainConfig(batch_size=16, iterations=300, seed=3,
                          checkpoint_every=300),

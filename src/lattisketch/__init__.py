@@ -16,9 +16,7 @@ from .errors import (AllItemsSkipped, CheckpointFormatError, CheckpointWriteFail
                      DatasetEmpty, EmptyLattice, LattisketchError, MalformedRecord,
                      NumericalUnderflow, OutOfRange, SequenceTooLong, ShapeMismatch,
                      TokenOutOfVocabulary)
-from .graph_builder import (GraphConfig, SketchGraph, build_adjacency,
-                            graph_from_json_obj, pairwise_distances, tokenize,
-                            tokenize_all)
+from .graph_builder import GraphConfig, SketchGraph, build_adjacency
 from .lattice import (LatticeConfig, SketchLattice, lattice_from_json_obj,
                       line_positions, mask_lattice, sample_lattice)
 from .params import (ParameterStore, checkpoint_hash, load_checkpoint,
@@ -47,9 +45,7 @@ __all__ = [
     "canonicalize_raster",
     "LatticeConfig", "SketchLattice", "line_positions", "sample_lattice",
     "mask_lattice", "lattice_from_json_obj",
-    "GraphConfig", "SketchGraph", "tokenize", "tokenize_all",
-    "pairwise_distances", "build_adjacency",
-    "graph_from_json_obj",
+    "GraphConfig", "SketchGraph", "build_adjacency",
     "EncoderConfig", "LatentSample", "init_encoder_params", "embed_nodes",
     "propagate", "encode_layer", "pool_nodes", "encode_graphs",
     "encode_graphs_backward", "encode", "reparameterize",

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +52,6 @@ CONFIG_KEYS = {
     "dropout_rate": ("encoder", "dropout_rate", float),
     "pooling": ("encoder", "pooling", str),
     "embed_mode": ("encoder", "embed_mode", str),
-    "mlp_depth": ("encoder", "mlp_depth", int),
     "row_normalize": ("encoder", "row_normalize", _parse_bool),
     "bn_momentum": ("encoder", "bn_momentum", float),
     "hidden_size": ("decoder", "hidden_size", int),
@@ -71,7 +69,6 @@ CONFIG_KEYS = {
     "beta2": ("train", "beta2", float),
     "eps": ("train", "eps", float),
     "clip": ("train", "clip", float),
-    "clip_mode": ("train", "clip_mode", str),
     "batch_size": ("train", "batch_size", int),
     "iterations": ("train", "iterations", int),
     "p_mask_train": ("train", "p_mask_train", float),
@@ -113,13 +110,10 @@ def build_pipeline_config(args) -> PipelineConfig:
     if getattr(args, "pmask", None) is not None:
         sections["train"]["p_mask_train"] = args.pmask
     enc = EncoderConfig(**sections["encoder"])
-    lattice = LatticeConfig(**sections["lattice"])
-    enc = replace(enc, side=lattice.side)
-    graph = GraphConfig(**{**sections["graph"], "embed_mode": enc.embed_mode})
     dec = DecoderConfig(**{**sections["decoder"], "z_dim": enc.d})
-    train = TrainConfig(**sections["train"])
-    return PipelineConfig(lattice=lattice, graph=graph, encoder=enc,
-                          decoder=dec, train=train)
+    return PipelineConfig(lattice=LatticeConfig(**sections["lattice"]),
+                          graph=GraphConfig(**sections["graph"]), encoder=enc,
+                          decoder=dec, train=TrainConfig(**sections["train"]))
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, seed,
@@ -334,7 +328,7 @@ def cmd_audit_grad(args) -> int:
         pcfg = build_pipeline_config(args)
     else:
         # default probe-sized model
-        enc = EncoderConfig(d=8, K=2, dropout_rate=0.1, side=256)
+        enc = EncoderConfig(d=8, K=2, dropout_rate=0.1)
         dec = DecoderConfig(hidden_size=8, M=2, n_max=16, z_dim=8)
         pcfg = PipelineConfig(encoder=enc, decoder=dec,
                               train=TrainConfig(seed=args.seed or 0, dtype="float64"))
@@ -388,7 +382,8 @@ def cmd_render(args) -> int:
 def cmd_params(args) -> int:
     pcfg = build_pipeline_config(args)
     rng = np.random.default_rng(pcfg.train.seed)
-    enc_store = init_encoder_params(pcfg.encoder, rng, dtype=np.float32)
+    enc_store = init_encoder_params(pcfg.encoder, rng, dtype=np.float32,
+                                    side=pcfg.lattice.side)
     per_array, total = count_parameters(enc_store)
     for name, count in per_array.items():
         print(f"{name} {count}")

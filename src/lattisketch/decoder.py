@@ -48,9 +48,6 @@ class DecoderConfig:
         if self.temperature <= 0.0 or self.offset_scale <= 0.0:
             raise OutOfRange("temperature and offset_scale must be positive")
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
     @property
     def head_width(self) -> int:
         return 6 * self.M + 3

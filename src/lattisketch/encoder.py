@@ -1,6 +1,6 @@
 """Graphical sketch encoder and latent bridge.
 
-Forward path per graph: token embedding -> K rounds of (propagate along
+Forward path per graph: cell embedding -> K rounds of (propagate along
 the weighted adjacency, two affine+ReLU units, dropout, residual add) ->
 pooling to one vector; then across the batch: FC -> batch norm -> Tanh
 giving the sketch embedding psi, and the reparameterized latent
@@ -15,11 +15,13 @@ training can run float32 while gradient audits run float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import EmptyLattice, OutOfRange, ShapeMismatch, TokenOutOfVocabulary
 from .graph_builder import SketchGraph
+from .lattice import LatticeConfig
 from .params import ParameterStore
 
 POOLING_MODES = ("mean", "sum")
@@ -31,25 +33,21 @@ class EncoderConfig:
     K: int = 2
     dropout_rate: float = 0.1
     pooling: str = "mean"
-    embed_mode: str = "factorized"
-    side: int = 256
-    mlp_depth: int = 1          # affine+ReLU maps per MLP unit
+    embed_mode: str = "factorized"  # one table row per cell, or an x row plus a y row
     row_normalize: bool = False  # divide adjacency rows by their sums
     bn_momentum: float = 0.9
     bn_eps: float = 1e-5
+    mlp_depth: ClassVar[int] = 1  # affine+ReLU maps per MLP unit (fixed)
 
     def __post_init__(self):
-        if self.d < 1 or self.K < 1 or self.mlp_depth < 1:
-            raise OutOfRange("d, K and mlp_depth must be >= 1")
+        if self.d < 1 or self.K < 1:
+            raise OutOfRange("d and K must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise OutOfRange(f"dropout_rate={self.dropout_rate} outside [0, 1)")
         if self.pooling not in POOLING_MODES:
             raise OutOfRange(f"unknown pooling {self.pooling!r}")
         if self.embed_mode not in ("joint", "factorized"):
             raise OutOfRange(f"unknown embed mode {self.embed_mode!r}")
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 @dataclass
@@ -67,19 +65,17 @@ def glorot(rng: np.random.Generator, shape, dtype) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def _layer_affines(cfg: EncoderConfig, layer: int):
-    """Names of the layer's affine maps in application order."""
-    for unit in range(2):
-        for s in range(cfg.mlp_depth):
-            yield (
-                f"enc.layer{layer}.u{unit}.W{s}",
-                f"enc.layer{layer}.u{unit}.b{s}",
-            )
+def _unit_names(layer: int) -> list:
+    """(weight, bias) names of the layer's two MLP units in application order."""
+    return [(f"enc.layer{layer}.u{unit}.W0", f"enc.layer{layer}.u{unit}.b0")
+            for unit in range(2)]
 
 
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
-                        dtype=np.float32, store: ParameterStore | None = None) -> ParameterStore:
-    """Fresh encoder parameters appended to `store` (or a new one).
+                        dtype=np.float32, store: ParameterStore | None = None,
+                        side: int = LatticeConfig.side) -> ParameterStore:
+    """Fresh encoder parameters for a side x side canvas, appended to `store`
+    (or a new one).
 
     Draw order is fixed so a seed pins every array.
     """
@@ -89,12 +85,12 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
     emb_scale = 1.0 / np.sqrt(d)
     if cfg.embed_mode == "joint":
         store.add("enc.emb.joint",
-                  (rng.standard_normal((cfg.side * cfg.side, d)) * emb_scale).astype(dtype))
+                  (rng.standard_normal((side * side, d)) * emb_scale).astype(dtype))
     else:
-        store.add("enc.emb.x", (rng.standard_normal((cfg.side, d)) * emb_scale).astype(dtype))
-        store.add("enc.emb.y", (rng.standard_normal((cfg.side, d)) * emb_scale).astype(dtype))
+        store.add("enc.emb.x", (rng.standard_normal((side, d)) * emb_scale).astype(dtype))
+        store.add("enc.emb.y", (rng.standard_normal((side, d)) * emb_scale).astype(dtype))
     for layer in range(cfg.K):
-        for w_name, b_name in _layer_affines(cfg, layer):
+        for w_name, b_name in _unit_names(layer):
             store.add(w_name, glorot(rng, (d, d), dtype))
             store.add(b_name, np.zeros(d, dtype=dtype))
     store.add("enc.fc.W", glorot(rng, (d, d), dtype))
@@ -110,32 +106,33 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
     return store
 
 
-def embed_nodes(tokens: np.ndarray, store: ParameterStore, cfg: EncoderConfig) -> np.ndarray:
-    """Node features V (m x d): row lookup (joint) or x-row + y-row (factorized)."""
-    tokens = np.asarray(tokens)
+def embedding_rows(points: np.ndarray, side: int, cfg: EncoderConfig) -> dict:
+    """{table name: row per node} for points (x, y) on a side x side canvas:
+    the joint row y * side + x, or the x row and the y row (factorized)."""
+    points = np.asarray(points)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ShapeMismatch(f"points must be (m, 2), got {points.shape}")
     if cfg.embed_mode == "joint":
-        table = store["enc.emb.joint"]
-        if tokens.ndim != 1:
-            raise ShapeMismatch("joint tokens must be a flat index array")
-        if tokens.size and (tokens.min() < 0 or tokens.max() >= table.shape[0]):
-            raise TokenOutOfVocabulary("joint token outside table")
-        return table[tokens]
-    tx, ty = store["enc.emb.x"], store["enc.emb.y"]
-    if tokens.ndim != 2 or tokens.shape[1] != 2:
-        raise ShapeMismatch("factorized tokens must be (m, 2)")
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= tx.shape[0]):
-        raise TokenOutOfVocabulary("coordinate token outside table")
-    return tx[tokens[:, 0]] + ty[tokens[:, 1]]
+        return {"enc.emb.joint": points[:, 1] * side + points[:, 0]}
+    return {"enc.emb.x": points[:, 0], "enc.emb.y": points[:, 1]}
 
 
-def embed_nodes_backward(tokens: np.ndarray, dV: np.ndarray,
+def embed_nodes(points: np.ndarray, side: int, store: ParameterStore,
+                cfg: EncoderConfig) -> np.ndarray:
+    """Node features V (m x d): the sum of each node's embedding rows."""
+    V = None
+    for name, rows in embedding_rows(points, side, cfg).items():
+        table = store[name]
+        if rows.size and (rows.min() < 0 or rows.max() >= table.shape[0]):
+            raise TokenOutOfVocabulary(f"point outside the {name} table")
+        V = table[rows] if V is None else V + table[rows]
+    return V
+
+
+def embed_nodes_backward(points: np.ndarray, side: int, dV: np.ndarray,
                          cfg: EncoderConfig, grads: dict) -> None:
-    tokens = np.asarray(tokens)
-    if cfg.embed_mode == "joint":
-        np.add.at(grads["enc.emb.joint"], tokens, dV)
-    else:
-        np.add.at(grads["enc.emb.x"], tokens[:, 0], dV)
-        np.add.at(grads["enc.emb.y"], tokens[:, 1], dV)
+    for name, rows in embedding_rows(points, side, cfg).items():
+        np.add.at(grads[name], rows, dV)
 
 
 def propagate(V: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -162,7 +159,7 @@ def encode_layer(V: np.ndarray, A_eff: np.ndarray, store: ParameterStore, cfg: E
     """
     X = propagate(V, A_eff)
     acts = [X]
-    for w_name, b_name in _layer_affines(cfg, layer):
+    for w_name, b_name in _unit_names(layer):
         X = np.maximum(X @ store[w_name] + store[b_name], 0.0)
         acts.append(X)
     if train_mode and cfg.dropout_rate > 0.0:
@@ -178,11 +175,11 @@ def encode_layer(V: np.ndarray, A_eff: np.ndarray, store: ParameterStore, cfg: E
 
 
 def encode_layer_backward(dout: np.ndarray, cache, store: ParameterStore,
-                          cfg: EncoderConfig, layer: int, grads: dict) -> np.ndarray:
+                          layer: int, grads: dict) -> np.ndarray:
     A_eff, acts, dmask = cache
     d_branch = dout * dmask if dmask is not None else dout
-    names = list(_layer_affines(cfg, layer))
-    for idx in range(len(names) - 1, -1, -1):
+    names = _unit_names(layer)
+    for idx in (1, 0):
         w_name, b_name = names[idx]
         d_pre = d_branch * (acts[idx + 1] > 0)
         grads[w_name] += acts[idx].T @ d_pre
@@ -199,9 +196,11 @@ def encode_graphs(graphs, store: ParameterStore, cfg: EncoderConfig,
                   train_mode: bool = False, rng=None):
     """Batch encode: per-graph features pooled, then FC -> batch norm -> Tanh.
 
-    Train mode uses batch statistics and updates the running ones
-    (momentum cfg.bn_momentum); eval mode reads the running statistics
-    and is a deterministic function of (graphs, params).
+    Train mode normalizes with the batch statistics and leaves the store
+    untouched: the cache carries the batch mean and variance for
+    update_running_stats, which the caller applies once the step has
+    succeeded. Eval mode reads the running statistics and is a
+    deterministic function of (graphs, params).
     Returns (Psi (B x d), cache for the backward pass).
     """
     if len(graphs) == 0:
@@ -212,14 +211,14 @@ def encode_graphs(graphs, store: ParameterStore, cfg: EncoderConfig,
     for b, g in enumerate(graphs):
         if g.m == 0:
             raise EmptyLattice("graph has no nodes")
-        V = embed_nodes(g.tokens, store, cfg)
+        V = embed_nodes(g.points, g.side, store, cfg)
         A_eff = _effective_adjacency(g.adjacency, cfg, V.dtype)
         layer_caches = []
         for layer in range(cfg.K):
             V, c = encode_layer(V, A_eff, store, cfg, layer, train_mode, rng)
             layer_caches.append(c)
         pooled[b] = pool_nodes(V, cfg)
-        graph_caches.append((g.tokens, g.adjacency.shape[0], layer_caches))
+        graph_caches.append((g, layer_caches))
     Y = pooled @ store["enc.fc.W"] + store["enc.fc.b"]
     gamma, beta = store["enc.bn.gamma"], store["enc.bn.beta"]
     if train_mode:
@@ -227,25 +226,31 @@ def encode_graphs(graphs, store: ParameterStore, cfg: EncoderConfig,
         var_b = Y.var(axis=0)
         ivar = 1.0 / np.sqrt(var_b + cfg.bn_eps)
         xhat = (Y - mu_b) * ivar
-        mom = cfg.bn_momentum
-        store["enc.bn.running_mean"] = (
-            mom * store["enc.bn.running_mean"] + (1.0 - mom) * mu_b
-        ).astype(dtype)
-        store["enc.bn.running_var"] = (
-            mom * store["enc.bn.running_var"] + (1.0 - mom) * var_b
-        ).astype(dtype)
+        batch_stats = (mu_b, var_b)
     else:
         ivar = 1.0 / np.sqrt(store["enc.bn.running_var"].astype(dtype) + cfg.bn_eps)
         xhat = (Y - store["enc.bn.running_mean"]) * ivar
+        batch_stats = None
     psi = np.tanh(gamma * xhat + beta)
-    cache = (graph_caches, pooled, xhat, ivar, psi, train_mode)
+    cache = (graph_caches, pooled, xhat, ivar, psi, batch_stats)
     return psi, cache
+
+
+def update_running_stats(cache, store: ParameterStore, cfg: EncoderConfig) -> None:
+    """Move the batch-norm running statistics toward a train-mode cache's
+    batch statistics: running = momentum * running + (1 - momentum) * batch."""
+    batch_stats = cache[-1]
+    if batch_stats is None:
+        raise ValueError("running statistics need a train-mode cache")
+    mom = cfg.bn_momentum
+    for name, batch in zip(("enc.bn.running_mean", "enc.bn.running_var"), batch_stats):
+        store[name] = (mom * store[name] + (1.0 - mom) * batch).astype(store[name].dtype)
 
 
 def encode_graphs_backward(dpsi: np.ndarray, cache, store: ParameterStore,
                            cfg: EncoderConfig, grads: dict) -> None:
-    graph_caches, pooled, xhat, ivar, psi, train_mode = cache
-    if not train_mode:
+    graph_caches, pooled, xhat, ivar, psi, batch_stats = cache
+    if batch_stats is None:
         raise ValueError("backward needs a train-mode cache")
     d_bn = dpsi * (1.0 - psi * psi)
     grads["enc.bn.gamma"] += (d_bn * xhat).sum(axis=0)
@@ -258,14 +263,15 @@ def encode_graphs_backward(dpsi: np.ndarray, cache, store: ParameterStore,
     grads["enc.fc.W"] += pooled.T @ dY
     grads["enc.fc.b"] += dY.sum(axis=0)
     d_pooled = dY @ store["enc.fc.W"].T
-    for b, (tokens, m, layer_caches) in enumerate(graph_caches):
+    for b, (g, layer_caches) in enumerate(graph_caches):
+        m = g.m
         if cfg.pooling == "mean":
             dV = np.tile(d_pooled[b] / m, (m, 1))
         else:
             dV = np.tile(d_pooled[b], (m, 1))
         for layer in range(cfg.K - 1, -1, -1):
-            dV = encode_layer_backward(dV, layer_caches[layer], store, cfg, layer, grads)
-        embed_nodes_backward(tokens, dV, cfg, grads)
+            dV = encode_layer_backward(dV, layer_caches[layer], store, layer, grads)
+        embed_nodes_backward(g.points, g.side, dV, cfg, grads)
 
 
 def encode(G: SketchGraph, store: ParameterStore, cfg: EncoderConfig,

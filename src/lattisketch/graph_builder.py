@@ -1,4 +1,4 @@
-"""Proximity graph over lattice points: coordinate tokens + weighted adjacency.
+"""Proximity graph over lattice points: the points + a weighted adjacency.
 
 Linked pairs get strength a_ij = 1 - norm(d_ij) where norm divides the
 Euclidean pixel distance by the canvas diagonal side*sqrt(2), so norm is
@@ -19,95 +19,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyLattice, OutOfRange, ShapeMismatch
+from .errors import EmptyLattice, OutOfRange
 from .lattice import SketchLattice
 
 PROXIMITY_MODES = ("nearest", "nearby")
-EMBED_MODES = ("joint", "factorized")
 
 
 @dataclass
 class GraphConfig:
     proximity: str = "nearby"
     d_t: float = 0.2
-    embed_mode: str = "factorized"
     self_loops: bool = True
 
     def __post_init__(self):
         if self.proximity not in PROXIMITY_MODES:
             raise OutOfRange(f"unknown proximity mode {self.proximity!r}")
-        if self.embed_mode not in EMBED_MODES:
-            raise OutOfRange(f"unknown embed mode {self.embed_mode!r}")
         if not 0.0 < self.d_t < 1.0:
             raise OutOfRange(f"d_t={self.d_t} outside (0, 1)")
 
 
 @dataclass(frozen=True)
 class SketchGraph:
-    """Node tokens plus a symmetric m x m adjacency with entries in [0, 1]."""
+    """Lattice points (x, y) on a side x side canvas plus a symmetric m x m
+    adjacency with entries in [0, 1]."""
 
-    tokens: np.ndarray
+    points: np.ndarray
     adjacency: np.ndarray
-    embed_mode: str = "factorized"
-    side: int = 256
+    side: int
 
     @property
     def m(self) -> int:
         return self.adjacency.shape[0]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "m": self.m,
-            "side": self.side,
-            "embed_mode": self.embed_mode,
-            "tokens": np.asarray(self.tokens).tolist(),
-            "adjacency": [float(a) for a in np.asarray(self.adjacency).ravel()],
-        }
-
-
-def graph_from_json_obj(obj: dict) -> SketchGraph:
-    m = int(obj["m"])
-    adj = np.array(obj["adjacency"], dtype=np.float64).reshape(m, m)
-    return SketchGraph(
-        tokens=np.array(obj["tokens"], dtype=np.int64),
-        adjacency=adj,
-        embed_mode=obj.get("embed_mode", "factorized"),
-        side=int(obj.get("side", 256)),
-    )
-
-
-def tokenize(p, side: int, mode: str = "factorized"):
-    """Coordinate token(s) for a point: joint index y*side + x, or the (x, y) pair."""
-    x, y = int(p[0]), int(p[1])
-    if not (0 <= x < side and 0 <= y < side):
-        raise OutOfRange(f"point ({x}, {y}) outside [0, {side})")
-    if mode == "joint":
-        return y * side + x
-    if mode == "factorized":
-        return (x, y)
-    raise OutOfRange(f"unknown embed mode {mode!r}")
-
-
-def tokenize_all(L: SketchLattice, mode: str = "factorized") -> np.ndarray:
-    pts = L.points
-    if pts.size and (pts.min() < 0 or pts.max() >= L.side):
-        raise OutOfRange("lattice point outside canvas")
-    if mode == "joint":
-        return pts[:, 1] * L.side + pts[:, 0]
-    if mode == "factorized":
-        return pts.copy()
-    raise OutOfRange(f"unknown embed mode {mode!r}")
-
-
-def pairwise_distances(L: SketchLattice) -> np.ndarray:
-    """Exact Euclidean pixel distances, symmetric with a zero diagonal."""
-    if L.m < 1:
-        raise EmptyLattice("no points to measure")
-    pts = L.points.astype(np.float64)
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
-    np.fill_diagonal(d, 0.0)
-    return d
 
 
 @functools.lru_cache(maxsize=None)
@@ -165,10 +107,11 @@ def build_adjacency(L: SketchLattice, cfg: GraphConfig) -> SketchGraph:
     """
     if L.m == 0:
         raise EmptyLattice("cannot build a graph from an empty lattice")
-    # checks every point lies on the canvas, so the gathers below can skip
-    # take's bounds check (mode="clip" never clips)
-    tokens = tokenize_all(L, cfg.embed_mode)
     m, side = L.m, L.side
+    # every point lies on the canvas, so the gathers below can skip take's
+    # bounds check (mode="clip" never clips)
+    if L.points.min() < 0 or L.points.max() >= side:
+        raise OutOfRange("lattice point outside canvas")
     if cfg.proximity == "nearby":
         weights = _weight_table(side, cfg.d_t)
         a = np.empty((m, m))
@@ -189,4 +132,4 @@ def build_adjacency(L: SketchLattice, cfg: GraphConfig) -> SketchGraph:
             a[np.arange(m), nearest] = w
             a[nearest, np.arange(m)] = w
     np.fill_diagonal(a, 1.0 if cfg.self_loops else 0.0)
-    return SketchGraph(tokens=tokens, adjacency=a, embed_mode=cfg.embed_mode, side=side)
+    return SketchGraph(points=L.points, adjacency=a, side=side)

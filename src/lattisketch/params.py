@@ -2,9 +2,11 @@
 
 Checkpoint layout: one line of JSON (UTF-8, newline-terminated) describing
 the arrays as {name, shape, offset, trainable} with offsets in elements,
-followed by every array's data concatenated as little-endian float32.
-The header also carries the model configs, the training iteration, and
-any optimizer scalars, so a file is self-describing.
+followed by every array's data concatenated in the header's payload
+"dtype": little-endian float64 when the store holds any float64 array,
+else float32. The header also carries the model configs, the training
+iteration, and any optimizer scalars, so a file is self-describing.
+Version 1 files (no "dtype" key) hold a float32 payload and still load.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 from .errors import CheckpointFormatError, CheckpointWriteFailure
 
 CHECKPOINT_MAGIC = "lattisketch-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+PAYLOAD_DTYPES = ("<f4", "<f8")
 
 
 class ParameterStore:
@@ -86,6 +89,8 @@ class ParameterStore:
 def save_checkpoint(path, store: ParameterStore, iteration: int,
                     configs: dict | None = None, extra: dict | None = None) -> None:
     """Write the container atomically (temp file + rename)."""
+    wide = any(arr.dtype == np.float64 for _, arr in store.items())
+    payload_dtype = "<f8" if wide else "<f4"
     entries = []
     offset = 0
     for name, arr in store.items():
@@ -101,6 +106,7 @@ def save_checkpoint(path, store: ParameterStore, iteration: int,
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
+        "dtype": payload_dtype,
         "iteration": int(iteration),
         "configs": configs or {},
         "extra": extra or {},
@@ -113,7 +119,7 @@ def save_checkpoint(path, store: ParameterStore, iteration: int,
             fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
             fh.write(b"\n")
             for _, arr in store.items():
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+                fh.write(np.ascontiguousarray(arr, dtype=payload_dtype).tobytes())
         os.replace(tmp, path)
     except OSError as exc:
         raise CheckpointWriteFailure(f"cannot write {path}: {exc}") from exc
@@ -131,20 +137,29 @@ def load_checkpoint(path) -> tuple:
         header = json.loads(first.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"bad checkpoint header: {exc}") from exc
-    if header.get("format") != CHECKPOINT_MAGIC:
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise CheckpointFormatError("not a checkpoint file")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"unsupported version {header.get('version')}")
-    data = np.frombuffer(payload, dtype="<f4")
+    version = header.get("version")
+    if version not in (1, CHECKPOINT_VERSION):
+        raise CheckpointFormatError(f"unsupported version {version}")
+    payload_dtype = header.get("dtype") if version == CHECKPOINT_VERSION else "<f4"
+    if payload_dtype not in PAYLOAD_DTYPES:
+        raise CheckpointFormatError(f"unsupported payload dtype {payload_dtype!r}")
+    if len(payload) % np.dtype(payload_dtype).itemsize:
+        raise CheckpointFormatError("payload is not a whole number of values")
+    data = np.frombuffer(payload, dtype=payload_dtype)
     store = ParameterStore()
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = int(entry["offset"])
-        if start + size > data.size:
-            raise CheckpointFormatError(f"array {entry['name']!r} overruns payload")
-        arr = data[start : start + size].reshape(shape).copy()
-        store.add(entry["name"], arr, entry.get("trainable", True))
+    try:
+        for entry in header["arrays"]:
+            shape = tuple(entry["shape"])
+            size = int(np.prod(shape)) if shape else 1
+            start = int(entry["offset"])
+            if start + size > data.size:
+                raise CheckpointFormatError(f"array {entry['name']!r} overruns payload")
+            arr = data[start : start + size].reshape(shape).copy()
+            store.add(entry["name"], arr, entry.get("trainable", True))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointFormatError(f"bad array table in checkpoint header: {exc!r}") from exc
     return store, header
 
 

@@ -20,7 +20,8 @@ from . import decoder as dec_mod
 from . import encoder as enc_mod
 from .decoder import DecoderConfig
 from .encoder import EncoderConfig
-from .errors import AllItemsSkipped, DatasetEmpty, NumericalUnderflow, OutOfRange
+from .errors import (AllItemsSkipped, CheckpointFormatError, DatasetEmpty, NumericalUnderflow,
+                     OutOfRange)
 from .graph_builder import GraphConfig, build_adjacency
 from .lattice import LatticeConfig, SketchLattice, mask_lattice, sample_lattice
 from .params import ParameterStore, load_checkpoint, save_checkpoint
@@ -36,8 +37,7 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.99
     eps: float = 1e-8
-    clip: float = 1.0
-    clip_mode: str = "element"  # or "global"
+    clip: float = 1.0  # per-value gradient bound
     batch_size: int = 64
     iterations: int = 1000
     p_mask_train: float = 0.1
@@ -52,13 +52,8 @@ class TrainConfig:
             raise OutOfRange(f"decay={self.decay} outside (0, 1]")
         if not 0.0 <= self.p_mask_train <= 1.0:
             raise OutOfRange("p_mask_train outside [0, 1]")
-        if self.clip_mode not in ("element", "global"):
-            raise OutOfRange(f"unknown clip_mode {self.clip_mode!r}")
         if self.batch_size < 1 or self.iterations < 0 or self.checkpoint_every < 1:
             raise OutOfRange("bad batch_size/iterations/checkpoint_every")
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 @dataclass
@@ -74,20 +69,9 @@ class PipelineConfig:
             raise OutOfRange(
                 f"decoder z_dim={self.decoder.z_dim} must equal encoder d={self.encoder.d}"
             )
-        if self.lattice.side != self.encoder.side:
-            raise OutOfRange("lattice and encoder disagree on the canvas side")
-        if self.graph.embed_mode != self.encoder.embed_mode:
-            raise OutOfRange(f"graph embed_mode={self.graph.embed_mode!r} must equal "
-                             f"encoder embed_mode={self.encoder.embed_mode!r}")
 
     def configs_dict(self) -> dict:
-        return {
-            "lattice": asdict(self.lattice),
-            "graph": asdict(self.graph),
-            "encoder": self.encoder.to_dict(),
-            "decoder": self.decoder.to_dict(),
-            "train": self.train.to_dict(),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -116,19 +100,11 @@ def lr_schedule(iteration: int, lr0: float = 1e-3, decay: float = 0.999) -> floa
     return lr0 * decay ** iteration
 
 
-def clip_gradients(grads: dict, clip: float, mode: str = "element") -> dict:
-    """Clamp gradients: per value to [-clip, clip], or rescale by global norm."""
+def clip_gradients(grads: dict, clip: float) -> dict:
+    """Clamp every gradient value to [-clip, clip]."""
     if clip <= 0:
         raise OutOfRange("clip must be positive")
-    if mode == "element":
-        return {n: np.clip(g, -clip, clip) for n, g in grads.items()}
-    if mode == "global":
-        total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-        if total <= clip:
-            return {n: g.copy() for n, g in grads.items()}
-        factor = clip / total
-        return {n: g * factor for n, g in grads.items()}
-    raise OutOfRange(f"unknown clip mode {mode!r}")
+    return {n: np.clip(g, -clip, clip) for n, g in grads.items()}
 
 
 def adam_update(store: ParameterStore, grads: dict, opt: OptimizerState,
@@ -164,11 +140,10 @@ def train_step(items: list, store: ParameterStore, opt: OptimizerState,
 
     Per item: mask the cached lattice, build the proximity graph, encode
     the batch, reparameterize, teacher-forced decoder NLL; then backprop,
-    clip, Adam. Items whose lattice empties out are skipped; a batch with
-    nothing left aborts. A non-finite loss raises NumericalUnderflow before
-    backprop, leaving the trainable parameters and the optimizer state as
-    they were (the forward pass has already moved the batch-norm running
-    statistics).
+    clip, Adam and the batch-norm running statistics. Items whose lattice
+    empties out are skipped; a batch with nothing left aborts. A non-finite
+    loss raises NumericalUnderflow before backprop, leaving every stored
+    array and the optimizer state as they were.
     """
     if not items:
         raise AllItemsSkipped("empty batch")
@@ -196,7 +171,8 @@ def train_step(items: list, store: ParameterStore, opt: OptimizerState,
     dpsi = enc_mod.reparameterize_backward(dz, sample, store, grads)
     enc_mod.encode_graphs_backward(dpsi, enc_cache, store, pcfg.encoder, grads)
 
-    grads = clip_gradients(grads, tcfg.clip, tcfg.clip_mode)
+    grads = clip_gradients(grads, tcfg.clip)
+    enc_mod.update_running_stats(enc_cache, store, pcfg.encoder)
     adam_update(store, grads, opt, lr_schedule(opt.iteration, tcfg.lr0, tcfg.decay), tcfg)
     return loss, len(items) - len(kept)
 
@@ -207,7 +183,7 @@ def init_params(pcfg: PipelineConfig, seed: int | None = None,
     tcfg = pcfg.train
     rng = np.random.default_rng(tcfg.seed if seed is None else seed)
     dt = np.dtype(tcfg.dtype if dtype is None else dtype)
-    store = enc_mod.init_encoder_params(pcfg.encoder, rng, dtype=dt)
+    store = enc_mod.init_encoder_params(pcfg.encoder, rng, dtype=dt, side=pcfg.lattice.side)
     dec_mod.init_decoder_params(pcfg.decoder, rng, dtype=dt, store=store)
     return store
 
@@ -295,16 +271,33 @@ class ModelBundle:
     header: dict
 
 
+def _drop_retired(section: dict, key: str, supported) -> None:
+    """Drop a key older checkpoints carry if it holds the only value supported now."""
+    if key in section and section.pop(key) != supported:
+        raise CheckpointFormatError(f"checkpoint needs {key}={supported!r}, "
+                                    "which this version no longer supports")
+
+
+def _header_pipeline_config(header: dict) -> PipelineConfig:
+    try:
+        cfgs = {name: dict(section) for name, section in header["configs"].items()}
+        lattice = LatticeConfig(**cfgs["lattice"])
+        _drop_retired(cfgs["encoder"], "mlp_depth", 1)
+        _drop_retired(cfgs["encoder"], "side", lattice.side)
+        encoder = EncoderConfig(**cfgs["encoder"])
+        _drop_retired(cfgs["graph"], "embed_mode", encoder.embed_mode)
+        train = cfgs.get("train", {})
+        _drop_retired(train, "clip_mode", "element")
+        return PipelineConfig(lattice=lattice, graph=GraphConfig(**cfgs["graph"]),
+                              encoder=encoder, decoder=DecoderConfig(**cfgs["decoder"]),
+                              train=TrainConfig(**train))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointFormatError(f"bad configs in checkpoint header: {exc!r}") from exc
+
+
 def load_model(path) -> ModelBundle:
     full, header = load_checkpoint(path)
-    cfgs = header.get("configs", {})
-    pcfg = PipelineConfig(
-        lattice=LatticeConfig(**cfgs["lattice"]),
-        graph=GraphConfig(**cfgs["graph"]),
-        encoder=EncoderConfig(**cfgs["encoder"]),
-        decoder=DecoderConfig(**cfgs["decoder"]),
-        train=TrainConfig(**cfgs["train"]) if cfgs.get("train") else TrainConfig(),
-    )
+    pcfg = _header_pipeline_config(header)
     store = ParameterStore()
     m, v = {}, {}
     for name, arr in full.items():
@@ -416,16 +409,10 @@ def _analytic_gradients(store: ParameterStore, probe: dict, pcfg: PipelineConfig
     return grads
 
 
-def _touched_embedding_rows(probe: dict, name: str) -> set:
+def _touched_embedding_rows(probe: dict, name: str, cfg: EncoderConfig) -> set:
     rows = set()
     for g in probe["graphs"]:
-        tokens = np.asarray(g.tokens)
-        if name.endswith(".joint"):
-            rows.update(int(t) for t in tokens)
-        elif name.endswith(".x"):
-            rows.update(int(t) for t in tokens[:, 0])
-        elif name.endswith(".y"):
-            rows.update(int(t) for t in tokens[:, 1])
+        rows.update(enc_mod.embedding_rows(g.points, g.side, cfg)[name].tolist())
     return rows
 
 
@@ -449,7 +436,7 @@ def finite_diff_audit(store: ParameterStore, probe: dict, pcfg: PipelineConfig,
     for name in work.trainable_names():
         arr = work[name]
         if name.startswith("enc.emb."):
-            rows = sorted(_touched_embedding_rows(probe, name))
+            rows = sorted(_touched_embedding_rows(probe, name, pcfg.encoder))
             untouched = [r for r in range(arr.shape[0]) if r not in set(rows)][:3]
             flat_idx = [r * arr.shape[1] + c for r in rows for c in range(arr.shape[1])]
             flat_idx += [r * arr.shape[1] + c for r in untouched for c in range(arr.shape[1])]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -44,3 +46,24 @@ def tiny_model(tmp_path_factory):
 def random_raster(rng, side=256, density=0.02):
     pixels = (rng.random((side, side)) < density).astype(np.uint8)
     return ls.RasterSketch(pixels=pixels)
+
+
+def pairwise_distances(L):
+    """Oracle: exact Euclidean pixel distances, symmetric with a zero diagonal."""
+    if L.m < 1:
+        raise ls.EmptyLattice("no points to measure")
+    pts = L.points.astype(np.float64)
+    diff = pts[:, None, :] - pts[None, :, :]
+    d = np.sqrt((diff * diff).sum(axis=-1))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def rewrite_checkpoint_header(src, dst, edit):
+    """Copy checkpoint src to dst with edit(header) applied to its JSON header."""
+    with open(src, "rb") as fh:
+        header = json.loads(fh.readline())
+        payload = fh.read()
+    edit(header)
+    with open(dst, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import lattisketch as ls
+from conftest import pairwise_distances
 
 _terminal = None
 _capture = None
@@ -110,7 +111,7 @@ def test_criterion_02_adjacency_properties():
         if not np.all(np.diag(a) == 1.0):
             violations += 1
         # nonzero off-diagonal entries equal 1 - d/(256 sqrt 2)
-        d = ls.pairwise_distances(lat)
+        d = pairwise_distances(lat)
         off = ~np.eye(lat.m, dtype=bool)
         linked = off & (a > 0)
         if linked.any():
@@ -200,9 +201,8 @@ def test_criterion_05_permutation_invariance():
         psi = ls.encode(g, store, cfg)
         for _ in range(20):
             perm = rng.permutation(g.m)
-            gp = ls.SketchGraph(tokens=g.tokens[perm],
-                                adjacency=g.adjacency[np.ix_(perm, perm)],
-                                embed_mode=g.embed_mode, side=g.side)
+            gp = ls.SketchGraph(points=g.points[perm],
+                                adjacency=g.adjacency[np.ix_(perm, perm)], side=g.side)
             worst = max(worst, float(np.max(np.abs(ls.encode(gp, store, cfg) - psi))))
     ok = worst < 1e-6
     assert report(5, ok,

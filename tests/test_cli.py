@@ -1,12 +1,14 @@
 """End-to-end CLI behavior through dispatch()."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import lattisketch as ls
-from lattisketch.cli import dispatch
+from conftest import rewrite_checkpoint_header
+from lattisketch.cli import CONFIG_KEYS, dispatch
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +244,27 @@ def test_help_lists_documented_flags(capsys):
 def test_unknown_flag_rejected(capsys):
     assert dispatch(["params", "--bogus"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda h: h["configs"]["encoder"].update(bogus=1), id="unknown_key"),
+    pytest.param(lambda h: h.pop("configs"), id="no_configs"),
+])
+def test_heal_malformed_configs_header_exit_3(workdir, tmp_path, capsys, edit):
+    ckpt = tmp_path / "bad.ckpt"
+    rewrite_checkpoint_header(workdir["ckpt"], ckpt, edit)
+    code = dispatch(["heal", "--checkpoint", str(ckpt), "--input", str(workdir["data"][0]),
+                     "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "CHECKPOINT_FORMAT_ERROR" in capsys.readouterr().err
+
+
+def test_config_keys_name_real_fields():
+    pcfg = ls.PipelineConfig()
+    fields = {(section.name, f.name) for section in dataclasses.fields(pcfg)
+              for f in dataclasses.fields(getattr(pcfg, section.name))}
+    table = {(section, name) for section, name, _ in CONFIG_KEYS.values()}
+    assert table <= fields
+    # derived from other settings (z_dim = d, offset_scale from the data) or internal
+    assert fields - table == {("decoder", "z_dim"), ("decoder", "offset_scale"),
+                              ("encoder", "bn_eps")}

@@ -38,34 +38,42 @@ def test_embed_zero_tables_zero_features(enc_cfg):
     store["enc.emb.x"] = np.zeros_like(store["enc.emb.x"])
     store["enc.emb.y"] = np.zeros_like(store["enc.emb.y"])
     g = make_graph([[1, 2], [3, 4]])
-    assert np.all(embed_nodes(g.tokens, store, enc_cfg) == 0.0)
+    assert np.all(embed_nodes(g.points, g.side, store, enc_cfg) == 0.0)
 
 
 def test_embed_factorized_is_sum_of_tables(enc_cfg, enc_store):
     enc_store["enc.emb.y"] = np.zeros_like(enc_store["enc.emb.y"])
     g = make_graph([[5, 9], [200, 100]])
-    V = embed_nodes(g.tokens, enc_store, enc_cfg)
+    V = embed_nodes(g.points, g.side, enc_store, enc_cfg)
     assert np.allclose(V[0], enc_store["enc.emb.x"][5])
     assert np.allclose(V[1], enc_store["enc.emb.x"][200])
 
 
 def test_embed_identical_tokens_identical_rows(enc_cfg, enc_store):
-    tokens = np.array([[7, 7], [7, 7]])
-    V = embed_nodes(tokens, enc_store, enc_cfg)
+    points = np.array([[7, 7], [7, 7]])
+    V = embed_nodes(points, 256, enc_store, enc_cfg)
     assert np.array_equal(V[0], V[1])
 
 
 def test_embed_joint_mode_row_lookup():
     cfg = ls.EncoderConfig(d=4, K=1, embed_mode="joint")
     store = ls.init_encoder_params(cfg, np.random.default_rng(1))
-    tokens = np.array([1795])
-    V = embed_nodes(tokens, store, cfg)
-    assert np.array_equal(V[0], store["enc.emb.joint"][1795])
+    V = embed_nodes(np.array([[3, 7]]), 256, store, cfg)
+    assert np.array_equal(V[0], store["enc.emb.joint"][7 * 256 + 3])
 
 
 def test_embed_token_out_of_vocabulary(enc_cfg, enc_store):
     with pytest.raises(ls.TokenOutOfVocabulary):
-        embed_nodes(np.array([[256, 0]]), enc_store, enc_cfg)
+        embed_nodes(np.array([[256, 0]]), 256, enc_store, enc_cfg)
+
+
+def test_embed_tables_sized_by_side():
+    for mode, rows in (("factorized", 64), ("joint", 64 * 64)):
+        cfg = ls.EncoderConfig(d=4, K=1, embed_mode=mode)
+        store = ls.init_encoder_params(cfg, np.random.default_rng(0), side=64)
+        assert all(store[n].shape == (rows, 4) for n in store.names() if ".emb." in n)
+        with pytest.raises(ls.TokenOutOfVocabulary):
+            embed_nodes(np.array([[0, 64]]), 64, store, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +183,8 @@ def test_encode_eval_deterministic(enc_cfg, enc_store):
 
 
 def permute_graph(g, perm):
-    return ls.SketchGraph(tokens=g.tokens[perm],
-                          adjacency=g.adjacency[np.ix_(perm, perm)],
-                          embed_mode=g.embed_mode, side=g.side)
+    return ls.SketchGraph(points=g.points[perm],
+                          adjacency=g.adjacency[np.ix_(perm, perm)], side=g.side)
 
 
 def test_encode_permutation_invariant(enc_cfg, enc_store):
@@ -193,8 +200,8 @@ def test_encode_permutation_invariant(enc_cfg, enc_store):
 def test_encode_row_normalize_divides_every_layer_by_row_sums(enc_cfg, enc_store):
     g = random_graph(np.random.default_rng(5), m=10)
     a = g.adjacency.astype(np.float32)
-    pre = ls.SketchGraph(tokens=g.tokens, adjacency=a / a.sum(axis=1, keepdims=True),
-                         embed_mode=g.embed_mode, side=g.side)
+    pre = ls.SketchGraph(points=g.points, adjacency=a / a.sum(axis=1, keepdims=True),
+                         side=g.side)
     norm_cfg = replace(enc_cfg, row_normalize=True)
     assert np.array_equal(ls.encode(g, enc_store, norm_cfg),
                           ls.encode(pre, enc_store, enc_cfg))

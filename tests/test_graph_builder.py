@@ -1,9 +1,11 @@
-"""Graph construction: tokens, distances, adjacency."""
+"""Graph construction: embedding tokens, distances, adjacency."""
 
 import numpy as np
 import pytest
 
 import lattisketch as ls
+from conftest import pairwise_distances
+from lattisketch.encoder import embedding_rows
 
 
 def points_lattice(pts, side=256, n=32):
@@ -13,7 +15,7 @@ def points_lattice(pts, side=256, n=32):
 def dense_adjacency(L, cfg):
     """Oracle: the adjacency computed densely from the m x m x 2 difference tensor."""
     m = L.m
-    norm = ls.pairwise_distances(L) / (L.side * np.sqrt(2.0))
+    norm = pairwise_distances(L) / (L.side * np.sqrt(2.0))
     linked = np.zeros((m, m), dtype=bool)
     if m > 1:
         if cfg.proximity == "nearby":
@@ -32,30 +34,60 @@ def dense_adjacency(L, cfg):
 
 
 # ---------------------------------------------------------------------------
-# tokenize
+# tokens: the embedding rows the encoder reads for a graph's points
+
+
+def tokenize(p, side, mode="factorized"):
+    """Oracle: a point's token, the joint index y*side + x or the (x, y) pair."""
+    x, y = int(p[0]), int(p[1])
+    if not (0 <= x < side and 0 <= y < side):
+        raise ls.OutOfRange(f"point ({x}, {y}) outside [0, {side})")
+    return y * side + x if mode == "joint" else (x, y)
+
+
+def graph_tokens(g, mode):
+    """Per-node tokens of a built graph as the encoder's embedding rows give them."""
+    rows = embedding_rows(g.points, g.side, ls.EncoderConfig(embed_mode=mode))
+    if mode == "joint":
+        return rows["enc.emb.joint"].tolist()
+    return list(zip(rows["enc.emb.x"].tolist(), rows["enc.emb.y"].tolist()))
+
+
+def point_token(p, side, mode):
+    g = ls.build_adjacency(points_lattice([p], side=side), ls.GraphConfig())
+    return graph_tokens(g, mode)[0]
 
 
 def test_tokenize_joint_origin():
-    assert ls.tokenize((0, 0), 256, "joint") == 0
+    assert point_token((0, 0), 256, "joint") == tokenize((0, 0), 256, "joint") == 0
 
 
 def test_tokenize_joint_max():
-    assert ls.tokenize((255, 255), 256, "joint") == 65535
+    assert point_token((255, 255), 256, "joint") == tokenize((255, 255), 256, "joint") == 65535
 
 
 def test_tokenize_joint_formula():
-    assert ls.tokenize((3, 7), 256, "joint") == 7 * 256 + 3
+    assert point_token((3, 7), 256, "joint") == 7 * 256 + 3
 
 
 def test_tokenize_factorized_pair():
-    assert tuple(ls.tokenize((3, 7), 256, "factorized")) == (3, 7)
+    assert point_token((3, 7), 256, "factorized") == tokenize((3, 7), 256) == (3, 7)
 
 
 def test_tokenize_out_of_range():
-    with pytest.raises(ls.OutOfRange):
-        ls.tokenize((256, 0), 256, "joint")
-    with pytest.raises(ls.OutOfRange):
-        ls.tokenize((0, -1), 256, "factorized")
+    for p in ((256, 0), (0, -1)):
+        with pytest.raises(ls.OutOfRange):
+            tokenize(p, 256)
+        with pytest.raises(ls.OutOfRange):
+            point_token(p, 256, "joint")
+
+
+@pytest.mark.parametrize("side", [64, 256])
+@pytest.mark.parametrize("mode", ["joint", "factorized"])
+def test_tokens_match_scalar_oracle(side, mode):
+    lat = random_lattice(np.random.default_rng(side), side, 200)
+    g = ls.build_adjacency(lat, ls.GraphConfig())
+    assert graph_tokens(g, mode) == [tokenize(p, side, mode) for p in lat.points]
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +95,11 @@ def test_tokenize_out_of_range():
 
 
 def test_pairwise_single_point():
-    assert ls.pairwise_distances(points_lattice([[5, 5]])).tolist() == [[0.0]]
+    assert pairwise_distances(points_lattice([[5, 5]])).tolist() == [[0.0]]
 
 
 def test_pairwise_3_4_5():
-    d = ls.pairwise_distances(points_lattice([[0, 0], [3, 4]]))
+    d = pairwise_distances(points_lattice([[0, 0], [3, 4]]))
     assert d[0, 1] == 5.0 and d[1, 0] == 5.0
 
 
@@ -75,7 +107,7 @@ def test_pairwise_matches_naive_oracle():
     rng = np.random.default_rng(2)
     pts = rng.integers(0, 256, size=(10, 2))
     lat = points_lattice(pts)
-    d = ls.pairwise_distances(lat)
+    d = pairwise_distances(lat)
     for i in range(10):
         for j in range(10):
             want = np.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
@@ -84,7 +116,7 @@ def test_pairwise_matches_naive_oracle():
 
 def test_pairwise_empty_raises():
     with pytest.raises(ls.EmptyLattice):
-        ls.pairwise_distances(points_lattice(np.zeros((0, 2))))
+        pairwise_distances(points_lattice(np.zeros((0, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +214,10 @@ def test_adjacency_support_monotone_in_threshold():
 def test_adjacency_translation_invariant_tokens_change():
     pts = np.array([[10, 10], [30, 14], [20, 60]])
     cfg = ls.GraphConfig(proximity="nearby", d_t=0.3)
-    a = ls.build_adjacency(points_lattice(pts), cfg).adjacency
+    a_graph = ls.build_adjacency(points_lattice(pts), cfg)
     b_graph = ls.build_adjacency(points_lattice(pts + 100), cfg)
-    assert np.allclose(a, b_graph.adjacency, atol=1e-12)
-    assert not np.array_equal(
-        ls.tokenize_all(points_lattice(pts), "joint"),
-        ls.tokenize_all(points_lattice(pts + 100), "joint"))
+    assert np.allclose(a_graph.adjacency, b_graph.adjacency, atol=1e-12)
+    assert graph_tokens(a_graph, "joint") != graph_tokens(b_graph, "joint")
 
 
 def random_lattice(rng, side, m):
@@ -218,7 +248,7 @@ def test_adjacency_bit_identical_to_dense_oracle(side, proximity, self_loops):
                                       side=side)
         assert np.array_equal(ls.build_adjacency(on_threshold, cfg).adjacency,
                               dense_adjacency(on_threshold, cfg))
-    assert ls.pairwise_distances(on_threshold)[0, 1] / diag == 0.125
+    assert pairwise_distances(on_threshold)[0, 1] / diag == 0.125
 
 
 def test_adjacency_bit_identical_with_ties_corners_and_duplicates():
@@ -244,14 +274,6 @@ def test_adjacency_point_off_canvas_raises(proximity, bad):
 def test_adjacency_empty_lattice_raises():
     with pytest.raises(ls.EmptyLattice):
         ls.build_adjacency(points_lattice(np.zeros((0, 2))), ls.GraphConfig())
-
-
-def test_graph_json_round_trip():
-    lat = points_lattice([[0, 0], [10, 0], [25, 30]])
-    g = ls.build_adjacency(lat, ls.GraphConfig())
-    back = ls.graph_from_json_obj(g.to_json_obj())
-    assert np.allclose(back.adjacency, g.adjacency)
-    assert np.array_equal(back.tokens, g.tokens)
 
 
 def test_graph_config_validation():

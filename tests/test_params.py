@@ -62,7 +62,8 @@ def test_checkpoint_header_is_first_line_json(tmp_path):
     with open(path, "rb") as fh:
         header = json.loads(fh.readline())
     assert header["format"] == CHECKPOINT_MAGIC
-    assert header["version"] == 1
+    assert header["version"] == 2
+    assert header["dtype"] == "<f4"
     names = [a["name"] for a in header["arrays"]]
     assert names == store.names()
     # offsets are element offsets into a contiguous little-endian f4 payload
@@ -80,6 +81,46 @@ def test_checkpoint_payload_is_float32_le(tmp_path):
         payload = np.frombuffer(fh.read(), dtype="<f4")
     assert payload.size == store.n_elements()
     assert np.array_equal(payload[:12], store["a.W"].astype("<f4").ravel())
+
+
+def test_checkpoint_float64_round_trip_is_exact(tmp_path):
+    store = small_store().astype(np.float64)
+    store["a.W"] = store["a.W"] / 3.0  # values float32 cannot hold
+    path = tmp_path / "model.ckpt"
+    ls.save_checkpoint(path, store, iteration=0)
+    loaded, header = ls.load_checkpoint(path)
+    assert header["dtype"] == "<f8"
+    for name, arr in store.items():
+        assert loaded[name].dtype == np.float64
+        assert np.array_equal(loaded[name], arr), name
+
+
+def test_load_version_1_file(tmp_path):
+    store = small_store()
+    arrays, offset = [], 0
+    for name, arr in store.items():
+        arrays.append({"name": name, "shape": list(arr.shape), "offset": offset,
+                       "trainable": store.is_trainable(name)})
+        offset += arr.size
+    header = {"format": CHECKPOINT_MAGIC, "version": 1, "iteration": 4,
+              "configs": {}, "extra": {}, "arrays": arrays}
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(json.dumps(header).encode() + b"\n"
+                     + b"".join(arr.astype("<f4").tobytes() for _, arr in store.items()))
+    loaded, got = ls.load_checkpoint(path)
+    assert got["iteration"] == 4
+    for name, arr in store.items():
+        assert loaded[name].dtype == np.float32
+        assert np.array_equal(loaded[name], arr), name
+
+
+def test_load_rejects_unknown_payload_dtype(tmp_path):
+    path = tmp_path / "model.ckpt"
+    ls.save_checkpoint(path, small_store(), iteration=0)
+    data = path.read_bytes().replace(b'"dtype": "<f4"', b'"dtype": "<i4"')
+    path.write_bytes(data)
+    with pytest.raises(ls.CheckpointFormatError):
+        ls.load_checkpoint(path)
 
 
 def test_checkpoint_deterministic_bytes(tmp_path):
@@ -102,19 +143,25 @@ def test_checkpoint_hash_changes_with_content(tmp_path):
 
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"not a checkpoint\n")
-    with pytest.raises(ls.CheckpointFormatError):
-        ls.load_checkpoint(path)
+    for first_line in (b"not a checkpoint", b"[1, 2]",
+                       json.dumps({"format": CHECKPOINT_MAGIC, "version": 2,
+                                   "dtype": "<f4"}).encode(),
+                       json.dumps({"format": CHECKPOINT_MAGIC, "version": 2, "dtype": "<f4",
+                                   "arrays": [{"name": "w"}]}).encode()):
+        path.write_bytes(first_line + b"\n")
+        with pytest.raises(ls.CheckpointFormatError):
+            ls.load_checkpoint(path)
 
 
 def test_load_rejects_truncated_payload(tmp_path):
-    store = small_store()
     path = tmp_path / "model.ckpt"
-    ls.save_checkpoint(path, store, iteration=0)
-    data = path.read_bytes()
-    path.write_bytes(data[:-8])
-    with pytest.raises(ls.CheckpointFormatError):
-        ls.load_checkpoint(path)
+    for dtype in (np.float32, np.float64):
+        ls.save_checkpoint(path, small_store().astype(dtype), iteration=0)
+        data = path.read_bytes()
+        for cut in (8, 3):  # whole values missing, or a value cut in half
+            path.write_bytes(data[:-cut])
+            with pytest.raises(ls.CheckpointFormatError):
+                ls.load_checkpoint(path)
 
 
 def test_save_to_unwritable_dir(tmp_path):

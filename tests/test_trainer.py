@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lattisketch as ls
+from conftest import rewrite_checkpoint_header
 
 
 def small_pcfg(**train_kwargs):
@@ -31,24 +32,15 @@ def test_lr_schedule_values():
 
 def test_clip_elementwise():
     grads = {"w": np.array([0.5, 3.0, -3.0, -0.2])}
-    out = ls.clip_gradients(grads, 1.0, "element")
+    out = ls.clip_gradients(grads, 1.0)
     assert out["w"].tolist() == [0.5, 1.0, -1.0, -0.2]
 
 
 def test_clip_bound_exact():
     rng = np.random.default_rng(0)
     grads = {"w": rng.standard_normal(100) * 5}
-    out = ls.clip_gradients(grads, 1.0, "element")
+    out = ls.clip_gradients(grads, 1.0)
     assert np.max(np.abs(out["w"])) <= 1.0
-
-
-def test_clip_global_norm():
-    grads = {"a": np.array([3.0, 4.0])}  # norm 5
-    out = ls.clip_gradients(grads, 1.0, "global")
-    assert np.linalg.norm(out["a"]) == pytest.approx(1.0)
-    small = {"a": np.array([0.3, 0.4])}
-    out2 = ls.clip_gradients(small, 1.0, "global")
-    assert np.allclose(out2["a"], [0.3, 0.4])
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +118,7 @@ def test_train_step_non_finite_loss_leaves_state():
     store = ls.init_params(pcfg)
     store["dec.head.b"][0] = np.nan
     opt = ls.OptimizerState.fresh(store)
-    snapshot = {n: store[n].copy() for n in store.trainable_names()}
+    snapshot = {n: store[n].copy() for n in store.names()}
     with pytest.raises(ls.NumericalUnderflow):
         ls.train_step(items[:4], store, opt, pcfg, np.random.default_rng(0))
     for name, arr in snapshot.items():
@@ -136,12 +128,34 @@ def test_train_step_non_finite_loss_leaves_state():
     assert all(not v.any() for v in opt.v.values())
 
 
-def test_pipeline_config_rejects_embed_mode_mismatch():
-    joint = ls.EncoderConfig(embed_mode="joint")
-    with pytest.raises(ls.OutOfRange):
-        ls.PipelineConfig(encoder=joint)  # graph keeps the factorized default
-    pcfg = ls.PipelineConfig(graph=ls.GraphConfig(embed_mode="joint"), encoder=joint)
-    assert pcfg.graph.embed_mode == pcfg.encoder.embed_mode == "joint"
+def test_train_step_moves_running_stats_by_momentum(monkeypatch):
+    pcfg = small_pcfg()
+    items = make_items(pcfg)
+    store = ls.init_params(pcfg)
+    names = ("enc.bn.running_mean", "enc.bn.running_var")
+    # a first step moves the statistics away from their initial 0 and 1
+    ls.train_step(items[:4], store, ls.OptimizerState.fresh(store), pcfg,
+                  np.random.default_rng(1))
+    old = [store[n].copy() for n in names]
+    seen = []
+    encode_graphs = ls.encoder.encode_graphs
+
+    def spy(*args, **kwargs):
+        psi, cache = encode_graphs(*args, **kwargs)
+        # the forward pass itself writes nothing to the store
+        assert all(np.array_equal(store[n], o) for n, o in zip(names, old))
+        seen.append(cache[-1])
+        return psi, cache
+
+    monkeypatch.setattr(ls.encoder, "encode_graphs", spy)
+    ls.train_step(items[:4], store, ls.OptimizerState.fresh(store), pcfg,
+                  np.random.default_rng(0))
+    (batch_stats,) = seen
+    mom = pcfg.encoder.bn_momentum
+    for name, o, batch in zip(names, old, batch_stats):
+        want = (mom * o + (1.0 - mom) * batch).astype(np.float32)
+        assert np.array_equal(store[name], want), name
+        assert not np.array_equal(store[name], o), name
 
 
 def test_zero_lr_update_is_noop():
@@ -209,19 +223,21 @@ def test_fit_interim_checkpoints(tmp_path, toy_dataset):
 
 
 def test_fit_resume_reproduces_loss_sequence(tmp_path, toy_dataset):
-    full_cfg = small_pcfg(iterations=8, batch_size=2, checkpoint_every=4)
-    s_full = ls.fit(toy_dataset, full_cfg, tmp_path / "full")
-    with open(s_full["loss_csv"]) as fh:
-        want = fh.read().splitlines()
+    for dtype in ("float32", "float64"):  # checkpoints keep the store's dtype
+        run = tmp_path / dtype
+        full_cfg = small_pcfg(iterations=8, batch_size=2, checkpoint_every=4, dtype=dtype)
+        s_full = ls.fit(toy_dataset, full_cfg, run / "full")
+        with open(s_full["loss_csv"]) as fh:
+            want = fh.read().splitlines()
 
-    half_cfg = small_pcfg(iterations=4, batch_size=2)
-    ls.fit(toy_dataset, half_cfg, tmp_path / "half")
-    resume_cfg = small_pcfg(iterations=8, batch_size=2)
-    s_res = ls.fit(toy_dataset, resume_cfg, tmp_path / "half",
-                   resume=str(tmp_path / "half" / "ckpt_final.ckpt"))
-    with open(s_res["loss_csv"]) as fh:
-        got = fh.read().splitlines()
-    assert got == want
+        half_cfg = small_pcfg(iterations=4, batch_size=2, dtype=dtype)
+        ls.fit(toy_dataset, half_cfg, run / "half")
+        resume_cfg = small_pcfg(iterations=8, batch_size=2, dtype=dtype)
+        s_res = ls.fit(toy_dataset, resume_cfg, run / "half",
+                       resume=str(run / "half" / "ckpt_final.ckpt"))
+        with open(s_res["loss_csv"]) as fh:
+            got = fh.read().splitlines()
+        assert got == want, dtype
 
 
 def test_fit_resume_takes_callers_schedule(tmp_path, toy_dataset):
@@ -322,3 +338,47 @@ def test_audit_deterministic():
     a = ls.finite_diff_audit(store, probe, pcfg)
     b = ls.finite_diff_audit(store, probe, pcfg)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# checkpoints written before the single-home config
+
+
+def version_1_checkpoint(tmp_path, **retired):
+    """A saved model rewritten as a version-1 file with the keys that
+    version carried: mlp_depth, encoder side, graph embed_mode, clip_mode."""
+    pcfg = small_pcfg()
+    store = ls.init_params(pcfg)
+    new = tmp_path / "new.ckpt"
+    ls.save_model(new, store, ls.OptimizerState.fresh(store), pcfg)
+    values = {"mlp_depth": 1, "side": pcfg.lattice.side,
+              "embed_mode": pcfg.encoder.embed_mode, "clip_mode": "element", **retired}
+
+    def as_version_1(header):
+        header["version"] = 1
+        del header["dtype"]
+        cfgs = header["configs"]
+        cfgs["encoder"].update(mlp_depth=values["mlp_depth"], side=values["side"])
+        cfgs["graph"]["embed_mode"] = values["embed_mode"]
+        cfgs["train"]["clip_mode"] = values["clip_mode"]
+
+    old = tmp_path / "old.ckpt"
+    rewrite_checkpoint_header(new, old, as_version_1)
+    return old, new
+
+
+def test_load_model_reads_version_1_config_keys(tmp_path):
+    old, new = version_1_checkpoint(tmp_path)
+    a, b = ls.load_model(old), ls.load_model(new)
+    assert a.pcfg == b.pcfg
+    assert a.store.names() == b.store.names()
+    for name in b.store.names():
+        assert np.array_equal(a.store[name], b.store[name]), name
+
+
+@pytest.mark.parametrize("retired", [dict(mlp_depth=2), dict(side=128),
+                                     dict(embed_mode="joint"), dict(clip_mode="global")])
+def test_load_model_rejects_retired_key_values(tmp_path, retired):
+    old, _ = version_1_checkpoint(tmp_path, **retired)
+    with pytest.raises(ls.CheckpointFormatError):
+        ls.load_model(old)
