@@ -10,8 +10,7 @@ from .decoder import (DecoderConfig, generate, init_decoder_params, init_state,
                       teacher_forced_backward, teacher_forced_nll)
 from .encoder import (EncoderConfig, LatentSample, count_parameters, embed_nodes,
                       encode, encode_graphs, encode_graphs_backward, encode_layer,
-                      init_encoder_params, pool_nodes, propagate, reparameterize,
-                      reparameterize_backward)
+                      init_encoder_params, reparameterize, reparameterize_backward)
 from .errors import (AllItemsSkipped, CheckpointFormatError, CheckpointWriteFailure,
                      DatasetEmpty, EmptyLattice, LattisketchError, MalformedRecord,
                      NumericalUnderflow, OutOfRange, SequenceTooLong, ShapeMismatch,
@@ -47,7 +46,7 @@ __all__ = [
     "mask_lattice", "lattice_from_json_obj",
     "GraphConfig", "SketchGraph", "build_adjacency",
     "EncoderConfig", "LatentSample", "init_encoder_params", "embed_nodes",
-    "propagate", "encode_layer", "pool_nodes", "encode_graphs",
+    "encode_layer", "encode_graphs",
     "encode_graphs_backward", "encode", "reparameterize",
     "reparameterize_backward", "count_parameters",
     "DecoderConfig", "init_decoder_params", "init_state", "generate",

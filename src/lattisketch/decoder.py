@@ -277,7 +277,7 @@ def teacher_forced_backward(cache: dict, store: ParameterStore, cfg: DecoderConf
     dA = np.empty((B, T, 4 * hs), dtype=dtype)
     dh_next = np.zeros((B, hs), dtype=dtype)
     dc_next = np.zeros((B, hs), dtype=dtype)
-    Wh = store["dec.lstm.Wh"]
+    WhT = np.ascontiguousarray(store["dec.lstm.Wh"].T)
     for t in range(T - 1, -1, -1):
         i, f, g, o = (gates[:, t, k * hs : (k + 1) * hs] for k in range(4))
         tc = TC[:, t]
@@ -288,7 +288,7 @@ def teacher_forced_backward(cache: dict, store: ParameterStore, cfg: DecoderConf
         dA[:, t, hs : 2 * hs] = dc * C[:, t] * f * (1.0 - f)
         dA[:, t, 2 * hs : 3 * hs] = dc * i * (1.0 - g * g)
         dA[:, t, 3 * hs :] = do * o * (1.0 - o)
-        dh_next = dA[:, t] @ Wh.T
+        dh_next = dA[:, t] @ WhT
         dc_next = dc * f
 
     dA2 = dA.reshape(B * T, 4 * hs)

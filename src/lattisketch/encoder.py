@@ -1,10 +1,11 @@
 """Graphical sketch encoder and latent bridge.
 
-Forward path per graph: cell embedding -> K rounds of (propagate along
-the weighted adjacency, two affine+ReLU units, dropout, residual add) ->
-pooling to one vector; then across the batch: FC -> batch norm -> Tanh
-giving the sketch embedding psi, and the reparameterized latent
-z = mu + sigma * eps on top.
+A batch is one disjoint union of graphs: all nodes stacked into one (N, d)
+array, each graph owning a contiguous slice of rows. Forward path: cell
+embedding -> K rounds of (propagate each graph's rows along its weighted
+adjacency, two affine+ReLU units, dropout, residual add) -> pool each
+graph's rows -> FC -> batch norm -> Tanh giving the sketch embedding psi,
+and the reparameterized latent z = mu + sigma * eps on top.
 
 Everything is plain numpy with hand-written backward passes; caches
 returned by the forward functions carry exactly the values the backward
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from scipy import sparse
 
 from .errors import EmptyLattice, OutOfRange, ShapeMismatch, TokenOutOfVocabulary
 from .graph_builder import SketchGraph
@@ -129,55 +131,41 @@ def embed_nodes(points: np.ndarray, side: int, store: ParameterStore,
     return V
 
 
+def _onehot(rows: np.ndarray, n_rows: int, dtype) -> sparse.csc_matrix:
+    """(n_rows x len(rows)) one-hot matrix with column j set at row rows[j]; a
+    product with it sums the rows that share a label, in row order."""
+    n = len(rows)
+    return sparse.csc_matrix((np.ones(n, dtype=dtype), rows, np.arange(n + 1)), shape=(n_rows, n))
+
+
 def embed_nodes_backward(points: np.ndarray, side: int, dV: np.ndarray,
                          cfg: EncoderConfig, grads: dict) -> None:
     for name, rows in embedding_rows(points, side, cfg).items():
-        np.add.at(grads[name], rows, dV)
+        grads[name] += _onehot(rows, len(grads[name]), dV.dtype) @ dV
 
 
-def propagate(V: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """One propagation step: V_hat = A @ V, no normalization."""
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[1] != V.shape[0]:
-        raise ShapeMismatch(f"A {A.shape} does not match V {V.shape}")
-    return A @ V
+def encode_layer(V: np.ndarray, adjs: list, segs: list, store: ParameterStore,
+                 layer: int, dmask: np.ndarray | None = None):
+    """V' = V + Dropout(ReLU-chained MLP units applied to A @ V); returns (V', cache).
 
-
-def _effective_adjacency(A: np.ndarray, cfg: EncoderConfig, dtype) -> np.ndarray:
-    A = np.asarray(A, dtype=dtype)
-    if cfg.row_normalize:
-        sums = A.sum(axis=1, keepdims=True)
-        A = A / np.maximum(sums, np.finfo(dtype).tiny)
-    return A
-
-
-def encode_layer(V: np.ndarray, A_eff: np.ndarray, store: ParameterStore, cfg: EncoderConfig,
-                 layer: int, train_mode: bool = False, rng=None):
-    """V' = V + Dropout(ReLU-chained MLP units applied to A_eff @ V); returns (V', cache).
-
-    A_eff is the effective adjacency, already in V's dtype and row-normalized
-    when cfg asks for it; encode_graphs makes it once per graph for all layers.
+    V stacks a batch's nodes; graph g owns rows segs[g] and propagates them
+    along adjs[g], its adjacency in V's dtype (row-normalized if configured).
+    dmask is the scaled dropout mask, or None for no dropout.
     """
-    X = propagate(V, A_eff)
+    X = np.empty_like(V)
+    for A, seg in zip(adjs, segs):
+        np.matmul(A, V[seg], out=X[seg])
     acts = [X]
     for w_name, b_name in _unit_names(layer):
         X = np.maximum(X @ store[w_name] + store[b_name], 0.0)
         acts.append(X)
-    if train_mode and cfg.dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("train-mode dropout needs an rng")
-        keep = 1.0 - cfg.dropout_rate
-        dmask = (rng.random(X.shape) >= cfg.dropout_rate).astype(V.dtype) / keep
-        branch = X * dmask
-    else:
-        dmask = None
-        branch = X
-    return V + branch, (A_eff, acts, dmask)
+    return V + (X if dmask is None else X * dmask), (acts, dmask)
 
 
-def encode_layer_backward(dout: np.ndarray, cache, store: ParameterStore,
-                          layer: int, grads: dict) -> np.ndarray:
-    A_eff, acts, dmask = cache
-    d_branch = dout * dmask if dmask is not None else dout
+def encode_layer_backward(dout: np.ndarray, cache, adjs: list, segs: list,
+                          store: ParameterStore, layer: int, grads: dict) -> np.ndarray:
+    acts, dmask = cache
+    d_branch = dout if dmask is None else dout * dmask
     names = _unit_names(layer)
     for idx in (1, 0):
         w_name, b_name = names[idx]
@@ -185,18 +173,19 @@ def encode_layer_backward(dout: np.ndarray, cache, store: ParameterStore,
         grads[w_name] += acts[idx].T @ d_pre
         grads[b_name] += d_pre.sum(axis=0)
         d_branch = d_pre @ store[w_name].T
-    return dout + A_eff.T @ d_branch
-
-
-def pool_nodes(V: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
-    return V.mean(axis=0) if cfg.pooling == "mean" else V.sum(axis=0)
+    dX = np.empty_like(dout)
+    for A, seg in zip(adjs, segs):
+        np.matmul(A.T, d_branch[seg], out=dX[seg])
+    return dout + dX
 
 
 def encode_graphs(graphs, store: ParameterStore, cfg: EncoderConfig,
                   train_mode: bool = False, rng=None):
-    """Batch encode: per-graph features pooled, then FC -> batch norm -> Tanh.
+    """Batch encode over the stacked nodes: K residual layers, pooling per
+    graph, then FC -> batch norm -> Tanh.
 
-    Train mode normalizes with the batch statistics and leaves the store
+    Train mode draws each graph's dropout masks for all K layers, graph by
+    graph, and normalizes with the batch statistics, leaving the store
     untouched: the cache carries the batch mean and variance for
     update_running_stats, which the caller applies once the step has
     succeeded. Eval mode reads the running statistics and is a
@@ -205,20 +194,32 @@ def encode_graphs(graphs, store: ParameterStore, cfg: EncoderConfig,
     """
     if len(graphs) == 0:
         raise EmptyLattice("empty graph batch")
+    side = graphs[0].side
+    if any(g.side != side for g in graphs):
+        raise ShapeMismatch("graphs in one batch must share one canvas side")
+    ms = np.array([g.m for g in graphs])
+    if ms.min() == 0:
+        raise EmptyLattice("graph has no nodes")
     dtype = store["enc.fc.W"].dtype
-    pooled = np.zeros((len(graphs), cfg.d), dtype=dtype)
-    graph_caches = []
-    for b, g in enumerate(graphs):
-        if g.m == 0:
-            raise EmptyLattice("graph has no nodes")
-        V = embed_nodes(g.points, g.side, store, cfg)
-        A_eff = _effective_adjacency(g.adjacency, cfg, V.dtype)
-        layer_caches = []
-        for layer in range(cfg.K):
-            V, c = encode_layer(V, A_eff, store, cfg, layer, train_mode, rng)
-            layer_caches.append(c)
-        pooled[b] = pool_nodes(V, cfg)
-        graph_caches.append((g, layer_caches))
+    segs = [slice(end - m, end) for end, m in zip(np.cumsum(ms), ms)]
+    points = np.concatenate([g.points for g in graphs])
+    adjs = [np.asarray(g.adjacency, dtype=dtype) for g in graphs]
+    if cfg.row_normalize:
+        adjs = [A / np.maximum(A.sum(axis=1, keepdims=True), np.finfo(dtype).tiny) for A in adjs]
+    masks = [None] * cfg.K
+    if train_mode and cfg.dropout_rate > 0.0:
+        if rng is None:
+            raise ValueError("train-mode dropout needs an rng")
+        draws = np.concatenate([rng.random((cfg.K, g.m, cfg.d)) for g in graphs], axis=1)
+        masks = (draws >= cfg.dropout_rate).astype(dtype) / (1.0 - cfg.dropout_rate)
+    V = embed_nodes(points, side, store, cfg)
+    layer_caches = []
+    for layer in range(cfg.K):
+        V, c = encode_layer(V, adjs, segs, store, layer, masks[layer])
+        layer_caches.append(c)
+    pooled = _onehot(np.repeat(np.arange(len(graphs)), ms), len(graphs), dtype) @ V
+    if cfg.pooling == "mean":
+        pooled /= ms[:, None].astype(dtype)
     Y = pooled @ store["enc.fc.W"] + store["enc.fc.b"]
     gamma, beta = store["enc.bn.gamma"], store["enc.bn.beta"]
     if train_mode:
@@ -232,7 +233,7 @@ def encode_graphs(graphs, store: ParameterStore, cfg: EncoderConfig,
         xhat = (Y - store["enc.bn.running_mean"]) * ivar
         batch_stats = None
     psi = np.tanh(gamma * xhat + beta)
-    cache = (graph_caches, pooled, xhat, ivar, psi, batch_stats)
+    cache = (points, side, ms, segs, adjs, layer_caches, pooled, xhat, ivar, psi, batch_stats)
     return psi, cache
 
 
@@ -249,7 +250,7 @@ def update_running_stats(cache, store: ParameterStore, cfg: EncoderConfig) -> No
 
 def encode_graphs_backward(dpsi: np.ndarray, cache, store: ParameterStore,
                            cfg: EncoderConfig, grads: dict) -> None:
-    graph_caches, pooled, xhat, ivar, psi, batch_stats = cache
+    points, side, ms, segs, adjs, layer_caches, pooled, xhat, ivar, psi, batch_stats = cache
     if batch_stats is None:
         raise ValueError("backward needs a train-mode cache")
     d_bn = dpsi * (1.0 - psi * psi)
@@ -263,15 +264,12 @@ def encode_graphs_backward(dpsi: np.ndarray, cache, store: ParameterStore,
     grads["enc.fc.W"] += pooled.T @ dY
     grads["enc.fc.b"] += dY.sum(axis=0)
     d_pooled = dY @ store["enc.fc.W"].T
-    for b, (g, layer_caches) in enumerate(graph_caches):
-        m = g.m
-        if cfg.pooling == "mean":
-            dV = np.tile(d_pooled[b] / m, (m, 1))
-        else:
-            dV = np.tile(d_pooled[b], (m, 1))
-        for layer in range(cfg.K - 1, -1, -1):
-            dV = encode_layer_backward(dV, layer_caches[layer], store, layer, grads)
-        embed_nodes_backward(g.points, g.side, dV, cfg, grads)
+    if cfg.pooling == "mean":
+        d_pooled /= ms[:, None].astype(d_pooled.dtype)
+    dV = np.repeat(d_pooled, ms, axis=0)
+    for layer in range(cfg.K - 1, -1, -1):
+        dV = encode_layer_backward(dV, layer_caches[layer], adjs, segs, store, layer, grads)
+    embed_nodes_backward(points, side, dV, cfg, grads)
 
 
 def encode(G: SketchGraph, store: ParameterStore, cfg: EncoderConfig,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyLattice, OutOfRange
+from .errors import EmptyLattice, OutOfRange, ShapeMismatch
 from .lattice import SketchLattice
 
 PROXIMITY_MODES = ("nearest", "nearby")
@@ -46,6 +46,12 @@ class SketchGraph:
     points: np.ndarray
     adjacency: np.ndarray
     side: int
+
+    def __post_init__(self):
+        shape = np.shape(self.adjacency)
+        if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.points) != (shape[0], 2):
+            raise ShapeMismatch(f"adjacency {shape} does not match points "
+                                f"{np.shape(self.points)}: want (m, m) and (m, 2)")
 
     @property
     def m(self) -> int:

@@ -134,6 +134,28 @@ def _batch_targets(items: list, n_max: int, dtype) -> np.ndarray:
     return out
 
 
+def _forward(graphs, targets, store: ParameterStore, pcfg: PipelineConfig,
+             rng=None, noise=None):
+    """Train-mode loss of one batch: encode, reparameterize, teacher-forced
+    NLL. The dropout masks and then the latent noise (unless noise is given)
+    come from rng. Returns (loss, caches for _backward)."""
+    psi, enc_cache = enc_mod.encode_graphs(graphs, store, pcfg.encoder,
+                                           train_mode=True, rng=rng)
+    sample = enc_mod.reparameterize(psi, store, rng=rng, noise=noise)
+    loss, dec_cache = dec_mod.teacher_forced_nll(targets, sample.z, store, pcfg.decoder)
+    return loss, (enc_cache, sample, dec_cache)
+
+
+def _backward(caches, store: ParameterStore, pcfg: PipelineConfig) -> dict:
+    """Gradients of _forward's loss for every trainable array."""
+    enc_cache, sample, dec_cache = caches
+    grads = store.zero_grads()
+    dz = dec_mod.teacher_forced_backward(dec_cache, store, pcfg.decoder, grads)
+    dpsi = enc_mod.reparameterize_backward(dz, sample, store, grads)
+    enc_mod.encode_graphs_backward(dpsi, enc_cache, store, pcfg.encoder, grads)
+    return grads
+
+
 def train_step(items: list, store: ParameterStore, opt: OptimizerState,
                pcfg: PipelineConfig, rng: np.random.Generator):
     """One optimization step; returns (loss, n_skipped).
@@ -158,21 +180,12 @@ def train_step(items: list, store: ParameterStore, opt: OptimizerState,
     if not kept:
         raise AllItemsSkipped("every item in the batch lost all lattice points")
 
-    psi, enc_cache = enc_mod.encode_graphs(graphs, store, pcfg.encoder,
-                                           train_mode=True, rng=rng)
-    sample = enc_mod.reparameterize(psi, store, rng=rng)
     targets = _batch_targets(kept, pcfg.decoder.n_max, store["dec.head.W"].dtype)
-    loss, dec_cache = dec_mod.teacher_forced_nll(targets, sample.z, store, pcfg.decoder)
+    loss, caches = _forward(graphs, targets, store, pcfg, rng=rng)
     if not np.isfinite(loss):
         raise NumericalUnderflow(f"non-finite training loss {loss}")
-
-    grads = store.zero_grads()
-    dz = dec_mod.teacher_forced_backward(dec_cache, store, pcfg.decoder, grads)
-    dpsi = enc_mod.reparameterize_backward(dz, sample, store, grads)
-    enc_mod.encode_graphs_backward(dpsi, enc_cache, store, pcfg.encoder, grads)
-
-    grads = clip_gradients(grads, tcfg.clip)
-    enc_mod.update_running_stats(enc_cache, store, pcfg.encoder)
+    grads = clip_gradients(_backward(caches, store, pcfg), tcfg.clip)
+    enc_mod.update_running_stats(caches[0], store, pcfg.encoder)
     adam_update(store, grads, opt, lr_schedule(opt.iteration, tcfg.lr0, tcfg.decay), tcfg)
     return loss, len(items) - len(kept)
 
@@ -388,27 +401,6 @@ def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None,
 # finite-difference gradient audit
 
 
-def _pipeline_loss(store: ParameterStore, probe: dict, pcfg: PipelineConfig) -> float:
-    """Deterministic train-mode loss used by both sides of the audit."""
-    psi, _ = enc_mod.encode_graphs(probe["graphs"], store, pcfg.encoder,
-                                   train_mode=True, rng=None)
-    sample = enc_mod.reparameterize(psi, store, noise=probe["noise"])
-    loss, _ = dec_mod.teacher_forced_nll(probe["targets"], sample.z, store, pcfg.decoder)
-    return loss
-
-
-def _analytic_gradients(store: ParameterStore, probe: dict, pcfg: PipelineConfig) -> dict:
-    psi, enc_cache = enc_mod.encode_graphs(probe["graphs"], store, pcfg.encoder,
-                                           train_mode=True, rng=None)
-    sample = enc_mod.reparameterize(psi, store, noise=probe["noise"])
-    _, dec_cache = dec_mod.teacher_forced_nll(probe["targets"], sample.z, store, pcfg.decoder)
-    grads = store.zero_grads()
-    dz = dec_mod.teacher_forced_backward(dec_cache, store, pcfg.decoder, grads)
-    dpsi = enc_mod.reparameterize_backward(dz, sample, store, grads)
-    enc_mod.encode_graphs_backward(dpsi, enc_cache, store, pcfg.encoder, grads)
-    return grads
-
-
 def _touched_embedding_rows(probe: dict, name: str, cfg: EncoderConfig) -> set:
     rows = set()
     for g in probe["graphs"]:
@@ -431,7 +423,11 @@ def finite_diff_audit(store: ParameterStore, probe: dict, pcfg: PipelineConfig,
     """
     pcfg = replace(pcfg, encoder=replace(pcfg.encoder, dropout_rate=0.0))
     work = store.astype(np.float64)
-    analytic = _analytic_gradients(work, probe, pcfg)
+
+    def forward():
+        return _forward(probe["graphs"], probe["targets"], work, pcfg, noise=probe["noise"])
+
+    analytic = _backward(forward()[1], work, pcfg)
     report = {}
     for name in work.trainable_names():
         arr = work[name]
@@ -448,9 +444,9 @@ def finite_diff_audit(store: ParameterStore, probe: dict, pcfg: PipelineConfig,
         for j in flat_idx:
             orig = flat[j]
             flat[j] = orig + step_size
-            up = _pipeline_loss(work, probe, pcfg)
+            up = forward()[0]
             flat[j] = orig - step_size
-            down = _pipeline_loss(work, probe, pcfg)
+            down = forward()[0]
             flat[j] = orig
             fd = (up - down) / (2.0 * step_size)
             a = float(ag[j])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lattisketch as ls
-from lattisketch.encoder import embed_nodes, encode_layer, pool_nodes
+from lattisketch.encoder import embed_nodes, embedding_rows, encode_layer
 
 
 def make_graph(pts, cfg=None):
@@ -77,38 +77,6 @@ def test_embed_tables_sized_by_side():
 
 
 # ---------------------------------------------------------------------------
-# propagation
-
-
-def test_propagate_identity():
-    V = np.random.default_rng(0).standard_normal((4, 3))
-    assert np.array_equal(ls.propagate(V, np.eye(4)), V)
-
-
-def test_propagate_all_ones():
-    V = np.arange(4.0).reshape(2, 2)
-    out = ls.propagate(V, np.ones((2, 2)))
-    want = np.tile(V[0] + V[1], (2, 1))
-    assert np.array_equal(out, want)
-
-
-def test_propagate_matches_naive_oracle():
-    rng = np.random.default_rng(3)
-    A = rng.random((5, 5))
-    V = rng.standard_normal((5, 7))
-    naive = np.zeros((5, 7))
-    for i in range(5):
-        for j in range(5):
-            naive[i] += A[i, j] * V[j]
-    assert np.allclose(ls.propagate(V, A), naive, atol=1e-12)
-
-
-def test_propagate_shape_mismatch():
-    with pytest.raises(ls.ShapeMismatch):
-        ls.propagate(np.zeros((3, 2)), np.zeros((4, 4)))
-
-
-# ---------------------------------------------------------------------------
 # layers
 
 
@@ -119,49 +87,34 @@ def test_layer_zero_weights_residual_passthrough(enc_cfg):
             store[name] = np.zeros_like(store[name])
     V = np.random.default_rng(1).standard_normal((3, enc_cfg.d)).astype(np.float32)
     A = np.eye(3, dtype=np.float32)
-    out, _ = encode_layer(V, A, store, enc_cfg, 0)
+    out, _ = encode_layer(V, [A], [slice(0, 3)], store, 0)
     assert np.array_equal(out, V)
 
 
 def test_layer_relu_kill_residual_passthrough(enc_cfg, enc_store):
-    # giant negative bias on the first unit zeroes the branch
+    # giant negative bias on the first unit zeroes the branch; the second
+    # unit still contributes relu(b) >= 0, so force its bias negative too
     enc_store["enc.layer0.u0.b0"] = np.full(enc_cfg.d, -1e6, dtype=np.float32)
-    V = np.abs(np.random.default_rng(1).standard_normal((3, enc_cfg.d))).astype(np.float32)
-    out, _ = encode_layer(V, np.eye(3, dtype=np.float32), enc_store, enc_cfg, 0)
-    # second unit still contributes relu(b2) which is >= 0; force it negative too
     enc_store["enc.layer0.u1.b0"] = np.full(enc_cfg.d, -1.0, dtype=np.float32)
-    out, _ = encode_layer(V, np.eye(3, dtype=np.float32), enc_store, enc_cfg, 0)
+    V = np.abs(np.random.default_rng(1).standard_normal((5, enc_cfg.d))).astype(np.float32)
+    adjs = [np.eye(2, dtype=np.float32), np.ones((3, 3), dtype=np.float32)]
+    out, _ = encode_layer(V, adjs, [slice(0, 2), slice(2, 5)], enc_store, 0)
     assert np.array_equal(out, V)
 
 
-def test_layer_eval_ignores_rng(enc_cfg, enc_store):
-    cfg = replace(enc_cfg, dropout_rate=0.5)
-    V = np.random.default_rng(2).standard_normal((4, cfg.d)).astype(np.float32)
-    A = np.eye(4, dtype=np.float32)
-    a, _ = encode_layer(V, A, enc_store, cfg, 0, train_mode=False,
-                        rng=np.random.default_rng(1))
-    b, _ = encode_layer(V, A, enc_store, cfg, 0, train_mode=False,
-                        rng=np.random.default_rng(999))
-    assert np.array_equal(a, b)
-
-
-def test_layer_train_dropout_varies_with_rng(enc_cfg, enc_store):
-    cfg = replace(enc_cfg, dropout_rate=0.5)
-    V = np.random.default_rng(2).standard_normal((6, cfg.d)).astype(np.float32)
-    A = np.eye(6, dtype=np.float32)
-    a, _ = encode_layer(V, A, enc_store, cfg, 0, train_mode=True,
-                        rng=np.random.default_rng(1))
-    b, _ = encode_layer(V, A, enc_store, cfg, 0, train_mode=True,
-                        rng=np.random.default_rng(2))
-    assert not np.array_equal(a, b)
-
-
-def test_pool_mean_duplication_invariant(enc_cfg):
-    V = np.random.default_rng(4).standard_normal((5, enc_cfg.d))
-    doubled = np.vstack([V, V])
-    assert np.allclose(pool_nodes(doubled, enc_cfg), pool_nodes(V, enc_cfg))
-    sum_cfg = replace(enc_cfg, pooling="sum")
-    assert np.allclose(pool_nodes(doubled, sum_cfg), 2 * pool_nodes(V, sum_cfg))
+def test_layer_propagates_within_each_graph_only(enc_cfg):
+    # identity units expose the propagated rows: an all-ones adjacency sums
+    # a graph's rows and must not reach into the neighbouring graph
+    store = ls.init_encoder_params(enc_cfg, np.random.default_rng(0), dtype=np.float64)
+    for name in store.names():
+        if ".u" in name:
+            store[name] = (np.eye(enc_cfg.d) if name.endswith("W0")
+                           else np.zeros(enc_cfg.d))
+    V = np.abs(np.random.default_rng(1).standard_normal((5, enc_cfg.d)))
+    adjs = [np.ones((2, 2)), np.ones((3, 3))]
+    out, _ = encode_layer(V, adjs, [slice(0, 2), slice(2, 5)], store, 0)
+    want = np.vstack([np.tile(V[:2].sum(axis=0), (2, 1)), np.tile(V[2:].sum(axis=0), (3, 1))])
+    assert np.allclose(out - V, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +173,138 @@ def test_encode_batch_matches_loop_at_eval(enc_cfg, enc_store):
     batch, _ = ls.encode_graphs(graphs, enc_store, enc_cfg)
     for i, g in enumerate(graphs):
         assert np.allclose(batch[i], ls.encode(g, enc_store, enc_cfg), atol=1e-7)
+
+
+def test_layer_eval_ignores_rng(enc_cfg, enc_store):
+    cfg = replace(enc_cfg, dropout_rate=0.5)
+    rng = np.random.default_rng(2)
+    graphs = [random_graph(rng, m=m) for m in (4, 9)]
+    a, _ = ls.encode_graphs(graphs, enc_store, cfg, rng=np.random.default_rng(1))
+    b, _ = ls.encode_graphs(graphs, enc_store, cfg, rng=np.random.default_rng(999))
+    assert np.array_equal(a, b)
+
+
+def test_layer_train_dropout_varies_with_rng(enc_cfg, enc_store):
+    cfg = replace(enc_cfg, dropout_rate=0.5)
+    rng = np.random.default_rng(2)
+    graphs = [random_graph(rng, m=m) for m in (4, 9)]
+    a, _ = ls.encode_graphs(graphs, enc_store, cfg, train_mode=True,
+                            rng=np.random.default_rng(1))
+    b, _ = ls.encode_graphs(graphs, enc_store, cfg, train_mode=True,
+                            rng=np.random.default_rng(2))
+    assert not np.array_equal(a, b)
+    with pytest.raises(ValueError):
+        ls.encode_graphs(graphs, enc_store, cfg, train_mode=True, rng=None)
+
+
+def test_pool_mean_duplication_invariant(enc_cfg, enc_store):
+    # two disconnected copies of a graph repeat every node's features: mean
+    # pooling is unchanged, sum pooling doubles (as does doubling enc.fc.W)
+    g = random_graph(np.random.default_rng(4), m=5)
+    doubled = ls.SketchGraph(points=np.vstack([g.points, g.points]),
+                             adjacency=np.kron(np.eye(2), g.adjacency), side=g.side)
+    psi, _ = ls.encode_graphs([g, doubled], enc_store, enc_cfg)
+    assert np.allclose(psi[0], psi[1], atol=1e-6)
+    sum_cfg = replace(enc_cfg, pooling="sum")
+    twice = enc_store.copy()
+    twice["enc.fc.W"] = 2 * twice["enc.fc.W"]
+    assert np.allclose(ls.encode(doubled, enc_store, sum_cfg), ls.encode(g, twice, sum_cfg),
+                       atol=1e-6)
+
+
+def test_encode_graphs_rejects_mixed_canvas_sides(enc_cfg, enc_store):
+    g = make_graph([[1, 2], [3, 4]])
+    small = ls.SketchGraph(points=g.points, adjacency=g.adjacency, side=64)
+    with pytest.raises(ls.ShapeMismatch):
+        ls.encode_graphs([g, small], enc_store, enc_cfg)
+
+
+# ---------------------------------------------------------------------------
+# the stacked encoder against a per-graph oracle
+
+
+def oracle_encode_train(graphs, store, cfg, rng, dpsi):
+    """Train-mode psi and encoder gradients for dpsi, computed one graph at a
+    time: per-graph propagation, per-layer dropout draws in graph order,
+    pooling by mean or sum, and np.add.at scatters into the tables."""
+    dtype = store["enc.fc.W"].dtype
+    keep = 1.0 - cfg.dropout_rate
+    pooled = np.zeros((len(graphs), cfg.d), dtype=dtype)
+    per_graph = []
+    for b, g in enumerate(graphs):
+        V = embed_nodes(g.points, g.side, store, cfg)
+        A = np.asarray(g.adjacency, dtype=dtype)
+        if cfg.row_normalize:
+            A = A / np.maximum(A.sum(axis=1, keepdims=True), np.finfo(dtype).tiny)
+        layers = []
+        for layer in range(cfg.K):
+            acts = [A @ V]
+            for unit in range(2):
+                W, bias = (store[f"enc.layer{layer}.u{unit}.{p}0"] for p in "Wb")
+                acts.append(np.maximum(acts[-1] @ W + bias, 0.0))
+            dmask = (rng.random(V.shape) >= cfg.dropout_rate).astype(dtype) / keep
+            V = V + acts[-1] * dmask
+            layers.append((acts, dmask))
+        pooled[b] = V.mean(axis=0) if cfg.pooling == "mean" else V.sum(axis=0)
+        per_graph.append((g, A, layers))
+    Y = pooled @ store["enc.fc.W"] + store["enc.fc.b"]
+    ivar = 1.0 / np.sqrt(Y.var(axis=0) + cfg.bn_eps)
+    xhat = (Y - Y.mean(axis=0)) * ivar
+    psi = np.tanh(store["enc.bn.gamma"] * xhat + store["enc.bn.beta"])
+
+    grads = store.zero_grads()
+    d_bn = dpsi * (1.0 - psi * psi)
+    grads["enc.bn.gamma"] += (d_bn * xhat).sum(axis=0)
+    grads["enc.bn.beta"] += d_bn.sum(axis=0)
+    dxhat = d_bn * store["enc.bn.gamma"]
+    B = len(graphs)
+    dY = (ivar / B) * (B * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+    grads["enc.fc.W"] += pooled.T @ dY
+    grads["enc.fc.b"] += dY.sum(axis=0)
+    d_pooled = dY @ store["enc.fc.W"].T
+    for b, (g, A, layers) in enumerate(per_graph):
+        dV = np.tile(d_pooled[b] / (g.m if cfg.pooling == "mean" else 1), (g.m, 1))
+        for layer in range(cfg.K - 1, -1, -1):
+            acts, dmask = layers[layer]
+            d_branch = dV * dmask
+            for unit in (1, 0):
+                W_name, b_name = (f"enc.layer{layer}.u{unit}.{p}0" for p in "Wb")
+                d_pre = d_branch * (acts[unit + 1] > 0)
+                grads[W_name] += acts[unit].T @ d_pre
+                grads[b_name] += d_pre.sum(axis=0)
+                d_branch = d_pre @ store[W_name].T
+            dV = dV + A.T @ d_branch
+        for name, rows in embedding_rows(g.points, g.side, cfg).items():
+            np.add.at(grads[name], rows, dV)
+    return psi, grads
+
+
+@pytest.mark.parametrize("variant", [{}, {"pooling": "sum"}, {"embed_mode": "joint"},
+                                     {"row_normalize": True}],
+                         ids=["mean", "sum", "joint", "row_normalized"])
+def test_stacked_encoder_matches_per_graph_oracle(variant):
+    cfg = ls.EncoderConfig(d=8, K=2, dropout_rate=0.1, **variant)
+    store = ls.init_encoder_params(cfg, np.random.default_rng(0), dtype=np.float64)
+    rng = np.random.default_rng(11)
+    graphs = [random_graph(rng, m=m) for m in (1, 7, 40, 150)]
+    assert [g.m for g in graphs] == [1, 7, 40, 150]
+    dpsi = rng.standard_normal((len(graphs), cfg.d))
+    oracle_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+    want_psi, want = oracle_encode_train(graphs, store, cfg, oracle_rng, dpsi)
+
+    psi, cache = ls.encode_graphs(graphs, store, cfg, train_mode=True, rng=rng)
+    grads = store.zero_grads()
+    ls.encode_graphs_backward(dpsi, cache, store, cfg, grads)
+
+    # the dropout draws consume the stream exactly as the per-graph loop does
+    assert rng.random() == oracle_rng.random()
+    assert np.max(np.abs(psi - want_psi)) <= 1e-12
+    largest = max(np.abs(g).max() for g in want.values())
+    for name, g in want.items():
+        # enc.fc.b's gradient is zero in exact arithmetic (batch norm removes
+        # the batch mean), so its rounding noise is held to the largest gradient
+        scale = largest if name == "enc.fc.b" else np.abs(g).max()
+        assert np.max(np.abs(grads[name] - g)) <= 1e-12 * scale, name
 
 
 # ---------------------------------------------------------------------------

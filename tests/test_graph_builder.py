@@ -283,3 +283,12 @@ def test_graph_config_validation():
         ls.GraphConfig(d_t=1.0)
     with pytest.raises(ls.OutOfRange):
         ls.GraphConfig(proximity="bogus")
+
+
+@pytest.mark.parametrize("adjacency", [np.eye(4), np.ones((3, 4)), np.ones(3)],
+                         ids=["too_big", "not_square", "one_dim"])
+def test_graph_rejects_adjacency_not_m_by_m(adjacency):
+    # three points need a 3 x 3 adjacency; stacked batches would misalign otherwise
+    points = np.array([[1, 2], [3, 4], [5, 6]])
+    with pytest.raises(ls.ShapeMismatch):
+        ls.SketchGraph(points=points, adjacency=adjacency, side=256)

@@ -320,6 +320,13 @@ def test_audit_all_arrays_small():
     assert_audit_passes(audit_pcfg, ls.audit_probe(audit_pcfg, seed=0))
 
 
+@pytest.mark.parametrize("variant", [{"pooling": "sum"}, {"embed_mode": "joint"}],
+                         ids=["sum_pooling", "joint_embedding"])
+def test_audit_all_arrays_small_variants(variant):
+    audit_pcfg = small_audit_pcfg(**variant)
+    assert_audit_passes(audit_pcfg, ls.audit_probe(audit_pcfg, seed=0))
+
+
 def test_audit_all_arrays_small_row_normalized():
     audit_pcfg = small_audit_pcfg(row_normalize=True)
     probe = ls.audit_probe(audit_pcfg, seed=0)
