@@ -57,7 +57,7 @@ def heal(req: HealRequest, bundle: ModelBundle):
     masked = mask_lattice(lat, req.p_mask, rng)
     if masked.m == 0:
         raise EmptyLattice(f"no lattice points survive p_mask={req.p_mask}")
-    graph = build_adjacency(masked, bundle.pcfg.graph)
+    graph = build_adjacency(masked, bundle.pcfg.graph, bundle.store["enc.fc.W"].dtype)
     psi = enc_mod.encode(graph, bundle.store, bundle.pcfg.encoder)
     sample = enc_mod.reparameterize(psi, bundle.store, rng=rng)
     sketch = generate(sample.z, bundle.store, bundle.pcfg.decoder, rng)
@@ -72,7 +72,7 @@ def encode_raster(raster: RasterSketch, bundle: ModelBundle,
     lat = sample_lattice(raster, lat_cfg)
     if lat.m == 0:
         raise EmptyLattice("raster has no lattice points")
-    graph = build_adjacency(lat, bundle.pcfg.graph)
+    graph = build_adjacency(lat, bundle.pcfg.graph, bundle.store["enc.fc.W"].dtype)
     return enc_mod.encode(graph, bundle.store, bundle.pcfg.encoder)
 
 

@@ -171,11 +171,12 @@ def train_step(items: list, store: ParameterStore, opt: OptimizerState,
         raise AllItemsSkipped("empty batch")
     tcfg = pcfg.train
     kept, graphs = [], []
+    dtype = store["enc.fc.W"].dtype
     for item in items:
         masked = mask_lattice(item.lattice, tcfg.p_mask_train, rng)
         if masked.m == 0:
             continue
-        graphs.append(build_adjacency(masked, pcfg.graph))
+        graphs.append(build_adjacency(masked, pcfg.graph, dtype))
         kept.append(item)
     if not kept:
         raise AllItemsSkipped("every item in the batch lost all lattice points")

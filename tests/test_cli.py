@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ import pytest
 import lattisketch as ls
 from conftest import rewrite_checkpoint_header
 from lattisketch.cli import CONFIG_KEYS, dispatch
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +167,26 @@ def test_img2sketch_truncated_pgm_exit_3(workdir, capsys):
                      "--input", str(pgm), "--out", str(workdir["tmp"] / "i2s_short")])
     assert code == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_img2sketch_full_ink_exit_4_within_memory(workdir, tmp_path):
+    # m = 15,360 is over the node budget: the dense graph would need about
+    # 1.9 GB, so the process must refuse it before allocating
+    pgm = tmp_path / "full_ink.pgm"
+    ls.write_pgm(ls.RasterSketch(pixels=np.ones((256, 256), dtype=np.uint8)), pgm)
+    script = ("import resource, sys\n"
+              "from lattisketch.cli import dispatch\n"
+              "code = dispatch(sys.argv[1:])\n"
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+              "sys.exit(code)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, "img2sketch",
+                           "--checkpoint", str(workdir["ckpt"]), "--input", str(pgm),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert "OUT_OF_RANGE" in proc.stderr and "budget" in proc.stderr
+    assert int(proc.stdout.split()[-1]) < 300 * 1024  # ru_maxrss is in KiB
 
 
 def test_eval_writes_metrics(workdir, capsys):

@@ -9,14 +9,14 @@ import lattisketch as ls
 from lattisketch.encoder import embed_nodes, embedding_rows, encode_layer
 
 
-def make_graph(pts, cfg=None):
+def make_graph(pts, cfg=None, dtype=np.float64):
     lat = ls.SketchLattice(points=np.asarray(pts, dtype=np.int64), side=256, n=32)
-    return ls.build_adjacency(lat, cfg or ls.GraphConfig())
+    return ls.build_adjacency(lat, cfg or ls.GraphConfig(), dtype)
 
 
-def random_graph(rng, m=12, graph_cfg=None):
+def random_graph(rng, m=12, graph_cfg=None, dtype=np.float64):
     pts = np.unique(rng.integers(0, 256, size=(m + 4, 2)), axis=0)[:m]
-    return make_graph(pts, graph_cfg)
+    return make_graph(pts, graph_cfg, dtype)
 
 
 @pytest.fixture
@@ -160,6 +160,26 @@ def test_encode_row_normalize_divides_every_layer_by_row_sums(enc_cfg, enc_store
                           ls.encode(pre, enc_store, enc_cfg))
     assert not np.allclose(ls.encode(g, enc_store, enc_cfg),
                            ls.encode(pre, enc_store, enc_cfg))
+
+
+def test_encode_graphs_uses_store_dtype_adjacency_without_copy(enc_cfg, enc_store):
+    g = random_graph(np.random.default_rng(6), m=10, dtype=enc_store["enc.fc.W"].dtype)
+    assert g.adjacency.dtype == np.float32
+    _, cache = ls.encode_graphs([g], enc_store, enc_cfg)
+    adjs = cache[4]
+    assert np.shares_memory(adjs[0], g.adjacency)
+
+
+@pytest.mark.parametrize("proximity", ["nearby", "nearest"])
+@pytest.mark.parametrize("row_normalize", [False, True])
+def test_encode_psi_same_from_float32_and_float64_graphs(enc_cfg, enc_store, proximity,
+                                                         row_normalize):
+    cfg = replace(enc_cfg, row_normalize=row_normalize)
+    g64, g32 = (random_graph(np.random.default_rng(12), m=30,
+                             graph_cfg=ls.GraphConfig(proximity), dtype=dtype)
+                for dtype in (np.float64, np.float32))
+    assert (g64.adjacency.dtype, g32.adjacency.dtype) == (np.float64, np.float32)
+    assert np.array_equal(ls.encode(g32, enc_store, cfg), ls.encode(g64, enc_store, cfg))
 
 
 def test_encode_single_node_graph(enc_cfg, enc_store):

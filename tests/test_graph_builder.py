@@ -5,7 +5,9 @@ import pytest
 
 import lattisketch as ls
 from conftest import pairwise_distances
+from lattisketch import graph_builder
 from lattisketch.encoder import embedding_rows
+from lattisketch.graph_builder import _distance_table, _weight_table
 
 
 def points_lattice(pts, side=256, n=32):
@@ -229,26 +231,66 @@ def random_lattice(rng, side, m):
     return points_lattice(pts[np.lexsort((pts[:, 0], pts[:, 1]))], side=side)
 
 
-@pytest.mark.parametrize("side", [64, 256])
+@pytest.mark.parametrize("side", [7, 64, 256])
 @pytest.mark.parametrize("proximity", ["nearby", "nearest"])
 @pytest.mark.parametrize("self_loops", [True, False])
 def test_adjacency_bit_identical_to_dense_oracle(side, proximity, self_loops):
     rng = np.random.default_rng(side + 7 * self_loops + (proximity == "nearest"))
     diag = side * np.sqrt(2.0)
+    # opposite corners sit at offsets +-(side - 1), the ends of the signed tables
+    corners = points_lattice([[0, 0], [side - 1, side - 1], [side - 1, 0], [0, side - 1]],
+                             side=side)
     # 0.125 * diag = side / 8 * sqrt(2), the length of offset (side/8, side/8):
     # pairs at exactly that offset sit on the threshold
+    k = side // 8
+    on_threshold = points_lattice([[0, 0], [k, k], [2 * k, 0], [side - 1, side - 1]],
+                                  side=side)
     for d_t in (0.05, 0.125, 0.2, 0.5, 0.99):
         cfg = ls.GraphConfig(proximity=proximity, d_t=d_t, self_loops=self_loops)
-        for m in (1, 2, 3, 17, 150, 300):
-            lat = random_lattice(rng, side, m)
-            assert np.array_equal(ls.build_adjacency(lat, cfg).adjacency,
-                                  dense_adjacency(lat, cfg)), (d_t, m)
-        k = side // 8
-        on_threshold = points_lattice([[0, 0], [k, k], [2 * k, 0], [side - 1, side - 1]],
-                                      side=side)
-        assert np.array_equal(ls.build_adjacency(on_threshold, cfg).adjacency,
-                              dense_adjacency(on_threshold, cfg))
-    assert pairwise_distances(on_threshold)[0, 1] / diag == 0.125
+        lattices = [random_lattice(rng, side, m) for m in (1, 2, 3, 17, 150, 300)]
+        for lat in lattices + [corners, on_threshold]:
+            a64, a32 = (ls.build_adjacency(lat, cfg, dtype).adjacency
+                        for dtype in (np.float64, np.float32))
+            assert (a64.dtype, a32.dtype) == (np.float64, np.float32)
+            assert np.array_equal(a64, dense_adjacency(lat, cfg)), (d_t, lat.m)
+            # casting after the gather equals gathering from a cast table
+            assert np.array_equal(a32, a64.astype(np.float32)), (d_t, lat.m)
+    if side % 8 == 0:
+        assert pairwise_distances(on_threshold)[0, 1] / diag == 0.125
+
+
+def test_offset_tables_read_only_and_keyed_by_dtype():
+    side, width = 64, 2 * 64 - 1
+    w64 = _weight_table(side, 0.2, np.dtype(np.float64))
+    w32 = _weight_table(side, 0.2, np.dtype(np.float32))
+    assert (w64.dtype, w32.dtype) == (np.float64, np.float32)
+    assert np.array_equal(w32, w64.astype(np.float32))
+    norm = _distance_table(side)
+    for table in (w64, w32, norm):
+        assert table.shape == (width * width,)
+        assert not table.flags.writeable
+    # every spelling of a dtype reaches one cached table
+    lat = points_lattice([[0, 0], [3, 4]], side=side)
+    misses = _weight_table.cache_info().misses
+    for dtype in (np.float32, "float32", np.dtype(np.float32)):
+        ls.build_adjacency(lat, ls.GraphConfig(d_t=0.3), dtype)
+    assert _weight_table.cache_info().misses <= misses + 1
+    # entry (dx, dy) sits at (dx + side - 1) * width + (dy + side - 1), and
+    # the weights depend on |dx| and |dy| only
+    assert norm[(3 + side - 1) * width + (-4 + side - 1)] == 5.0 / (side * np.sqrt(2.0))
+    grid = w64.reshape(width, width)
+    assert np.array_equal(grid, grid[::-1]) and np.array_equal(grid, grid[:, ::-1])
+
+
+@pytest.mark.parametrize("proximity", ["nearby", "nearest"])
+def test_adjacency_node_budget(monkeypatch, proximity):
+    lat = random_lattice(np.random.default_rng(3), 64, 40)
+    cfg = ls.GraphConfig(proximity=proximity)
+    monkeypatch.setattr(graph_builder, "MAX_NODES", lat.m)
+    assert ls.build_adjacency(lat, cfg).m == lat.m
+    monkeypatch.setattr(graph_builder, "MAX_NODES", lat.m - 1)
+    with pytest.raises(ls.OutOfRange, match="budget"):
+        ls.build_adjacency(lat, cfg)
 
 
 def test_adjacency_bit_identical_with_ties_corners_and_duplicates():

@@ -1,5 +1,6 @@
 """Healing, retrieval and the evaluation sweep."""
 
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 import lattisketch as ls
 from conftest import random_raster
+from lattisketch import pipeline_eval
+from lattisketch.graph_builder import MAX_NODES, build_adjacency
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +123,32 @@ def test_encode_raster_blank_raises(tiny_model):
     blank = ls.RasterSketch(pixels=np.zeros((256, 256), dtype=np.uint8))
     with pytest.raises(ls.EmptyLattice):
         ls.encode_raster(blank, tiny_model)
+
+
+def test_full_ink_exceeds_node_budget_quickly(tiny_model):
+    full_ink = ls.RasterSketch(pixels=np.ones((256, 256), dtype=np.uint8))
+    assert ls.sample_lattice(full_ink, tiny_model.pcfg.lattice).m == 15360 > MAX_NODES
+    start = time.perf_counter()
+    with pytest.raises(ls.OutOfRange, match="budget"):
+        ls.encode_raster(full_ink, tiny_model)
+    with pytest.raises(ls.OutOfRange, match="budget"):
+        ls.heal(ls.HealRequest(raster=full_ink, p_mask=0.0), tiny_model)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_graphs_built_in_store_dtype(tiny_model, square_sketch, monkeypatch):
+    built = []
+
+    def spy(*args, **kwargs):
+        graph = build_adjacency(*args, **kwargs)
+        built.append(graph.adjacency.dtype)
+        return graph
+
+    monkeypatch.setattr(pipeline_eval, "build_adjacency", spy)
+    raster = ls.rasterize(square_sketch, 256)
+    ls.encode_raster(raster, tiny_model)
+    ls.heal(ls.HealRequest(raster=raster, p_mask=0.0), tiny_model)
+    assert built == [tiny_model.store["enc.fc.W"].dtype] * 2 == [np.float32] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,25 @@ def test_train_step_moves_running_stats_by_momentum(monkeypatch):
         assert not np.array_equal(store[name], o), name
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_train_step_builds_graphs_in_store_dtype(monkeypatch, dtype):
+    pcfg = small_pcfg(dtype=dtype)
+    items = make_items(pcfg)
+    store = ls.init_params(pcfg)
+    built = []
+    build_adjacency = ls.trainer.build_adjacency
+
+    def spy(*args, **kwargs):
+        graph = build_adjacency(*args, **kwargs)
+        built.append(graph.adjacency.dtype)
+        return graph
+
+    monkeypatch.setattr(ls.trainer, "build_adjacency", spy)
+    ls.train_step(items[:4], store, ls.OptimizerState.fresh(store), pcfg,
+                  np.random.default_rng(0))
+    assert built == [np.dtype(dtype)] * 4
+
+
 def test_zero_lr_update_is_noop():
     # TrainConfig rejects lr0=0 (all constants positive), so drive the
     # update directly with a zero step size
