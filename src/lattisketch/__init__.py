@@ -13,8 +13,8 @@ from .encoder import (EncoderConfig, LatentSample, count_parameters, embed_nodes
                       init_encoder_params, reparameterize, reparameterize_backward)
 from .errors import (AllItemsSkipped, CheckpointFormatError, CheckpointWriteFailure,
                      DatasetEmpty, EmptyLattice, LattisketchError, MalformedRecord,
-                     NumericalUnderflow, OutOfRange, SequenceTooLong, ShapeMismatch,
-                     TokenOutOfVocabulary)
+                     NodeBudgetExceeded, NumericalUnderflow, OutOfRange, SequenceTooLong,
+                     ShapeMismatch, TokenOutOfVocabulary)
 from .graph_builder import GraphConfig, SketchGraph, build_adjacency
 from .lattice import (LatticeConfig, SketchLattice, lattice_from_json_obj,
                       line_positions, mask_lattice, sample_lattice)
@@ -62,6 +62,6 @@ __all__ = [
     "LattisketchError", "MalformedRecord", "SequenceTooLong", "DatasetEmpty",
     "CheckpointWriteFailure", "CheckpointFormatError", "EmptyLattice",
     "ShapeMismatch", "OutOfRange", "TokenOutOfVocabulary", "NumericalUnderflow",
-    "AllItemsSkipped",
+    "AllItemsSkipped", "NodeBudgetExceeded",
     "__version__",
 ]

@@ -8,7 +8,14 @@ the target strokes under that distribution; there is no KL term, the
 latent stays stochastic through the reparameterization alone.
 
 Both paths split the input projection [x, z] W_x + b into the stroke
-row's share and z's share, computing the latter once per sequence.
+row's share and z's share, computing the latter once per sequence, and
+share one LSTM cell. The cell activates all four gate blocks in one tanh
+pass: sigmoid(a) = 1/2 + tanh(a/2)/2 on the i, f and o blocks, tanh on g.
+
+Sampling draws mixture components and pen states by inverse CDF over the
+tempered logits, accumulated in Python floats (float64). Only the drawn
+component is activated, with numpy scalar arithmetic, and the rollout's
+state and input projection stay in the store's dtype.
 
 Backward passes are hand-written (full backprop through time); caches
 from the forward run carry the needed intermediates.
@@ -16,10 +23,13 @@ from the forward run carry the needed intermediates.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_softmax, logsumexp
+from scipy.special import log_softmax, logsumexp
 
 from .errors import NumericalUnderflow, OutOfRange, ShapeMismatch
 from .params import ParameterStore
@@ -79,16 +89,30 @@ def init_state(z: np.ndarray, store: ParameterStore):
     return s[..., :h], s[..., h:]
 
 
+@functools.lru_cache(maxsize=None)
+def _gate_scale(hs: int, dtype: np.dtype):
+    """Read-only (s, 1 - s) with s = 1/2 on the i, f, o blocks and 1 on g."""
+    s = np.full(4 * hs, 0.5, dtype=dtype)
+    s[2 * hs : 3 * hs] = 1.0
+    one_minus = 1.0 - s
+    s.flags.writeable = one_minus.flags.writeable = False
+    return s, one_minus
+
+
 def _lstm_cell(a_x, h, c, Wh):
     """One LSTM step from the input projection a_x = x W_x + b.
 
     Returns (h', c', gates, tanh(c')); gates holds the activated i, f, g, o
-    blocks side by side.
+    blocks side by side, all four from one tanh(a s) s + (1 - s) pass.
     """
     hs = h.shape[-1]
-    a = a_x + h @ Wh
-    gates = expit(a)
-    gates[..., 2 * hs : 3 * hs] = np.tanh(a[..., 2 * hs : 3 * hs])
+    gates = h @ Wh
+    gates += a_x
+    s, one_minus = _gate_scale(hs, gates.dtype)
+    gates *= s
+    np.tanh(gates, out=gates)
+    gates *= s
+    gates += one_minus
     i, f, g, o = (gates[..., k * hs : (k + 1) * hs] for k in range(4))
     c_new = f * c + i * g
     tc = np.tanh(c_new)
@@ -114,12 +138,20 @@ def _head(Y: np.ndarray, M: int):
             log_softmax(pen_logits, axis=-1))
 
 
-def _draw(logits: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF categorical draw; a zero-probability category is never drawn."""
-    cdf = np.cumsum(np.exp(logits - logits.max()))
-    if not cdf[-1] >= 1.0:  # NaN from a non-finite head
+def _draw(logits: list, tau: float, rng: np.random.Generator) -> int:
+    """Inverse-CDF categorical draw from softmax(logits / tau), in Python floats.
+
+    A category whose tempered weight vanishes against the running sum has
+    an empty CDF interval and is never drawn.
+    """
+    top = max(logits)  # the top category's weight is 1, so a finite sum is >= 1
+    cdf, total = [], 0.0
+    for x in logits:
+        total += math.exp((x - top) / tau)
+        cdf.append(total)
+    if not total >= 1.0:  # NaN from a non-finite head, in whichever position
         raise NumericalUnderflow("non-finite mixture or pen logits")
-    return int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
+    return bisect.bisect_right(cdf, rng.random() * total)
 
 
 def _sample(y: np.ndarray, M: int, tau: float, rng: np.random.Generator):
@@ -131,13 +163,13 @@ def _sample(y: np.ndarray, M: int, tau: float, rng: np.random.Generator):
     uses, so a saturated correlation still samples.
     """
     logits, mu_x, mu_y, lsx, lsy, rho_raw, pen_logits = _columns(y, M)
-    j = _draw(logits / tau, rng)
+    j = _draw(logits.tolist(), tau, rng)
     rho, s = _correlation(rho_raw[j])
     u, v = rng.standard_normal(2)
     root_tau = np.sqrt(tau)
     dx = mu_x[j] + np.exp(lsx[j]) * root_tau * u
     dy = mu_y[j] + np.exp(lsy[j]) * root_tau * (rho * u + np.sqrt(s) * v)
-    return dx, dy, _draw(pen_logits / tau, rng)
+    return dx, dy, _draw(pen_logits.tolist(), tau, rng)
 
 
 def generate(z: np.ndarray, store: ParameterStore, cfg: DecoderConfig,
@@ -155,19 +187,20 @@ def generate(z: np.ndarray, store: ParameterStore, cfg: DecoderConfig,
         raise ShapeMismatch(f"z has {z.shape[0]} entries, want {cfg.z_dim}")
     h, c = init_state(z, store)
     Wx, Wh = store["dec.lstm.Wx"], store["dec.lstm.Wh"]
+    W_head, b_head = store["dec.head.W"], store["dec.head.b"]
     # projection of a row with offsets 0 for each pen state, z's share included
     pen_proj = Wx[2:5] + (z @ Wx[5:] + store["dec.lstm.b"])
     a_x = pen_proj[PEN_DOWN]  # the start token (0, 0, down)
     steps = np.zeros((cfg.n_max, 3))
     for n in range(cfg.n_max):
         h, c, _, _ = _lstm_cell(a_x, h, c, Wh)
-        y = h @ store["dec.head.W"] + store["dec.head.b"]
+        y = h @ W_head + b_head
         dx, dy, pen = _sample(y, cfg.M, cfg.temperature, rng)
         steps[n] = dx, dy, pen
         if pen == PEN_END:
             break
         # the draws are float64 scalars: cast so the state stays in dtype
-        a_x = pen_proj[pen] + np.array([dx, dy], dtype=dtype) @ Wx[:2]
+        a_x = pen_proj[pen] + dtype.type(dx) * Wx[0] + dtype.type(dy) * Wx[1]
     steps = steps[: n + 1]
     steps[-1, 2] = PEN_END  # a rollout truncated by the cap ends here
     steps[:, :2] *= cfg.offset_scale

@@ -58,6 +58,10 @@ class OutOfRange(LattisketchError):
     exit_code = 4
 
 
+class NodeBudgetExceeded(OutOfRange):
+    """A lattice with more points than graph_builder.MAX_NODES."""
+
+
 class TokenOutOfVocabulary(LattisketchError):
     code = "TOKEN_OUT_OF_VOCABULARY"
     exit_code = 4

@@ -19,9 +19,9 @@ store["enc.fc.W"].dtype), gathered from a weight table cached per
 float32 graph equals the float64 graph cast, bit for bit. "nearest" picks
 neighbours on the float64 distance table in either dtype.
 
-Graphs above MAX_NODES points raise OutOfRange before anything m x m is
-allocated: a full-ink 256^2 raster (m = 15,360) would need about 1.9 GB in
-float64.
+Graphs above MAX_NODES points raise NodeBudgetExceeded (an OutOfRange)
+before anything m x m is allocated: a full-ink 256^2 raster (m = 15,360)
+would need about 1.9 GB in float64.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyLattice, OutOfRange, ShapeMismatch
+from .errors import EmptyLattice, NodeBudgetExceeded, OutOfRange, ShapeMismatch
 from .lattice import SketchLattice
 
 PROXIMITY_MODES = ("nearest", "nearby")
@@ -134,13 +134,13 @@ def build_adjacency(L: SketchLattice, cfg: GraphConfig, dtype=np.float64) -> Ske
     Linked entries carry 1 - norm(d_ij); the diagonal is 1 with self loops
     (d_ii = 0 so the formula agrees). Entries are gathered from the
     canvas's offset tables, after every point is checked to lie on it.
-    More than MAX_NODES points raise OutOfRange.
+    More than MAX_NODES points raise NodeBudgetExceeded.
     """
     if L.m == 0:
         raise EmptyLattice("cannot build a graph from an empty lattice")
     m, side = L.m, L.side
     if m > MAX_NODES:
-        raise OutOfRange(f"graph of {m} points exceeds the budget of {MAX_NODES}")
+        raise NodeBudgetExceeded(f"graph of {m} points exceeds the budget of {MAX_NODES}")
     # every point lies on the canvas, so the gathers below can skip take's
     # bounds check (mode="clip" never clips)
     if L.points.min() < 0 or L.points.max() >= side:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import encoder as enc_mod
 from .decoder import generate
-from .errors import EmptyLattice, ShapeMismatch
+from .errors import EmptyLattice, NodeBudgetExceeded, ShapeMismatch
 from .graph_builder import build_adjacency
 from .lattice import LatticeConfig, SketchLattice, mask_lattice, sample_lattice
 from .sketch_data import RasterSketch, VectorSketch, canonicalize_raster, rasterize
@@ -80,13 +80,13 @@ def embed_gallery(rasters, bundle: ModelBundle, n: int | None = None):
     """Stack L2-normalized eval-mode embeddings.
 
     Returns (matrix (G, d), kept indices, failed indices); items whose
-    lattice is empty are recorded and excluded.
+    lattice is empty or over the graph node budget are recorded and excluded.
     """
     rows, kept, failed = [], [], []
     for i, raster in enumerate(rasters):
         try:
             psi = encode_raster(raster, bundle, n)
-        except EmptyLattice:
+        except (EmptyLattice, NodeBudgetExceeded):
             failed.append(i)
             continue
         rows.append(psi.astype(np.float64))
@@ -154,8 +154,9 @@ def healing_sweep(rasters, labels, bundle: ModelBundle, p_mask_list,
 
     A query is the healed sketch re-entered through the model's own front
     end (render to raster, embed); its own clean gallery row is excluded
-    from the ranking. Returns (rows, csv_text) with columns
-    p_mask,top1,top3,mean_points,failures.
+    from the ranking. A query whose heal or re-embedding meets an empty or
+    over-budget lattice counts as a failure. Returns (rows, csv_text) with
+    columns p_mask,top1,top3,mean_points,failures.
     """
     side = bundle.pcfg.lattice.side
     gallery, kept, _failed = embed_gallery(rasters, bundle, n)
@@ -171,7 +172,7 @@ def healing_sweep(rasters, labels, bundle: ModelBundle, p_mask_list,
                 healed, surviving = heal(req, bundle)
                 points.append(surviving.m)
                 psi = encode_raster(rasterize(healed, side), bundle, n)
-            except EmptyLattice:
+            except (EmptyLattice, NodeBudgetExceeded):
                 failures += 1
                 continue
             q_rows.append(psi.astype(np.float64))

@@ -22,7 +22,7 @@ from .decoder import DecoderConfig
 from .encoder import EncoderConfig
 from .errors import (AllItemsSkipped, CheckpointFormatError, DatasetEmpty, NumericalUnderflow,
                      OutOfRange)
-from .graph_builder import GraphConfig, build_adjacency
+from .graph_builder import MAX_NODES, GraphConfig, build_adjacency
 from .lattice import LatticeConfig, SketchLattice, mask_lattice, sample_lattice
 from .params import ParameterStore, load_checkpoint, save_checkpoint
 from .sketch_data import VectorSketch, parse_quickdraw_line, rasterize, to_stroke5
@@ -164,8 +164,9 @@ def train_step(items: list, store: ParameterStore, opt: OptimizerState,
     the batch, reparameterize, teacher-forced decoder NLL; then backprop,
     clip, Adam and the batch-norm running statistics. Items whose lattice
     empties out are skipped; a batch with nothing left aborts. A non-finite
-    loss raises NumericalUnderflow before backprop, leaving every stored
-    array and the optimizer state as they were.
+    loss (before backprop) or gradient (before clipping) raises
+    NumericalUnderflow, leaving every stored array and the optimizer state
+    as they were.
     """
     if not items:
         raise AllItemsSkipped("empty batch")
@@ -185,7 +186,11 @@ def train_step(items: list, store: ParameterStore, opt: OptimizerState,
     loss, caches = _forward(graphs, targets, store, pcfg, rng=rng)
     if not np.isfinite(loss):
         raise NumericalUnderflow(f"non-finite training loss {loss}")
-    grads = clip_gradients(_backward(caches, store, pcfg), tcfg.clip)
+    grads = _backward(caches, store, pcfg)
+    bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+    if bad:
+        raise NumericalUnderflow(f"non-finite gradient in {', '.join(bad)}")
+    grads = clip_gradients(grads, tcfg.clip)
     enc_mod.update_running_stats(caches[0], store, pcfg.encoder)
     adam_update(store, grads, opt, lr_schedule(opt.iteration, tcfg.lr0, tcfg.decay), tcfg)
     return loss, len(items) - len(kept)
@@ -240,14 +245,15 @@ def offset_scale_of(sketches) -> float:
 
 def prepare_items(sketches, labels, pcfg: PipelineConfig, offset_scale: float):
     """Rasterize, sample lattices once (masking happens per step), normalize
-    offsets and pack stroke-5 rows. Items with empty lattices are dropped."""
+    offsets and pack stroke-5 rows. Items whose lattice is empty or has more
+    than MAX_NODES points (no graph could be built) are dropped and counted."""
     dt = np.dtype(pcfg.train.dtype)
     items = []
     skipped = 0
     for sk, label in zip(sketches, labels):
         raster = rasterize(sk, pcfg.lattice.side)
         lat = sample_lattice(raster, pcfg.lattice)
-        if lat.m == 0:
+        if not 0 < lat.m <= MAX_NODES:
             skipped += 1
             continue
         steps = sk.steps.copy()
@@ -255,7 +261,7 @@ def prepare_items(sketches, labels, pcfg: PipelineConfig, offset_scale: float):
         rows = to_stroke5(VectorSketch(steps), sk.n_steps).astype(dt)
         items.append(TrainItem(lattice=lat, stroke5=rows, n_steps=sk.n_steps, label=label))
     if not items:
-        raise DatasetEmpty("every sketch produced an empty lattice")
+        raise DatasetEmpty("every sketch produced an empty or over-budget lattice")
     return items, skipped
 
 

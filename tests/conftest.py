@@ -43,6 +43,16 @@ def tiny_model(tmp_path_factory):
     return ls.load_model(summary["checkpoint"])
 
 
+def zigzag_scribble():
+    """One stroke zig-zagging across every second row of the canvas: a
+    legal sketch whose 256^2 lattice (m = 8,968) is over graph_builder.MAX_NODES."""
+    xs, ys = [], []
+    for r in range(128):
+        xs += [0, 255] if r % 2 == 0 else [255, 0]
+        ys += [2 * r, 2 * r]
+    return ls.parse_quickdraw_line(json.dumps({"drawing": [[xs, ys]]}))
+
+
 def random_raster(rng, side=256, density=0.02):
     pixels = (rng.random((side, side)) < density).astype(np.uint8)
     return ls.RasterSketch(pixels=pixels)

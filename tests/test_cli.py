@@ -75,6 +75,35 @@ def test_train_non_finite_loss_exit_4_keeps_checkpoint(workdir, tmp_path, monkey
     assert len((run / "loss.csv").read_text().splitlines()) == 1 + 3
 
 
+def test_train_non_finite_gradient_exit_4_keeps_checkpoint(workdir, tmp_path, monkeypatch,
+                                                          capsys):
+    from lattisketch import trainer
+
+    run = tmp_path / "diverged"
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(workdir["cfg"].read_text() + "checkpoint_every = 2\n")
+    real = trainer._backward
+    calls, before = [], {}
+
+    def nan_at_iteration_3(*args):
+        grads = real(*args)
+        calls.append(1)
+        if len(calls) == 4:  # after ckpt_000002 was written
+            before["ckpt"] = (run / "ckpt_000002.ckpt").read_bytes()
+            grads["enc.fc.W"][0, 0] = np.inf
+        return grads
+
+    monkeypatch.setattr(trainer, "_backward", nan_at_iteration_3)
+    code = dispatch(["train", "--config", str(cfg), "--out", str(run),
+                     "--data"] + [str(p) for p in workdir["data"]])
+    assert code == 4
+    assert "NUMERICAL_UNDERFLOW" in capsys.readouterr().err
+    assert len(calls) == 4
+    assert (run / "ckpt_000002.ckpt").read_bytes() == before["ckpt"]
+    assert sorted(p.name for p in run.glob("*.ckpt")) == ["ckpt_000002.ckpt"]
+    assert len((run / "loss.csv").read_text().splitlines()) == 1 + 3
+
+
 def test_params_reports_expected_total(tmp_path, capsys):
     cfg = tmp_path / "d64.cfg"
     cfg.write_text("d = 64\nk = 2\nembed_mode = factorized\n")

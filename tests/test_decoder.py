@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 import lattisketch as ls
 from lattisketch import decoder
-from lattisketch.decoder import LOG_2PI, _head, _sample
+from lattisketch.decoder import LOG_2PI, _draw, _head, _lstm_cell, _sample
 
 
 @pytest.fixture
@@ -202,6 +202,64 @@ def test_temperature_scales_sigma():
         want = reference_sample(one, 0 * one, 0 * one, 0.5 * one, 0.5 * one, 0 * one,
                                 np.full(3, 1 / 3), np.random.default_rng(seed))
         assert got == pytest.approx(want, abs=1e-12)  # sqrt(tau) scaling
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-15),
+                                        (np.float32, 2 * np.finfo(np.float32).eps)])
+def test_lstm_cell_matches_expit_oracle(dtype, tol):
+    hs, B = 16, 3
+    rng = np.random.default_rng(6)
+    Wh = (rng.standard_normal((hs, 4 * hs)) * 0.3).astype(dtype)
+    h = rng.uniform(-1.0, 1.0, (B, hs)).astype(dtype)
+    c = rng.standard_normal((B, hs)).astype(dtype)
+    # pre-activations from -40 to 40 in every block, saturated gates included
+    a_x = np.linspace(-40.0, 40.0, B * 4 * hs).reshape(B, 4 * hs).astype(dtype)
+    a_x = rng.permuted(a_x, axis=1)
+    h_new, c_new, gates, tc = _lstm_cell(a_x, h, c, Wh)
+
+    a = h @ Wh + a_x
+    assert np.abs(a).max() > 39.0
+    i, f, g, o = np.split(a, 4, axis=1)
+    want = np.concatenate([expit(i), expit(f), np.tanh(g), expit(o)], axis=1)
+    assert gates.dtype == h_new.dtype == c_new.dtype == dtype
+    assert np.abs(gates - want).max() <= tol
+    sig = np.concatenate([gates[:, : 2 * hs], gates[:, 3 * hs :]], axis=1)
+    assert sig.min() >= 0.0 and sig.max() <= 1.0
+    assert np.array_equal(gates[:, 2 * hs : 3 * hs], np.tanh(g))
+    wi, wf, wg, wo = np.split(want, 4, axis=1)
+    assert np.abs(c_new - (wf * c + wi * wg)).max() <= 4 * tol * max(1.0, np.abs(c).max())
+    assert np.array_equal(tc, np.tanh(c_new))
+    assert np.array_equal(h_new, gates[:, 3 * hs :] * tc)
+
+
+def test_draw_matches_searchsorted_oracle():
+    rng = np.random.default_rng(8)
+    for trial in range(300):
+        logits = rng.standard_normal(int(rng.integers(1, 25))) * rng.uniform(0.1, 10.0)
+        tau = float(rng.uniform(0.05, 2.0))
+        cdf = np.cumsum(np.exp((logits - logits.max()) / tau))
+        got_rng, want_rng = np.random.default_rng([14, trial]), np.random.default_rng([14, trial])
+        for _ in range(10):
+            got = _draw(logits.tolist(), tau, got_rng)
+            want = int(np.searchsorted(cdf, want_rng.random() * cdf[-1], side="right"))
+            assert got == want
+        assert got_rng.random() == want_rng.random()  # one uniform per draw
+
+
+def test_draw_never_picks_a_vanishing_category():
+    # 1 + e^-125 == 1: the middle state's CDF interval is empty
+    rng = np.random.default_rng(0)
+    draws = {_draw([0.0, -50.0, 0.0], 0.4, rng) for _ in range(2000)}
+    assert draws == {0, 2}
+
+
+@pytest.mark.parametrize("logits", [[np.nan, 0.0, 1.0], [0.0, 1.0, np.nan],
+                                    [0.0, np.nan, 1.0], [np.inf, 0.0, 1.0],
+                                    [-np.inf, -np.inf]])
+def test_draw_non_finite_logits_raise(logits):
+    # Python's max keeps a leading NaN and skips a later one; both must raise
+    with pytest.raises(ls.NumericalUnderflow):
+        _draw(logits, 0.4, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ EXPORTS = [
     "LattisketchError", "MalformedRecord", "SequenceTooLong", "DatasetEmpty",
     "CheckpointWriteFailure", "CheckpointFormatError", "EmptyLattice",
     "ShapeMismatch", "OutOfRange", "TokenOutOfVocabulary", "NumericalUnderflow",
-    "AllItemsSkipped",
+    "AllItemsSkipped", "NodeBudgetExceeded",
     "__version__",
 ]
 

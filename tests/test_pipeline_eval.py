@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lattisketch as ls
-from conftest import random_raster
+from conftest import random_raster, zigzag_scribble
 from lattisketch import pipeline_eval
 from lattisketch.graph_builder import MAX_NODES, build_adjacency
 
@@ -117,6 +117,25 @@ def test_embed_gallery_excludes_blank(tiny_model):
     assert failed == [0]
     assert kept == [1]
     assert emb.shape[0] == 1
+
+
+def test_embed_gallery_records_over_budget_rasters(tiny_model):
+    full_ink = ls.RasterSketch(pixels=np.ones((256, 256), dtype=np.uint8))
+    good = random_raster(np.random.default_rng(4), density=0.05)
+    emb, kept, failed = ls.embed_gallery([full_ink, good, full_ink], tiny_model)
+    assert failed == [0, 2]
+    assert kept == [1]
+    assert np.array_equal(emb, ls.embed_gallery([good], tiny_model)[0])
+
+
+def test_embed_gallery_propagates_other_out_of_range(tiny_model, monkeypatch):
+    def off_canvas(*args, **kwargs):
+        raise ls.OutOfRange("lattice point outside canvas")
+
+    monkeypatch.setattr(pipeline_eval, "build_adjacency", off_canvas)
+    good = random_raster(np.random.default_rng(4), density=0.05)
+    with pytest.raises(ls.OutOfRange, match="outside canvas"):
+        ls.embed_gallery([good], tiny_model)
 
 
 def test_encode_raster_blank_raises(tiny_model):
@@ -267,6 +286,20 @@ def test_sweep_csv_and_monotone_points(tiny_model):
     for r in rows:
         assert 0.0 <= r["top1"] <= 1.0
         assert r["top1"] <= r["top3"]
+
+
+def test_sweep_records_over_budget_rasters_and_queries(tiny_model, monkeypatch):
+    full_ink = ls.RasterSketch(pixels=np.ones((256, 256), dtype=np.uint8))
+    rasters, labels = synth_rasters(1)
+    rasters, labels = [full_ink, full_ink] + rasters, ["ink", "ink"] + labels
+    rows, _ = ls.healing_sweep(rasters, labels, tiny_model, [0.1], seed=3)
+    assert rows[0]["failures"] == 0  # the full-ink rasters never enter the gallery
+    # every healed sketch now re-embeds over the node budget
+    scribble = zigzag_scribble()
+    monkeypatch.setattr(pipeline_eval, "generate", lambda *args: scribble)
+    rows, _ = ls.healing_sweep(rasters, labels, tiny_model, [0.1], seed=3)
+    assert rows[0]["failures"] == 2
+    assert rows[0]["top1"] == rows[0]["top3"] == 0.0
 
 
 def test_sweep_surviving_fraction_binomial(tiny_model):

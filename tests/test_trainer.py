@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lattisketch as ls
-from conftest import rewrite_checkpoint_header
+from conftest import rewrite_checkpoint_header, zigzag_scribble
 
 
 def small_pcfg(**train_kwargs):
@@ -126,6 +126,44 @@ def test_train_step_non_finite_loss_leaves_state():
     assert opt.iteration == 0
     assert all(not m.any() for m in opt.m.values())
     assert all(not v.any() for v in opt.v.values())
+
+
+def test_train_step_non_finite_gradient_leaves_state(monkeypatch):
+    pcfg = small_pcfg()
+    items = make_items(pcfg)
+    store = ls.init_params(pcfg)
+    opt = ls.OptimizerState.fresh(store)
+    ls.train_step(items[:4], store, opt, pcfg, np.random.default_rng(1))
+    snapshot = {n: store[n].copy() for n in store.names()}
+    moments = [{n: a.copy() for n, a in d.items()} for d in (opt.m, opt.v)]
+    backward = ls.trainer._backward
+
+    def nan_gradient(*args):
+        grads = backward(*args)
+        grads["dec.lstm.Wh"][3, 5] = np.nan
+        return grads
+
+    monkeypatch.setattr(ls.trainer, "_backward", nan_gradient)
+    with pytest.raises(ls.NumericalUnderflow, match="dec.lstm.Wh"):
+        ls.train_step(items[:4], store, opt, pcfg, np.random.default_rng(0))
+    for name, arr in snapshot.items():
+        assert np.array_equal(store[name], arr), name
+    assert opt.iteration == 1
+    for kept, now in zip(moments, (opt.m, opt.v)):
+        assert all(np.array_equal(now[n], a) for n, a in kept.items())
+
+
+def test_prepare_items_drops_over_budget_lattices():
+    pcfg = small_pcfg()
+    scribble = zigzag_scribble()
+    square = ls.parse_quickdraw_line('{"drawing": [[[0, 10, 10, 0, 0], [0, 0, 10, 10, 0]]]}')
+    lat = ls.sample_lattice(ls.rasterize(scribble, 256), pcfg.lattice)
+    assert lat.m > ls.graph_builder.MAX_NODES
+    items, skipped = ls.prepare_items([scribble, square, scribble], ["a", "b", "a"], pcfg, 1.0)
+    assert skipped == 2
+    assert [item.label for item in items] == ["b"]
+    with pytest.raises(ls.DatasetEmpty):
+        ls.prepare_items([scribble], ["a"], pcfg, 1.0)
 
 
 def test_train_step_moves_running_stats_by_momentum(monkeypatch):
