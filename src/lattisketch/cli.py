@@ -23,15 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from .decoder import DecoderConfig, generate
-from .encoder import EncoderConfig, count_parameters, init_encoder_params, reparameterize
+from .encoder import EncoderConfig, count_parameters, reparameterize
 from .errors import LattisketchError, MalformedRecord, OutOfRange
 from .graph_builder import GraphConfig
 from .lattice import LatticeConfig
 from .params import checkpoint_hash
-from .pipeline_eval import HealRequest, edge_to_sketch, heal, healing_sweep
-from .sketch_data import (VectorSketch, parse_quickdraw_line, rasterize, read_pgm,
-                          render_svg, sketch_from_json_obj, sketch_to_json_obj,
-                          write_pgm)
+from .pipeline_eval import HealRequest, edge_to_sketch, encode_raster, heal, healing_sweep
+from .sketch_data import (VectorSketch, rasterize, read_pgm, read_sketches, render_svg,
+                          sketch_to_json_obj, write_pgm)
 from .trainer import (PipelineConfig, TrainConfig, finite_diff_audit, audit_probe,
                       fit, init_params, load_dataset, load_model)
 
@@ -133,32 +132,12 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed,
     return path
 
 
-def _load_sketch_lines(path) -> list:
-    """Sketches from a JSON-lines file; accepts raw QuickDraw records
-    ({"drawing": ...}) and canonical records ({"steps": ...})."""
-    sketches = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"{path}: {exc}") from exc
-            if isinstance(obj, dict) and "steps" in obj:
-                sketches.append(sketch_from_json_obj(obj))
-            else:
-                sketches.append(parse_quickdraw_line(line))
-    return sketches
-
-
 def _rasters_from_input(path, side: int):
     """One or more rasters from a .pgm image or a JSON-lines sketch file."""
     path = Path(path)
     if path.suffix.lower() == ".pgm":
         return [read_pgm(path)]
-    return [rasterize(s, side) for s in _load_sketch_lines(path)]
+    return [rasterize(s, side) for s in read_sketches(path)]
 
 
 def _write_sketch_outputs(out_dir: Path, stem: str, sketch: VectorSketch,
@@ -197,18 +176,13 @@ def cmd_ingest(args) -> int:
     for input_path in args.inputs:
         stem = Path(input_path).stem
         kept = []
-        with open(input_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                sk = parse_quickdraw_line(line)
-                if sk.is_empty():
-                    n_empty += 1
-                    continue
-                kept.append(sk)
-                if args.limit and len(kept) >= args.limit:
-                    break
+        for sk in read_sketches(input_path):
+            if sk.is_empty():
+                n_empty += 1
+                continue
+            kept.append(sk)
+            if args.limit and len(kept) >= args.limit:
+                break
         jsonl_path = out / f"{stem}.jsonl"
         with open(jsonl_path, "w", encoding="utf-8") as fh:
             for sk in kept:
@@ -263,8 +237,6 @@ def cmd_generate(args) -> int:
     inputs = []
     if args.input:
         inputs.append(args.input)
-        from .pipeline_eval import encode_raster
-
         raster = _rasters_from_input(args.input, bundle.pcfg.lattice.side)[0]
         psi = encode_raster(raster, bundle, args.n)
     else:
@@ -303,11 +275,9 @@ def cmd_eval(args) -> int:
     rasters, labels = [], []
     for path in args.data:
         sketches, file_labels, _ = load_dataset([path], n_max)
-        if args.limit:
-            sketches = sketches[: args.limit]
-            file_labels = file_labels[: args.limit]
-        rasters += [rasterize(s, side) for s in sketches]
-        labels += file_labels
+        keep = slice(args.limit or None)
+        rasters += [rasterize(s, side) for s in sketches[keep]]
+        labels += file_labels[keep]
     p_masks = [float(v) for v in args.pmask_list.split(",")]
     rows, csv_text = healing_sweep(rasters, labels, bundle, p_masks,
                                    n=args.n, seed=args.seed or 0)
@@ -362,7 +332,7 @@ def cmd_audit_grad(args) -> int:
 def cmd_render(args) -> int:
     pcfg = build_pipeline_config(args)
     out = _ensure_out(args)
-    sketches = _load_sketch_lines(args.input)
+    sketches = list(read_sketches(args.input))
     outputs = []
     for i, sk in enumerate(sketches):
         if args.format in ("svg", "both"):
@@ -381,18 +351,15 @@ def cmd_render(args) -> int:
 
 def cmd_params(args) -> int:
     pcfg = build_pipeline_config(args)
-    rng = np.random.default_rng(pcfg.train.seed)
-    enc_store = init_encoder_params(pcfg.encoder, rng, dtype=np.float32,
-                                    side=pcfg.lattice.side)
-    per_array, total = count_parameters(enc_store)
-    for name, count in per_array.items():
+    per_array, model_total = count_parameters(init_params(pcfg))
+    enc = {name: count for name, count in per_array.items() if name.startswith("enc.")}
+    total = sum(enc.values())
+    for name, count in enc.items():
         print(f"{name} {count}")
     print(f"total {total}")
     if args.all:
-        full = init_params(pcfg)
-        model_per_array, model_total = count_parameters(full)
-        for name, count in model_per_array.items():
-            if name not in per_array:
+        for name, count in per_array.items():
+            if name not in enc:
                 print(f"{name} {count}")
         print(f"decoder total {model_total - total}")
         print(f"model total {model_total}")

@@ -38,9 +38,17 @@ class RetrievalReport:
     query_labels: list = field(default_factory=list)
 
 
-def _lattice_cfg_for(bundle: ModelBundle, n: int | None) -> LatticeConfig:
+def _lattice_of(raster: RasterSketch, bundle: ModelBundle, n: int | None) -> SketchLattice:
+    """The lattice of a raster on the model's canvas; n None = the training grid."""
     base = bundle.pcfg.lattice
-    return base if n is None else LatticeConfig(n=n, side=base.side)
+    lat_cfg = base if n is None else LatticeConfig(n=n, side=base.side)
+    return sample_lattice(canonicalize_raster(raster, lat_cfg.side), lat_cfg)
+
+
+def _unit_rows(rows) -> np.ndarray:
+    """Stack embeddings as float64 rows scaled to unit L2 norm."""
+    mat = np.asarray(rows, dtype=np.float64)
+    return mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
 
 
 def heal(req: HealRequest, bundle: ModelBundle):
@@ -50,9 +58,7 @@ def heal(req: HealRequest, bundle: ModelBundle):
     autoregressive generation. Returns (sketch, surviving lattice); raises
     EmptyLattice when nothing survives (blank raster or p_mask too high).
     """
-    lat_cfg = _lattice_cfg_for(bundle, req.n)
-    raster = canonicalize_raster(req.raster, lat_cfg.side)
-    lat = sample_lattice(raster, lat_cfg)
+    lat = _lattice_of(req.raster, bundle, req.n)
     rng = np.random.default_rng(req.seed)
     masked = mask_lattice(lat, req.p_mask, rng)
     if masked.m == 0:
@@ -67,9 +73,7 @@ def heal(req: HealRequest, bundle: ModelBundle):
 def encode_raster(raster: RasterSketch, bundle: ModelBundle,
                   n: int | None = None) -> np.ndarray:
     """Eval-mode sketch embedding psi of one raster (EmptyLattice if blank)."""
-    lat_cfg = _lattice_cfg_for(bundle, n)
-    raster = canonicalize_raster(raster, lat_cfg.side)
-    lat = sample_lattice(raster, lat_cfg)
+    lat = _lattice_of(raster, bundle, n)
     if lat.m == 0:
         raise EmptyLattice("raster has no lattice points")
     graph = build_adjacency(lat, bundle.pcfg.graph, bundle.store["enc.fc.W"].dtype)
@@ -89,14 +93,9 @@ def embed_gallery(rasters, bundle: ModelBundle, n: int | None = None):
         except (EmptyLattice, NodeBudgetExceeded):
             failed.append(i)
             continue
-        rows.append(psi.astype(np.float64))
+        rows.append(psi)
         kept.append(i)
-    if rows:
-        mat = np.vstack(rows)
-        norms = np.linalg.norm(mat, axis=1, keepdims=True)
-        mat = mat / np.maximum(norms, 1e-12)
-    else:
-        mat = np.zeros((0, bundle.pcfg.encoder.d))
+    mat = _unit_rows(rows) if rows else np.zeros((0, bundle.pcfg.encoder.d))
     return mat, kept, failed
 
 
@@ -175,13 +174,11 @@ def healing_sweep(rasters, labels, bundle: ModelBundle, p_mask_list,
             except (EmptyLattice, NodeBudgetExceeded):
                 failures += 1
                 continue
-            q_rows.append(psi.astype(np.float64))
+            q_rows.append(psi)
             q_labels.append(labels[i])
             q_self.append(pos)
         if q_rows:
-            q_mat = np.vstack(q_rows)
-            q_mat = q_mat / np.maximum(np.linalg.norm(q_mat, axis=1, keepdims=True), 1e-12)
-            report = retrieve(q_mat, gallery, q_labels, gallery_labels, ks=ks,
+            report = retrieve(_unit_rows(q_rows), gallery, q_labels, gallery_labels, ks=ks,
                               exclude_self=True, self_indices=q_self)
             top1 = report.top_k.get(1, 0.0)
             top3 = report.top_k.get(3, 0.0)

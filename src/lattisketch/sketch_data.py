@@ -5,6 +5,8 @@ starts at the origin with the pen down; each step moves the cursor by the
 offset and then sets the pen state. A move draws a segment when the pen
 was down *before* the move, so the first move of any non-empty sketch is
 drawn. Pen states: 0 = down, 1 = lift, 2 = end (at most one, final).
+
+Sketch files are JSON lines; ``read_sketches`` is their one reader.
 """
 
 from __future__ import annotations
@@ -101,6 +103,13 @@ class RasterSketch:
         return int(self.pixels.sum())
 
 
+def _json_record(line: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(f"invalid JSON: {exc}") from exc
+
+
 def parse_quickdraw_line(line: str) -> VectorSketch:
     """Parse one QuickDraw-format JSON line into a VectorSketch.
 
@@ -109,10 +118,33 @@ def parse_quickdraw_line(line: str) -> VectorSketch:
     An empty drawing maps to an empty sketch; a drawing whose only content
     is a single point maps to a pen-down dot.
     """
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"invalid JSON: {exc}") from exc
+    return _quickdraw_sketch(_json_record(line))
+
+
+def read_sketches(path):
+    """Yield the sketches of a JSON-lines file, one per non-blank line.
+
+    A record with a "steps" key is canonical (as ``sketch_to_json_obj``
+    writes it) and is validated; any other record is raw QuickDraw (see
+    ``parse_quickdraw_line``). A malformed line raises MalformedRecord
+    naming ``path:lineno``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = _json_record(line)
+                if isinstance(record, dict) and "steps" in record:
+                    sketch = sketch_from_json_obj(record)
+                else:
+                    sketch = _quickdraw_sketch(record)
+            except MalformedRecord as exc:
+                raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
+            yield sketch
+
+
+def _quickdraw_sketch(record) -> VectorSketch:
     if not isinstance(record, dict) or "drawing" not in record:
         raise MalformedRecord('missing "drawing" key')
     drawing = record["drawing"]
@@ -329,11 +361,15 @@ def sketch_to_json_obj(sketch: VectorSketch, label: str | None = None) -> dict:
 def sketch_from_json_obj(obj: dict) -> VectorSketch:
     if not isinstance(obj, dict) or "steps" not in obj:
         raise MalformedRecord('missing "steps" key')
+    if not isinstance(obj["steps"], list):
+        raise MalformedRecord('"steps" is not a list')
     steps = []
     for row in obj["steps"]:
-        if len(row) != 3 or row[2] not in _PEN_CODES:
-            raise MalformedRecord(f"bad step row: {row!r}")
-        steps.append((float(row[0]), float(row[1]), _PEN_CODES[row[2]]))
+        try:
+            dx, dy, pen = row
+            steps.append((float(dx), float(dy), _PEN_CODES[pen]))
+        except (TypeError, ValueError, KeyError):
+            raise MalformedRecord(f"bad step row: {row!r}") from None
     sketch = VectorSketch(np.array(steps).reshape(-1, 3))
     sketch.validate()
     return sketch

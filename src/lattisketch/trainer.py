@@ -25,7 +25,7 @@ from .errors import (AllItemsSkipped, CheckpointFormatError, DatasetEmpty, Numer
 from .graph_builder import MAX_NODES, GraphConfig, build_adjacency
 from .lattice import LatticeConfig, SketchLattice, mask_lattice, sample_lattice
 from .params import ParameterStore, load_checkpoint, save_checkpoint
-from .sketch_data import VectorSketch, parse_quickdraw_line, rasterize, to_stroke5
+from .sketch_data import VectorSketch, rasterize, read_sketches, to_stroke5
 
 PAD_ROW = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
 
@@ -212,7 +212,8 @@ def init_params(pcfg: PipelineConfig, seed: int | None = None,
 
 
 def load_dataset(paths, n_max: int):
-    """Read QuickDraw JSON-lines files; the label is each file's stem.
+    """Read JSON-lines sketch files (raw QuickDraw or canonical records, see
+    ``read_sketches``); the label is each file's stem.
 
     Returns (sketches, labels, n_skipped) where skipped counts empty
     drawings and sequences longer than n_max.
@@ -221,17 +222,12 @@ def load_dataset(paths, n_max: int):
     skipped = 0
     for path in paths:
         label = Path(path).stem
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                sk = parse_quickdraw_line(line)
-                if sk.is_empty() or sk.n_steps > n_max:
-                    skipped += 1
-                    continue
-                sketches.append(sk)
-                labels.append(label)
+        for sk in read_sketches(path):
+            if sk.is_empty() or sk.n_steps > n_max:
+                skipped += 1
+                continue
+            sketches.append(sk)
+            labels.append(label)
     if not sketches:
         raise DatasetEmpty(f"no usable sketches in {list(map(str, paths))}")
     return sketches, labels, skipped

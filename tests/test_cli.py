@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 import lattisketch as ls
 from conftest import rewrite_checkpoint_header
-from lattisketch.cli import CONFIG_KEYS, dispatch
+from lattisketch.cli import CONFIG_KEYS, build_parser, dispatch
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -244,6 +245,28 @@ def test_ingest_and_retrain_from_canonical(workdir):
     pgms = sorted((out / "rasters").glob("*.pgm"))
     assert len(pgms) == 5
     assert ls.read_pgm(pgms[0]).dark_count() > 0
+    # the canonical records ingest writes are trainable and evaluable
+    run = workdir["tmp"] / "ingested_run"
+    code = dispatch(["train", "--config", str(workdir["cfg"]), "--out", str(run),
+                     "--data", str(jsonl)])
+    assert code == 0
+    code = dispatch(["eval", "--checkpoint", str(run / "ckpt_final.ckpt"),
+                     "--data", str(jsonl), "--out", str(workdir["tmp"] / "ingested_eval"),
+                     "--limit", "4"])
+    assert code == 0
+
+
+def test_readme_typical_session_parses():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    session = readme.split("Typical session:", 1)[1].split("```")[1]
+    lines = [ln for ln in session.splitlines() if ln.startswith("lattisketch ")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 def test_audit_grad_cli_passes(capsys):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lattisketch as ls
-from lattisketch.sketch_data import segment_pixels
+from lattisketch.sketch_data import read_sketches, segment_pixels
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +271,33 @@ def test_sketch_json_round_trip(square_sketch):
     obj = ls.sketch_to_json_obj(square_sketch, label="square")
     back = ls.sketch_from_json_obj(json.loads(json.dumps(obj)))
     assert np.allclose(back.steps, square_sketch.steps)
+
+
+def test_read_sketches_mixed_records(tmp_path, square_sketch):
+    raw = ['{"drawing": [[[0, 10, 10, 0, 0], [0, 0, 10, 10, 0]]]}',
+           '{"word": "dot", "drawing": [[[3], [4]]]}', '{"drawing": []}']
+    canonical = [json.dumps(ls.sketch_to_json_obj(square_sketch, label="square")),
+                 json.dumps({"steps": [[1.5, -2.0, "down"], [0.0, 3.0, "end"]]})]
+    lines = [raw[0], "", canonical[0], "   ", raw[1], canonical[1], "\t", raw[2]]
+    path = tmp_path / "mixed.jsonl"
+    path.write_text("\n".join(lines) + "\n\n")
+    want = [ls.parse_quickdraw_line(raw[0]),
+            ls.sketch_from_json_obj(json.loads(canonical[0])),
+            ls.parse_quickdraw_line(raw[1]),
+            ls.sketch_from_json_obj(json.loads(canonical[1])),
+            ls.parse_quickdraw_line(raw[2])]
+    got = list(read_sketches(path))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.steps, w.steps)
+
+    bad = [("not json", "invalid JSON"),
+           (json.dumps({"steps": [[1, 0, "end"], [1, 0, "down"]]}), "pen=end")]
+    for record, reason in bad:
+        path = tmp_path / "bad.jsonl"
+        path.write_text(raw[0] + "\n\n" + record + "\n" + canonical[0] + "\n")
+        with pytest.raises(ls.MalformedRecord, match=f"bad.jsonl:3: {reason}"):
+            list(read_sketches(path))
 
 
 def test_pgm_round_trip(tmp_path, square_sketch):
