@@ -6,11 +6,11 @@ into a latent vector, and decoded back into pen strokes by a mixture
 density LSTM. Everything runs on numpy with hand-written gradients.
 """
 
-from .decoder import (DecoderConfig, generate, init_decoder_params, init_state,
-                      teacher_forced_backward, teacher_forced_nll)
-from .encoder import (EncoderConfig, LatentSample, count_parameters, embed_nodes,
-                      encode, encode_graphs, encode_graphs_backward, encode_layer,
-                      init_encoder_params, reparameterize, reparameterize_backward)
+from .decoder import (DecoderConfig, generate, init_decoder_params, teacher_forced_backward,
+                      teacher_forced_nll)
+from .encoder import (EncoderConfig, count_parameters, encode, encode_graphs,
+                      encode_graphs_backward, init_encoder_params, reparameterize,
+                      reparameterize_backward)
 from .errors import (AllItemsSkipped, CheckpointFormatError, CheckpointWriteFailure,
                      DatasetEmpty, EmptyLattice, LattisketchError, MalformedRecord,
                      NodeBudgetExceeded, NumericalUnderflow, OutOfRange, SequenceTooLong,
@@ -30,7 +30,7 @@ from .sketch_data import (PEN_DOWN, PEN_END, PEN_LIFT, RasterSketch, VectorSketc
                           write_pgm)
 from .synth import generate_dataset, make_sketch_record
 from .trainer import (ModelBundle, OptimizerState, PipelineConfig, TrainConfig,
-                      TrainItem, adam_update, audit_probe, clip_gradients,
+                      adam_update, audit_probe, clip_gradients,
                       finite_diff_audit, fit, init_params, load_dataset, load_model,
                       lr_schedule, prepare_items, save_model, train_step)
 
@@ -45,14 +45,13 @@ __all__ = [
     "LatticeConfig", "SketchLattice", "line_positions", "sample_lattice",
     "mask_lattice", "lattice_from_json_obj",
     "GraphConfig", "SketchGraph", "build_adjacency",
-    "EncoderConfig", "LatentSample", "init_encoder_params", "embed_nodes",
-    "encode_layer", "encode_graphs",
+    "EncoderConfig", "init_encoder_params", "encode_graphs",
     "encode_graphs_backward", "encode", "reparameterize",
     "reparameterize_backward", "count_parameters",
-    "DecoderConfig", "init_decoder_params", "init_state", "generate",
+    "DecoderConfig", "init_decoder_params", "generate",
     "teacher_forced_nll", "teacher_forced_backward",
     "ParameterStore", "save_checkpoint", "load_checkpoint", "checkpoint_hash",
-    "TrainConfig", "PipelineConfig", "OptimizerState", "TrainItem", "ModelBundle",
+    "TrainConfig", "PipelineConfig", "OptimizerState", "ModelBundle",
     "lr_schedule", "clip_gradients", "adam_update", "train_step", "init_params",
     "load_dataset", "prepare_items", "save_model", "load_model", "fit",
     "finite_diff_audit", "audit_probe",

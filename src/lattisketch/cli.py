@@ -16,23 +16,22 @@ byte-identical files. Exit codes: 0 success, 2 usage, 3 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .decoder import DecoderConfig, generate
-from .encoder import EncoderConfig, count_parameters, reparameterize
+from .decoder import generate
+from .encoder import count_parameters, reparameterize
 from .errors import LattisketchError, MalformedRecord, OutOfRange
-from .graph_builder import GraphConfig
-from .lattice import LatticeConfig
 from .params import checkpoint_hash
 from .pipeline_eval import HealRequest, edge_to_sketch, encode_raster, heal, healing_sweep
 from .sketch_data import (VectorSketch, rasterize, read_pgm, read_sketches, render_svg,
                           sketch_to_json_obj, write_pgm)
-from .trainer import (PipelineConfig, TrainConfig, finite_diff_audit, audit_probe,
-                      fit, init_params, load_dataset, load_model)
+from .trainer import (PipelineConfig, finite_diff_audit, audit_probe, fit, init_params,
+                      load_dataset, load_model)
 
 # config file keys: name -> (section, dataclass field, parser)
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -79,7 +78,7 @@ CONFIG_KEYS = {
 
 def parse_config_file(path) -> dict:
     """key=value lines, '#' comments; unknown keys are rejected."""
-    sections: dict = {"encoder": {}, "decoder": {}, "lattice": {}, "graph": {}, "train": {}}
+    sections = {f.name: {} for f in dataclasses.fields(PipelineConfig)}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -100,19 +99,15 @@ def parse_config_file(path) -> dict:
 
 def build_pipeline_config(args) -> PipelineConfig:
     """defaults <- config file <- command-line flags."""
-    sections = parse_config_file(args.config) if getattr(args, "config", None) else {
-        "encoder": {}, "decoder": {}, "lattice": {}, "graph": {}, "train": {}}
-    if getattr(args, "seed", None) is not None:
+    sections = (parse_config_file(args.config) if args.config
+                else {f.name: {} for f in dataclasses.fields(PipelineConfig)})
+    if args.seed is not None:
         sections["train"]["seed"] = args.seed
-    if getattr(args, "n", None) is not None:
+    if args.n is not None:
         sections["lattice"]["n"] = args.n
-    if getattr(args, "pmask", None) is not None:
+    if args.pmask is not None:
         sections["train"]["p_mask_train"] = args.pmask
-    enc = EncoderConfig(**sections["encoder"])
-    dec = DecoderConfig(**{**sections["decoder"], "z_dim": enc.d})
-    return PipelineConfig(lattice=LatticeConfig(**sections["lattice"]),
-                          graph=GraphConfig(**sections["graph"]), encoder=enc,
-                          decoder=dec, train=TrainConfig(**sections["train"]))
+    return PipelineConfig.from_sections(sections)
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, seed,
@@ -215,7 +210,7 @@ def cmd_train(args) -> int:
 def cmd_heal(args) -> int:
     bundle = load_model(args.checkpoint)
     out = _ensure_out(args)
-    p_mask = 0.1 if args.pmask is None else args.pmask
+    p_mask = HealRequest.p_mask if args.pmask is None else args.pmask
     rasters = _rasters_from_input(args.input, bundle.pcfg.lattice.side)
     outputs = []
     for i, raster in enumerate(rasters):
@@ -232,7 +227,6 @@ def cmd_heal(args) -> int:
 def cmd_generate(args) -> int:
     bundle = load_model(args.checkpoint)
     out = _ensure_out(args)
-    dec_cfg = bundle.pcfg.decoder
     outputs = []
     inputs = []
     if args.input:
@@ -244,10 +238,10 @@ def cmd_generate(args) -> int:
     for i in range(args.count):
         rng = np.random.default_rng([args.seed or 0, i])
         if psi is None:
-            z = rng.standard_normal(dec_cfg.z_dim)
+            z = rng.standard_normal(bundle.pcfg.encoder.d)
         else:
             z = reparameterize(psi, bundle.store, rng=rng).z
-        sketch = generate(z, bundle.store, dec_cfg, rng)
+        sketch = generate(z, bundle.store, bundle.pcfg.decoder, rng)
         outputs += _write_sketch_outputs(out, f"gen_{i:04d}", sketch)
     write_manifest(out, "generate", bundle.pcfg.configs_dict(),
                    args.seed or 0, inputs, outputs, checkpoint=args.checkpoint)
@@ -296,12 +290,11 @@ def cmd_eval(args) -> int:
 def cmd_audit_grad(args) -> int:
     if args.config:
         pcfg = build_pipeline_config(args)
-    else:
-        # default probe-sized model
-        enc = EncoderConfig(d=8, K=2, dropout_rate=0.1)
-        dec = DecoderConfig(hidden_size=8, M=2, n_max=16, z_dim=8)
-        pcfg = PipelineConfig(encoder=enc, decoder=dec,
-                              train=TrainConfig(seed=args.seed or 0, dtype="float64"))
+    else:  # default probe-sized model
+        pcfg = PipelineConfig.from_sections({
+            "lattice": {}, "graph": {}, "encoder": {"d": 8, "K": 2, "dropout_rate": 0.1},
+            "decoder": {"hidden_size": 8, "M": 2, "n_max": 16},
+            "train": {"seed": args.seed or 0, "dtype": "float64"}})
     if pcfg.encoder.d > 16 or pcfg.decoder.hidden_size > 8 or pcfg.decoder.M > 2:
         raise OutOfRange("audit-grad needs a small config: d <= 16, hidden <= 8, M <= 2")
     store = init_params(pcfg, seed=args.seed or 0, dtype=np.float64)

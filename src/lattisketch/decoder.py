@@ -235,10 +235,9 @@ def teacher_forced_nll(targets: np.ndarray, z: np.ndarray, store: ParameterStore
     A_x = (x_prev.reshape(B * T, 5) @ Wx[:5]).reshape(B, T, 4 * hs)
     A_x += (z.astype(dtype) @ Wx[5:] + store["dec.lstm.b"])[:, None, :]
 
-    s_init = np.tanh(z @ store["dec.init.W"] + store["dec.init.b"])
     H = np.empty((B, T + 1, hs), dtype=dtype)  # states before the first step and after each
     C = np.empty((B, T + 1, hs), dtype=dtype)
-    H[:, 0], C[:, 0] = s_init[:, :hs], s_init[:, hs:]
+    H[:, 0], C[:, 0] = init_state(z, store)
     gates = np.empty((B, T, 4 * hs), dtype=dtype)
     TC = np.empty((B, T, hs), dtype=dtype)
     for t in range(T):
@@ -267,7 +266,7 @@ def teacher_forced_nll(targets: np.ndarray, z: np.ndarray, store: ParameterStore
         "targets": targets, "x_prev": x_prev, "H": H, "C": C, "gates": gates, "TC": TC,
         "Y": Y, "log_pi": log_pi, "comp": comp, "lse": lse, "zx": zx, "zy": zy, "sx": sx,
         "sy": sy, "rho": rho, "s": s, "q": q, "pen_logp": pen_logp, "pen_target": pen_target,
-        "off_mask": off_mask, "s_init": s_init, "z": z, "B": B, "T": T,
+        "off_mask": off_mask, "z": z, "B": B, "T": T,
     }
     return loss, cache
 
@@ -333,7 +332,8 @@ def teacher_forced_backward(cache: dict, store: ParameterStore, cfg: DecoderConf
     dz = dA_seq @ store["dec.lstm.Wx"][5:].T
 
     # initial state: (h0, c0) = tanh(z W + b)
-    ds_init = np.concatenate([dh_next, dc_next], axis=1) * (1.0 - cache["s_init"] ** 2)
+    s_init = np.concatenate([cache["H"][:, 0], cache["C"][:, 0]], axis=1)
+    ds_init = np.concatenate([dh_next, dc_next], axis=1) * (1.0 - s_init ** 2)
     grads["dec.init.W"] += cache["z"].T @ ds_init
     grads["dec.init.b"] += ds_init.sum(axis=0)
     dz += ds_init @ store["dec.init.W"].T

@@ -12,6 +12,7 @@ Sketch files are JSON lines; ``read_sketches`` is their one reader.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,8 +166,10 @@ def _quickdraw_sketch(record) -> VectorSketch:
         if len(xs) != len(ys):
             raise MalformedRecord("polyline x/y length mismatch")
         for i, (x, y) in enumerate(zip(xs, ys)):
-            if not isinstance(x, (int, float)) or not isinstance(y, (int, float)):
-                raise MalformedRecord("non-numeric coordinate")
+            # json gives bools for true/false, floats for NaN/Infinity, ints of any size
+            if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                       for v in (x, y)):
+                raise MalformedRecord("coordinate is not a finite number")
             xs_all.append(float(x))
             ys_all.append(float(y))
             pens_all.append(PEN_LIFT if i == len(xs) - 1 else PEN_DOWN)

@@ -73,6 +73,16 @@ class PipelineConfig:
     def configs_dict(self) -> dict:
         return asdict(self)
 
+    @classmethod
+    def from_sections(cls, sections: dict) -> "PipelineConfig":
+        """Inverse of configs_dict(): one dict of field values per section. A decoder
+        section without z_dim (config files cannot name it) takes the encoder's d."""
+        encoder = EncoderConfig(**sections["encoder"])
+        return cls(lattice=LatticeConfig(**sections["lattice"]),
+                   graph=GraphConfig(**sections["graph"]), encoder=encoder,
+                   decoder=DecoderConfig(**{"z_dim": encoder.d, **sections["decoder"]}),
+                   train=TrainConfig(**sections["train"]))
+
 
 @dataclass
 class OptimizerState:
@@ -88,7 +98,7 @@ class OptimizerState:
 @dataclass
 class TrainItem:
     lattice: SketchLattice
-    stroke5: np.ndarray  # (n_steps, 5), offsets already divided by offset_scale
+    stroke5: np.ndarray  # (n_steps, 5) float64, offsets already divided by offset_scale
     n_steps: int
     label: str
 
@@ -243,7 +253,6 @@ def prepare_items(sketches, labels, pcfg: PipelineConfig, offset_scale: float):
     """Rasterize, sample lattices once (masking happens per step), normalize
     offsets and pack stroke-5 rows. Items whose lattice is empty or has more
     than MAX_NODES points (no graph could be built) are dropped and counted."""
-    dt = np.dtype(pcfg.train.dtype)
     items = []
     skipped = 0
     for sk, label in zip(sketches, labels):
@@ -254,7 +263,7 @@ def prepare_items(sketches, labels, pcfg: PipelineConfig, offset_scale: float):
             continue
         steps = sk.steps.copy()
         steps[:, :2] /= offset_scale
-        rows = to_stroke5(VectorSketch(steps), sk.n_steps).astype(dt)
+        rows = to_stroke5(VectorSketch(steps), sk.n_steps)
         items.append(TrainItem(lattice=lat, stroke5=rows, n_steps=sk.n_steps, label=label))
     if not items:
         raise DatasetEmpty("every sketch produced an empty or over-budget lattice")
@@ -297,16 +306,12 @@ def _drop_retired(section: dict, key: str, supported) -> None:
 def _header_pipeline_config(header: dict) -> PipelineConfig:
     try:
         cfgs = {name: dict(section) for name, section in header["configs"].items()}
-        lattice = LatticeConfig(**cfgs["lattice"])
-        _drop_retired(cfgs["encoder"], "mlp_depth", 1)
-        _drop_retired(cfgs["encoder"], "side", lattice.side)
-        encoder = EncoderConfig(**cfgs["encoder"])
-        _drop_retired(cfgs["graph"], "embed_mode", encoder.embed_mode)
-        train = cfgs.get("train", {})
-        _drop_retired(train, "clip_mode", "element")
-        return PipelineConfig(lattice=lattice, graph=GraphConfig(**cfgs["graph"]),
-                              encoder=encoder, decoder=DecoderConfig(**cfgs["decoder"]),
-                              train=TrainConfig(**train))
+        enc = cfgs["encoder"]
+        _drop_retired(enc, "mlp_depth", 1)
+        _drop_retired(enc, "side", cfgs["lattice"].get("side", LatticeConfig.side))
+        _drop_retired(cfgs["graph"], "embed_mode", enc.get("embed_mode", EncoderConfig.embed_mode))
+        _drop_retired(cfgs.setdefault("train", {}), "clip_mode", "element")
+        return PipelineConfig.from_sections(cfgs)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointFormatError(f"bad configs in checkpoint header: {exc!r}") from exc
 
@@ -338,9 +343,9 @@ def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None,
         log_cb=None) -> dict:
     """Run the training loop; writes checkpoints and a per-iteration loss CSV.
 
-    A resumed run keeps the checkpoint's lattice, graph, encoder and decoder
-    configs and takes the train config from pcfg. The summary's "pcfg" is
-    the resolved config every step and checkpoint used.
+    A resumed run keeps the checkpoint's model settings (lattice, graph,
+    encoder, decoder, offset scale, dtype) and takes the schedule from pcfg.
+    The summary's "pcfg" is the resolved config every step and checkpoint used.
 
     The loss CSV (out_dir/loss.csv) carries one row per iteration executed
     in this call: iteration,lr,loss with fixed float formatting, so two
@@ -350,21 +355,19 @@ def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None,
     out_dir.mkdir(parents=True, exist_ok=True)
     tcfg = pcfg.train
 
-    sketches, labels, skipped_parse = load_dataset(dataset_paths, pcfg.decoder.n_max)
     if resume is not None:
         bundle = load_model(resume)
         store = bundle.store
         opt = bundle.opt or OptimizerState.fresh(store)
         start = bundle.iteration
-        # architecture from the checkpoint, schedule from the caller
-        pcfg = replace(bundle.pcfg, train=tcfg)
-        scale = pcfg.decoder.offset_scale
-    else:
-        scale = offset_scale_of(sketches)
-        pcfg = replace(pcfg, decoder=replace(pcfg.decoder, offset_scale=scale))
+        pcfg = replace(bundle.pcfg, train=replace(tcfg, dtype=store["enc.fc.W"].dtype.name))
+    sketches, labels, skipped_parse = load_dataset(dataset_paths, pcfg.decoder.n_max)
+    if resume is None:
+        pcfg = replace(pcfg, decoder=replace(pcfg.decoder, offset_scale=offset_scale_of(sketches)))
         store = init_params(pcfg)
         opt = OptimizerState.fresh(store)
         start = 0
+    scale = pcfg.decoder.offset_scale
     items, skipped_lattice = prepare_items(sketches, labels, pcfg, scale)
 
     n = len(items)

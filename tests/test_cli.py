@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -254,6 +255,26 @@ def test_ingest_and_retrain_from_canonical(workdir):
                      "--data", str(jsonl), "--out", str(workdir["tmp"] / "ingested_eval"),
                      "--limit", "4"])
     assert code == 0
+
+
+def test_ingest_non_finite_coordinate_exit_3(tmp_path, capsys):
+    data = tmp_path / "bad.ndjson"
+    data.write_text('{"drawing": [[[0, 10, 20], [0, 5, 9]]]}\n'
+                    '{"drawing": [[[0, NaN], [0, 2]]]}\n')
+    assert dispatch(["ingest", str(data), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "MALFORMED_RECORD" in err and f"{data}:2:" in err
+
+
+def test_readme_config_defaults_match_code():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config files", 1)[1].split("```")[1]
+    documented = dict(re.findall(r"(\w+)=(\S+)", block))
+    assert set(documented) == set(CONFIG_KEYS)
+    pcfg = ls.PipelineConfig()
+    for key, value in documented.items():
+        section, field_name, caster = CONFIG_KEYS[key]
+        assert caster(value) == getattr(getattr(pcfg, section), field_name), key
 
 
 def test_readme_typical_session_parses():

@@ -127,16 +127,16 @@ def reference_rollout(z, store, cfg, rng):
 def test_init_state_zero_weights(dec_cfg, dec_store):
     dec_store["dec.init.W"] = np.zeros_like(dec_store["dec.init.W"])
     dec_store["dec.init.b"] = np.zeros_like(dec_store["dec.init.b"])
-    h0, c0 = ls.init_state(np.ones(dec_cfg.z_dim), dec_store)
+    h0, c0 = decoder.init_state(np.ones(dec_cfg.z_dim), dec_store)
     assert np.all(h0 == 0.0) and np.all(c0 == 0.0)
 
 
 def test_init_state_bounded_and_deterministic(dec_cfg, dec_store):
     z = np.random.default_rng(0).standard_normal(dec_cfg.z_dim)
-    h0, c0 = ls.init_state(z, dec_store)
+    h0, c0 = decoder.init_state(z, dec_store)
     assert h0.shape == (dec_cfg.hidden_size,)
     assert np.all(np.abs(h0) < 1.0) and np.all(np.abs(c0) < 1.0)
-    h1, c1 = ls.init_state(z, dec_store)
+    h1, c1 = decoder.init_state(z, dec_store)
     assert np.array_equal(h0, h1) and np.array_equal(c0, c1)
 
 
@@ -155,7 +155,7 @@ def test_zero_head_gives_uniform_mixture():
 
 def test_head_ranges_and_shapes(dec_cfg, dec_store):
     z = np.random.default_rng(1).standard_normal(dec_cfg.z_dim)
-    h, _ = ls.init_state(z, dec_store)
+    h, _ = decoder.init_state(z, dec_store)
     head = _head(h @ dec_store["dec.head.W"] + dec_store["dec.head.b"], dec_cfg.M)
     log_pi, mu_x, mu_y, log_sx, log_sy, rho, s, pen_logp = head
     for part in head[:-1]:

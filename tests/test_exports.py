@@ -12,13 +12,12 @@ EXPORTS = [
     "LatticeConfig", "SketchLattice", "line_positions", "sample_lattice",
     "mask_lattice", "lattice_from_json_obj",
     "GraphConfig", "SketchGraph", "build_adjacency",
-    "EncoderConfig", "LatentSample", "init_encoder_params", "embed_nodes",
-    "encode_layer", "encode_graphs", "encode_graphs_backward", "encode",
-    "reparameterize", "reparameterize_backward", "count_parameters",
-    "DecoderConfig", "init_decoder_params", "init_state", "generate",
+    "EncoderConfig", "init_encoder_params", "encode_graphs", "encode_graphs_backward",
+    "encode", "reparameterize", "reparameterize_backward", "count_parameters",
+    "DecoderConfig", "init_decoder_params", "generate",
     "teacher_forced_nll", "teacher_forced_backward",
     "ParameterStore", "save_checkpoint", "load_checkpoint", "checkpoint_hash",
-    "TrainConfig", "PipelineConfig", "OptimizerState", "TrainItem", "ModelBundle",
+    "TrainConfig", "PipelineConfig", "OptimizerState", "ModelBundle",
     "lr_schedule", "clip_gradients", "adam_update", "train_step", "init_params",
     "load_dataset", "prepare_items", "save_model", "load_model", "fit",
     "finite_diff_audit", "audit_probe",

@@ -64,6 +64,15 @@ def test_parse_malformed(line):
         ls.parse_quickdraw_line(line)
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "true", "false",
+                                   pytest.param("1" + "0" * 400, id="int_beyond_float")])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_parse_rejects_non_finite_and_boolean_coordinates(token, axis):
+    xs, ys = ("[%s, 5]" % token, "[0, 2]") if axis == "x" else ("[0, 5]", "[%s, 2]" % token)
+    with pytest.raises(ls.MalformedRecord, match="finite number"):
+        ls.parse_quickdraw_line('{"drawing": [[%s, %s]]}' % (xs, ys))
+
+
 def test_validate_rejects_midstream_end():
     steps = np.array([[1.0, 0.0, ls.PEN_END], [1.0, 0.0, ls.PEN_DOWN]])
     with pytest.raises(ls.MalformedRecord):

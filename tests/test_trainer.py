@@ -297,6 +297,29 @@ def test_fit_resume_reproduces_loss_sequence(tmp_path, toy_dataset):
         assert got == want, dtype
 
 
+def test_fit_resume_keeps_checkpoint_model_settings(tmp_path, toy_dataset):
+    # a float64 run whose n_max drops the longest toy sketches, resumed with
+    # the built-in defaults (float32, n_max 200) plus the schedule, as
+    # `train --resume` without --config does
+    def model(**train_kwargs):
+        pcfg = small_pcfg(batch_size=2, dtype="float64", **train_kwargs)
+        return replace(pcfg, decoder=replace(pcfg.decoder, n_max=20))
+
+    full = ls.fit(toy_dataset, model(iterations=8), tmp_path / "full")
+    ls.fit(toy_dataset, model(iterations=4), tmp_path / "half")
+    defaults = ls.PipelineConfig(train=ls.TrainConfig(iterations=8, batch_size=2, seed=0))
+    summary = ls.fit(toy_dataset, defaults, tmp_path / "half",
+                     resume=str(tmp_path / "half" / "ckpt_final.ckpt"))
+    assert summary["skipped_parse"] == full["skipped_parse"] > 0
+    with open(full["loss_csv"], "rb") as a, open(summary["loss_csv"], "rb") as b:
+        assert a.read() == b.read()
+    resumed = ls.load_model(summary["checkpoint"])
+    assert resumed.header["configs"]["train"]["dtype"] == "float64"
+    assert resumed.header["dtype"] == "<f8"
+    assert summary["pcfg"].train.dtype == "float64"
+    assert summary["pcfg"].decoder.n_max == 20
+
+
 def test_fit_resume_takes_callers_schedule(tmp_path, toy_dataset):
     ckpt = tmp_path / "r" / "ckpt_final.ckpt"
     ls.fit(toy_dataset, small_pcfg(iterations=2, batch_size=2), tmp_path / "r")
@@ -402,6 +425,28 @@ def test_audit_deterministic():
     a = ls.finite_diff_audit(store, probe, pcfg)
     b = ls.finite_diff_audit(store, probe, pcfg)
     assert a == b
+
+
+@pytest.mark.parametrize("pcfg", [
+    ls.PipelineConfig(),
+    ls.PipelineConfig(lattice=ls.LatticeConfig(n=16, side=128),
+                      graph=ls.GraphConfig(proximity="nearest", self_loops=False),
+                      encoder=ls.EncoderConfig(d=16, embed_mode="joint", pooling="sum"),
+                      decoder=ls.DecoderConfig(hidden_size=8, M=3, z_dim=16, offset_scale=2.5),
+                      train=ls.TrainConfig(seed=7, lr0=0.01, dtype="float64")),
+], ids=["default", "non_default"])
+def test_from_sections_inverts_configs_dict(pcfg):
+    assert ls.PipelineConfig.from_sections(pcfg.configs_dict()) == pcfg
+
+
+def test_from_sections_takes_z_dim_from_encoder():
+    sections = ls.PipelineConfig().configs_dict()
+    sections["encoder"]["d"] = 24
+    del sections["decoder"]["z_dim"]
+    assert ls.PipelineConfig.from_sections(sections).decoder.z_dim == 24
+    sections["decoder"]["z_dim"] = 8  # named explicitly, it must agree with d
+    with pytest.raises(ls.OutOfRange):
+        ls.PipelineConfig.from_sections(sections)
 
 
 # ---------------------------------------------------------------------------
