@@ -84,11 +84,15 @@ def sample_lattice(r: RasterSketch, cfg: LatticeConfig) -> SketchLattice:
             f"raster {r.width}x{r.height} is not canonical {cfg.side}x{cfg.side}"
         )
     pos = line_positions(cfg)
-    on_line = np.zeros((cfg.side, cfg.side), dtype=bool)
-    on_line[pos, :] = True  # horizontal lines occupy whole rows
-    on_line[:, pos] = True  # vertical lines whole columns
-    ys, xs = np.nonzero((r.pixels > 0) & on_line)  # np.nonzero scans row-major
-    return SketchLattice(np.column_stack([xs, ys]), side=cfg.side, n=cfg.n)
+    side, n = cfg.side, cfg.n
+    # flat indices into the n line rows, [i, x], and the n line columns, [y, j]
+    rows = np.flatnonzero(r.pixels[pos] > 0)
+    col_hits = r.pixels[:, pos] > 0
+    col_hits[pos] = False  # a crossing is already a row hit
+    cols = np.flatnonzero(col_hits)
+    keys = np.sort(np.concatenate([pos[rows // side] * side + rows % side,
+                                   cols // n * side + pos[cols % n]]))
+    return SketchLattice(np.column_stack([keys % side, keys // side]), side=side, n=n)
 
 
 def mask_lattice(L: SketchLattice, p_mask: float, rng: np.random.Generator) -> SketchLattice:

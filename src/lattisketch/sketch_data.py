@@ -61,6 +61,9 @@ class VectorSketch:
             raise MalformedRecord("pen=end is not the final step")
         if not np.all(np.isfinite(self.steps)):
             raise MalformedRecord("non-finite offset")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(self.absolute_points())):
+                raise MalformedRecord("running sum of offsets overflows a float")
 
     def absolute_points(self) -> np.ndarray:
         """Cursor positions, shape (n_steps + 1, 2); row 0 is the origin."""
@@ -184,8 +187,11 @@ def _quickdraw_sketch(record) -> VectorSketch:
     xs_arr = np.array(xs_all)
     ys_arr = np.array(ys_all)
     steps = np.zeros((len(xs_all), 3))
-    steps[1:, 0] = np.diff(xs_arr)
-    steps[1:, 1] = np.diff(ys_arr)
+    with np.errstate(over="ignore"):
+        steps[1:, 0] = np.diff(xs_arr)
+        steps[1:, 1] = np.diff(ys_arr)
+    if not np.all(np.isfinite(steps)):
+        raise MalformedRecord("coordinate difference overflows a float")
     steps[:, 2] = pens_all
     steps = steps[1:]  # the first point is the origin anchor
     end_row = np.array([[0.0, 0.0, PEN_END]])
@@ -245,32 +251,14 @@ def validate_stroke5(rows: np.ndarray) -> None:
             raise MalformedRecord("rows after the first p_end are not padding")
 
 
-def segment_pixels(x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
-    """Integer midpoint line: the (k, 2) pixel set of a 1-px segment.
-
-    Endpoint order does not matter (segments are canonicalized), and the
-    rounding rule is exact integer floor((2*t*minor + major) / (2*major)),
-    i.e. round-half-up of the ideal crossing ordinate.
-    """
-    if (x1, y1) < (x0, y0):
-        x0, y0, x1, y1 = x1, y1, x0, y0
-    dx = x1 - x0  # >= 0 after the swap
-    dy = y1 - y0
-    if dx == 0 and dy == 0:
-        return np.array([[x0, y0]], dtype=np.int64)
-    if dx >= abs(dy):
-        t = np.arange(dx + 1, dtype=np.int64)
-        ys = y0 + (2 * t * dy + dx) // (2 * dx)
-        return np.column_stack([x0 + t, ys])
-    ady = abs(dy)
-    sy = 1 if dy > 0 else -1
-    t = np.arange(ady + 1, dtype=np.int64)
-    xs = x0 + (2 * t * dx + ady) // (2 * ady)
-    return np.column_stack([xs, y0 + sy * t])
-
-
-def _fit_transform(points: np.ndarray, side: int, margin: int):
-    """Uniform scale + centering offset mapping points into the canvas."""
+def _fit_points(points: np.ndarray, side: int, margin: int) -> np.ndarray:
+    """Uniform scale + centering into the canvas: the points' pixel
+    positions, rounded half up (as floats, for the caller to check)."""
+    # first divided by the power of two that brings the largest extent into
+    # [0.5, 1): exact, so no rounding below changes, and usable / biggest
+    # stays finite for an extent too small for its reciprocal to be a float
+    _, exp = np.frexp(float((points.max(axis=0) - points.min(axis=0)).max()))
+    points = np.ldexp(points, -exp)
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     extent = hi - lo
@@ -278,30 +266,70 @@ def _fit_transform(points: np.ndarray, side: int, margin: int):
     biggest = float(extent.max())
     scale = usable / biggest if biggest > 0 else 1.0
     offset = margin + (usable - extent * scale) / 2.0 - lo * scale
-    return scale, offset
+    return np.floor(points * scale + offset + 0.5)
+
+
+#: drawn segments expanded per pass: bounds rasterize's per-pixel scratch
+#: arrays at about this many times side entries, however long the sketch
+SEGMENTS_PER_PASS = 1024
 
 
 def rasterize(sketch: VectorSketch, side: int = CANVAS_SIDE) -> RasterSketch:
     """Render a sketch onto a binary side x side grid with 1-px lines.
 
     Absolute coordinates come from the cumulative offset sum; the drawing
-    is uniformly scaled to fit (aspect ratio preserved), centered, and each
-    drawn segment is walked with the integer midpoint algorithm.
+    is uniformly scaled to fit (aspect ratio preserved), centered, and
+    rounded to pixels, and the drawn segments are then drawn together by
+    ``_draw_segments``. Raises MalformedRecord when a fitted coordinate is
+    not finite (offsets whose running sum overflows) or off the canvas.
     """
     if side < 2:
         raise ValueError("side must be >= 2")
     grid = np.zeros((side, side), dtype=np.uint8)
-    segs = sketch.drawn_segments()
-    if not len(segs):
-        return RasterSketch(grid)
-    endpoints = np.vstack([segs[:, 0:2], segs[:, 2:4]])
-    scale, offset = _fit_transform(endpoints, side, CANVAS_MARGIN)
-    mapped = np.floor(endpoints * scale + offset + 0.5).astype(np.int64)
-    k = len(segs)
-    for (x0, y0), (x1, y1) in zip(mapped[:k], mapped[k:]):
-        px = segment_pixels(x0, y0, x1, y1)
-        grid[px[:, 1], px[:, 0]] = 1
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        segs = sketch.drawn_segments()
+        if not len(segs):
+            return RasterSketch(grid)
+        endpoints = segs.reshape(-1, 2)
+        fitted = _fit_points(endpoints, side, CANVAS_MARGIN)
+    # checked before any array is sized from it; NaN fails both comparisons,
+    # and an x off the canvas would wrap into the next row of the flat grid
+    if not np.all((fitted >= 0) & (fitted < side)):
+        raise MalformedRecord("fitted coordinates are not finite or leave the canvas")
+    mapped = fitted.astype(np.int64).reshape(-1, 4)
+    for lo in range(0, len(mapped), SEGMENTS_PER_PASS):
+        _draw_segments(grid, mapped[lo:lo + SEGMENTS_PER_PASS])
     return RasterSketch(grid)
+
+
+def _draw_segments(grid: np.ndarray, segs: np.ndarray) -> None:
+    """Set the pixels of integer segments, rows (x0, y0, x1, y1), in one pass.
+
+    Each segment is ordered so that (x0, y0) <= (x1, y1), which makes the
+    pixel set independent of endpoint order. It then takes one pixel per
+    step t = 0..major along its major axis, offset on the minor axis by
+    the exact integer midpoint rule floor((2*t*minor + major) / (2*major)),
+    i.e. round-half-up of the ideal crossing ordinate. A dot is a segment
+    of one pixel.
+    """
+    side = grid.shape[0]
+    p0, p1 = segs[:, 0:2], segs[:, 2:4]
+    swap = (p1[:, 0] < p0[:, 0]) | ((p1[:, 0] == p0[:, 0]) & (p1[:, 1] < p0[:, 1]))
+    p0, p1 = np.where(swap[:, None], p1, p0), np.where(swap[:, None], p0, p1)
+    dx, dy = (p1 - p0).T  # dx >= 0 after the swap
+    x_major = dx >= np.abs(dy)
+    major = np.maximum(dx, np.abs(dy))
+    minor = np.where(x_major, dy, dx)
+    # flat-index moves of one pixel along the major and the minor axis
+    major_step = np.where(x_major, 1, np.sign(dy) * side)
+    minor_step = np.where(x_major, side, 1)
+    counts = major + 1
+    t = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    off = ((2 * t * np.repeat(minor, counts) + np.repeat(major, counts))
+           // np.repeat(2 * np.maximum(major, 1), counts))
+    flat = (np.repeat(p0[:, 1] * side + p0[:, 0], counts)
+            + t * np.repeat(major_step, counts) + off * np.repeat(minor_step, counts))
+    grid.reshape(-1)[flat] = 1
 
 
 def _fmt(v: float) -> str:
@@ -448,8 +476,7 @@ def canonicalize_raster(raster: RasterSketch, side: int = CANVAS_SIDE) -> Raster
     if xs.size == 0:
         return RasterSketch(grid)
     pts = np.column_stack([xs, ys]).astype(np.float64)
-    scale, offset = _fit_transform(pts, side, CANVAS_MARGIN)
-    mapped = np.floor(pts * scale + offset + 0.5).astype(np.int64)
+    mapped = _fit_points(pts, side, CANVAS_MARGIN).astype(np.int64)
     mapped = np.clip(mapped, 0, side - 1)
     grid[mapped[:, 1], mapped[:, 0]] = 1
     return RasterSketch(grid)

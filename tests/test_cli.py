@@ -266,6 +266,17 @@ def test_ingest_non_finite_coordinate_exit_3(tmp_path, capsys):
     assert "MALFORMED_RECORD" in err and f"{data}:2:" in err
 
 
+def test_ingest_overflowing_coordinate_exit_3(tmp_path, capsys):
+    # finite coordinates whose difference overflows a float
+    data = tmp_path / "bad.ndjson"
+    data.write_text('{"drawing": [[[0, 10, 20], [0, 5, 9]]]}\n'
+                    '{"drawing": [[[-1e308, 1e308], [0, 2]]]}\n')
+    assert dispatch(["ingest", str(data), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "MALFORMED_RECORD" in err and f"{data}:2:" in err
+    assert "Traceback" not in err
+
+
 def test_readme_config_defaults_match_code():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("### Config files", 1)[1].split("```")[1]

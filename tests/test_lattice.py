@@ -67,6 +67,39 @@ def test_sample_lattice_crossing_dedup():
     assert lat.points.tolist() == [[128, 128]]
 
 
+def test_sample_lattice_every_line_at_n_equals_side():
+    # every row and column is a line, so every dark pixel is a point
+    raster = random_raster(np.random.default_rng(13), density=0.1)
+    lat = ls.sample_lattice(raster, ls.LatticeConfig(n=256, side=256))
+    assert lat.m == raster.dark_count()
+    assert lat.points.tolist() == brute_force_lattice(raster, ls.LatticeConfig(n=256))
+
+
+def test_sample_lattice_single_line_pair():
+    raster = random_raster(np.random.default_rng(14), density=0.3)
+    cfg = ls.LatticeConfig(n=1)
+    lat = ls.sample_lattice(raster, cfg)
+    px = raster.pixels
+    assert lat.m == px[128].sum() + px[:, 128].sum() - px[128, 128]
+    assert lat.points.tolist() == brute_force_lattice(raster, cfg)
+
+
+def test_sample_lattice_blank_raster_points_shape():
+    r = ls.RasterSketch(pixels=np.zeros((256, 256), dtype=np.uint8))
+    for n in (1, 32, 256):
+        pts = ls.sample_lattice(r, ls.LatticeConfig(n=n)).points
+        assert pts.shape == (0, 2) and pts.dtype == np.int64
+
+
+def test_sample_lattice_ink_only_on_crossings():
+    cfg = ls.LatticeConfig(n=8)
+    pos = ls.line_positions(cfg)
+    pixels = np.zeros((256, 256), dtype=np.uint8)
+    pixels[np.ix_(pos, pos)] = 1
+    lat = ls.sample_lattice(ls.RasterSketch(pixels=pixels), cfg)
+    assert lat.points.tolist() == [[x, y] for y in pos.tolist() for x in pos.tolist()]
+
+
 def test_sample_lattice_row_major_order():
     rng = np.random.default_rng(5)
     lat = ls.sample_lattice(random_raster(rng, density=0.1), ls.LatticeConfig(n=8))

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lattisketch as ls
-from lattisketch.sketch_data import read_sketches, segment_pixels
+from lattisketch.sketch_data import (CANVAS_MARGIN, SEGMENTS_PER_PASS, _fit_points,
+                                     read_sketches)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +72,25 @@ def test_parse_rejects_non_finite_and_boolean_coordinates(token, axis):
     xs, ys = ("[%s, 5]" % token, "[0, 2]") if axis == "x" else ("[0, 5]", "[%s, 2]" % token)
     with pytest.raises(ls.MalformedRecord, match="finite number"):
         ls.parse_quickdraw_line('{"drawing": [[%s, %s]]}' % (xs, ys))
+
+
+def test_parse_rejects_overflowing_coordinate_difference():
+    # both coordinates are finite, their difference is not
+    with pytest.raises(ls.MalformedRecord, match="overflows"):
+        ls.parse_quickdraw_line('{"drawing": [[[-1e308, 1e308], [0, 2]]]}')
+
+
+def test_validate_rejects_overflowing_running_sum():
+    # two finite steps whose running sum is inf
+    obj = {"steps": [[1e308, 0.0, "down"], [1e308, 0.0, "end"]]}
+    with pytest.raises(ls.MalformedRecord, match="running sum"):
+        ls.sketch_from_json_obj(obj)
+
+
+def test_rasterize_rejects_non_finite_fit():
+    sk = ls.VectorSketch(steps=np.array([[1e308, 0.0, ls.PEN_DOWN], [1e308, 0.0, ls.PEN_END]]))
+    with pytest.raises(ls.MalformedRecord, match="fitted coordinates"):
+        ls.rasterize(sk, 256)
 
 
 def test_validate_rejects_midstream_end():
@@ -153,6 +173,27 @@ def oracle_segment(x0, y0, x1, y1):
     return pts
 
 
+def segment_pixels(x0, y0, x1, y1):
+    """Scalar integer midpoint line: the (k, 2) pixel set of one segment,
+    endpoints canonicalized, minor offset floor((2*t*minor + major) /
+    (2*major)). The rasterizer draws all segments at once by this rule."""
+    if (x1, y1) < (x0, y0):
+        x0, y0, x1, y1 = x1, y1, x0, y0
+    dx = x1 - x0  # >= 0 after the swap
+    dy = y1 - y0
+    if dx == 0 and dy == 0:
+        return np.array([[x0, y0]], dtype=np.int64)
+    if dx >= abs(dy):
+        t = np.arange(dx + 1, dtype=np.int64)
+        ys = y0 + (2 * t * dy + dx) // (2 * dx)
+        return np.column_stack([x0 + t, ys])
+    ady = abs(dy)
+    sy = 1 if dy > 0 else -1
+    t = np.arange(ady + 1, dtype=np.int64)
+    xs = x0 + (2 * t * dx + ady) // (2 * ady)
+    return np.column_stack([xs, y0 + sy * t])
+
+
 @given(st.tuples(st.integers(0, 60), st.integers(0, 60),
                  st.integers(0, 60), st.integers(0, 60)))
 @settings(max_examples=200, deadline=None)
@@ -185,21 +226,18 @@ def test_rasterize_horizontal_segment_pixel_count():
     assert r.dark_count() == (256 - 4) + 1
 
 
-def rasterize_oracle(sketch, side):
-    """Brute-force rasterization: same fit transform, then the rational
-    segment walk above for every drawn segment."""
-    segs = sketch.drawn_segments()
-    if segs.size == 0:
-        return np.zeros((side, side), dtype=np.uint8)
-    pts = sketch.absolute_points()
-    from lattisketch.sketch_data import CANVAS_MARGIN, _fit_transform
-
-    scale, offset = _fit_transform(pts, side, CANVAS_MARGIN)
+def rasterize_oracle(sketch, side, segment=oracle_segment):
+    """Brute-force rasterization: rasterize's fit of the drawn segments'
+    endpoints, then the scalar walk `segment` (the rational one above by
+    default) for each drawn segment, one at a time."""
     img = np.zeros((side, side), dtype=np.uint8)
-    for x0, y0, x1, y1 in segs:
-        a = np.floor(np.array([x0, y0]) * scale + offset + 0.5).astype(int)
-        b = np.floor(np.array([x1, y1]) * scale + offset + 0.5).astype(int)
-        for x, y in oracle_segment(a[0], a[1], b[0], b[1]):
+    segs = sketch.drawn_segments()
+    if not len(segs):
+        return img
+    ends = np.vstack([segs[:, 0:2], segs[:, 2:4]])
+    mapped = _fit_points(ends, side, CANVAS_MARGIN).astype(np.int64)
+    for (x0, y0), (x1, y1) in zip(mapped[:len(segs)], mapped[len(segs):]):
+        for x, y in segment(int(x0), int(y0), int(x1), int(y1)):
             img[y, x] = 1
     return img
 
@@ -214,6 +252,49 @@ def test_rasterize_matches_bruteforce_oracle():
         got = ls.rasterize(sk, 128).pixels
         want = rasterize_oracle(sk, 128)
         assert np.array_equal(got, want)
+
+
+# offsets biased to 0 and to equal magnitudes, so that dots, repeated points,
+# horizontal, vertical and 45-degree moves come up often in both directions
+_OFFSET = st.one_of(st.just(0.0), st.sampled_from([-7.0, 7.0]),
+                    st.integers(-40, 40).map(float),
+                    st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False))
+_STEP = st.tuples(_OFFSET, _OFFSET, st.sampled_from([ls.PEN_DOWN, ls.PEN_DOWN, ls.PEN_LIFT]))
+
+
+@given(st.lists(_STEP, min_size=1, max_size=30), st.sampled_from([256, 64, 17]))
+@example([(0.0, 0.0, ls.PEN_DOWN)], 256)  # a lone dot
+@example([(5.0, 0.0, ls.PEN_LIFT), (0.0, 0.0, ls.PEN_DOWN), (0.0, 0.0, ls.PEN_LIFT),
+          (3.0, 1.0, ls.PEN_DOWN)], 256)  # a dot after a pen lift
+@example([(9.0, 1.0, 0), (-9.0, 1.0, 0), (0.0, 9.0, 0), (0.0, -9.0, 0),
+          (1.0, 9.0, 0), (-1.0, -9.0, 0), (-9.0, 0.0, 0), (9.0, 0.0, 0)],
+         256)  # shallow, vertical, steep and horizontal moves, each both ways
+@example([(0.0, 9.381569954179927e-309, 0)], 256)  # an extent whose reciprocal overflows
+@settings(max_examples=300, deadline=None)
+def test_rasterize_equals_union_of_segment_oracle(steps, side):
+    rows = [list(s) for s in steps] + [[0.0, 0.0, ls.PEN_END]]
+    sk = ls.VectorSketch(steps=np.array(rows))
+    assert np.array_equal(ls.rasterize(sk, side).pixels, rasterize_oracle(sk, side, segment_pixels))
+
+
+def test_rasterize_long_sketch_matches_oracle():
+    # more drawn segments than one vectorized pass takes
+    rng = np.random.default_rng(8)
+    n = 2 * SEGMENTS_PER_PASS + 37
+    steps = np.column_stack([rng.integers(-30, 31, size=(n, 2)),
+                             (rng.random(n) < 0.2) * float(ls.PEN_LIFT)]).astype(float)
+    steps[-1, 2] = ls.PEN_END
+    sk = ls.VectorSketch(steps=steps)
+    assert np.array_equal(ls.rasterize(sk, 256).pixels, rasterize_oracle(sk, 256, segment_pixels))
+
+
+def test_rasterize_fits_an_extent_whose_reciprocal_overflows():
+    # 252 / 9.4e-309 is not a float; the segment must still fill the canvas
+    sk = ls.VectorSketch(steps=np.array([[0.0, 9.381569954179927e-309, ls.PEN_DOWN],
+                                         [0.0, 0.0, ls.PEN_END]]))
+    ys, xs = np.nonzero(ls.rasterize(sk, 256).pixels)
+    assert set(xs) == {128}
+    assert (ys.min(), ys.max(), len(ys)) == (2, 254, 253)
 
 
 def test_rasterize_aspect_ratio_preserved():
