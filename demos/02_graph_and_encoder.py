@@ -55,7 +55,7 @@ print(f"points head: {g_near.points[:5].tolist()}")
 ecfg = ls.EncoderConfig(d=32, K=2)
 store = ls.init_encoder_params(ecfg, np.random.default_rng(42))
 
-psi = ls.encode(g_near, store, ecfg, train_mode=False)
+psi = ls.encode(g_near, store, ecfg)
 print(f"psi shape {psi.shape}, range [{psi.min():+.3f}, {psi.max():+.3f}]")
 # tanh head bounds psi to [-1, 1]; an untrained batch norm can push
 # activations far enough out that float32 rounds the ends to exactly 1
@@ -68,7 +68,7 @@ g_perm = ls.SketchGraph(
     adjacency=g_near.adjacency[np.ix_(perm, perm)],
     side=g_near.side,
 )
-psi_perm = ls.encode(g_perm, store, ecfg, train_mode=False)
+psi_perm = ls.encode(g_perm, store, ecfg)
 print(f"max |psi - psi_permuted| = {np.abs(psi - psi_perm).max():.2e}")
 # float32 mean pooling sums in a different order after the shuffle, so
 # equality is up to a few ulps, not exact

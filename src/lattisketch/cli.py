@@ -97,6 +97,19 @@ def parse_config_file(path) -> dict:
     return sections
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts and limits; argparse reports a ValueError as usage."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _float_list(text: str) -> list:
+    """argparse type for comma-separated numbers such as 0.0,0.1,0.3."""
+    return [float(v) for v in text.split(",")]
+
+
 def build_pipeline_config(args) -> PipelineConfig:
     """defaults <- config file <- command-line flags."""
     sections = (parse_config_file(args.config) if args.config
@@ -272,8 +285,7 @@ def cmd_eval(args) -> int:
         keep = slice(args.limit or None)
         rasters += [rasterize(s, side) for s in sketches[keep]]
         labels += file_labels[keep]
-    p_masks = [float(v) for v in args.pmask_list.split(",")]
-    rows, csv_text = healing_sweep(rasters, labels, bundle, p_masks,
+    rows, csv_text = healing_sweep(rasters, labels, bundle, args.pmask_list,
                                    n=args.n, seed=args.seed or 0)
     csv_path = out / "metrics.csv"
     csv_path.write_text(csv_text, encoding="utf-8")
@@ -381,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", parents=[common],
                        help="QuickDraw JSON-lines -> canonical dataset + rasters")
     p.add_argument("inputs", nargs="+", help="QuickDraw JSON-lines files")
-    p.add_argument("--limit", type=int, default=0, help="max sketches per file")
+    p.add_argument("--limit", type=_non_negative_int, default=0, help="max sketches per file")
     p.set_defaults(func=cmd_ingest, need_out=True)
 
     p = sub.add_parser("train", parents=[common], help="fit the model")
@@ -398,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", parents=[common],
                        help="sample sketches from the prior or an encoded input")
     p.add_argument("--input", help="optional PGM/JSON-lines input to encode")
-    p.add_argument("--count", type=int, default=1, help="number of samples")
+    p.add_argument("--count", type=_non_negative_int, default=1, help="number of samples")
     p.set_defaults(func=cmd_generate, need_out=True, need_checkpoint=True)
 
     p = sub.add_parser("img2sketch", parents=[common],
@@ -410,9 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="healing sweep + retrieval metrics")
     p.add_argument("--data", nargs="+", required=True,
                    help="JSON-lines dataset files (one per category)")
-    p.add_argument("--pmask-list", default="0.0,0.1,0.3",
+    p.add_argument("--pmask-list", type=_float_list, default="0.0,0.1,0.3",
                    help="comma-separated corruption levels")
-    p.add_argument("--limit", type=int, default=0, help="max sketches per file")
+    p.add_argument("--limit", type=_non_negative_int, default=0, help="max sketches per file")
     p.set_defaults(func=cmd_eval, need_out=True, need_checkpoint=True)
 
     p = sub.add_parser("audit-grad", parents=[common],

@@ -74,15 +74,12 @@ def _unit_names(layer: int) -> list:
 
 
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
-                        dtype=np.float32, store: ParameterStore | None = None,
-                        side: int = LatticeConfig.side) -> ParameterStore:
-    """Fresh encoder parameters for a side x side canvas, appended to `store`
-    (or a new one).
+                        dtype=np.float32, side: int = LatticeConfig.side) -> ParameterStore:
+    """Fresh encoder parameters for a side x side canvas, in a new store.
 
     Draw order is fixed so a seed pins every array.
     """
-    if store is None:
-        store = ParameterStore()
+    store = ParameterStore()
     d = cfg.d
     emb_scale = 1.0 / np.sqrt(d)
     if cfg.embed_mode == "joint":
@@ -272,16 +269,15 @@ def encode_graphs_backward(dpsi: np.ndarray, cache, store: ParameterStore,
     embed_nodes_backward(points, side, dV, cfg, grads)
 
 
-def encode(G: SketchGraph, store: ParameterStore, cfg: EncoderConfig,
-           train_mode: bool = False, rng=None) -> np.ndarray:
-    """Sketch embedding psi for one graph, entries in [-1, 1].
+def encode(G: SketchGraph, store: ParameterStore, cfg: EncoderConfig) -> np.ndarray:
+    """Eval-mode sketch embedding psi for one graph, entries in [-1, 1].
 
     Propagation is unnormalized, so on inky inputs (hundreds of lattice
     points) the pooled features grow large; in eval mode the batch-norm
     running statistics need not scale them back, and float32 entries
     then saturate to exactly +-1.
     """
-    psi, _ = encode_graphs([G], store, cfg, train_mode=train_mode, rng=rng)
+    psi, _ = encode_graphs([G], store, cfg)
     return psi[0]
 
 

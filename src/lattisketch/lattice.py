@@ -8,12 +8,12 @@ only view of a sketch at inference time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MalformedRecord, OutOfRange
-from .sketch_data import RasterSketch
+from .sketch_data import CANVAS_SIDE, RasterSketch, check_canvas_side
 
 
 @dataclass
@@ -21,9 +21,10 @@ class LatticeConfig:
     """Grid settings: n lines per direction on a side x side canvas."""
 
     n: int = 32
-    side: int = 256
+    side: int = CANVAS_SIDE
 
     def __post_init__(self):
+        check_canvas_side(self.side)
         if not 1 <= self.n <= self.side:
             raise OutOfRange(f"n={self.n} outside [1, side={self.side}]")
 
@@ -33,8 +34,8 @@ class SketchLattice:
     """Deduplicated absolute points (x, y), sorted row-major (by y, then x)."""
 
     points: np.ndarray
-    side: int = 256
-    n: int = 32
+    side: int = LatticeConfig.side
+    n: int = LatticeConfig.n
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.int64).reshape(-1, 2)

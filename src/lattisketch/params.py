@@ -42,9 +42,6 @@ class ParameterStore:
         self._arrays[name] = np.asarray(array)
         self._trainable[name] = bool(trainable)
 
-    def __contains__(self, name) -> bool:
-        return name in self._arrays
-
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]
 
@@ -65,10 +62,6 @@ class ParameterStore:
 
     def items(self):
         return self._arrays.items()
-
-    def n_elements(self, trainable_only: bool = False) -> int:
-        names = self.trainable_names() if trainable_only else self.names()
-        return int(sum(self._arrays[n].size for n in names))
 
     def astype(self, dtype) -> "ParameterStore":
         out = ParameterStore()

@@ -51,6 +51,14 @@ def _unit_rows(rows) -> np.ndarray:
     return mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
 
 
+def _embed_lattice(lat: SketchLattice, bundle: ModelBundle, empty_msg: str) -> np.ndarray:
+    """Eval-mode psi of a lattice; EmptyLattice(empty_msg) when it has no points."""
+    if lat.m == 0:
+        raise EmptyLattice(empty_msg)
+    graph = build_adjacency(lat, bundle.pcfg.graph, bundle.store["enc.fc.W"].dtype)
+    return enc_mod.encode(graph, bundle.store, bundle.pcfg.encoder)
+
+
 def heal(req: HealRequest, bundle: ModelBundle):
     """Regenerate a sketch from a corrupted lattice view of a raster.
 
@@ -61,10 +69,7 @@ def heal(req: HealRequest, bundle: ModelBundle):
     lat = _lattice_of(req.raster, bundle, req.n)
     rng = np.random.default_rng(req.seed)
     masked = mask_lattice(lat, req.p_mask, rng)
-    if masked.m == 0:
-        raise EmptyLattice(f"no lattice points survive p_mask={req.p_mask}")
-    graph = build_adjacency(masked, bundle.pcfg.graph, bundle.store["enc.fc.W"].dtype)
-    psi = enc_mod.encode(graph, bundle.store, bundle.pcfg.encoder)
+    psi = _embed_lattice(masked, bundle, f"no lattice points survive p_mask={req.p_mask}")
     sample = enc_mod.reparameterize(psi, bundle.store, rng=rng)
     sketch = generate(sample.z, bundle.store, bundle.pcfg.decoder, rng)
     return sketch, masked
@@ -73,11 +78,7 @@ def heal(req: HealRequest, bundle: ModelBundle):
 def encode_raster(raster: RasterSketch, bundle: ModelBundle,
                   n: int | None = None) -> np.ndarray:
     """Eval-mode sketch embedding psi of one raster (EmptyLattice if blank)."""
-    lat = _lattice_of(raster, bundle, n)
-    if lat.m == 0:
-        raise EmptyLattice("raster has no lattice points")
-    graph = build_adjacency(lat, bundle.pcfg.graph, bundle.store["enc.fc.W"].dtype)
-    return enc_mod.encode(graph, bundle.store, bundle.pcfg.encoder)
+    return _embed_lattice(_lattice_of(raster, bundle, n), bundle, "raster has no lattice points")
 
 
 def embed_gallery(rasters, bundle: ModelBundle, n: int | None = None):
@@ -147,7 +148,7 @@ def edge_to_sketch(edge_raster: RasterSketch, bundle: ModelBundle,
 
 
 def healing_sweep(rasters, labels, bundle: ModelBundle, p_mask_list,
-                  n: int | None = None, seed: int = 0, ks=(1, 3)):
+                  n: int | None = None, seed: int = 0):
     """Heal every raster at each corruption level and score retrieval
     against the clean gallery.
 
@@ -178,10 +179,9 @@ def healing_sweep(rasters, labels, bundle: ModelBundle, p_mask_list,
             q_labels.append(labels[i])
             q_self.append(pos)
         if q_rows:
-            report = retrieve(_unit_rows(q_rows), gallery, q_labels, gallery_labels, ks=ks,
+            report = retrieve(_unit_rows(q_rows), gallery, q_labels, gallery_labels,
                               exclude_self=True, self_indices=q_self)
-            top1 = report.top_k.get(1, 0.0)
-            top3 = report.top_k.get(3, 0.0)
+            top1, top3 = report.top_k[1], report.top_k[3]
         else:
             top1 = top3 = 0.0
         rows.append({

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedRecord, SequenceTooLong
+from .errors import MalformedRecord, OutOfRange, SequenceTooLong
 
 PEN_DOWN = 0
 PEN_LIFT = 1
@@ -30,6 +30,16 @@ _PEN_CODES = {v: k for k, v in _PEN_NAMES.items()}
 CANVAS_SIDE = 256
 #: blank border kept inside the canvas when scaling a sketch to fit
 CANVAS_MARGIN = 2
+#: smallest canvas side that leaves the fit at least two pixels per axis
+MIN_CANVAS_SIDE = 2 * CANVAS_MARGIN + 2
+#: the stroke-5 row (dx, dy, p_down, p_lift, p_end) that pads a sequence
+STROKE5_PAD = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+
+
+def check_canvas_side(side: int) -> None:
+    """Raise OutOfRange for a canvas side below MIN_CANVAS_SIDE."""
+    if side < MIN_CANVAS_SIDE:
+        raise OutOfRange(f"canvas side {side} is below the minimum {MIN_CANVAS_SIDE}")
 
 
 @dataclass(frozen=True)
@@ -202,19 +212,15 @@ def to_stroke5(sketch: VectorSketch, n_max: int) -> np.ndarray:
     """Expand a sketch to a fixed-length (n_max, 5) stroke-5 array.
 
     Rows mirror the steps as (dx, dy, p_down, p_lift, p_end); the remainder
-    is (0, 0, 0, 0, 1) padding. Raises SequenceTooLong for > n_max steps.
+    is STROKE5_PAD padding. Raises SequenceTooLong for > n_max steps.
     """
     n = sketch.n_steps
     if n > n_max:
         raise SequenceTooLong(f"{n} steps exceed n_max={n_max}")
-    rows = np.zeros((n_max, 5))
-    rows[:, 4] = 1.0  # padding default
-    if n:
-        rows[:n, 4] = 0.0
-        rows[:n, 0] = sketch.steps[:, 0]
-        rows[:n, 1] = sketch.steps[:, 1]
-        pens = sketch.steps[:, 2].astype(int)
-        rows[np.arange(n), 2 + pens] = 1.0
+    rows = np.tile(STROKE5_PAD, (n_max, 1))
+    rows[:n] = 0.0
+    rows[:n, :2] = sketch.steps[:, :2]
+    rows[np.arange(n), 2 + sketch.steps[:, 2].astype(int)] = 1.0
     return rows
 
 
@@ -245,9 +251,7 @@ def validate_stroke5(rows: np.ndarray) -> None:
     ends = np.flatnonzero(onehot[:, 2] == 1.0)
     if ends.size:
         tail = rows[ends[0] + 1:]
-        pad = np.zeros(5)
-        pad[4] = 1.0
-        if tail.size and not np.all(tail == pad):
+        if tail.size and not np.all(tail == STROKE5_PAD):
             raise MalformedRecord("rows after the first p_end are not padding")
 
 
@@ -280,11 +284,10 @@ def rasterize(sketch: VectorSketch, side: int = CANVAS_SIDE) -> RasterSketch:
     Absolute coordinates come from the cumulative offset sum; the drawing
     is uniformly scaled to fit (aspect ratio preserved), centered, and
     rounded to pixels, and the drawn segments are then drawn together by
-    ``_draw_segments``. Raises MalformedRecord when a fitted coordinate is
-    not finite (offsets whose running sum overflows) or off the canvas.
+    ``_draw_segments``. Raises OutOfRange for a side below MIN_CANVAS_SIDE, and
+    MalformedRecord when a fitted coordinate is not finite or is off the canvas.
     """
-    if side < 2:
-        raise ValueError("side must be >= 2")
+    check_canvas_side(side)
     grid = np.zeros((side, side), dtype=np.uint8)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         segs = sketch.drawn_segments()
@@ -467,8 +470,9 @@ def canonicalize_raster(raster: RasterSketch, side: int = CANVAS_SIDE) -> Raster
 
     Dark pixel coordinates are uniformly scaled (aspect ratio preserved)
     and centered with the same margin rule rasterize uses. A raster that
-    is already canonical passes through unchanged.
+    is already canonical passes through unchanged (OutOfRange below MIN_CANVAS_SIDE).
     """
+    check_canvas_side(side)
     if raster.width == side and raster.height == side:
         return raster
     ys, xs = np.nonzero(raster.pixels)

@@ -57,13 +57,12 @@ def make_sketch_record(category: str, rng: np.random.Generator) -> dict:
     return _MAKERS[category](rng)
 
 
-def generate_dataset(out_dir, n_per_category: int, seed: int = 0,
-                     categories=CATEGORIES) -> list:
+def generate_dataset(out_dir, n_per_category: int, seed: int = 0) -> list:
     """Write one JSON-lines file per category; returns the paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for c_i, cat in enumerate(categories):
+    for c_i, cat in enumerate(CATEGORIES):
         rng = np.random.default_rng([seed, c_i])
         path = out_dir / f"{cat}.ndjson"
         with open(path, "w", encoding="utf-8") as fh:

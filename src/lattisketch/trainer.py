@@ -25,9 +25,7 @@ from .errors import (AllItemsSkipped, CheckpointFormatError, DatasetEmpty, Numer
 from .graph_builder import MAX_NODES, GraphConfig, build_adjacency
 from .lattice import LatticeConfig, SketchLattice, mask_lattice, sample_lattice
 from .params import ParameterStore, load_checkpoint, save_checkpoint
-from .sketch_data import VectorSketch, rasterize, read_sketches, to_stroke5
-
-PAD_ROW = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+from .sketch_data import PEN_END, STROKE5_PAD, VectorSketch, rasterize, read_sketches, to_stroke5
 
 
 @dataclass
@@ -103,7 +101,8 @@ class TrainItem:
     label: str
 
 
-def lr_schedule(iteration: int, lr0: float = 1e-3, decay: float = 0.999) -> float:
+def lr_schedule(iteration: int, lr0: float = TrainConfig.lr0,
+                decay: float = TrainConfig.decay) -> float:
     """lr = lr0 * decay^iteration."""
     if iteration < 0:
         raise OutOfRange("iteration must be >= 0")
@@ -137,7 +136,7 @@ def adam_update(store: ParameterStore, grads: dict, opt: OptimizerState,
 def _batch_targets(items: list, n_max: int, dtype) -> np.ndarray:
     """Pad stroke-5 sequences to the batch max length (capped at n_max)."""
     T = min(max(item.n_steps for item in items), n_max)
-    out = np.tile(PAD_ROW.astype(dtype), (len(items), T, 1))
+    out = np.tile(STROKE5_PAD.astype(dtype), (len(items), T, 1))
     for b, item in enumerate(items):
         k = min(item.n_steps, T)
         out[b, :k] = item.stroke5[:k]
@@ -261,9 +260,8 @@ def prepare_items(sketches, labels, pcfg: PipelineConfig, offset_scale: float):
         if not 0 < lat.m <= MAX_NODES:
             skipped += 1
             continue
-        steps = sk.steps.copy()
-        steps[:, :2] /= offset_scale
-        rows = to_stroke5(VectorSketch(steps), sk.n_steps)
+        rows = to_stroke5(sk, sk.n_steps)
+        rows[:, :2] /= offset_scale
         items.append(TrainItem(lattice=lat, stroke5=rows, n_steps=sk.n_steps, label=label))
     if not items:
         raise DatasetEmpty("every sketch produced an empty or over-budget lattice")
@@ -275,7 +273,7 @@ def prepare_items(sketches, labels, pcfg: PipelineConfig, offset_scale: float):
 
 
 def save_model(path, store: ParameterStore, opt: OptimizerState | None,
-               pcfg: PipelineConfig, extra: dict | None = None) -> None:
+               pcfg: PipelineConfig) -> None:
     full = store.copy()
     iteration = 0
     if opt is not None:
@@ -284,7 +282,7 @@ def save_model(path, store: ParameterStore, opt: OptimizerState | None,
             full.add(f"adam_m.{name}", arr, trainable=False)
         for name, arr in opt.v.items():
             full.add(f"adam_v.{name}", arr, trainable=False)
-    save_checkpoint(path, full, iteration, configs=pcfg.configs_dict(), extra=extra)
+    save_checkpoint(path, full, iteration, configs=pcfg.configs_dict())
 
 
 @dataclass
@@ -339,8 +337,7 @@ def load_model(path) -> ModelBundle:
 # fit
 
 
-def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None,
-        log_cb=None) -> dict:
+def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None) -> dict:
     """Run the training loop; writes checkpoints and a per-iteration loss CSV.
 
     A resumed run keeps the checkpoint's model settings (lattice, graph,
@@ -385,8 +382,6 @@ def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None,
             lr = lr_schedule(it, tcfg.lr0, tcfg.decay)
             loss, _ = train_step(batch, store, opt, pcfg, rng)
             writer.writerow([it, f"{lr:.10e}", f"{loss:.10e}"])
-            if log_cb is not None:
-                log_cb(it, lr, loss)
             done = it + 1
             if done % tcfg.checkpoint_every == 0 and done < tcfg.iterations:
                 save_model(out_dir / f"ckpt_{done:06d}.ckpt", store, opt, pcfg)
@@ -414,9 +409,8 @@ def _touched_embedding_rows(probe: dict, name: str, cfg: EncoderConfig) -> set:
     return rows
 
 
-def finite_diff_audit(store: ParameterStore, probe: dict, pcfg: PipelineConfig,
-                      step_size: float = 1e-4) -> dict:
-    """Central-difference check of every trainable array against backprop.
+def finite_diff_audit(store: ParameterStore, probe: dict, pcfg: PipelineConfig) -> dict:
+    """Central-difference check (step 1e-4) of every trainable array against backprop.
 
     probe: {"graphs": [SketchGraph...], "targets": (B, T, 5), "noise": (B, d)}.
     Dropout is forced off (finite differences cannot share a mask with the
@@ -427,6 +421,7 @@ def finite_diff_audit(store: ParameterStore, probe: dict, pcfg: PipelineConfig,
 
     Returns {array name: {"max_rel_err", "checked"}}.
     """
+    step = 1e-4
     pcfg = replace(pcfg, encoder=replace(pcfg.encoder, dropout_rate=0.0))
     work = store.astype(np.float64)
 
@@ -449,12 +444,12 @@ def finite_diff_audit(store: ParameterStore, probe: dict, pcfg: PipelineConfig,
         ag = analytic[name].reshape(-1)
         for j in flat_idx:
             orig = flat[j]
-            flat[j] = orig + step_size
+            flat[j] = orig + step
             up = forward()[0]
-            flat[j] = orig - step_size
+            flat[j] = orig - step
             down = forward()[0]
             flat[j] = orig
-            fd = (up - down) / (2.0 * step_size)
+            fd = (up - down) / (2.0 * step)
             a = float(ag[j])
             scale = max(abs(a), abs(fd))
             err = 0.0 if scale < 1e-10 else abs(a - fd) / scale
@@ -463,9 +458,9 @@ def finite_diff_audit(store: ParameterStore, probe: dict, pcfg: PipelineConfig,
     return report
 
 
-def audit_probe(pcfg: PipelineConfig, seed: int = 0, n_graphs: int = 4,
-                nodes_per_graph: int = 5, T: int = 5) -> dict:
-    """Build a small deterministic probe batch for the audit."""
+def audit_probe(pcfg: PipelineConfig, seed: int = 0) -> dict:
+    """Small deterministic audit batch: 4 graphs of at most 5 nodes, 5-step targets."""
+    n_graphs, nodes_per_graph, T = 4, 5, 5
     rng = np.random.default_rng(seed)
     graphs = []
     side = pcfg.lattice.side
@@ -475,14 +470,11 @@ def audit_probe(pcfg: PipelineConfig, seed: int = 0, n_graphs: int = 4,
         order = np.lexsort((pts[:, 0], pts[:, 1]))
         lat = SketchLattice(pts[order], side=side, n=pcfg.lattice.n)
         graphs.append(build_adjacency(lat, pcfg.graph))
-    targets = np.zeros((n_graphs, T, 5))
-    targets[:, :, 0:2] = rng.normal(0.0, 1.0, size=(n_graphs, T, 2))
-    pens = rng.integers(0, 2, size=(n_graphs, T))
-    pens[:, -1] = 2  # close each sequence
-    for b in range(n_graphs):
-        for t in range(T):
-            targets[b, t, 2 + pens[b, t]] = 1.0
-            if pens[b, t] == 2:
-                targets[b, t, 0:2] = 0.0
+    offsets = rng.normal(0.0, 1.0, size=(n_graphs, T, 2))
+    pens = rng.integers(0, 2, size=(n_graphs, T, 1))
+    pens[:, -1] = PEN_END  # close each sequence; the end step does not move
+    offsets[:, -1] = 0.0
+    steps = np.concatenate([offsets, pens], axis=2)
+    targets = np.stack([to_stroke5(VectorSketch(s), T) for s in steps])
     noise = rng.standard_normal((n_graphs, pcfg.encoder.d))
     return {"graphs": graphs, "targets": targets, "noise": noise}

@@ -144,7 +144,7 @@ def test_criterion_03_gradient_audit():
         train=ls.TrainConfig(seed=0, dtype="float64"))
     store = ls.init_params(pcfg, seed=0, dtype=np.float64)
     probe = ls.audit_probe(pcfg, seed=0)
-    rep = ls.finite_diff_audit(store, probe, pcfg, step_size=1e-4)
+    rep = ls.finite_diff_audit(store, probe, pcfg)
     missing = set(store.trainable_names()) - set(rep)
     worst = max(e["max_rel_err"] for e in rep.values())
     worst_name = max(rep, key=lambda k: rep[k]["max_rel_err"])

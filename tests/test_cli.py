@@ -277,6 +277,40 @@ def test_ingest_overflowing_coordinate_exit_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_ingest_side_below_minimum_exit_4_writes_nothing(workdir, tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("side = 4\nn = 1\n")
+    out = tmp_path / "out"
+    assert dispatch(["ingest", str(workdir["data"][0]), "--config", str(cfg),
+                     "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "OUT_OF_RANGE" in err and "Traceback" not in err
+    assert list(out.glob("*.jsonl")) == []
+
+
+@pytest.mark.parametrize("pmask_list", ["0.1,abc", "0.1,,0.3"])
+def test_eval_bad_pmask_list_exit_2(workdir, tmp_path, capsys, pmask_list):
+    out = tmp_path / "eval"
+    # the checkpoint does not exist: the list is rejected before it would be read
+    assert dispatch(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                     "--data", str(workdir["data"][0]), "--out", str(out),
+                     "--pmask-list", pmask_list]) == 2
+    assert "--pmask-list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [("ingest", "--limit"), ("eval", "--limit"),
+                                          ("generate", "--count")])
+def test_negative_limit_or_count_exit_2(workdir, tmp_path, capsys, command, flag):
+    data, ckpt = str(workdir["data"][0]), str(workdir["ckpt"])
+    args = {"ingest": [data], "eval": ["--checkpoint", ckpt, "--data", data],
+            "generate": ["--checkpoint", ckpt]}[command]
+    out = tmp_path / "out"
+    assert dispatch([command, *args, flag, "-1", "--out", str(out)]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_readme_config_defaults_match_code():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("### Config files", 1)[1].split("```")[1]

@@ -37,6 +37,12 @@ def test_lattice_config_rejects_bad_n():
         ls.LatticeConfig(n=257, side=256)
 
 
+def test_lattice_config_rejects_side_below_minimum():
+    with pytest.raises(ls.OutOfRange, match="canvas side 5"):
+        ls.LatticeConfig(n=1, side=5)
+    assert ls.LatticeConfig(n=1, side=6).side == 6
+
+
 def brute_force_lattice(raster, cfg):
     """Independent pixel scan: double loop over the full canvas."""
     pos = set(ls.line_positions(cfg).tolist())

@@ -38,7 +38,7 @@ def test_store_trainable_bookkeeping():
     assert not store.is_trainable("bn.running_mean")
     grads = store.zero_grads()
     assert set(grads) == {"a.W", "a.b"}
-    assert store.n_elements(trainable_only=True) == 12 + 4
+    assert ls.count_parameters(store)[1] == 12 + 4
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -79,7 +79,7 @@ def test_checkpoint_payload_is_float32_le(tmp_path):
     with open(path, "rb") as fh:
         fh.readline()
         payload = np.frombuffer(fh.read(), dtype="<f4")
-    assert payload.size == store.n_elements()
+    assert payload.size == sum(arr.size for _, arr in store.items())
     assert np.array_equal(payload[:12], store["a.W"].astype("<f4").ravel())
 
 

@@ -93,6 +93,14 @@ def test_rasterize_rejects_non_finite_fit():
         ls.rasterize(sk, 256)
 
 
+def test_rasterize_and_canonicalize_reject_side_below_minimum(square_sketch):
+    with pytest.raises(ls.OutOfRange, match="canvas side 5"):
+        ls.rasterize(square_sketch, 5)
+    with pytest.raises(ls.OutOfRange, match="canvas side 5"):
+        ls.canonicalize_raster(ls.rasterize(square_sketch, 64), 5)
+    assert ls.rasterize(square_sketch, 6).dark_count() > 0
+
+
 def test_validate_rejects_midstream_end():
     steps = np.array([[1.0, 0.0, ls.PEN_END], [1.0, 0.0, ls.PEN_DOWN]])
     with pytest.raises(ls.MalformedRecord):
