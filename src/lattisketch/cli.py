@@ -106,8 +106,12 @@ def _non_negative_int(text: str) -> int:
 
 
 def _float_list(text: str) -> list:
-    """argparse type for comma-separated numbers such as 0.0,0.1,0.3."""
-    return [float(v) for v in text.split(",")]
+    """argparse type for comma-separated masking rates in [0, 1] such as 0.0,0.1,0.3."""
+    values = [float(v) for v in text.split(",")]
+    bad = [v for v in values if not 0.0 <= v <= 1.0]  # NaN fails the comparison too
+    if bad:
+        raise argparse.ArgumentTypeError(f"values must lie in [0, 1], got {bad[0]}")
+    return values
 
 
 def build_pipeline_config(args) -> PipelineConfig:

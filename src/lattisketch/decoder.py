@@ -11,11 +11,16 @@ Both paths split the input projection [x, z] W_x + b into the stroke
 row's share and z's share, computing the latter once per sequence, and
 share one LSTM cell. The cell activates all four gate blocks in one tanh
 pass: sigmoid(a) = 1/2 + tanh(a/2)/2 on the i, f and o blocks, tanh on g.
+The halving is folded into W_h, W_x and b once per call; scaling by a
+power of two is exact, so training's loss and gradients keep their bits.
 
-Sampling draws mixture components and pen states by inverse CDF over the
-tempered logits, accumulated in Python floats (float64). Only the drawn
-component is activated, with numpy scalar arithmetic, and the rollout's
-state and input projection stay in the store's dtype.
+The rollout folds the sampled stroke into the recurrent product: each
+step is one [h, dx, dy, onehot(pen)] row times a stacked matrix that
+carries z's share in its pen rows, in the store's dtype. Float32 rollouts
+therefore round differently from versions that added the stroke's share
+after h W_h. Sampling draws mixture components and pen states by inverse
+CDF over the tempered logits and activates only the drawn component, all
+in float64 on the head's values.
 
 Backward passes are hand-written (full backprop through time); caches
 from the forward run carry the needed intermediates.
@@ -99,24 +104,24 @@ def _gate_scale(hs: int, dtype: np.dtype):
     return s, one_minus
 
 
-def _lstm_cell(a_x, h, c, Wh):
-    """One LSTM step from the input projection a_x = x W_x + b.
+def _lstm_cell(pre, c, h_out):
+    """One LSTM step from the prescaled pre-activation pre = (h W_h + x W_x + b) s.
 
-    Returns (h', c', gates, tanh(c')); gates holds the activated i, f, g, o
-    blocks side by side, all four from one tanh(a s) s + (1 - s) pass.
+    Activates pre in place into the i, f, g, o gate blocks side by side, all
+    four from one tanh(pre) s + (1 - s) pass, writes h' into h_out and
+    returns (c', tanh(c')).
     """
-    hs = h.shape[-1]
-    gates = h @ Wh
-    gates += a_x
-    s, one_minus = _gate_scale(hs, gates.dtype)
-    gates *= s
-    np.tanh(gates, out=gates)
-    gates *= s
-    gates += one_minus
-    i, f, g, o = (gates[..., k * hs : (k + 1) * hs] for k in range(4))
+    hs = c.shape[-1]
+    s, one_minus = _gate_scale(hs, pre.dtype)
+    np.tanh(pre, out=pre)
+    pre *= s
+    pre += one_minus
+    i, f = pre[..., :hs], pre[..., hs : 2 * hs]
+    g, o = pre[..., 2 * hs : 3 * hs], pre[..., 3 * hs :]
     c_new = f * c + i * g
     tc = np.tanh(c_new)
-    return o * tc, c_new, gates, tc
+    np.multiply(o, tc, out=h_out)
+    return c_new, tc
 
 
 def _columns(Y: np.ndarray, M: int):
@@ -125,17 +130,12 @@ def _columns(Y: np.ndarray, M: int):
             Y[..., 4 * M : 5 * M], Y[..., 5 * M : 6 * M], Y[..., 6 * M :])
 
 
-def _correlation(rho_raw):
-    """(rho, s): rho = tanh(rho_raw) and the floored s = max(1 - rho^2, RHO_S_FLOOR)."""
-    rho = np.tanh(rho_raw)
-    return rho, np.maximum(1.0 - rho * rho, RHO_S_FLOOR)
-
-
 def _head(Y: np.ndarray, M: int):
     """Activated (log_pi, mu_x, mu_y, log_sx, log_sy, rho, s, pen_logp) of (..., 6M+3) outputs."""
     logits, mu_x, mu_y, lsx, lsy, rho_raw, pen_logits = _columns(Y, M)
-    return (log_softmax(logits, axis=-1), mu_x, mu_y, lsx, lsy, *_correlation(rho_raw),
-            log_softmax(pen_logits, axis=-1))
+    rho = np.tanh(rho_raw)
+    return (log_softmax(logits, axis=-1), mu_x, mu_y, lsx, lsy, rho,
+            np.maximum(1.0 - rho * rho, RHO_S_FLOOR), log_softmax(pen_logits, axis=-1))
 
 
 def _draw(logits: list, tau: float, rng: np.random.Generator) -> int:
@@ -160,48 +160,59 @@ def _sample(y: np.ndarray, M: int, tau: float, rng: np.random.Generator):
     Mixture and pen logits are divided by tau (softmax(log_softmax(l) / tau)
     is softmax(l / tau)) and deviations scaled by sqrt(tau). Only the drawn
     component's correlation is activated, with the floor the training loss
-    uses, so a saturated correlation still samples.
+    uses, so a saturated correlation still samples. The arithmetic runs in
+    float64 on y's values, with numpy's tanh and exp: math.tanh differs
+    from np.tanh in the last place on some inputs.
     """
-    logits, mu_x, mu_y, lsx, lsy, rho_raw, pen_logits = _columns(y, M)
-    j = _draw(logits.tolist(), tau, rng)
-    rho, s = _correlation(rho_raw[j])
-    u, v = rng.standard_normal(2)
-    root_tau = np.sqrt(tau)
-    dx = mu_x[j] + np.exp(lsx[j]) * root_tau * u
-    dy = mu_y[j] + np.exp(lsy[j]) * root_tau * (rho * u + np.sqrt(s) * v)
-    return dx, dy, _draw(pen_logits.tolist(), tau, rng)
+    y = y.tolist()
+    j = _draw(y[:M], tau, rng)
+    rho = np.tanh(y[5 * M + j])
+    s = max(1.0 - rho * rho, RHO_S_FLOOR)
+    u, v = rng.standard_normal(2).tolist()
+    root_tau = math.sqrt(tau)
+    dx = y[M + j] + np.exp(y[3 * M + j]) * root_tau * u
+    dy = y[2 * M + j] + np.exp(y[4 * M + j]) * root_tau * (rho * u + math.sqrt(s) * v)
+    return dx, dy, _draw(y[6 * M :], tau, rng)
 
 
 def generate(z: np.ndarray, store: ParameterStore, cfg: DecoderConfig,
              rng: np.random.Generator) -> VectorSketch:
     """Autoregressive rollout from the start token (0, 0, down) at cfg.temperature.
 
-    Runs in the store's dtype. Stops at the first sampled pen=end; hitting
-    the n_max cap forces the final step's pen to end so the output always
-    satisfies the sketch invariants. Offsets are scaled back to pixels by
-    cfg.offset_scale.
+    Runs in the store's dtype. Each step is one product v W of the row
+    v = [h, dx, dy, onehot(pen)] with W = [W_h; W_x[0]; W_x[1]; W_x[2:5] +
+    z W_x[5:] + b], gate-prescaled once per rollout. Stops at the first
+    sampled pen=end; hitting the n_max cap forces the final step's pen to
+    end so the output always satisfies the sketch invariants. Offsets are
+    scaled back to pixels by cfg.offset_scale.
     """
     dtype = store["dec.head.W"].dtype
     z = np.asarray(z, dtype=dtype).reshape(-1)
     if z.shape[0] != cfg.z_dim:
         raise ShapeMismatch(f"z has {z.shape[0]} entries, want {cfg.z_dim}")
-    h, c = init_state(z, store)
     Wx, Wh = store["dec.lstm.Wx"], store["dec.lstm.Wh"]
     W_head, b_head = store["dec.head.W"], store["dec.head.b"]
-    # projection of a row with offsets 0 for each pen state, z's share included
-    pen_proj = Wx[2:5] + (z @ Wx[5:] + store["dec.lstm.b"])
-    a_x = pen_proj[PEN_DOWN]  # the start token (0, 0, down)
-    steps = np.zeros((cfg.n_max, 3))
-    for n in range(cfg.n_max):
-        h, c, _, _ = _lstm_cell(a_x, h, c, Wh)
-        y = h @ W_head + b_head
+    hs = Wh.shape[0]
+    W = np.concatenate([Wh, Wx[:2], Wx[2:5] + (z @ Wx[5:] + store["dec.lstm.b"])])
+    W *= _gate_scale(hs, dtype)[0]
+    v = np.zeros(hs + 5, dtype=dtype)
+    h, x = v[:hs], v[hs:]
+    h[:], c = init_state(z, store)
+    x[2 + PEN_DOWN] = 1.0  # the start token (0, 0, down)
+    gates = np.empty(4 * hs, dtype=dtype)
+    y = np.empty(cfg.head_width, dtype=dtype)
+    steps = []
+    for _ in range(cfg.n_max):
+        c, _ = _lstm_cell(np.matmul(v, W, out=gates), c, h)
+        np.matmul(h, W_head, out=y)
+        y += b_head
         dx, dy, pen = _sample(y, cfg.M, cfg.temperature, rng)
-        steps[n] = dx, dy, pen
+        steps.append((dx, dy, pen))
         if pen == PEN_END:
             break
-        # the draws are float64 scalars: cast so the state stays in dtype
-        a_x = pen_proj[pen] + dtype.type(dx) * Wx[0] + dtype.type(dy) * Wx[1]
-    steps = steps[: n + 1]
+        x[:] = dx, dy, 0.0, 0.0, 0.0
+        x[2 + pen] = 1.0
+    steps = np.array(steps, dtype=float)
     steps[-1, 2] = PEN_END  # a rollout truncated by the cap ends here
     steps[:, :2] *= cfg.offset_scale
     return VectorSketch(steps)
@@ -231,18 +242,19 @@ def teacher_forced_nll(targets: np.ndarray, z: np.ndarray, store: ParameterStore
     x_prev = np.empty((B, T, 5), dtype=dtype)
     x_prev[:, 0, :] = START_ROW
     x_prev[:, 1:, :] = targets[:, :-1, :]
-    Wx, Wh = store["dec.lstm.Wx"], store["dec.lstm.Wh"]
-    A_x = (x_prev.reshape(B * T, 5) @ Wx[:5]).reshape(B, T, 4 * hs)
-    A_x += (z.astype(dtype) @ Wx[5:] + store["dec.lstm.b"])[:, None, :]
+    # gate prescale by a power of two: exact, so the cell sees (h W_h + x W_x + b) s
+    s = _gate_scale(hs, dtype)[0]
+    Wx, Wh = store["dec.lstm.Wx"] * s, store["dec.lstm.Wh"] * s
+    gates = (x_prev.reshape(B * T, 5) @ Wx[:5]).reshape(B, T, 4 * hs)
+    gates += (z.astype(dtype) @ Wx[5:] + store["dec.lstm.b"] * s)[:, None, :]
 
     H = np.empty((B, T + 1, hs), dtype=dtype)  # states before the first step and after each
     C = np.empty((B, T + 1, hs), dtype=dtype)
     H[:, 0], C[:, 0] = init_state(z, store)
-    gates = np.empty((B, T, 4 * hs), dtype=dtype)
     TC = np.empty((B, T, hs), dtype=dtype)
     for t in range(T):
-        H[:, t + 1], C[:, t + 1], gates[:, t], TC[:, t] = _lstm_cell(
-            A_x[:, t], H[:, t], C[:, t], Wh)
+        gates[:, t] += H[:, t] @ Wh
+        C[:, t + 1], TC[:, t] = _lstm_cell(gates[:, t], C[:, t], H[:, t + 1])
 
     Y = H[:, 1:] @ store["dec.head.W"] + store["dec.head.b"]
 

@@ -288,7 +288,8 @@ def test_ingest_side_below_minimum_exit_4_writes_nothing(workdir, tmp_path, caps
     assert list(out.glob("*.jsonl")) == []
 
 
-@pytest.mark.parametrize("pmask_list", ["0.1,abc", "0.1,,0.3"])
+@pytest.mark.parametrize("pmask_list", ["0.1,abc", "0.1,,0.3", "0.0,1.5", "-0.1", "0.1,nan",
+                                        "inf"])
 def test_eval_bad_pmask_list_exit_2(workdir, tmp_path, capsys, pmask_list):
     out = tmp_path / "eval"
     # the checkpoint does not exist: the list is rejected before it would be read

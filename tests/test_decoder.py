@@ -215,10 +215,13 @@ def test_lstm_cell_matches_expit_oracle(dtype, tol):
     # pre-activations from -40 to 40 in every block, saturated gates included
     a_x = np.linspace(-40.0, 40.0, B * 4 * hs).reshape(B, 4 * hs).astype(dtype)
     a_x = rng.permuted(a_x, axis=1)
-    h_new, c_new, gates, tc = _lstm_cell(a_x, h, c, Wh)
-
     a = h @ Wh + a_x
     assert np.abs(a).max() > 39.0
+    # the prescaled pre-activation, which the cell activates in place
+    gates = a * np.repeat([0.5, 0.5, 1.0, 0.5], hs).astype(dtype)
+    h_new = np.empty_like(h)
+    c_new, tc = _lstm_cell(gates, c, h_new)
+
     i, f, g, o = np.split(a, 4, axis=1)
     want = np.concatenate([expit(i), expit(f), np.tanh(g), expit(o)], axis=1)
     assert gates.dtype == h_new.dtype == c_new.dtype == dtype
@@ -410,9 +413,9 @@ def test_generate_matches_float64_reference_rollout(dec_cfg):
 def test_generate_state_stays_in_store_dtype(dec_cfg, dec_store, monkeypatch):
     dtypes = []
 
-    def spy(a_x, h, c, Wh):
-        out = cell(a_x, h, c, Wh)
-        dtypes.append((a_x.dtype, out[0].dtype, out[1].dtype))
+    def spy(pre, c, h_out):
+        out = cell(pre, c, h_out)
+        dtypes.append((pre.dtype, h_out.dtype, out[0].dtype))
         return out
 
     cell = decoder._lstm_cell
@@ -422,6 +425,68 @@ def test_generate_state_stays_in_store_dtype(dec_cfg, dec_store, monkeypatch):
     ls.generate(z, dec_store, dec_cfg, np.random.default_rng(0))
     assert len(dtypes) == dec_cfg.n_max
     assert set(dtypes) == {(np.dtype(np.float32),) * 3}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [None, 1, 2, 32])
+def test_gate_prescale_is_bit_exact(dtype, batch):
+    # (h W_h + a) s == h (W_h s) + a s for s = 1/2 or 1, as a GEMV and as a GEMM
+    hs = 64
+    rng = np.random.default_rng(16)
+    shape = (hs,) if batch is None else (batch, hs)
+    h = rng.uniform(-1.0, 1.0, shape).astype(dtype)
+    a = rng.standard_normal(shape[:-1] + (4 * hs,)).astype(dtype)
+    Wh = (rng.standard_normal((hs, 4 * hs)) * 0.1).astype(dtype)
+    s = np.repeat([0.5, 0.5, 1.0, 0.5], hs).astype(dtype)
+    want = (h @ Wh + a) * s
+    got = h @ (Wh * s) + a * s
+    assert got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_generate_leaves_store_and_z_untouched(dec_cfg, dtype):
+    store = ls.init_decoder_params(dec_cfg, np.random.default_rng(0), dtype=dtype)
+    before = {name: arr.tobytes() for name, arr in store.items()}
+    z = np.random.default_rng(17).standard_normal(dec_cfg.z_dim).astype(dtype)
+    z0 = z.copy()
+    for seed in range(5):
+        ls.generate(z, store, dec_cfg, np.random.default_rng(seed))
+    assert {name: arr.tobytes() for name, arr in store.items()} == before
+    assert z.tobytes() == z0.tobytes()
+
+
+def test_rollout_and_teacher_forcing_share_one_cell(dec_cfg, monkeypatch):
+    """Replaying a float64 rollout's own steps through teacher forcing gives
+    the hidden states the rollout's cell calls produced, so the folded
+    matrix carries the right offset and pen rows and z's share."""
+    import dataclasses
+    cfg = dataclasses.replace(dec_cfg, offset_scale=2.5)
+    store = ls.init_decoder_params(cfg, np.random.default_rng(0), dtype=np.float64)
+    states = []
+
+    def spy(pre, c, h_out):
+        out = cell(pre, c, h_out)
+        states.append(h_out.reshape(-1).copy())
+        return out
+
+    cell = decoder._lstm_cell
+    monkeypatch.setattr(decoder, "_lstm_cell", spy)
+    lengths = set()
+    for seed in range(10):
+        z = np.random.default_rng([18, seed]).standard_normal(cfg.z_dim)
+        states.clear()
+        sk = ls.generate(z, store, cfg, np.random.default_rng([19, seed]))
+        rolled = np.array(states)
+        targets = ls.to_stroke5(sk, sk.n_steps)
+        targets[:, :2] /= cfg.offset_scale
+        _, cache = ls.teacher_forced_nll(targets[None], z[None], store, cfg)
+        forced = np.array(states[len(rolled) :])
+        assert len(forced) == len(rolled) == sk.n_steps  # both went through the cell
+        assert np.abs(cache["H"][0, 1:] - rolled).max() <= 1e-12
+        assert np.abs(forced - rolled).max() <= 1e-12
+        lengths.add(sk.n_steps)
+    assert len(lengths) > 3
 
 
 # ---------------------------------------------------------------------------
