@@ -8,12 +8,13 @@ only view of a sketch at inference time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MalformedRecord, OutOfRange
-from .sketch_data import CANVAS_SIDE, RasterSketch, check_canvas_side
+from .sketch_data import CANVAS_SIDE, RasterSketch, check_canvas_side, drawn_pixels
 
 
 @dataclass
@@ -75,6 +76,17 @@ def line_positions(cfg: LatticeConfig) -> np.ndarray:
     return ((2 * k + 1) * cfg.side + cfg.n - 1) // (2 * cfg.n)
 
 
+@functools.lru_cache(maxsize=None)
+def _lines(side: int, n: int):
+    """Read-only line positions and flat side*side mask of the pixels on a line."""
+    pos = line_positions(LatticeConfig(n=n, side=side))
+    on_line = np.zeros((side, side), dtype=bool)
+    on_line[pos] = True
+    on_line[:, pos] = True
+    pos.flags.writeable = on_line.flags.writeable = False
+    return pos, on_line.reshape(-1)
+
+
 def sample_lattice(r: RasterSketch, cfg: LatticeConfig) -> SketchLattice:
     """Collect dark pixels lying on any lattice line, each crossing once.
 
@@ -84,7 +96,7 @@ def sample_lattice(r: RasterSketch, cfg: LatticeConfig) -> SketchLattice:
         raise OutOfRange(
             f"raster {r.width}x{r.height} is not canonical {cfg.side}x{cfg.side}"
         )
-    pos = line_positions(cfg)
+    pos, _ = _lines(cfg.side, cfg.n)
     side, n = cfg.side, cfg.n
     # flat indices into the n line rows, [i, x], and the n line columns, [y, j]
     rows = np.flatnonzero(r.pixels[pos] > 0)
@@ -94,6 +106,38 @@ def sample_lattice(r: RasterSketch, cfg: LatticeConfig) -> SketchLattice:
     keys = np.sort(np.concatenate([pos[rows // side] * side + rows % side,
                                    cols // n * side + pos[cols % n]]))
     return SketchLattice(np.column_stack([keys % side, keys // side]), side=side, n=n)
+
+
+def sketch_lattices(sketches, cfg: LatticeConfig) -> list:
+    """``sample_lattice(rasterize(sk, cfg.side), cfg)`` for every sketch of
+    a list, point for point, with no raster drawn.
+
+    Of the drawing core's pixel keys ``b * side**2 + y * side + x`` (see
+    ``drawn_pixels``), those on a lattice line are kept; once a run of
+    sketches is drawn, its kept keys are sorted once, deduplicated and split
+    into row-major lattices, so the scratch memory does not grow with the
+    list. Raises MalformedRecord as rasterize does.
+    """
+    _, on_line = _lines(cfg.side, cfg.n)
+    area = cfg.side * cfg.side
+    lattices, kept = [], []
+    for done, keys in drawn_pixels(sketches, cfg.side):
+        kept.append(keys[on_line[keys % area]])
+        if done > len(lattices):
+            lattices += _split_keys(kept, len(lattices), done, cfg)
+            kept = []
+    return lattices + _split_keys(kept, len(lattices), len(sketches), cfg)
+
+
+def _split_keys(kept: list, first: int, stop: int, cfg: LatticeConfig) -> list:
+    """Lattices of sketches first..stop-1 from their kept pixel keys."""
+    side = cfg.side
+    keys = np.sort(np.concatenate(kept)) if kept else np.zeros(0, dtype=np.int64)
+    keys = keys[np.diff(keys, prepend=-1) > 0]
+    bounds = np.searchsorted(keys, np.arange(first, stop + 1) * (side * side))
+    points = np.column_stack([keys % side, keys // side % side])
+    return [SketchLattice(points[a:b], side=side, n=cfg.n)
+            for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def mask_lattice(L: SketchLattice, p_mask: float, rng: np.random.Generator) -> SketchLattice:

@@ -11,6 +11,7 @@ Sketch files are JSON lines; ``read_sketches`` is their one reader.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -88,12 +89,30 @@ class VectorSketch:
         A move draws when the pen state before it is down; the initial
         state is down. Zero-length segments (dots) are kept.
         """
-        if self.is_empty():
-            return np.zeros((0, 4))
-        pts = self.absolute_points()
-        pen_before = np.concatenate([[PEN_DOWN], self.steps[:-1, 2]])
-        drawn = pen_before == PEN_DOWN
-        return np.hstack([pts[:-1][drawn], pts[1:][drawn]])
+        return _drawn_segments([self])[0]
+
+
+#: the row each sketch starts with in _drawn_segments: the origin, pen down
+_ORIGIN = np.array([[0.0, 0.0, PEN_DOWN]])
+
+
+def _drawn_segments(sketches) -> tuple[np.ndarray, np.ndarray]:
+    """The drawn segments of a list of sketches, one after the other, as
+    (k, 4) rows (x0, y0, x1, y1), and how many of them each sketch has."""
+    # per sketch its origin row, then one row per step holding the cursor
+    # position after it and the step's pen; one more origin row closes the list
+    rows = np.concatenate([r for sk in sketches for r in (_ORIGIN, sk.steps)] + [_ORIGIN])
+    origins, lasts = [], []
+    for sk in sketches:
+        origins.append(lasts[-1] + 1 if lasts else 0)
+        lasts.append(origins[-1] + sk.n_steps)
+        np.cumsum(sk.steps[:, :2], axis=0, out=rows[origins[-1] + 1:lasts[-1] + 1, :2])
+    # a move draws when the pen before it is down, but none goes from a
+    # sketch's last row to the next origin
+    drawn = rows[:-1, 2] == PEN_DOWN
+    drawn[lasts] = False
+    moves = np.concatenate([rows[:-1, :2], rows[1:, :2]], axis=1)
+    return moves[drawn], np.add.reduceat(drawn, origins)
 
 
 @dataclass(frozen=True)
@@ -120,7 +139,7 @@ class RasterSketch:
 def _json_record(line: str):
     try:
         return json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int of more than 4,300 digits
         raise MalformedRecord(f"invalid JSON: {exc}") from exc
 
 
@@ -140,19 +159,22 @@ def read_sketches(path):
 
     A record with a "steps" key is canonical (as ``sketch_to_json_obj``
     writes it) and is validated; any other record is raw QuickDraw (see
-    ``parse_quickdraw_line``). A malformed line raises MalformedRecord
-    naming ``path:lineno``.
+    ``parse_quickdraw_line``). A malformed line, or one that is not UTF-8
+    text, raises MalformedRecord naming ``path:lineno``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 record = _json_record(line)
                 if isinstance(record, dict) and "steps" in record:
                     sketch = sketch_from_json_obj(record)
                 else:
                     sketch = _quickdraw_sketch(record)
+            except UnicodeDecodeError:
+                raise MalformedRecord(f"{path}:{lineno}: not UTF-8 text") from None
             except MalformedRecord as exc:
                 raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
             yield sketch
@@ -255,58 +277,108 @@ def validate_stroke5(rows: np.ndarray) -> None:
             raise MalformedRecord("rows after the first p_end are not padding")
 
 
-def _fit_points(points: np.ndarray, side: int, margin: int) -> np.ndarray:
-    """Uniform scale + centering into the canvas: the points' pixel
-    positions, rounded half up (as floats, for the caller to check)."""
-    # first divided by the power of two that brings the largest extent into
-    # [0.5, 1): exact, so no rounding below changes, and usable / biggest
+def _fit_points(points: np.ndarray, side: int, margin: int, sizes=None) -> np.ndarray:
+    """Uniform scale + centering into the canvas of each run of ``sizes``
+    consecutive points (all points are one run by default): the points'
+    pixel positions, rounded half up (as floats, for the caller to check)."""
+    sizes = np.array([len(points)]) if sizes is None else sizes
+    starts = sizes.cumsum() - sizes
+    # first divided by the power of two that brings the run's largest extent
+    # into [0.5, 1): exact, so no rounding below changes, and usable / biggest
     # stays finite for an extent too small for its reciprocal to be a float
-    _, exp = np.frexp(float((points.max(axis=0) - points.min(axis=0)).max()))
-    points = np.ldexp(points, -exp)
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    extent = hi - lo
+    _, exp = np.frexp(np.maximum.reduce(np.maximum.reduceat(points, starts)
+                                        - np.minimum.reduceat(points, starts), axis=1))
+    points = np.ldexp(points, (-exp).repeat(sizes)[:, None])
+    lo = np.minimum.reduceat(points, starts)
+    extent = np.maximum.reduceat(points, starts) - lo
     usable = side - 2 * margin
-    biggest = float(extent.max())
-    scale = usable / biggest if biggest > 0 else 1.0
+    biggest = np.maximum.reduce(extent, axis=1, keepdims=True)
+    scale = np.divide(usable, biggest, out=np.ones(biggest.shape), where=biggest > 0)
     offset = margin + (usable - extent * scale) / 2.0 - lo * scale
-    return np.floor(points * scale + offset + 0.5)
+    return np.floor(points * scale.repeat(sizes, axis=0) + offset.repeat(sizes, axis=0) + 0.5)
 
 
-#: drawn segments expanded per pass: bounds rasterize's per-pixel scratch
-#: arrays at about this many times side entries, however long the sketch
+#: drawn segments expanded per pass of the drawing core: bounds its per-pixel
+#: scratch arrays at about this many times side entries, however long a
+#: sketch and however many sketches a batch holds
 SEGMENTS_PER_PASS = 1024
 
 
 def rasterize(sketch: VectorSketch, side: int = CANVAS_SIDE) -> RasterSketch:
     """Render a sketch onto a binary side x side grid with 1-px lines.
 
-    Absolute coordinates come from the cumulative offset sum; the drawing
-    is uniformly scaled to fit (aspect ratio preserved), centered, and
-    rounded to pixels, and the drawn segments are then drawn together by
-    ``_draw_segments``. Raises OutOfRange for a side below MIN_CANVAS_SIDE, and
-    MalformedRecord when a fitted coordinate is not finite or is off the canvas.
+    This is the drawing core ``drawn_pixels`` on a batch of one: the drawing
+    is uniformly scaled to fit (aspect ratio preserved), centered and rounded
+    to pixels, and its drawn segments are then drawn by the midpoint rule.
+    Raises OutOfRange for a side below MIN_CANVAS_SIDE, and MalformedRecord
+    when a fitted coordinate is not finite or is off the canvas.
     """
     check_canvas_side(side)
-    grid = np.zeros((side, side), dtype=np.uint8)
+    grid = np.zeros(side * side, dtype=np.uint8)
+    for _, keys in drawn_pixels([sketch], side):
+        grid[keys] = 1
+    return RasterSketch(grid.reshape(side, side))
+
+
+def drawn_pixels(sketches, side: int):
+    """Yield ``(done, keys)`` for the drawn segments of a batch of sketches,
+    one pass of at most SEGMENTS_PER_PASS segments at a time.
+
+    ``keys`` holds ``b * side**2 + y * side + x`` for every pixel (x, y) that
+    a drawn segment of batch sketch b covers, in sketch order, with
+    repeats; every sketch before index ``done`` has had all its pixels
+    yielded. Each sketch is fitted on its own segments' endpoints by
+    ``_fit_points``. The batch is fitted in runs of whole sketches holding
+    at least SEGMENTS_PER_PASS steps, so the scratch memory does not grow
+    with the batch; a long sketch is split across passes. Raises
+    MalformedRecord when a fitted coordinate is not finite or is off the
+    canvas (side is not checked here).
+    """
+    run, n = [], 0
+    for b, sk in enumerate(sketches, 1):
+        run.append(sk)
+        n += sk.n_steps
+        if n >= SEGMENTS_PER_PASS:
+            yield from _draw_run(run, b, side)
+            run, n = [], 0
+    if run:
+        yield from _draw_run(run, b, side)
+
+
+def _draw_run(run: list, done: int, side: int):
+    """Fit and draw the sketches run[i] = batch[done - len(run) + i], pass by
+    pass (see drawn_pixels)."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        segs = sketch.drawn_segments()
+        segs, counts = _drawn_segments(run)
         if not len(segs):
-            return RasterSketch(grid)
-        endpoints = segs.reshape(-1, 2)
-        fitted = _fit_points(endpoints, side, CANVAS_MARGIN)
+            return
+        fitted = _fit_points(segs.reshape(-1, 2), side, CANVAS_MARGIN, 2 * counts[counts > 0])
     # checked before any array is sized from it; NaN fails both comparisons,
     # and an x off the canvas would wrap into the next row of the flat grid
-    if not np.all((fitted >= 0) & (fitted < side)):
+    if not (fitted.min() >= 0 and fitted.max() < side):
         raise MalformedRecord("fitted coordinates are not finite or leave the canvas")
     mapped = fitted.astype(np.int64).reshape(-1, 4)
+    base = (np.arange(done - len(run), done) * (side * side)).repeat(counts)
     for lo in range(0, len(mapped), SEGMENTS_PER_PASS):
-        _draw_segments(grid, mapped[lo:lo + SEGMENTS_PER_PASS])
-    return RasterSketch(grid)
+        hi = lo + SEGMENTS_PER_PASS
+        yield (done if hi >= len(mapped) else done - len(run),
+               _segment_keys(mapped[lo:hi], base[lo:hi], side))
 
 
-def _draw_segments(grid: np.ndarray, segs: np.ndarray) -> None:
-    """Set the pixels of integer segments, rows (x0, y0, x1, y1), in one pass.
+@functools.lru_cache(maxsize=None)
+def _endpoint_terms(side: int) -> np.ndarray:
+    """Read-only (4, 5) matrix taking segment rows (x0, y0, x1, y1) to the
+    flat indices of both endpoints, the difference of their lexicographic
+    keys 2 * side * x + y, and (dx, dy)."""
+    terms = np.array([[1, 0, 2 * side, -1, 0], [side, 0, 1, 0, -1],
+                      [0, 1, -2 * side, 1, 0], [0, side, -1, 0, 1]])
+    terms.flags.writeable = False
+    return terms
+
+
+def _segment_keys(segs: np.ndarray, base: np.ndarray, side: int) -> np.ndarray:
+    """Flat pixel indices, plus each segment's ``base``, of integer segments
+    with rows (x0, y0, x1, y1), in one pass.
 
     Each segment is ordered so that (x0, y0) <= (x1, y1), which makes the
     pixel set independent of endpoint order. It then takes one pixel per
@@ -315,24 +387,36 @@ def _draw_segments(grid: np.ndarray, segs: np.ndarray) -> None:
     i.e. round-half-up of the ideal crossing ordinate. A dot is a segment
     of one pixel.
     """
-    side = grid.shape[0]
-    p0, p1 = segs[:, 0:2], segs[:, 2:4]
-    swap = (p1[:, 0] < p0[:, 0]) | ((p1[:, 0] == p0[:, 0]) & (p1[:, 1] < p0[:, 1]))
-    p0, p1 = np.where(swap[:, None], p1, p0), np.where(swap[:, None], p0, p1)
-    dx, dy = (p1 - p0).T  # dx >= 0 after the swap
-    x_major = dx >= np.abs(dy)
-    major = np.maximum(dx, np.abs(dy))
+    flat0, flat1, key, dx, dy = (segs @ _endpoint_terms(side)).T
+    swap = key > 0  # (x1, y1) < (x0, y0)
+    start = np.where(swap, flat1, flat0)
+    sign = np.where(swap, -1, 1)
+    dx = dx * sign  # >= 0 after the swap
+    dy = dy * sign
+    ady = np.abs(dy)
+    x_major = dx >= ady
+    major = np.maximum(dx, ady)
     minor = np.where(x_major, dy, dx)
     # flat-index moves of one pixel along the major and the minor axis
     major_step = np.where(x_major, 1, np.sign(dy) * side)
     minor_step = np.where(x_major, side, 1)
     counts = major + 1
-    t = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    off = ((2 * t * np.repeat(minor, counts) + np.repeat(major, counts))
-           // np.repeat(2 * np.maximum(major, 1), counts))
-    flat = (np.repeat(p0[:, 1] * side + p0[:, 0], counts)
-            + t * np.repeat(major_step, counts) + off * np.repeat(minor_step, counts))
-    grid.reshape(-1)[flat] = 1
+    # written in the pass-wide pixel index j = first + t, where first is
+    # the index of the segment's first pixel
+    first = counts.cumsum() - counts
+    two_minor = 2 * minor
+    # from here on one entry per pixel
+    two_minor, lead, den, flat, major_step, minor_step = np.array(
+        [two_minor, major - first * two_minor, 2 * np.maximum(major, 1),
+         base + start - first * major_step, major_step, minor_step]).repeat(counts, axis=1)
+    j = np.arange(len(flat))
+    off = j * two_minor
+    off += lead
+    off //= den
+    off *= minor_step
+    flat += off
+    flat += j * major_step
+    return flat
 
 
 def _fmt(v: float) -> str:
@@ -402,7 +486,7 @@ def sketch_from_json_obj(obj: dict) -> VectorSketch:
         try:
             dx, dy, pen = row
             steps.append((float(dx), float(dy), _PEN_CODES[pen]))
-        except (TypeError, ValueError, KeyError):
+        except (TypeError, ValueError, KeyError, OverflowError):  # an int beyond float
             raise MalformedRecord(f"bad step row: {row!r}") from None
     sketch = VectorSketch(np.array(steps).reshape(-1, 3))
     sketch.validate()

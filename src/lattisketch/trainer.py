@@ -23,9 +23,9 @@ from .encoder import EncoderConfig
 from .errors import (AllItemsSkipped, CheckpointFormatError, DatasetEmpty, NumericalUnderflow,
                      OutOfRange)
 from .graph_builder import MAX_NODES, GraphConfig, build_adjacency
-from .lattice import LatticeConfig, SketchLattice, mask_lattice, sample_lattice
+from .lattice import LatticeConfig, SketchLattice, mask_lattice, sketch_lattices
 from .params import ParameterStore, load_checkpoint, save_checkpoint
-from .sketch_data import PEN_END, STROKE5_PAD, VectorSketch, rasterize, read_sketches, to_stroke5
+from .sketch_data import PEN_END, STROKE5_PAD, VectorSketch, read_sketches, to_stroke5
 
 
 @dataclass
@@ -249,14 +249,18 @@ def offset_scale_of(sketches) -> float:
 
 
 def prepare_items(sketches, labels, pcfg: PipelineConfig, offset_scale: float):
-    """Rasterize, sample lattices once (masking happens per step), normalize
-    offsets and pack stroke-5 rows. Items whose lattice is empty or has more
-    than MAX_NODES points (no graph could be built) are dropped and counted."""
+    """Sample each sketch's lattice once (masking happens per step), normalize
+    offsets and pack stroke-5 rows.
+
+    The lattices come from ``sketch_lattices`` in a few array passes over
+    the whole list, with no raster drawn; each equals
+    ``sample_lattice(rasterize(sk))``. Items whose lattice is empty or has
+    more than MAX_NODES points (no graph could be built) are dropped and
+    counted. A sketch whose fit leaves the canvas raises MalformedRecord.
+    """
     items = []
     skipped = 0
-    for sk, label in zip(sketches, labels):
-        raster = rasterize(sk, pcfg.lattice.side)
-        lat = sample_lattice(raster, pcfg.lattice)
+    for sk, label, lat in zip(sketches, labels, sketch_lattices(sketches, pcfg.lattice)):
         if not 0 < lat.m <= MAX_NODES:
             skipped += 1
             continue

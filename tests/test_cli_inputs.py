@@ -1,0 +1,102 @@
+"""`lattisketch ingest` and `train` over generated bad sketch files: every run
+ends with a documented exit code (README "Errors and exit codes") and an
+`error: CODE: ...` line, never a traceback."""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from lattisketch import cli
+
+SMALL_CONFIG = ("d = 8\nk = 2\nhidden_size = 16\nmixtures = 2\nn_max = 64\n"
+                "batch_size = 4\niterations = 1\nseed = 0\n")
+
+# JSON-able junk for any place a value goes
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4)
+_COORD = st.one_of(st.integers(0, 255), st.integers(-10**400, 10**400),
+                   st.floats(), st.sampled_from([1e308, -1e308, 1.7976931348623157e308]),
+                   _JUNK)
+
+
+@st.composite
+def _quickdraw_record(draw):
+    n = draw(st.integers(0, 4))
+    xs = draw(st.lists(_COORD, min_size=n, max_size=n))
+    ys = draw(st.lists(_COORD, min_size=draw(st.sampled_from([n, n, n, n + 1])),
+                       max_size=n + 1))
+    poly = draw(st.sampled_from([[xs, ys], [xs, ys, [0] * n], [xs], xs]))
+    drawing = draw(st.one_of(st.just([poly]), st.just([poly, [[1, 9], [4, 4]]]), _JUNK))
+    return draw(st.one_of(st.just({"drawing": drawing}), st.just({"word": "x"}), _JUNK))
+
+
+@st.composite
+def _canonical_record(draw):
+    pen = st.one_of(st.sampled_from(["down", "lift", "end"]), _JUNK)
+    row = st.one_of(st.tuples(_COORD, _COORD, pen).map(list),
+                    st.lists(_COORD, max_size=4), _JUNK)
+    steps = draw(st.one_of(st.lists(row, max_size=4), _JUNK))
+    return {"steps": steps, "label": "x"}
+
+
+# legal records with extreme values: these reach training
+_FINITE = st.one_of(st.integers(0, 255), st.floats(-8e307, 8e307, allow_nan=False),
+                    st.sampled_from([0.0, 5e-324, 1e-300, 8e307]))
+_LEGAL = st.one_of(
+    st.lists(st.lists(_FINITE, min_size=1, max_size=4).flatmap(
+        lambda xs: st.lists(_FINITE, min_size=len(xs), max_size=len(xs)).map(
+            lambda ys: [xs, ys])), max_size=2).map(lambda d: {"drawing": d}),
+    st.lists(st.tuples(_FINITE, _FINITE, st.sampled_from(["down", "lift"])).map(list),
+             max_size=4).map(lambda rows: {"steps": rows + [[0.0, 0.0, "end"]]}),
+).map(lambda r: json.dumps(r).encode())
+_BROKEN = st.one_of(
+    _quickdraw_record().map(lambda r: json.dumps(r).encode()),
+    _canonical_record().map(lambda r: json.dumps(r).encode()),
+    st.just(b'{"drawing": [[[0, 60, 120], [0, 80'),          # truncated JSON
+    st.just(b'{"drawing": [[[' + b"9" * 5000 + b'], [0]]]}'),  # an int json.loads refuses
+    st.binary(max_size=6),                                   # not JSON, maybe not UTF-8
+)
+_LINE = st.one_of(_LEGAL, _LEGAL, _LEGAL, st.just(b""), _BROKEN)
+
+
+def _run(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with mock.patch.object(sys, "argv", ["lattisketch", *argv]), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            cli.main()
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+    raise AssertionError("cli.main returned without exiting")
+
+
+def _check(code, err):
+    assert code in (0, 3, 4), err
+    assert "Traceback" not in err
+    if code:  # numpy warnings may come first
+        assert err.splitlines()[-1].startswith("error: "), err
+
+
+@given(st.lists(_LINE, min_size=1, max_size=5))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_ingest_and_train_end_with_a_documented_exit_code(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = tmp / "sketches.ndjson"
+        data.write_bytes(b"\n".join(lines) + b"\n")
+        config = tmp / "small.cfg"
+        config.write_text(SMALL_CONFIG)
+        _check(*_run(["ingest", str(data), "--out", str(tmp / "ingest")]))
+        _check(*_run(["train", "--config", str(config), "--data", str(data),
+                      "--out", str(tmp / "train")]))

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lattisketch as ls
 from conftest import random_raster
+from lattisketch.lattice import sketch_lattices
+from lattisketch.sketch_data import SEGMENTS_PER_PASS
 
 
 def test_line_positions_n1():
@@ -185,3 +189,65 @@ def test_mask_binomial_concentration():
     kept = [ls.mask_lattice(lat, 0.3, np.random.default_rng(s)).m for s in range(100)]
     sigma = np.sqrt(1000 * 0.3 * 0.7)
     assert abs(np.mean(kept) - 700) < 3 * sigma
+
+
+# ---------------------------------------------------------------------------
+# the batched front end against rasterize + sample_lattice, one sketch at a time
+
+
+def _sketch(rows):
+    return ls.VectorSketch(steps=np.array([list(r) for r in rows] + [[0.0, 0.0, ls.PEN_END]]))
+
+
+def _random_walk(seed, n):
+    """A sketch of n random moves, about one in five of them pen-up."""
+    rng = np.random.default_rng(seed)
+    steps = np.column_stack([rng.integers(-30, 31, size=(n, 2)),
+                             (rng.random(n) < 0.2) * float(ls.PEN_LIFT)]).astype(float)
+    steps[-1, 2] = ls.PEN_END
+    return ls.VectorSketch(steps=steps)
+
+
+_OFFSET = st.one_of(st.just(0.0), st.integers(-40, 40).map(float),
+                    st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False))
+_SKETCH = st.one_of(
+    st.just(ls.VectorSketch(steps=np.zeros((0, 3)))),                        # empty
+    st.just(_sketch([(0.0, 0.0, ls.PEN_DOWN)])),                              # one dot
+    st.floats(1e-310, 1.4e-306).map(lambda h: _sketch([(0.0, h, ls.PEN_DOWN),
+                                                       (h, 0.0, ls.PEN_DOWN)])),  # tiny extent
+    st.lists(st.tuples(_OFFSET, _OFFSET, st.sampled_from([ls.PEN_DOWN, ls.PEN_LIFT])),
+             min_size=1, max_size=25).map(_sketch),
+    # a few hundred moves: runs of these straddle pass boundaries
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(150, 700)).map(lambda a: _random_walk(*a)),
+)
+
+
+@given(st.lists(_SKETCH, max_size=12), st.sampled_from([(256, 32), (64, 7), (17, 17)]))
+@example([_random_walk(3, 2 * SEGMENTS_PER_PASS + 37), _sketch([(0.0, 0.0, ls.PEN_DOWN)])],
+         (256, 32))  # one sketch longer than two passes
+@example([_random_walk(4, 600), ls.VectorSketch(steps=np.zeros((0, 3))), _random_walk(5, 600),
+          _sketch([(3.0, 4.0, ls.PEN_DOWN)])], (64, 7))  # the second walk straddles a pass
+@example([ls.VectorSketch(steps=np.zeros((0, 3)))] * 3, (256, 32))  # nothing drawn
+@settings(max_examples=80, deadline=None)
+def test_sketch_lattices_equal_rasterize_then_sample(sketches, side_n):
+    cfg = ls.LatticeConfig(n=side_n[1], side=side_n[0])
+    got = sketch_lattices(sketches, cfg)
+    assert len(got) == len(sketches)
+    for lat, sk in zip(got, sketches):
+        want = ls.sample_lattice(ls.rasterize(sk, cfg.side), cfg)
+        assert (lat.side, lat.n) == (cfg.side, cfg.n)
+        assert lat.points.dtype == want.points.dtype
+        assert np.array_equal(lat.points, want.points)
+
+
+_BAD_FIT = _sketch([(1e308, 0.0, ls.PEN_DOWN), (1e308, 0.0, ls.PEN_DOWN)])  # sum overflows
+
+
+@given(st.lists(_SKETCH, max_size=6), st.integers(0, 6))
+@settings(max_examples=30, deadline=None)
+def test_sketch_lattices_refuse_a_batch_with_one_bad_fit(sketches, at):
+    with pytest.raises(ls.MalformedRecord, match="fitted coordinates"):
+        ls.rasterize(_BAD_FIT, 256)
+    batch = sketches[:at] + [_BAD_FIT] + sketches[at:]
+    with pytest.raises(ls.MalformedRecord, match="fitted coordinates"):
+        sketch_lattices(batch, ls.LatticeConfig())

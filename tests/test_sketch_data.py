@@ -285,6 +285,36 @@ def test_rasterize_equals_union_of_segment_oracle(steps, side):
     assert np.array_equal(ls.rasterize(sk, side).pixels, rasterize_oracle(sk, side, segment_pixels))
 
 
+def fit_points_oracle(points, side, margin):
+    """The fit of one sketch in scalar form: one frexp exponent, then the
+    extent, scale and offset as Python floats."""
+    _, exp = np.frexp(float((points.max(axis=0) - points.min(axis=0)).max()))
+    points = np.ldexp(points, -exp)
+    lo = points.min(axis=0)
+    extent = points.max(axis=0) - lo
+    usable = side - 2 * margin
+    biggest = float(extent.max())
+    scale = usable / biggest if biggest > 0 else 1.0
+    offset = margin + (usable - extent * scale) / 2.0 - lo * scale
+    return np.floor(points * scale + offset + 0.5)
+
+
+_COORD = st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300),
+                   st.sampled_from([0.0, -0.0, 5e-324, 9.381569954179927e-309, 1e300]))
+_RUN = st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=6)
+
+
+@given(st.lists(_RUN, min_size=1, max_size=5), st.sampled_from([256, 64, 17]))
+@settings(max_examples=200, deadline=None)
+def test_fit_points_fits_each_run_as_the_scalar_fit(runs, side):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _fit_points(np.array([p for run in runs for p in run]), side, CANVAS_MARGIN,
+                          np.array([len(run) for run in runs]))
+        want = np.concatenate([fit_points_oracle(np.array(run), side, CANVAS_MARGIN)
+                               for run in runs])
+    assert np.array_equal(got, want, equal_nan=True)
+
+
 def test_rasterize_long_sketch_matches_oracle():
     # more drawn segments than one vectorized pass takes
     rng = np.random.default_rng(8)

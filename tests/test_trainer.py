@@ -1,6 +1,8 @@
 """Optimizer, schedule, clipping, train loop and the gradient audit."""
 
 import csv
+import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -164,6 +166,40 @@ def test_prepare_items_drops_over_budget_lattices():
     assert [item.label for item in items] == ["b"]
     with pytest.raises(ls.DatasetEmpty):
         ls.prepare_items([scribble], ["a"], pcfg, 1.0)
+
+
+def test_prepare_items_lattices_equal_per_sketch_sampling():
+    pcfg = small_pcfg()
+    sketches = synthetic_sketches(40, seed=5) + [zigzag_scribble()]
+    items, skipped = ls.prepare_items(sketches, ["s"] * len(sketches), pcfg, 1.0)
+    assert (len(items), skipped) == (40, 1)
+    for item, sk in zip(items, sketches):
+        want = ls.sample_lattice(ls.rasterize(sk, 256), pcfg.lattice)
+        assert np.array_equal(item.lattice.points, want.points)
+
+
+def synthetic_sketches(count, seed):
+    rng = np.random.default_rng(seed)
+    return [ls.parse_quickdraw_line(json.dumps(ls.make_sketch_record(("ring", "ladder")[i % 2], rng)))
+            for i in range(count)]
+
+
+# prepare_items' transient memory: about 4.5 MB at 500 synthetic sketches
+# (most of it one pass of SEGMENTS_PER_PASS segments), so 8 MB leaves room
+PREPARE_SCRATCH_BYTES = 8_000_000
+
+
+@pytest.mark.parametrize("count", [500, 5000])
+def test_prepare_items_scratch_memory_does_not_grow_with_the_dataset(count):
+    sketches = synthetic_sketches(count, seed=11)
+    tracemalloc.start()
+    try:
+        items, _ = ls.prepare_items(sketches, ["s"] * count, small_pcfg(), 1.0)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(items) > count // 2
+    assert peak - kept < PREPARE_SCRATCH_BYTES
 
 
 def test_train_step_moves_running_stats_by_momentum(monkeypatch):
