@@ -63,11 +63,8 @@ assert np.all(np.abs(psi) <= 1.0)
 
 # Permutation invariance: shuffle the nodes, embedding must not move.
 perm = np.random.default_rng(3).permutation(lat.m)
-g_perm = ls.SketchGraph(
-    points=g_near.points[perm],
-    adjacency=g_near.adjacency[np.ix_(perm, perm)],
-    side=g_near.side,
-)
+g_perm = ls.SketchGraph.from_dense(
+    g_near.points[perm], g_near.adjacency[np.ix_(perm, perm)], g_near.side)
 psi_perm = ls.encode(g_perm, store, ecfg)
 print(f"max |psi - psi_permuted| = {np.abs(psi - psi_perm).max():.2e}")
 # float32 mean pooling sums in a different order after the shuffle, so

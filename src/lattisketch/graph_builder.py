@@ -13,15 +13,23 @@ are therefore gathered from per-canvas tables flat at the signed index
 q = x * (2 side - 1) + y and p = q + (side - 1) * (2 side - 1) + side - 1;
 pair (i, j) then sits at p[i] - q[j], one subtraction per entry.
 
-The adjacency comes out in the dtype the caller asks for (the encoder's,
+The adjacency is stored as row bands. Points come in row-major order, and
+a pair whose |dy| exceeds the weight table's reach has weight 0. So when
+the rows are split evenly into blocks of at most _BLOCK_ROWS, the links of
+each block fall in one contiguous column range, and each block keeps only
+that (rows, cols) slab. On an inky 256^2 edge map (m about 1,500,
+d_t = 0.2) the bands hold about 62 % of the m^2 entries; a graph of at
+most _BLOCK_ROWS points is one full band.
+
+Slabs come out in the dtype the caller asks for (the encoder's,
 store["enc.fc.W"].dtype), gathered from a weight table cached per
 (side, d_t, dtype). The table is computed in float64 and then cast, so a
 float32 graph equals the float64 graph cast, bit for bit. "nearest" picks
 neighbours on the float64 distance table in either dtype.
 
 Graphs above MAX_NODES points raise NodeBudgetExceeded (an OutOfRange)
-before anything m x m is allocated: a full-ink 256^2 raster (m = 15,360)
-would need about 1.9 GB in float64.
+before any slab is allocated: a full-ink 256^2 raster (m = 15,360) would
+need up to about 1.9 GB of float64 slabs.
 """
 
 from __future__ import annotations
@@ -56,22 +64,50 @@ class GraphConfig:
 @dataclass(frozen=True)
 class SketchGraph:
     """Lattice points (x, y) on a side x side canvas plus a symmetric m x m
-    adjacency with entries in [0, 1], in the dtype build_adjacency was
-    given (float64 by default, the encoder's dtype on every pipeline path)."""
+    adjacency with entries in [0, 1], stored as row bands.
+
+    Each band is (rows, cols, slab): the adjacency's rows[rows] are zero
+    outside cols, and slab is its dense (rows, cols) block, in the dtype
+    build_adjacency was given (float64 by default, the encoder's dtype on
+    every pipeline path). The row slices tile 0..m in order. `adjacency`
+    assembles the dense matrix on each access.
+    """
 
     points: np.ndarray
-    adjacency: np.ndarray
+    bands: tuple
     side: int
 
     def __post_init__(self):
-        shape = np.shape(self.adjacency)
-        if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.points) != (shape[0], 2):
-            raise ShapeMismatch(f"adjacency {shape} does not match points "
-                                f"{np.shape(self.points)}: want (m, m) and (m, 2)")
+        shape, end = np.shape(self.points), 0
+        ok = len(shape) == 2 and shape[1] == 2
+        for rows, cols, slab in self.bands:
+            ok = (ok and rows.start == end and 0 <= cols.start <= cols.stop <= shape[0]
+                  and slab.shape == (rows.stop - rows.start, cols.stop - cols.start))
+            end = rows.stop
+        if not ok or end != shape[0]:
+            raise ShapeMismatch(f"bands {[b[2].shape for b in self.bands]} do not tile the "
+                                f"adjacency of points {shape}: want (m, 2) points and row "
+                                f"bands covering rows 0..m in order")
+
+    @classmethod
+    def from_dense(cls, points, adjacency, side: int) -> "SketchGraph":
+        """A graph whose adjacency is one band: the whole m x m matrix."""
+        m = len(points)
+        return cls(points=points, bands=((slice(0, m), slice(0, m), np.asarray(adjacency)),),
+                   side=side)
 
     @property
     def m(self) -> int:
-        return self.adjacency.shape[0]
+        return len(self.points)
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The dense m x m adjacency, assembled from the bands; read-only."""
+        a = np.zeros((self.m, self.m), dtype=self.bands[0][2].dtype)
+        for rows, cols, slab in self.bands:
+            a[rows, cols] = slab
+        a.flags.writeable = False
+        return a
 
 
 def _offset_norm(side: int) -> np.ndarray:
@@ -104,29 +140,71 @@ def _weight_table(side: int, d_t: float, dtype: np.dtype) -> np.ndarray:
     return _signed(np.where(norm < d_t, 1.0 - norm, 0.0), dtype)
 
 
-_BLOCK_ROWS = 128  # rows of offset indices held at a time
+_BLOCK_ROWS = 128  # most rows in a band
 
 
-def _offset_blocks(points: np.ndarray, side: int):
-    """Yield (row slice, int32 signed-table indices p[i] - q[j]) per block of rows.
+@functools.lru_cache(maxsize=16)
+def _reach(side: int, d_t: float, dtype: np.dtype) -> int:
+    """Largest |dy| with a nonzero "nearby" weight at dx = 0, read off the
+    weight table: no pair farther apart in y is linked."""
+    width = 2 * side - 1
+    dx0 = _weight_table(side, d_t, dtype)[(side - 1) * width:side * width]
+    return int(np.abs(np.flatnonzero(dx0) - (side - 1)).max())
 
-    Points must already lie on the canvas; the index buffer is reused.
+
+def _band_extents(y: np.ndarray, reach: int) -> list:
+    """(rows, cols) per block: the rows are split into the fewest blocks of at
+    most _BLOCK_ROWS, of equal size, and cols runs from the first to the last
+    point whose y lies within reach of the block's y-range, so it holds every
+    link of the block in any point order (tight when sorted by y)."""
+    m = len(y)
+    if m <= _BLOCK_ROWS:  # one block spans every y of the graph
+        return [(slice(0, m), slice(0, m))]
+    y = np.ascontiguousarray(y)  # reduceat is several times slower on a column view
+    n = -(-m // _BLOCK_ROWS)
+    bounds = np.arange(n + 1) * m // n
+    near = ((y >= np.minimum.reduceat(y, bounds[:-1])[:, None] - reach)
+            & (y <= np.maximum.reduceat(y, bounds[:-1])[:, None] + reach))
+    lo, hi = near.argmax(axis=1), m - near[:, ::-1].argmax(axis=1)
+    bounds = bounds.tolist()
+    return [(slice(r0, r1), slice(c0, c1))
+            for r0, r1, c0, c1 in zip(bounds, bounds[1:], lo.tolist(), hi.tolist())]
+
+
+def _offset_blocks(points: np.ndarray, side: int, extents: list):
+    """Yield the signed-table indices p[i] - q[j] of each (rows, cols) extent.
+
+    Points must already lie on the canvas; the index buffer is reused. The
+    indices are intp, which take uses without a converted copy.
     """
     width = 2 * side - 1
-    pts = points.astype(np.int32)
-    q = pts[:, 0] * np.int32(width) + pts[:, 1]
-    p = q + np.int32((side - 1) * width + side - 1)
-    m = len(q)
-    idx = np.empty((min(_BLOCK_ROWS, m), m), dtype=np.int32)
-    for r0 in range(0, m, _BLOCK_ROWS):
-        r1 = min(r0 + _BLOCK_ROWS, m)
-        i = idx[:r1 - r0]
-        np.subtract(p[r0:r1, None], q, out=i)
-        yield slice(r0, r1), i
+    pts = points.astype(np.intp)
+    q = pts[:, 0] * width + pts[:, 1]
+    p = q + ((side - 1) * width + side - 1)
+    buf = np.empty(_BLOCK_ROWS * len(q), dtype=np.intp)
+    for rows, cols in extents:
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        idx = buf[:shape[0] * shape[1]].reshape(shape)
+        np.subtract(p[rows, None], q[cols], out=idx)
+        yield idx
+
+
+def _slabs(extents: list, dtype) -> list:
+    """(rows, cols, uninitialized slab) per band, all views of one buffer:
+    numpy backs a large buffer with huge pages, which a graph's many
+    smaller slabs would not get, and touching fresh pages dominates a
+    gather."""
+    shapes = [(rows.stop - rows.start, cols.stop - cols.start) for rows, cols in extents]
+    buf = np.empty(sum(h * w for h, w in shapes), dtype=dtype)
+    bands, at = [], 0
+    for (rows, cols), (h, w) in zip(extents, shapes):
+        bands.append((rows, cols, buf[at:at + h * w].reshape(h, w)))
+        at += h * w
+    return bands
 
 
 def build_adjacency(L: SketchLattice, cfg: GraphConfig, dtype=np.float64) -> SketchGraph:
-    """Weighted adjacency per the proximity rule, as a dtype array.
+    """Weighted adjacency per the proximity rule, as row bands of dtype.
 
     nearby: link i != j iff norm(d_ij) < d_t (strict).
     nearest: each i links its nearest j != i (ties to the smaller row-major
@@ -134,7 +212,10 @@ def build_adjacency(L: SketchLattice, cfg: GraphConfig, dtype=np.float64) -> Ske
     Linked entries carry 1 - norm(d_ij); the diagonal is 1 with self loops
     (d_ii = 0 so the formula agrees). Entries are gathered from the
     canvas's offset tables, after every point is checked to lie on it.
-    More than MAX_NODES points raise NodeBudgetExceeded.
+    "nearby" bands span the columns within the weight table's y-reach of
+    each block of rows; "nearest" links can lie at any distance, so its
+    bands are full width. Nothing m x m is allocated. More than MAX_NODES
+    points raise NodeBudgetExceeded.
     """
     if L.m == 0:
         raise EmptyLattice("cannot build a graph from an empty lattice")
@@ -148,22 +229,31 @@ def build_adjacency(L: SketchLattice, cfg: GraphConfig, dtype=np.float64) -> Ske
     dtype = np.dtype(dtype)
     if cfg.proximity == "nearby":
         weights = _weight_table(side, cfg.d_t, dtype)
-        a = np.empty((m, m), dtype=dtype)
-        for rows, idx in _offset_blocks(L.points, side):
-            weights.take(idx, out=a[rows], mode="clip")
+        extents = _band_extents(L.points[:, 1], _reach(side, cfg.d_t, dtype))
+        bands = _slabs(extents, dtype)
+        for (_, _, slab), idx in zip(bands, _offset_blocks(L.points, side, extents)):
+            weights.take(idx, out=slab, mode="clip")
     else:
-        a = np.zeros((m, m), dtype=dtype)
+        extents = _band_extents(L.points[:, 1], side)  # full width
+        bands = _slabs(extents, dtype)
+        for _, _, slab in bands:
+            slab.fill(0.0)
         if m > 1:
             norm = _distance_table(side)
             nearest = np.empty(m, dtype=np.intp)
             w = np.empty(m)
-            for rows, idx in _offset_blocks(L.points, side):
+            for (rows, _), idx in zip(extents, _offset_blocks(L.points, side, extents)):
                 probe = norm.take(idx, mode="clip")
                 block = np.arange(idx.shape[0])
                 probe[block, block + rows.start] = np.inf
                 nearest[rows] = np.argmin(probe, axis=1)  # first minimum = smallest index
                 w[rows] = 1.0 - probe[block, nearest[rows]]
-            a[np.arange(m), nearest] = w
-            a[nearest, np.arange(m)] = w
-    np.fill_diagonal(a, 1.0 if cfg.self_loops else 0.0)
-    return SketchGraph(points=L.points, adjacency=a, side=side)
+            node = np.arange(m)
+            for rows, _, slab in bands:
+                slab[node[rows] - rows.start, nearest[rows]] = w[rows]
+                mine = (nearest >= rows.start) & (nearest < rows.stop)
+                slab[nearest[mine] - rows.start, node[mine]] = w[mine]
+    diagonal = 1.0 if cfg.self_loops else 0.0
+    for rows, cols, slab in bands:  # row k's own point sits in column rows.start + k
+        slab.reshape(-1)[rows.start - cols.start::slab.shape[1] + 1] = diagonal
+    return SketchGraph(points=L.points, bands=tuple(bands), side=side)

@@ -243,9 +243,21 @@ def load_dataset(paths, n_max: int):
 
 
 def offset_scale_of(sketches) -> float:
-    """Std of all offset components over a dataset (the model's offset unit)."""
+    """Std of all offset components over a dataset (the model's offset unit).
+
+    Offsets so large that their squared deviations could overflow (beyond
+    about 1e154) are divided by the largest magnitude first and the std
+    scaled back, so the scale stays finite; other data takes numpy's std
+    directly.
+    """
     offs = np.concatenate([s.steps[:, :2].ravel() for s in sketches])
-    return float(max(offs.std(), 1e-6))
+    big = float(np.abs(offs).max())
+    # each of the offs.size squared deviations is at most (2 big)^2
+    if big < 0.5 * np.sqrt(np.finfo(np.float64).max / offs.size):
+        std = offs.std()
+    else:
+        std = (offs / big).std() * big
+    return float(max(std, 1e-6))
 
 
 def prepare_items(sketches, labels, pcfg: PipelineConfig, offset_scale: float):

@@ -201,8 +201,8 @@ def test_criterion_05_permutation_invariance():
         psi = ls.encode(g, store, cfg)
         for _ in range(20):
             perm = rng.permutation(g.m)
-            gp = ls.SketchGraph(points=g.points[perm],
-                                adjacency=g.adjacency[np.ix_(perm, perm)], side=g.side)
+            gp = ls.SketchGraph.from_dense(g.points[perm], g.adjacency[np.ix_(perm, perm)],
+                                           g.side)
             worst = max(worst, float(np.max(np.abs(ls.encode(gp, store, cfg) - psi))))
     ok = worst < 1e-6
     assert report(5, ok,

@@ -19,6 +19,13 @@ def random_graph(rng, m=12, graph_cfg=None, dtype=np.float64):
     return make_graph(pts, graph_cfg, dtype)
 
 
+def row_major_graph(rng, m, graph_cfg=None):
+    """Distinct random points in row-major order, as lattices come: above 128
+    points the bands are narrower than the graph."""
+    pts = np.unique(rng.integers(0, 256, size=(m + 4, 2)), axis=0)[:m]
+    return make_graph(pts[np.lexsort((pts[:, 0], pts[:, 1]))], graph_cfg)
+
+
 @pytest.fixture
 def enc_cfg():
     return ls.EncoderConfig(d=8, K=2)
@@ -87,7 +94,7 @@ def test_layer_zero_weights_residual_passthrough(enc_cfg):
             store[name] = np.zeros_like(store[name])
     V = np.random.default_rng(1).standard_normal((3, enc_cfg.d)).astype(np.float32)
     A = np.eye(3, dtype=np.float32)
-    out, _ = encode_layer(V, [A], [slice(0, 3)], store, 0)
+    out, _ = encode_layer(V, [(slice(0, 3), slice(0, 3), A)], store, 0)
     assert np.array_equal(out, V)
 
 
@@ -97,8 +104,9 @@ def test_layer_relu_kill_residual_passthrough(enc_cfg, enc_store):
     enc_store["enc.layer0.u0.b0"] = np.full(enc_cfg.d, -1e6, dtype=np.float32)
     enc_store["enc.layer0.u1.b0"] = np.full(enc_cfg.d, -1.0, dtype=np.float32)
     V = np.abs(np.random.default_rng(1).standard_normal((5, enc_cfg.d))).astype(np.float32)
-    adjs = [np.eye(2, dtype=np.float32), np.ones((3, 3), dtype=np.float32)]
-    out, _ = encode_layer(V, adjs, [slice(0, 2), slice(2, 5)], enc_store, 0)
+    bands = [(slice(0, 2), slice(0, 2), np.eye(2, dtype=np.float32)),
+             (slice(2, 5), slice(2, 5), np.ones((3, 3), dtype=np.float32))]
+    out, _ = encode_layer(V, bands, enc_store, 0)
     assert np.array_equal(out, V)
 
 
@@ -111,8 +119,9 @@ def test_layer_propagates_within_each_graph_only(enc_cfg):
             store[name] = (np.eye(enc_cfg.d) if name.endswith("W0")
                            else np.zeros(enc_cfg.d))
     V = np.abs(np.random.default_rng(1).standard_normal((5, enc_cfg.d)))
-    adjs = [np.ones((2, 2)), np.ones((3, 3))]
-    out, _ = encode_layer(V, adjs, [slice(0, 2), slice(2, 5)], store, 0)
+    bands = [(slice(0, 2), slice(0, 2), np.ones((2, 2))),
+             (slice(2, 5), slice(2, 5), np.ones((3, 3)))]
+    out, _ = encode_layer(V, bands, store, 0)
     want = np.vstack([np.tile(V[:2].sum(axis=0), (2, 1)), np.tile(V[2:].sum(axis=0), (3, 1))])
     assert np.allclose(out - V, want, rtol=0, atol=1e-12)
 
@@ -136,8 +145,7 @@ def test_encode_eval_deterministic(enc_cfg, enc_store):
 
 
 def permute_graph(g, perm):
-    return ls.SketchGraph(points=g.points[perm],
-                          adjacency=g.adjacency[np.ix_(perm, perm)], side=g.side)
+    return ls.SketchGraph.from_dense(g.points[perm], g.adjacency[np.ix_(perm, perm)], g.side)
 
 
 def test_encode_permutation_invariant(enc_cfg, enc_store):
@@ -153,8 +161,7 @@ def test_encode_permutation_invariant(enc_cfg, enc_store):
 def test_encode_row_normalize_divides_every_layer_by_row_sums(enc_cfg, enc_store):
     g = random_graph(np.random.default_rng(5), m=10)
     a = g.adjacency.astype(np.float32)
-    pre = ls.SketchGraph(points=g.points, adjacency=a / a.sum(axis=1, keepdims=True),
-                         side=g.side)
+    pre = ls.SketchGraph.from_dense(g.points, a / a.sum(axis=1, keepdims=True), g.side)
     norm_cfg = replace(enc_cfg, row_normalize=True)
     assert np.array_equal(ls.encode(g, enc_store, norm_cfg),
                           ls.encode(pre, enc_store, enc_cfg))
@@ -163,11 +170,17 @@ def test_encode_row_normalize_divides_every_layer_by_row_sums(enc_cfg, enc_store
 
 
 def test_encode_graphs_uses_store_dtype_adjacency_without_copy(enc_cfg, enc_store):
-    g = random_graph(np.random.default_rng(6), m=10, dtype=enc_store["enc.fc.W"].dtype)
-    assert g.adjacency.dtype == np.float32
-    _, cache = ls.encode_graphs([g], enc_store, enc_cfg)
-    adjs = cache[4]
-    assert np.shares_memory(adjs[0], g.adjacency)
+    rng = np.random.default_rng(6)
+    graphs = [random_graph(rng, m=m, dtype=enc_store["enc.fc.W"].dtype) for m in (10, 300)]
+    assert [len(g.bands) for g in graphs] == [1, 3]
+    _, cache = ls.encode_graphs(graphs, enc_store, enc_cfg)
+    stored = [band for g in graphs for band in g.bands]
+    assert all(slab.dtype == np.float32 for _, _, slab in stored)
+    # every stored slab is propagated as it is, shifted to its graph's rows
+    used = cache[3]
+    assert [u is s for (_, _, u), (_, _, s) in zip(used, stored)] == [True] * 4
+    assert [(r.start, c.start) for r, c, _ in used[1:]] == [
+        (10 + rows.start, 10 + cols.start) for rows, cols, _ in graphs[1].bands]
 
 
 @pytest.mark.parametrize("proximity", ["nearby", "nearest"])
@@ -221,8 +234,8 @@ def test_pool_mean_duplication_invariant(enc_cfg, enc_store):
     # two disconnected copies of a graph repeat every node's features: mean
     # pooling is unchanged, sum pooling doubles (as does doubling enc.fc.W)
     g = random_graph(np.random.default_rng(4), m=5)
-    doubled = ls.SketchGraph(points=np.vstack([g.points, g.points]),
-                             adjacency=np.kron(np.eye(2), g.adjacency), side=g.side)
+    doubled = ls.SketchGraph.from_dense(np.vstack([g.points, g.points]),
+                                        np.kron(np.eye(2), g.adjacency), g.side)
     psi, _ = ls.encode_graphs([g, doubled], enc_store, enc_cfg)
     assert np.allclose(psi[0], psi[1], atol=1e-6)
     sum_cfg = replace(enc_cfg, pooling="sum")
@@ -234,7 +247,7 @@ def test_pool_mean_duplication_invariant(enc_cfg, enc_store):
 
 def test_encode_graphs_rejects_mixed_canvas_sides(enc_cfg, enc_store):
     g = make_graph([[1, 2], [3, 4]])
-    small = ls.SketchGraph(points=g.points, adjacency=g.adjacency, side=64)
+    small = ls.SketchGraph(points=g.points, bands=g.bands, side=64)
     with pytest.raises(ls.ShapeMismatch):
         ls.encode_graphs([g, small], enc_store, enc_cfg)
 
@@ -299,15 +312,7 @@ def oracle_encode_train(graphs, store, cfg, rng, dpsi):
     return psi, grads
 
 
-@pytest.mark.parametrize("variant", [{}, {"pooling": "sum"}, {"embed_mode": "joint"},
-                                     {"row_normalize": True}],
-                         ids=["mean", "sum", "joint", "row_normalized"])
-def test_stacked_encoder_matches_per_graph_oracle(variant):
-    cfg = ls.EncoderConfig(d=8, K=2, dropout_rate=0.1, **variant)
-    store = ls.init_encoder_params(cfg, np.random.default_rng(0), dtype=np.float64)
-    rng = np.random.default_rng(11)
-    graphs = [random_graph(rng, m=m) for m in (1, 7, 40, 150)]
-    assert [g.m for g in graphs] == [1, 7, 40, 150]
+def assert_matches_oracle(graphs, store, cfg, rng):
     dpsi = rng.standard_normal((len(graphs), cfg.d))
     oracle_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
     want_psi, want = oracle_encode_train(graphs, store, cfg, oracle_rng, dpsi)
@@ -325,6 +330,30 @@ def test_stacked_encoder_matches_per_graph_oracle(variant):
         # the batch mean), so its rounding noise is held to the largest gradient
         scale = largest if name == "enc.fc.b" else np.abs(g).max()
         assert np.max(np.abs(grads[name] - g)) <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("variant", [{}, {"pooling": "sum"}, {"embed_mode": "joint"},
+                                     {"row_normalize": True}],
+                         ids=["mean", "sum", "joint", "row_normalized"])
+def test_stacked_encoder_matches_per_graph_oracle(variant):
+    cfg = ls.EncoderConfig(d=8, K=2, dropout_rate=0.1, **variant)
+    store = ls.init_encoder_params(cfg, np.random.default_rng(0), dtype=np.float64)
+    rng = np.random.default_rng(11)
+    graphs = [random_graph(rng, m=m) for m in (1, 7, 40, 150)]
+    assert [g.m for g in graphs] == [1, 7, 40, 150]
+    assert_matches_oracle(graphs, store, cfg, rng)
+
+
+@pytest.mark.parametrize("row_normalize", [False, True])
+def test_banded_encoder_matches_per_graph_oracle(row_normalize):
+    cfg = ls.EncoderConfig(d=8, K=2, dropout_rate=0.1, row_normalize=row_normalize)
+    store = ls.init_encoder_params(cfg, np.random.default_rng(0), dtype=np.float64)
+    rng = np.random.default_rng(12)
+    graphs = [row_major_graph(rng, m) for m in (5, 200, 450)]
+    assert [len(g.bands) for g in graphs] == [1, 2, 4]
+    # the bands skip columns, so propagation does not see the full rows
+    assert any(c.stop - c.start < g.m for g in graphs[1:] for _, c, _ in g.bands)
+    assert_matches_oracle(graphs, store, cfg, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Graph construction: embedding tokens, distances, adjacency."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lattisketch as ls
 from conftest import pairwise_distances
@@ -333,4 +337,100 @@ def test_graph_rejects_adjacency_not_m_by_m(adjacency):
     # three points need a 3 x 3 adjacency; stacked batches would misalign otherwise
     points = np.array([[1, 2], [3, 4], [5, 6]])
     with pytest.raises(ls.ShapeMismatch):
-        ls.SketchGraph(points=points, adjacency=adjacency, side=256)
+        ls.SketchGraph.from_dense(points, adjacency, 256)
+
+
+# ---------------------------------------------------------------------------
+# band storage
+
+
+@given(seed=st.integers(0, 2**32 - 1), blocks=st.integers(1, 5),
+       n_rows=st.integers(1, 40), n_cols=st.integers(1, 64), side=st.sampled_from([64, 256]),
+       row_major=st.booleans(), proximity=st.sampled_from(["nearby", "nearest"]),
+       self_loops=st.booleans(), d_t=st.sampled_from([0.05, 0.2, 0.5]),
+       dtype=st.sampled_from([np.float32, np.float64]))
+@settings(max_examples=60, deadline=None)
+def test_bands_equal_dense_oracle_and_hold_every_link(seed, blocks, n_rows, n_cols, side,
+                                                      row_major, proximity, self_loops, d_t,
+                                                      dtype):
+    # crossings of a few rows and columns, as lattice points lie on lines,
+    # topped up to about m points, so runs of equal y cross the block
+    # boundaries; two of the rows lie the largest linked |dy| apart, where
+    # a band one column too narrow would drop links
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 129)) + 128 * (blocks - 1)  # up to 640 points in 1-5 blocks
+    reach = int(np.ceil(d_t * side * np.sqrt(2.0))) - 1
+    y0 = int(rng.integers(0, max(side - reach, 1)))
+    ys = np.concatenate([rng.choice(side, n_rows), [y0, min(y0 + reach, side - 1)]])
+    grid = np.unique(np.stack(np.meshgrid(rng.choice(side, n_cols), ys), axis=-1).reshape(-1, 2),
+                     axis=0)
+    pts = grid[rng.choice(len(grid), min(m, len(grid)), replace=False)]
+    pts = np.unique(np.vstack([pts, rng.integers(0, side, (m - len(pts), 2))]), axis=0)
+    if row_major:
+        pts = pts[np.lexsort((pts[:, 0], pts[:, 1]))]  # else x-sorted, as np.unique leaves it
+    lat = points_lattice(pts, side=side)
+    cfg = ls.GraphConfig(proximity=proximity, d_t=d_t, self_loops=self_loops)
+    g = ls.build_adjacency(lat, cfg, dtype)
+    want = dense_adjacency(lat, cfg)
+    assert np.array_equal(g.adjacency, want.astype(dtype))
+    inside = np.zeros((lat.m, lat.m), dtype=bool)
+    for rows, cols, slab in g.bands:
+        assert slab.dtype == dtype and rows.stop - rows.start <= graph_builder._BLOCK_ROWS
+        inside[rows, cols] = True
+    assert not want[~inside].any()
+    n = -(-lat.m // graph_builder._BLOCK_ROWS)  # the fewest blocks, of equal size
+    assert [rows.start for rows, _, _ in g.bands] == [k * lat.m // n for k in range(n)]
+
+
+def test_bands_tight_for_row_major_points():
+    # rows of points 40 px apart: with the 72 px reach of d_t = 0.2 on a 256
+    # canvas, a block's band ends one row of points beyond its own rows
+    pts = np.array([[x, y] for y in range(0, 256, 40) for x in range(0, 256, 4)])
+    g = ls.build_adjacency(points_lattice(pts), ls.GraphConfig())
+    assert graph_builder._reach(256, 0.2, np.dtype(np.float64)) == 72
+    y = pts[:, 1]
+    for rows, cols, _ in g.bands:
+        near = np.flatnonzero((y >= y[rows].min() - 40) & (y <= y[rows].max() + 40))
+        assert (cols.start, cols.stop) == (near[0], near[-1] + 1)
+    assert sum(s.size for _, _, s in g.bands) < 0.7 * g.m ** 2
+
+
+def test_band_holds_links_exactly_at_the_reach():
+    # two rows of 200 points 72 px apart, the largest |dy| linked at d_t = 0.2
+    # on a 256 canvas; each block lies within one row
+    lat = points_lattice([[x, y] for y in (0, 72) for x in range(200)])
+    g = ls.build_adjacency(lat, ls.GraphConfig())
+    assert [rows.stop - rows.start for rows, _, _ in g.bands] == [100] * 4
+    assert g.adjacency[150, 350] > 0.0
+    assert np.array_equal(g.adjacency, dense_adjacency(lat, ls.GraphConfig()))
+
+
+def edge_map_lattice(min_points, seed=0):
+    """Lattice of a union of one-pixel circle outlines with at least min_points points."""
+    rng = np.random.default_rng(seed)
+    grid = np.zeros((256, 256), dtype=np.uint8)
+    lat = None
+    while lat is None or lat.m < min_points:
+        cx, cy, r = rng.uniform(16, 240), rng.uniform(16, 240), rng.uniform(12, 56)
+        t = np.linspace(0.0, 2.0 * np.pi, int(8 * r) + 8, endpoint=False)
+        xs, ys = (np.round(c + r * f(t)).astype(int) for c, f in ((cx, np.cos), (cy, np.sin)))
+        keep = (xs >= 0) & (xs < 256) & (ys >= 0) & (ys < 256)
+        grid[ys[keep], xs[keep]] = 1
+        lat = ls.sample_lattice(ls.RasterSketch(grid), ls.LatticeConfig())
+    return lat
+
+
+def test_build_allocates_nothing_m_by_m():
+    lat = edge_map_lattice(1500)
+    cfg = ls.GraphConfig()
+    ls.build_adjacency(points_lattice([[0, 0], [1, 1]]), cfg)  # fill the table caches
+    tracemalloc.start()
+    try:
+        g = ls.build_adjacency(lat, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stored = sum(slab.nbytes for _, _, slab in g.bands)
+    assert stored < 0.8 * 8 * lat.m ** 2  # the bands skip the zeros far off in y
+    # besides the slabs, no m x m array of any dtype (a bool one has m^2 bytes)
+    assert peak - stored < lat.m ** 2, (peak, stored, lat.m)

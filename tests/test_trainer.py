@@ -2,6 +2,7 @@
 
 import csv
 import json
+import statistics
 import tracemalloc
 from dataclasses import replace
 
@@ -384,6 +385,24 @@ def test_fit_empty_dataset_raises(tmp_path):
         ls.fit([str(empty)], small_pcfg(), tmp_path / "run")
 
 
+def test_offset_scale_of_ordinary_data_is_numpy_std(toy_dataset):
+    sketches, _, _ = ls.load_dataset(toy_dataset, n_max=64)
+    offs = np.concatenate([s.steps[:, :2].ravel() for s in sketches])
+    assert ls.trainer.offset_scale_of(sketches) == float(offs.std())
+
+
+def test_fit_offset_scale_finite_for_offsets_whose_squares_overflow(tmp_path):
+    path = tmp_path / "huge.ndjson"
+    rows = [[1e154, 0.0, "down"], [0.0, 1.5e154, "down"], [-1e154, 0.0, "end"]]
+    path.write_text(json.dumps({"steps": rows, "label": "huge"}) + "\n")
+    summary = ls.fit([str(path)], small_pcfg(iterations=1), tmp_path / "run")
+    bundle = ls.load_model(summary["checkpoint"])
+    # statistics sums the squares exactly, as rationals
+    want = statistics.pstdev([1e154, 0.0, 0.0, 1.5e154, -1e154, 0.0])
+    assert bundle.pcfg.decoder.offset_scale == pytest.approx(want, rel=1e-15)
+    assert bundle.header["configs"]["decoder"]["offset_scale"] == pytest.approx(want, rel=1e-15)
+
+
 def test_load_dataset_skips_too_long(tmp_path):
     import json
     path = tmp_path / "mix.ndjson"
@@ -441,6 +460,18 @@ def test_audit_all_arrays_small():
 def test_audit_all_arrays_small_variants(variant):
     audit_pcfg = small_audit_pcfg(**variant)
     assert_audit_passes(audit_pcfg, ls.audit_probe(audit_pcfg, seed=0))
+
+
+@pytest.mark.parametrize("row_normalize", [False, True])
+def test_audit_all_arrays_multi_band(monkeypatch, row_normalize):
+    # two-row blocks split every probe graph into bands, most narrower than
+    # the graph, so the audit covers propagation over several bands
+    monkeypatch.setattr(ls.graph_builder, "_BLOCK_ROWS", 2)
+    audit_pcfg = small_audit_pcfg(row_normalize=row_normalize)
+    probe = ls.audit_probe(audit_pcfg, seed=0)
+    assert all(len(g.bands) >= 2 for g in probe["graphs"])
+    assert any(c.stop - c.start < g.m for g in probe["graphs"] for _, c, _ in g.bands)
+    assert_audit_passes(audit_pcfg, probe)
 
 
 def test_audit_all_arrays_small_row_normalized():
