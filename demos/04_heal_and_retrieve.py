@@ -58,18 +58,18 @@ print(f"wrote {work / 'healed.svg'}")
 # --- retrieval ----------------------------------------------------------
 # Fresh held-out sketches, never seen in training.
 rng = np.random.default_rng(99)
-rasters, labels = [], []
+sketches, labels = [], []
 for cat in ("ring", "ladder"):
     for _ in range(20):
         rec = ls.make_sketch_record(cat, rng)
-        sk = ls.parse_quickdraw_line(json.dumps(rec))
-        rasters.append(ls.rasterize(sk, 256))
+        sketches.append(ls.parse_quickdraw_line(json.dumps(rec)))
         labels.append(cat)
 
-# healing_sweep embeds the clean gallery once, then heals every sketch
-# at each corruption level and ranks the healed query against the
-# gallery (its own clean row excluded).
-rows, csv_text = ls.healing_sweep(rasters, labels, bundle,
+# healing_sweep turns the sketches into lattices (no raster drawn),
+# embeds the clean gallery once, then heals every sketch at each
+# corruption level and ranks the healed query against the gallery (its
+# own clean row excluded).
+rows, csv_text = ls.healing_sweep(sketches, labels, bundle,
                                   p_mask_list=[0.1, 0.3, 0.5], seed=7)
 print()
 print("p_mask  top1   top3   mean_points")

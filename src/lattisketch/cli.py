@@ -25,7 +25,7 @@ import numpy as np
 
 from .decoder import generate
 from .encoder import count_parameters, reparameterize
-from .errors import LattisketchError, MalformedRecord, OutOfRange
+from .errors import DatasetEmpty, LattisketchError, MalformedRecord, OutOfRange
 from .params import checkpoint_hash
 from .pipeline_eval import HealRequest, edge_to_sketch, encode_raster, heal, healing_sweep
 from .sketch_data import (VectorSketch, rasterize, read_pgm, read_sketches, render_svg,
@@ -145,26 +145,25 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed,
 
 
 def _rasters_from_input(path, side: int):
-    """One or more rasters from a .pgm image or a JSON-lines sketch file."""
+    """One or more rasters from a .pgm image or a JSON-lines sketch file;
+    DATASET_EMPTY when the sketch file holds none."""
     path = Path(path)
     if path.suffix.lower() == ".pgm":
         return [read_pgm(path)]
-    return [rasterize(s, side) for s in read_sketches(path)]
+    rasters = [rasterize(s, side) for s in read_sketches(path)]
+    if not rasters:
+        raise DatasetEmpty(f"no sketch in {path}")
+    return rasters
 
 
 def _write_sketch_outputs(out_dir: Path, stem: str, sketch: VectorSketch,
                           lattice=None) -> list:
-    written = []
-    svg_path = out_dir / f"{stem}.svg"
-    svg_path.write_text(render_svg(sketch), encoding="utf-8")
-    written.append(svg_path)
-    json_path = out_dir / f"{stem}.json"
-    json_path.write_text(json.dumps(sketch_to_json_obj(sketch)) + "\n", encoding="utf-8")
-    written.append(json_path)
+    texts = {"svg": render_svg(sketch), "json": json.dumps(sketch_to_json_obj(sketch)) + "\n"}
     if lattice is not None:
-        lat_path = out_dir / f"{stem}.lattice.json"
-        lat_path.write_text(json.dumps(lattice.to_json_obj()) + "\n", encoding="utf-8")
-        written.append(lat_path)
+        texts["lattice.json"] = json.dumps(lattice.to_json_obj()) + "\n"
+    written = [out_dir / f"{stem}.{ext}" for ext in texts]
+    for path, text in zip(written, texts.values()):
+        path.write_text(text, encoding="utf-8")
     return written
 
 
@@ -226,9 +225,9 @@ def cmd_train(args) -> int:
 
 def cmd_heal(args) -> int:
     bundle = load_model(args.checkpoint)
-    out = _ensure_out(args)
     p_mask = HealRequest.p_mask if args.pmask is None else args.pmask
     rasters = _rasters_from_input(args.input, bundle.pcfg.lattice.side)
+    out = _ensure_out(args)
     outputs = []
     for i, raster in enumerate(rasters):
         req = HealRequest(raster=raster, p_mask=p_mask, n=args.n,
@@ -243,15 +242,13 @@ def cmd_heal(args) -> int:
 
 def cmd_generate(args) -> int:
     bundle = load_model(args.checkpoint)
-    out = _ensure_out(args)
-    outputs = []
-    inputs = []
+    inputs = [args.input] if args.input else []
+    psi = None
     if args.input:
-        inputs.append(args.input)
         raster = _rasters_from_input(args.input, bundle.pcfg.lattice.side)[0]
         psi = encode_raster(raster, bundle, args.n)
-    else:
-        psi = None
+    out = _ensure_out(args)
+    outputs = []
     for i in range(args.count):
         rng = np.random.default_rng([args.seed or 0, i])
         if psi is None:
@@ -268,8 +265,8 @@ def cmd_generate(args) -> int:
 
 def cmd_img2sketch(args) -> int:
     bundle = load_model(args.checkpoint)
-    out = _ensure_out(args)
     raster = read_pgm(args.input)
+    out = _ensure_out(args)
     sketch, lattice = edge_to_sketch(raster, bundle, n=args.n, seed=args.seed or 0)
     outputs = _write_sketch_outputs(out, "img2sketch", sketch, lattice)
     write_manifest(out, "img2sketch", bundle.pcfg.configs_dict(),
@@ -280,16 +277,13 @@ def cmd_img2sketch(args) -> int:
 
 def cmd_eval(args) -> int:
     bundle = load_model(args.checkpoint)
-    out = _ensure_out(args)
-    side = bundle.pcfg.lattice.side
-    n_max = bundle.pcfg.decoder.n_max
-    rasters, labels = [], []
+    sketches, labels = [], []
     for path in args.data:
-        sketches, file_labels, _ = load_dataset([path], n_max)
-        keep = slice(args.limit or None)
-        rasters += [rasterize(s, side) for s in sketches[keep]]
-        labels += file_labels[keep]
-    rows, csv_text = healing_sweep(rasters, labels, bundle, args.pmask_list,
+        file_sketches, file_labels, _ = load_dataset([path], bundle.pcfg.decoder.n_max)
+        sketches += file_sketches[:args.limit or None]
+        labels += file_labels[:args.limit or None]
+    out = _ensure_out(args)
+    rows, csv_text = healing_sweep(sketches, labels, bundle, args.pmask_list,
                                    n=args.n, seed=args.seed or 0)
     csv_path = out / "metrics.csv"
     csv_path.write_text(csv_text, encoding="utf-8")

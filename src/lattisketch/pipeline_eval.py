@@ -8,7 +8,7 @@ deterministic functions of (checkpoint, inputs, seed).
 
 from __future__ import annotations
 
-import io
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,9 +17,14 @@ from . import encoder as enc_mod
 from .decoder import generate
 from .errors import EmptyLattice, NodeBudgetExceeded, ShapeMismatch
 from .graph_builder import build_adjacency
-from .lattice import LatticeConfig, SketchLattice, mask_lattice, sample_lattice
-from .sketch_data import RasterSketch, VectorSketch, canonicalize_raster, rasterize
+from .lattice import (LatticeConfig, SketchLattice, mask_lattice, sample_lattice,
+                      sketch_lattices)
+from .sketch_data import RasterSketch, canonicalize_raster
 from .trainer import ModelBundle
+
+#: similarities ranked per chunk of query rows: bounds retrieve's scratch
+#: memory at a few times this many entries, however large Q x G grows
+SIMILARITIES_PER_CHUNK = 1 << 20
 
 
 @dataclass
@@ -32,23 +37,22 @@ class HealRequest:
 
 @dataclass
 class RetrievalReport:
-    ranked: np.ndarray            # (Q, G) gallery indices, best first
+    ranked: np.ndarray            # (Q, min(max ks, G)) gallery indices, best first
     top_k: dict                   # k -> accuracy
     confusion: dict               # (query label, top-1 label) -> count
     query_labels: list = field(default_factory=list)
 
 
+def _lattice_config(bundle: ModelBundle, n: int | None) -> LatticeConfig:
+    """The model's lattice, or n lines on its canvas."""
+    base = bundle.pcfg.lattice
+    return base if n is None else LatticeConfig(n=n, side=base.side)
+
+
 def _lattice_of(raster: RasterSketch, bundle: ModelBundle, n: int | None) -> SketchLattice:
     """The lattice of a raster on the model's canvas; n None = the training grid."""
-    base = bundle.pcfg.lattice
-    lat_cfg = base if n is None else LatticeConfig(n=n, side=base.side)
-    return sample_lattice(canonicalize_raster(raster, lat_cfg.side), lat_cfg)
-
-
-def _unit_rows(rows) -> np.ndarray:
-    """Stack embeddings as float64 rows scaled to unit L2 norm."""
-    mat = np.asarray(rows, dtype=np.float64)
-    return mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
+    cfg = _lattice_config(bundle, n)
+    return sample_lattice(canonicalize_raster(raster, cfg.side), cfg)
 
 
 def _embed_lattice(lat: SketchLattice, bundle: ModelBundle, empty_msg: str) -> np.ndarray:
@@ -59,6 +63,17 @@ def _embed_lattice(lat: SketchLattice, bundle: ModelBundle, empty_msg: str) -> n
     return enc_mod.encode(graph, bundle.store, bundle.pcfg.encoder)
 
 
+def _heal_lattice(lat: SketchLattice, p_mask: float, seed, bundle: ModelBundle):
+    """Bernoulli mask -> graph -> psi -> z (noise on) -> autoregressive
+    generation, all from one ``default_rng(seed)`` stream. Returns (sketch,
+    surviving lattice)."""
+    rng = np.random.default_rng(seed)
+    masked = mask_lattice(lat, p_mask, rng)
+    psi = _embed_lattice(masked, bundle, f"no lattice points survive p_mask={p_mask}")
+    sample = enc_mod.reparameterize(psi, bundle.store, rng=rng)
+    return generate(sample.z, bundle.store, bundle.pcfg.decoder, rng), masked
+
+
 def heal(req: HealRequest, bundle: ModelBundle):
     """Regenerate a sketch from a corrupted lattice view of a raster.
 
@@ -66,13 +81,7 @@ def heal(req: HealRequest, bundle: ModelBundle):
     autoregressive generation. Returns (sketch, surviving lattice); raises
     EmptyLattice when nothing survives (blank raster or p_mask too high).
     """
-    lat = _lattice_of(req.raster, bundle, req.n)
-    rng = np.random.default_rng(req.seed)
-    masked = mask_lattice(lat, req.p_mask, rng)
-    psi = _embed_lattice(masked, bundle, f"no lattice points survive p_mask={req.p_mask}")
-    sample = enc_mod.reparameterize(psi, bundle.store, rng=rng)
-    sketch = generate(sample.z, bundle.store, bundle.pcfg.decoder, rng)
-    return sketch, masked
+    return _heal_lattice(_lattice_of(req.raster, bundle, req.n), req.p_mask, req.seed, bundle)
 
 
 def encode_raster(raster: RasterSketch, bundle: ModelBundle,
@@ -81,23 +90,22 @@ def encode_raster(raster: RasterSketch, bundle: ModelBundle,
     return _embed_lattice(_lattice_of(raster, bundle, n), bundle, "raster has no lattice points")
 
 
-def embed_gallery(rasters, bundle: ModelBundle, n: int | None = None):
-    """Stack L2-normalized eval-mode embeddings.
+def embed_gallery(lattices, bundle: ModelBundle):
+    """Stack L2-normalized eval-mode embeddings of lattices, one graph each.
 
-    Returns (matrix (G, d), kept indices, failed indices); items whose
-    lattice is empty or over the graph node budget are recorded and excluded.
+    Returns (matrix (G, d) float64, kept indices, failed indices); a lattice
+    that is empty or over the graph node budget is recorded and excluded.
     """
     rows, kept, failed = [], [], []
-    for i, raster in enumerate(rasters):
+    for i, lat in enumerate(lattices):
         try:
-            psi = encode_raster(raster, bundle, n)
+            rows.append(_embed_lattice(lat, bundle, "lattice has no points"))
         except (EmptyLattice, NodeBudgetExceeded):
             failed.append(i)
             continue
-        rows.append(psi)
         kept.append(i)
-    mat = _unit_rows(rows) if rows else np.zeros((0, bundle.pcfg.encoder.d))
-    return mat, kept, failed
+    mat = np.asarray(rows, dtype=np.float64).reshape(len(rows), bundle.pcfg.encoder.d)
+    return mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12), kept, failed
 
 
 def retrieve(query_psi: np.ndarray, gallery_psi: np.ndarray,
@@ -108,31 +116,34 @@ def retrieve(query_psi: np.ndarray, gallery_psi: np.ndarray,
     Rows are assumed L2-normalized. Ties resolve to the smaller gallery
     index (stable sort). With exclude_self, query i's own gallery row
     (self_indices[i], identity by default) is pushed out of the ranking.
+    Query rows are ranked in chunks of at most about SIMILARITIES_PER_CHUNK
+    similarities, and only the first max(ks) gallery indices of each row
+    are kept.
     """
     query_psi = np.atleast_2d(query_psi)
     gallery_psi = np.atleast_2d(gallery_psi)
     if query_psi.shape[1] != gallery_psi.shape[1]:
         raise ShapeMismatch("query/gallery widths differ")
-    if len(query_labels) != query_psi.shape[0] or len(gallery_labels) != gallery_psi.shape[0]:
+    n_q, n_g = query_psi.shape[0], gallery_psi.shape[0]
+    if len(query_labels) != n_q or len(gallery_labels) != n_g:
         raise ShapeMismatch("label counts do not match embeddings")
-    sims = query_psi @ gallery_psi.T
-    if exclude_self:
-        idx = np.arange(sims.shape[0]) if self_indices is None else np.asarray(self_indices)
-        sims[np.arange(sims.shape[0]), idx] = -np.inf
-    ranked = np.argsort(-sims, axis=1, kind="stable")
-    g_labels = list(gallery_labels)
-    q_labels = list(query_labels)
-    top_k = {}
-    for k in ks:
-        hits = 0
-        for qi in range(ranked.shape[0]):
-            neighbors = [g_labels[gi] for gi in ranked[qi, :k]]
-            hits += q_labels[qi] in neighbors
-        top_k[int(k)] = hits / max(ranked.shape[0], 1)
-    confusion: dict = {}
-    for qi in range(ranked.shape[0]):
-        pair = (q_labels[qi], g_labels[ranked[qi, 0]])
-        confusion[pair] = confusion.get(pair, 0) + 1
+    own = np.arange(n_q) if self_indices is None else np.asarray(self_indices, dtype=np.int64)
+    ranked = np.empty((n_q, min(max(ks), n_g)), dtype=np.int64)
+    # rows split evenly into chunks of at most max(4, ...) rows: only a lone
+    # query is a one-row product, which numpy sums in another order
+    neg_gallery = -gallery_psi.T  # exact, so a chunk ranks -(q . g) bit for bit
+    n_chunks = max(1, -(-n_q // max(4, SIMILARITIES_PER_CHUNK // max(n_g, 1))))
+    bounds = [n_q * c // n_chunks for c in range(n_chunks + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        neg_sims = query_psi[lo:hi] @ neg_gallery
+        if exclude_self:
+            neg_sims[np.arange(hi - lo), own[lo:hi]] = np.inf
+        # assigned into ranked, so no view keeps the chunk alive
+        ranked[lo:hi] = np.argsort(neg_sims, axis=1, kind="stable")[:, :ranked.shape[1]]
+    q_labels, g_labels = list(query_labels), list(gallery_labels)
+    top_k = {int(k): sum(q in [g_labels[gi] for gi in row[:k]]
+                         for q, row in zip(q_labels, ranked)) / max(n_q, 1) for k in ks}
+    confusion = dict(Counter((q, g_labels[row[0]]) for q, row in zip(q_labels, ranked)))
     return RetrievalReport(ranked=ranked, top_k=top_k, confusion=confusion,
                            query_labels=q_labels)
 
@@ -147,53 +158,46 @@ def edge_to_sketch(edge_raster: RasterSketch, bundle: ModelBundle,
     return heal(HealRequest(raster=edge_raster, p_mask=0.0, n=n, seed=seed), bundle)
 
 
-def healing_sweep(rasters, labels, bundle: ModelBundle, p_mask_list,
+def healing_sweep(sketches, labels, bundle: ModelBundle, p_mask_list,
                   n: int | None = None, seed: int = 0):
-    """Heal every raster at each corruption level and score retrieval
+    """Heal every sketch at each corruption level and score retrieval
     against the clean gallery.
 
-    A query is the healed sketch re-entered through the model's own front
-    end (render to raster, embed); its own clean gallery row is excluded
-    from the ranking. A query whose heal or re-embedding meets an empty or
+    Sketches and healed sketches alike become lattices through
+    ``sketch_lattices`` (no raster is drawn) on the model's lattice, or n
+    lines on its canvas. A query is the healed sketch re-embedded by
+    ``embed_gallery``; its own clean gallery row is excluded from the
+    ranking. A query whose heal or re-embedding meets an empty or
     over-budget lattice counts as a failure. Returns (rows, csv_text) with
     columns p_mask,top1,top3,mean_points,failures.
     """
-    side = bundle.pcfg.lattice.side
-    gallery, kept, _failed = embed_gallery(rasters, bundle, n)
+    cfg = _lattice_config(bundle, n)
+    lattices = sketch_lattices(sketches, cfg)
+    gallery, kept, _failed = embed_gallery(lattices, bundle)
     gallery_labels = [labels[i] for i in kept]
     rows = []
     for pm_i, p_mask in enumerate(p_mask_list):
-        q_rows, q_labels, q_self = [], [], []
-        points, failures = [], 0
+        healed, healed_pos, points = [], [], []
         for pos, i in enumerate(kept):
-            req = HealRequest(raster=rasters[i], p_mask=float(p_mask), n=n,
-                              seed=[seed, pm_i, i])
             try:
-                healed, surviving = heal(req, bundle)
-                points.append(surviving.m)
-                psi = encode_raster(rasterize(healed, side), bundle, n)
+                sketch, surviving = _heal_lattice(lattices[i], float(p_mask),
+                                                  [seed, pm_i, i], bundle)
             except (EmptyLattice, NodeBudgetExceeded):
-                failures += 1
                 continue
-            q_rows.append(psi)
-            q_labels.append(labels[i])
-            q_self.append(pos)
-        if q_rows:
-            report = retrieve(_unit_rows(q_rows), gallery, q_labels, gallery_labels,
-                              exclude_self=True, self_indices=q_self)
-            top1, top3 = report.top_k[1], report.top_k[3]
-        else:
-            top1 = top3 = 0.0
+            healed.append(sketch)
+            healed_pos.append(pos)
+            points.append(surviving.m)
+        queries, q_kept, _ = embed_gallery(sketch_lattices(healed, cfg), bundle)
+        q_self = [healed_pos[j] for j in q_kept]
+        report = retrieve(queries, gallery, [gallery_labels[pos] for pos in q_self],
+                          gallery_labels, exclude_self=True, self_indices=q_self)
         rows.append({
             "p_mask": float(p_mask),
-            "top1": top1,
-            "top3": top3,
+            "top1": report.top_k[1],
+            "top3": report.top_k[3],
             "mean_points": float(np.mean(points)) if points else 0.0,
-            "failures": failures,
+            "failures": len(kept) - len(q_kept),
         })
-    buf = io.StringIO()
-    buf.write("p_mask,top1,top3,mean_points,failures\n")
-    for r in rows:
-        buf.write(f"{r['p_mask']:.4f},{r['top1']:.6f},{r['top3']:.6f},"
-                  f"{r['mean_points']:.4f},{r['failures']}\n")
-    return rows, buf.getvalue()
+    csv_rows = [f"{r['p_mask']:.4f},{r['top1']:.6f},{r['top3']:.6f},"
+                f"{r['mean_points']:.4f},{r['failures']}\n" for r in rows]
+    return rows, "".join(["p_mask,top1,top3,mean_points,failures\n", *csv_rows])

@@ -502,7 +502,10 @@ def write_pgm(raster: RasterSketch, path) -> None:
 
 
 def read_pgm(path) -> RasterSketch:
-    """Read a P5 (or P2) PGM; values below 128 count as stroke ink."""
+    """Read a P5 (or P2) PGM; values below 128 count as stroke ink.
+
+    A bad header, a short payload, or a sample that is not a decimal in
+    [0, maxval] raises MalformedRecord."""
     with open(path, "rb") as fh:
         blob = fh.read()
 
@@ -538,12 +541,17 @@ def read_pgm(path) -> RasterSketch:
             raise MalformedRecord("truncated PGM payload")
         data = np.frombuffer(blob, dtype=sample, count=width * height, offset=pos)
     elif magic == b"P2":
-        values = blob[pos:].split()
+        values = blob[pos:].split()[: width * height]
         if len(values) < width * height:
             raise MalformedRecord("truncated PGM payload")
-        data = np.array([int(v) for v in values[: width * height]], dtype=np.int64)
+        # -1 marks a token that is not a plain decimal, or one with more
+        # significant digits than any maxval (< 65536) has
+        data = np.array([int(v) if v.isdigit() and len(v.lstrip(b"0")) <= 5 else -1
+                         for v in values], dtype=np.int64)
     else:
         raise MalformedRecord(f"unsupported PGM magic {magic!r}")
+    if data.min() < 0 or data.max() > maxval:
+        raise MalformedRecord(f"PGM sample not a decimal in [0, maxval={maxval}]")
     threshold = (maxval + 1) // 2
     pixels = (data.reshape(height, width) < threshold).astype(np.uint8)
     return RasterSketch(pixels)

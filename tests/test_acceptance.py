@@ -277,15 +277,14 @@ def test_criterion_07_training_trend(desk_model):
 def test_criterion_08_healing_trend(desk_model):
     bundle = desk_model["bundle"]
     rng_seed = 12345
-    rasters, labels = [], []
+    sketches, labels = [], []
     rng = np.random.default_rng(rng_seed)
     for cat in ("ring", "ladder"):
         for _ in range(40):  # held-out test split, fresh draws
             rec = ls.make_sketch_record(cat, rng)
-            sk = ls.parse_quickdraw_line(json.dumps(rec))
-            rasters.append(ls.rasterize(sk, 256))
+            sketches.append(ls.parse_quickdraw_line(json.dumps(rec)))
             labels.append(cat)
-    rows, _ = ls.healing_sweep(rasters, labels, bundle, [0.1, 0.3], seed=7)
+    rows, _ = ls.healing_sweep(sketches, labels, bundle, [0.1, 0.3], seed=7)
     top1_01 = rows[0]["top1"]
     top1_03 = rows[1]["top1"]
     drop = top1_01 - top1_03

@@ -170,6 +170,20 @@ def test_render_heal_output_round_trip(workdir):
     assert (rendered / "render_0000.pgm").exists()
 
 
+@pytest.mark.parametrize("command", ["heal", "generate"])
+@pytest.mark.parametrize("content", ["", "\n  \n"])
+def test_input_with_no_sketch_exit_3_writes_nothing(workdir, tmp_path, capsys, command,
+                                                    content):
+    data = tmp_path / "none.ndjson"
+    data.write_text(content)
+    out = tmp_path / "out"
+    assert dispatch([command, "--checkpoint", str(workdir["ckpt"]), "--input", str(data),
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: DATASET_EMPTY") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_generate_from_prior(workdir):
     out = workdir["tmp"] / "gen"
     code = dispatch(["generate", "--checkpoint", str(workdir["ckpt"]),

@@ -1,6 +1,7 @@
-"""`lattisketch ingest` and `train` over generated bad sketch files: every run
-ends with a documented exit code (README "Errors and exit codes") and an
-`error: CODE: ...` line, never a traceback."""
+"""`lattisketch ingest` and `train` over generated bad sketch files, and
+`img2sketch` over generated bad PGM files: every run ends with a documented
+exit code (README "Errors and exit codes") and an `error: CODE: ...` line,
+never a traceback."""
 
 import contextlib
 import io
@@ -10,9 +11,11 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lattisketch as ls
 from lattisketch import cli
 
 SMALL_CONFIG = ("d = 8\nk = 2\nhidden_size = 16\nmixtures = 2\nn_max = 64\n"
@@ -100,3 +103,68 @@ def test_ingest_and_train_end_with_a_documented_exit_code(lines):
         _check(*_run(["ingest", str(data), "--out", str(tmp / "ingest")]))
         _check(*_run(["train", "--config", str(config), "--data", str(data),
                       "--out", str(tmp / "train")]))
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """An untrained model of SMALL_CONFIG's size, saved as a checkpoint."""
+    pcfg = ls.PipelineConfig(encoder=ls.EncoderConfig(d=8, K=2),
+                             decoder=ls.DecoderConfig(hidden_size=16, M=2, n_max=64, z_dim=8))
+    path = tmp_path_factory.mktemp("pgm") / "small.ckpt"
+    ls.save_model(path, ls.init_params(pcfg, seed=0), None, pcfg)
+    return str(path)
+
+
+_HEADER_FIELD = st.sampled_from(["0", "-1", "abc", "99999999999999999999", "1_0", "65536"])
+_P2_SAMPLE = st.one_of(
+    st.integers(0, 255), st.integers(0, 255), st.integers(-3, 70000),
+    st.sampled_from(["abc", "99999999999999999999", "+5", "0x1f", "1_0", "000000000000255",
+                     "9" * 5000]),
+    st.text("0123456789-+.e", min_size=1, max_size=6)).map(lambda v: str(v).encode())
+
+
+@st.composite
+def _pgm_file(draw):
+    """A PGM header, mostly legal, and a payload about the size it asks for."""
+    magic = draw(st.sampled_from([b"P2", b"P2", b"P5", b"P5", b"P3"]))
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    maxval = draw(st.sampled_from([1, 255, 255, 1000, 65535]))
+    fields = [str(v).encode() for v in (width, height, maxval)]
+    if draw(st.integers(0, 3)) == 0:
+        fields[draw(st.integers(0, 2))] = draw(_HEADER_FIELD).encode()
+    header = magic + b"\n# edge map\n" + b" ".join(fields[:2]) + b"\n" + fields[2] + b"\n"
+    size = width * height
+    if magic == b"P2":
+        payload = b" ".join(draw(st.lists(_P2_SAMPLE, min_size=size - 1, max_size=size + 1)))
+    else:
+        size *= 2 if maxval > 255 else 1
+        payload = draw(st.binary(min_size=size - 1, max_size=size + 1))
+    return draw(st.sampled_from([header + payload] * 4 + [header, payload]))
+
+
+@given(_pgm_file())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_img2sketch_ends_with_a_documented_exit_code(small_checkpoint, blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        pgm = Path(tmp) / "edge.pgm"
+        pgm.write_bytes(blob)
+        _check(*_run(["img2sketch", "--checkpoint", small_checkpoint, "--input", str(pgm),
+                      "--out", str(Path(tmp) / "out")]))
+
+
+@pytest.mark.parametrize("blob", [
+    b"P2\n2 1\n255\n0 abc\n",                       # not a decimal
+    b"P2\n2 1\n255\n0 99999999999999999999\n",      # beyond any int64
+    b"P2\n2 1\n255\n0 256\n",                       # above maxval
+    b"P2\n2 1\n255\n0 -1\n",                        # below 0
+    b"P5\n2 1\n100\n\x00\xc8",                       # 8-bit sample above maxval
+    b"P5\n2 1\n1000\n\x00\x00\xff\xff",               # 16-bit sample above maxval
+])
+def test_img2sketch_bad_pgm_sample_is_a_malformed_record(small_checkpoint, tmp_path, blob):
+    pgm = tmp_path / "edge.pgm"
+    pgm.write_bytes(blob)
+    code, err = _run(["img2sketch", "--checkpoint", small_checkpoint, "--input", str(pgm),
+                      "--out", str(tmp_path / "out")])
+    assert code == 3 and err.startswith("error: MALFORMED_RECORD"), err
+    assert not (tmp_path / "out").exists()

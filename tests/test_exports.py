@@ -53,7 +53,7 @@ def test_all_resolves_and_lists_every_public_import():
     assert unlisted == []
 
 
-# Every keyword parameter with a default (32 of them) on a public function or
+# Every keyword parameter with a default (31 of them) on a public function or
 # method, in every module but the CLI: adding a setting is a deliberate edit here.
 KEYWORD_DEFAULTS = {
     "decoder.init_decoder_params": {"dtype": np.float32, "store": None},
@@ -65,7 +65,6 @@ KEYWORD_DEFAULTS = {
     "params.ParameterStore.add": {"trainable": True},
     "params.save_checkpoint": {"configs": None, "extra": None},
     "pipeline_eval.encode_raster": {"n": None},
-    "pipeline_eval.embed_gallery": {"n": None},
     "pipeline_eval.retrieve": {"ks": (1, 3), "exclude_self": False, "self_indices": None},
     "pipeline_eval.edge_to_sketch": {"n": None, "seed": 0},
     "pipeline_eval.healing_sweep": {"n": None, "seed": 0},

@@ -1,6 +1,7 @@
 """Healing, retrieval and the evaluation sweep."""
 
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ import lattisketch as ls
 from conftest import random_raster, zigzag_scribble
 from lattisketch import pipeline_eval
 from lattisketch.graph_builder import MAX_NODES, build_adjacency
+from lattisketch.lattice import sketch_lattices
 
 
 # ---------------------------------------------------------------------------
@@ -52,17 +54,19 @@ def test_retrieve_rank_rows_are_permutations():
     rng = np.random.default_rng(1)
     gallery = rng.standard_normal((7, 4))
     queries = rng.standard_normal((3, 4))
-    report = ls.retrieve(queries, gallery, ["x"] * 3, ["x"] * 7, ks=(1, 3))
-    for row in report.ranked:
+    report = ls.retrieve(queries, gallery, ["x"] * 3, ["x"] * 7, ks=(1, 9))
+    for row in report.ranked:  # max(ks) >= G keeps every gallery index
         assert sorted(row.tolist()) == list(range(7))
+    report = ls.retrieve(queries, gallery, ["x"] * 3, ["x"] * 7, ks=(1, 3))
+    assert report.ranked.shape == (3, 3)
 
 
 def test_retrieve_tie_break_by_gallery_index():
     gallery = np.tile([[1.0, 0.0]], (4, 1))  # identical embeddings
     queries = np.array([[1.0, 0.0]])
-    report = ls.retrieve(queries, gallery, ["q"], ["a", "b", "c", "d"], ks=(1,))
+    report = ls.retrieve(queries, gallery, ["q"], ["a", "b", "c", "d"], ks=(1, 4))
     assert report.ranked[0].tolist() == [0, 1, 2, 3]
-    again = ls.retrieve(queries, gallery, ["q"], ["a", "b", "c", "d"], ks=(1,))
+    again = ls.retrieve(queries, gallery, ["q"], ["a", "b", "c", "d"], ks=(1, 4))
     assert np.array_equal(report.ranked, again.ranked)
 
 
@@ -90,38 +94,95 @@ def test_retrieve_confusion_counts():
     assert report.top_k[1] == 0.0
 
 
+def dense_retrieve(queries, gallery, q_labels, g_labels, ks, self_indices):
+    """Oracle: one dense similarity matrix, self rows at -inf, a full stable argsort."""
+    sims = queries @ gallery.T
+    sims[np.arange(len(queries)), self_indices] = -np.inf
+    ranked = np.argsort(-sims, axis=1, kind="stable")
+    top_k = {k: sum(q in [g_labels[g] for g in row[:k]] for q, row in zip(q_labels, ranked))
+             / len(q_labels) for k in ks}
+    return ranked, top_k
+
+
+@pytest.mark.parametrize("n_q,n_g,chunk", [(50, 40, 280), (31, 9, 20), (12, 5, 1)])
+def test_retrieve_chunks_equal_the_dense_argsort(monkeypatch, n_q, n_g, chunk):
+    # rows drawn from a few integer directions: many exact ties
+    rng = np.random.default_rng(n_q)
+    gallery = rng.integers(-1, 2, (n_g, 3)).astype(np.float64)
+    queries = rng.integers(-1, 2, (n_q, 3)).astype(np.float64)
+    labels = [f"c{i % 3}" for i in range(n_g)]
+    q_labels = [f"c{i % 3}" for i in range(n_q)]
+    own = rng.integers(0, n_g, n_q)
+    ks = (1, 3, 7)
+    monkeypatch.setattr(pipeline_eval, "SIMILARITIES_PER_CHUNK", chunk)
+    assert n_q > 2 * max(4, chunk // n_g)  # at least three chunks
+    report = ls.retrieve(queries, gallery, q_labels, labels, ks=ks,
+                         exclude_self=True, self_indices=own)
+    ranked, top_k = dense_retrieve(queries, gallery, q_labels, labels, ks, own)
+    assert report.ranked.dtype == np.int64
+    assert np.array_equal(report.ranked, ranked[:, :min(max(ks), n_g)])
+    assert report.top_k == top_k
+
+
+# the dense ranking at Q = G = 5,000 holds three 200 MB (Q, G) arrays at once
+RETRIEVE_PEAK_BYTES = 40_000_000
+
+
+def test_retrieve_memory_stays_bounded_at_5000_squared():
+    rng = np.random.default_rng(0)
+    emb = rng.standard_normal((5000, 8))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    labels = [f"c{i % 10}" for i in range(5000)]
+    tracemalloc.start()
+    try:
+        report = ls.retrieve(emb, emb, labels, labels, exclude_self=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ranked.shape == (5000, 3)
+    assert peak < RETRIEVE_PEAK_BYTES
+
+
 # ---------------------------------------------------------------------------
 # embed_gallery / encode_raster
 
 
+def lattice_of(raster, bundle):
+    return ls.sample_lattice(raster, bundle.pcfg.lattice)
+
+
 def test_embed_gallery_rows_unit_norm(tiny_model):
     rng = np.random.default_rng(2)
-    rasters = [random_raster(rng, density=0.05) for _ in range(4)]
-    emb, kept, failed = ls.embed_gallery(rasters, tiny_model)
+    lattices = [lattice_of(random_raster(rng, density=0.05), tiny_model) for _ in range(4)]
+    emb, kept, failed = ls.embed_gallery(lattices, tiny_model)
     assert failed == [] and kept == [0, 1, 2, 3]
+    assert emb.dtype == np.float64
     assert np.allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-6)
 
 
 def test_embed_gallery_deterministic_rows(tiny_model):
     rng = np.random.default_rng(3)
-    raster = random_raster(rng, density=0.05)
-    emb, _, _ = ls.embed_gallery([raster, raster], tiny_model)
+    lat = lattice_of(random_raster(rng, density=0.05), tiny_model)
+    emb, _, _ = ls.embed_gallery([lat, lat], tiny_model)
     assert np.array_equal(emb[0], emb[1])
 
 
 def test_embed_gallery_excludes_blank(tiny_model):
     rng = np.random.default_rng(4)
-    blank = ls.RasterSketch(pixels=np.zeros((256, 256), dtype=np.uint8))
-    good = random_raster(rng, density=0.05)
+    blank = ls.SketchLattice(np.zeros((0, 2)))
+    good = lattice_of(random_raster(rng, density=0.05), tiny_model)
     emb, kept, failed = ls.embed_gallery([blank, good], tiny_model)
     assert failed == [0]
     assert kept == [1]
     assert emb.shape[0] == 1
+    emb, kept, failed = ls.embed_gallery([blank], tiny_model)
+    assert emb.shape == (0, tiny_model.pcfg.encoder.d) and (kept, failed) == ([], [0])
 
 
-def test_embed_gallery_records_over_budget_rasters(tiny_model):
-    full_ink = ls.RasterSketch(pixels=np.ones((256, 256), dtype=np.uint8))
-    good = random_raster(np.random.default_rng(4), density=0.05)
+def test_embed_gallery_records_over_budget_lattices(tiny_model):
+    full_ink = lattice_of(ls.RasterSketch(pixels=np.ones((256, 256), dtype=np.uint8)),
+                          tiny_model)
+    good = lattice_of(random_raster(np.random.default_rng(4), density=0.05), tiny_model)
     emb, kept, failed = ls.embed_gallery([full_ink, good, full_ink], tiny_model)
     assert failed == [0, 2]
     assert kept == [1]
@@ -133,7 +194,7 @@ def test_embed_gallery_propagates_other_out_of_range(tiny_model, monkeypatch):
         raise ls.OutOfRange("lattice point outside canvas")
 
     monkeypatch.setattr(pipeline_eval, "build_adjacency", off_canvas)
-    good = random_raster(np.random.default_rng(4), density=0.05)
+    good = lattice_of(random_raster(np.random.default_rng(4), density=0.05), tiny_model)
     with pytest.raises(ls.OutOfRange, match="outside canvas"):
         ls.embed_gallery([good], tiny_model)
 
@@ -261,22 +322,21 @@ def test_heal_override_grid(tiny_model, square_sketch):
 # healing_sweep
 
 
-def synth_rasters(n_per_class, seed=0):
+def synth_sketches(n_per_class, seed=0):
     import json
     rng = np.random.default_rng(seed)
-    rasters, labels = [], []
+    sketches, labels = [], []
     for cat in ("ring", "ladder"):
         for _ in range(n_per_class):
             rec = ls.make_sketch_record(cat, rng)
-            sk = ls.parse_quickdraw_line(json.dumps(rec))
-            rasters.append(ls.rasterize(sk, 256))
+            sketches.append(ls.parse_quickdraw_line(json.dumps(rec)))
             labels.append(cat)
-    return rasters, labels
+    return sketches, labels
 
 
 def test_sweep_csv_and_monotone_points(tiny_model):
-    rasters, labels = synth_rasters(6)
-    rows, csv_text = ls.healing_sweep(rasters, labels, tiny_model,
+    sketches, labels = synth_sketches(6)
+    rows, csv_text = ls.healing_sweep(sketches, labels, tiny_model,
                                       [0.0, 0.3, 0.6], seed=1)
     lines = csv_text.strip().splitlines()
     assert lines[0] == "p_mask,top1,top3,mean_points,failures"
@@ -288,26 +348,108 @@ def test_sweep_csv_and_monotone_points(tiny_model):
         assert r["top1"] <= r["top3"]
 
 
-def test_sweep_records_over_budget_rasters_and_queries(tiny_model, monkeypatch):
-    full_ink = ls.RasterSketch(pixels=np.ones((256, 256), dtype=np.uint8))
-    rasters, labels = synth_rasters(1)
-    rasters, labels = [full_ink, full_ink] + rasters, ["ink", "ink"] + labels
-    rows, _ = ls.healing_sweep(rasters, labels, tiny_model, [0.1], seed=3)
-    assert rows[0]["failures"] == 0  # the full-ink rasters never enter the gallery
+def test_sweep_records_over_budget_sketches_and_queries(tiny_model, monkeypatch):
+    sketches, labels = synth_sketches(1)
+    sketches, labels = [zigzag_scribble()] * 2 + sketches, ["ink", "ink"] + labels
+    rows, _ = ls.healing_sweep(sketches, labels, tiny_model, [0.1], seed=3)
+    assert rows[0]["failures"] == 0  # the scribbles never enter the gallery
     # every healed sketch now re-embeds over the node budget
     scribble = zigzag_scribble()
     monkeypatch.setattr(pipeline_eval, "generate", lambda *args: scribble)
-    rows, _ = ls.healing_sweep(rasters, labels, tiny_model, [0.1], seed=3)
+    rows, _ = ls.healing_sweep(sketches, labels, tiny_model, [0.1], seed=3)
     assert rows[0]["failures"] == 2
     assert rows[0]["top1"] == rows[0]["top3"] == 0.0
 
 
 def test_sweep_surviving_fraction_binomial(tiny_model):
-    rasters, labels = synth_rasters(8)
-    full = [ls.sample_lattice(ls.canonicalize_raster(r), tiny_model.pcfg.lattice).m
-            for r in rasters]
+    sketches, labels = synth_sketches(8)
+    full = [lat.m for lat in sketch_lattices(sketches, tiny_model.pcfg.lattice)]
     mean_m = np.mean(full)
-    rows, _ = ls.healing_sweep(rasters, labels, tiny_model, [0.3], seed=2)
+    rows, _ = ls.healing_sweep(sketches, labels, tiny_model, [0.3], seed=2)
     kept = rows[0]["mean_points"]
-    sigma = np.sqrt(mean_m * 0.3 * 0.7 / len(rasters))
+    sigma = np.sqrt(mean_m * 0.3 * 0.7 / len(sketches))
     assert abs(kept - 0.7 * mean_m) < 3 * sigma + 1.0
+
+
+def raster_sweep(sketches, labels, bundle, p_mask_list, n=None, seed=0):
+    """Oracle: the sweep as it ran on rasters. Every sketch and every healed
+    sketch is drawn to a raster and embedded on its own through
+    encode_raster, and the queries are ranked by one dense argsort."""
+    side = bundle.pcfg.lattice.side
+
+    def embed(raster):
+        try:
+            return ls.encode_raster(raster, bundle, n)
+        except (ls.EmptyLattice, ls.NodeBudgetExceeded):
+            return None
+
+    def unit_rows(rows):
+        mat = np.asarray(rows, dtype=np.float64)
+        return mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12)
+
+    rasters = [ls.rasterize(sk, side) for sk in sketches]
+    psis = [embed(r) for r in rasters]
+    kept = [i for i, psi in enumerate(psis) if psi is not None]
+    gallery = unit_rows([psis[i] for i in kept])
+    rows = []
+    for pm_i, p_mask in enumerate(p_mask_list):
+        q_rows, q_labels, q_self, points = [], [], [], []
+        for pos, i in enumerate(kept):
+            req = ls.HealRequest(raster=rasters[i], p_mask=p_mask, n=n, seed=[seed, pm_i, i])
+            try:
+                healed, surviving = ls.heal(req, bundle)
+            except ls.EmptyLattice:
+                continue
+            points.append(surviving.m)
+            psi = embed(ls.rasterize(healed, side))
+            if psi is not None:
+                q_rows.append(psi)
+                q_labels.append(labels[i])
+                q_self.append(pos)
+        top1 = top3 = 0.0
+        if q_rows:
+            g_labels = [labels[i] for i in kept]
+            ranked, top_k = dense_retrieve(unit_rows(q_rows), gallery, q_labels, g_labels,
+                                           (1, 3), q_self)
+            top1, top3 = top_k[1], top_k[3]
+        rows.append({"p_mask": p_mask, "top1": top1, "top3": top3,
+                     "mean_points": float(np.mean(points)) if points else 0.0,
+                     "failures": len(kept) - len(q_rows)})
+    return rows
+
+
+@pytest.mark.parametrize("n", [None, 12])
+def test_sweep_equals_the_raster_sweep(tiny_model, n):
+    sketches, labels = synth_sketches(4, seed=8)
+    sketches, labels = sketches + [zigzag_scribble()], labels + ["ink"]
+    rows, _ = ls.healing_sweep(sketches, labels, tiny_model, [0.1, 0.99], n=n, seed=4)
+    assert rows[1]["failures"] > 0  # some heals find no surviving point
+    assert rows == raster_sweep(sketches, labels, tiny_model, [0.1, 0.99], n=n, seed=4)
+
+
+def sweep_peak_bytes(bundle, count):
+    sketches, labels = synth_sketches(count // 2, seed=13)
+    tracemalloc.start()
+    try:
+        ls.healing_sweep(sketches, labels, bundle, [0.3], n=8, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+# what the sweep keeps per sketch (lattices, embedding rows, labels): about
+# 0.7 KB at n = 8, so 4 KB leaves room; a dense ranking adds 24 KB per query
+# at 1,000 sketches
+SWEEP_BYTES_PER_SKETCH = 4_000
+
+
+def test_sweep_scratch_memory_does_not_grow_with_the_dataset(tiny_model, monkeypatch):
+    # one fixed healed ring and a small ranking chunk: from about 50 sketches
+    # on, the drawing core's runs and the ranking chunk are full, so the peak
+    # grows only by what the sweep keeps per sketch
+    ring = synth_sketches(1)[0][0]
+    monkeypatch.setattr(pipeline_eval, "generate", lambda *args: ring)
+    monkeypatch.setattr(pipeline_eval, "SIMILARITIES_PER_CHUNK", 4096)
+    small, large = sweep_peak_bytes(tiny_model, 300), sweep_peak_bytes(tiny_model, 900)
+    assert large - small < (900 - 300) * SWEEP_BYTES_PER_SKETCH
