@@ -14,13 +14,12 @@ pass: sigmoid(a) = 1/2 + tanh(a/2)/2 on the i, f and o blocks, tanh on g.
 The halving is folded into W_h, W_x and b once per call; scaling by a
 power of two is exact, so training's loss and gradients keep their bits.
 
-The rollout folds the sampled stroke into the recurrent product: each
-step is one [h, dx, dy, onehot(pen)] row times a stacked matrix that
-carries z's share in its pen rows, in the store's dtype. Float32 rollouts
-therefore round differently from versions that added the stroke's share
-after h W_h. Sampling draws mixture components and pen states by inverse
-CDF over the tempered logits and activates only the drawn component, all
-in float64 on the head's values.
+The rollout folds the sampled stroke and z's share into one recurrent
+product per step, [h, 1, dx, dy, onehot(pen)] W, and the head's bias into
+one [h', 1] product, in the store's dtype, with every buffer allocated
+once. Its randomness is drawn up front (see _rollout_noise), and each step
+draws the component and the pen state by Gumbel-max, an exact draw from
+softmax(logits / tau), in float64 on the head's values.
 
 Backward passes are hand-written (full backprop through time); caches
 from the forward run carry the needed intermediates.
@@ -28,7 +27,6 @@ from the forward run carry the needed intermediates.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -104,12 +102,12 @@ def _gate_scale(hs: int, dtype: np.dtype):
     return s, one_minus
 
 
-def _lstm_cell(pre, c, h_out):
+def _lstm_cell(pre, c, c_out, tc_out, h_out):
     """One LSTM step from the prescaled pre-activation pre = (h W_h + x W_x + b) s.
 
     Activates pre in place into the i, f, g, o gate blocks side by side, all
-    four from one tanh(pre) s + (1 - s) pass, writes h' into h_out and
-    returns (c', tanh(c')).
+    four from one tanh(pre) s + (1 - s) pass, and writes c' into c_out (which
+    may be c), tanh(c') into tc_out and h' into h_out.
     """
     hs = c.shape[-1]
     s, one_minus = _gate_scale(hs, pre.dtype)
@@ -118,10 +116,11 @@ def _lstm_cell(pre, c, h_out):
     pre += one_minus
     i, f = pre[..., :hs], pre[..., hs : 2 * hs]
     g, o = pre[..., 2 * hs : 3 * hs], pre[..., 3 * hs :]
-    c_new = f * c + i * g
-    tc = np.tanh(c_new)
-    np.multiply(o, tc, out=h_out)
-    return c_new, tc
+    np.multiply(i, g, out=tc_out)
+    np.multiply(f, c, out=c_out)
+    c_out += tc_out  # f c + i g
+    np.tanh(c_out, out=tc_out)
+    np.multiply(o, tc_out, out=h_out)
 
 
 def _columns(Y: np.ndarray, M: int):
@@ -138,41 +137,42 @@ def _head(Y: np.ndarray, M: int):
             np.maximum(1.0 - rho * rho, RHO_S_FLOOR), log_softmax(pen_logits, axis=-1))
 
 
-def _draw(logits: list, tau: float, rng: np.random.Generator) -> int:
-    """Inverse-CDF categorical draw from softmax(logits / tau), in Python floats.
+def _rollout_columns(A: np.ndarray, M: int) -> np.ndarray:
+    """A copy of (..., 6M+3) head columns in the rollout's order: mixture
+    logits, pen logits, then mu_x, mu_y, log_sx, log_sy, rho_raw blocks."""
+    return np.concatenate([A[..., :M], A[..., 6 * M :], A[..., M : 6 * M]], axis=-1)
 
-    A category whose tempered weight vanishes against the running sum has
-    an empty CDF interval and is never drawn.
+
+def _rollout_noise(rng: np.random.Generator, n: int, M: int, tau: float):
+    """A rollout's randomness: (n, M + 3) Gumbel noise -log(E) scaled by tau,
+    then a list of n pairs of standard normals scaled by sqrt(tau)."""
+    g = rng.standard_exponential((n, M + 3))
+    np.maximum(g, np.finfo(g.dtype).tiny, out=g)  # a zero draw would give log(0)
+    np.log(g, out=g)
+    g *= -tau
+    return g, (math.sqrt(tau) * rng.standard_normal((n, 2))).tolist()
+
+
+def _sample(y: np.ndarray, gumbel: np.ndarray, normal, M: int, buf: np.ndarray):
+    """Draw (dx, dy, pen) from one step's head output y, in rollout column
+    order, with one row of _rollout_noise.
+
+    Gumbel-max: argmax(logits + tau G) over buf = y[:M + 3] + gumbel, in
+    float64, draws from softmax(logits / tau); a non-finite pick (NaN or
+    +inf anywhere, or all -inf) raises. Only the drawn component's
+    correlation is activated, with the training loss's floor, so a
+    saturated correlation still samples.
     """
-    top = max(logits)  # the top category's weight is 1, so a finite sum is >= 1
-    cdf, total = [], 0.0
-    for x in logits:
-        total += math.exp((x - top) / tau)
-        cdf.append(total)
-    if not total >= 1.0:  # NaN from a non-finite head, in whichever position
+    np.add(y[: M + 3], gumbel, out=buf)
+    j, pen = int(buf[:M].argmax()), int(buf[M:].argmax())
+    if not (math.isfinite(buf.item(j)) and math.isfinite(buf.item(M + pen))):
         raise NumericalUnderflow("non-finite mixture or pen logits")
-    return bisect.bisect_right(cdf, rng.random() * total)
-
-
-def _sample(y: np.ndarray, M: int, tau: float, rng: np.random.Generator):
-    """Draw (dx, dy, pen) from one step's raw head output y at temperature tau.
-
-    Mixture and pen logits are divided by tau (softmax(log_softmax(l) / tau)
-    is softmax(l / tau)) and deviations scaled by sqrt(tau). Only the drawn
-    component's correlation is activated, with the floor the training loss
-    uses, so a saturated correlation still samples. The arithmetic runs in
-    float64 on y's values, with numpy's tanh and exp: math.tanh differs
-    from np.tanh in the last place on some inputs.
-    """
-    y = y.tolist()
-    j = _draw(y[:M], tau, rng)
-    rho = np.tanh(y[5 * M + j])
-    s = max(1.0 - rho * rho, RHO_S_FLOOR)
-    u, v = rng.standard_normal(2).tolist()
-    root_tau = math.sqrt(tau)
-    dx = y[M + j] + np.exp(y[3 * M + j]) * root_tau * u
-    dy = y[2 * M + j] + np.exp(y[4 * M + j]) * root_tau * (rho * u + math.sqrt(s) * v)
-    return dx, dy, _draw(y[6 * M :], tau, rng)
+    mu_x, mu_y, lsx, lsy, rho = y[M + 3 + j :: M].tolist()
+    rho = math.tanh(rho)
+    u, v = normal
+    dx = mu_x + math.exp(lsx) * u
+    dy = mu_y + math.exp(lsy) * (rho * u + math.sqrt(max(1.0 - rho * rho, RHO_S_FLOOR)) * v)
+    return dx, dy, pen
 
 
 def generate(z: np.ndarray, store: ParameterStore, cfg: DecoderConfig,
@@ -180,38 +180,38 @@ def generate(z: np.ndarray, store: ParameterStore, cfg: DecoderConfig,
     """Autoregressive rollout from the start token (0, 0, down) at cfg.temperature.
 
     Runs in the store's dtype. Each step is one product v W of the row
-    v = [h, dx, dy, onehot(pen)] with W = [W_h; W_x[0]; W_x[1]; W_x[2:5] +
-    z W_x[5:] + b], gate-prescaled once per rollout. Stops at the first
-    sampled pen=end; hitting the n_max cap forces the final step's pen to
-    end so the output always satisfies the sketch invariants. Offsets are
-    scaled back to pixels by cfg.offset_scale.
+    v = [h, 1, dx, dy, onehot(pen)] with W = [W_h; z W_x[5:] + b; W_x[:5]],
+    gate-prescaled once per rollout, then [h', 1] times the head's weights
+    over its bias, and one _sample draw. Stops at the first sampled pen=end;
+    hitting the n_max cap forces the final step's pen to end so the output
+    always satisfies the sketch invariants. Offsets are scaled back to
+    pixels by cfg.offset_scale.
     """
     dtype = store["dec.head.W"].dtype
     z = np.asarray(z, dtype=dtype).reshape(-1)
     if z.shape[0] != cfg.z_dim:
         raise ShapeMismatch(f"z has {z.shape[0]} entries, want {cfg.z_dim}")
     Wx, Wh = store["dec.lstm.Wx"], store["dec.lstm.Wh"]
-    W_head, b_head = store["dec.head.W"], store["dec.head.b"]
-    hs = Wh.shape[0]
-    W = np.concatenate([Wh, Wx[:2], Wx[2:5] + (z @ Wx[5:] + store["dec.lstm.b"])])
+    M, hs = cfg.M, Wh.shape[0]
+    W = np.concatenate([Wh, (z @ Wx[5:] + store["dec.lstm.b"])[None], Wx[:5]])
     W *= _gate_scale(hs, dtype)[0]
-    v = np.zeros(hs + 5, dtype=dtype)
-    h, x = v[:hs], v[hs:]
+    W_head = _rollout_columns(np.vstack([store["dec.head.W"], store["dec.head.b"]]), M)
+    gumbel, normal = _rollout_noise(rng, cfg.n_max, M, cfg.temperature)
+    v = np.zeros(hs + 6, dtype=dtype)
+    h, h1, x = v[:hs], v[: hs + 1], v[hs:]
     h[:], c = init_state(z, store)
-    x[2 + PEN_DOWN] = 1.0  # the start token (0, 0, down)
-    gates = np.empty(4 * hs, dtype=dtype)
-    y = np.empty(cfg.head_width, dtype=dtype)
+    x[[0, 3 + PEN_DOWN]] = 1.0  # the constant 1 and the start token (0, 0, down)
+    gates, tc = np.empty(4 * hs, dtype=dtype), np.empty(hs, dtype=dtype)
+    y, buf = np.empty(cfg.head_width, dtype=dtype), np.empty(M + 3)
     steps = []
-    for _ in range(cfg.n_max):
-        c, _ = _lstm_cell(np.matmul(v, W, out=gates), c, h)
-        np.matmul(h, W_head, out=y)
-        y += b_head
-        dx, dy, pen = _sample(y, cfg.M, cfg.temperature, rng)
+    for t in range(cfg.n_max):
+        _lstm_cell(np.matmul(v, W, out=gates), c, c, tc, h)
+        dx, dy, pen = _sample(np.matmul(h1, W_head, out=y), gumbel[t], normal[t], M, buf)
         steps.append((dx, dy, pen))
         if pen == PEN_END:
             break
-        x[:] = dx, dy, 0.0, 0.0, 0.0
-        x[2 + pen] = 1.0
+        x[:] = 1.0, dx, dy, 0.0, 0.0, 0.0
+        x[3 + pen] = 1.0
     steps = np.array(steps, dtype=float)
     steps[-1, 2] = PEN_END  # a rollout truncated by the cap ends here
     steps[:, :2] *= cfg.offset_scale
@@ -254,7 +254,7 @@ def teacher_forced_nll(targets: np.ndarray, z: np.ndarray, store: ParameterStore
     TC = np.empty((B, T, hs), dtype=dtype)
     for t in range(T):
         gates[:, t] += H[:, t] @ Wh
-        C[:, t + 1], TC[:, t] = _lstm_cell(gates[:, t], C[:, t], H[:, t + 1])
+        _lstm_cell(gates[:, t], C[:, t], C[:, t + 1], TC[:, t], H[:, t + 1])
 
     Y = H[:, 1:] @ store["dec.head.W"] + store["dec.head.b"]
 

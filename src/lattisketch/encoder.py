@@ -206,8 +206,9 @@ def encode_graphs(graphs, store: ParameterStore, cfg: EncoderConfig,
         raise EmptyLattice("graph has no nodes")
     dtype = store["enc.fc.W"].dtype
     points = np.concatenate([g.points for g in graphs])
+    starts = (np.cumsum(ms) - ms).tolist()
     bands = []
-    for g, s in zip(graphs, (np.cumsum(ms) - ms).tolist()):
+    for g, s in zip(graphs, starts):
         for rows, cols, slab in g.bands:
             slab = np.asarray(slab, dtype=dtype)
             if cfg.row_normalize:  # a row's links all lie in its band
@@ -225,7 +226,8 @@ def encode_graphs(graphs, store: ParameterStore, cfg: EncoderConfig,
     for layer in range(cfg.K):
         V, c = encode_layer(V, bands, store, layer, masks[layer])
         layer_caches.append(c)
-    pooled = _onehot(np.repeat(np.arange(len(graphs)), ms), len(graphs), dtype) @ V
+    # each graph's rows summed one after another, in row order
+    pooled = np.stack([V[s : s + m].sum(axis=0) for s, m in zip(starts, ms.tolist())])
     if cfg.pooling == "mean":
         pooled /= ms[:, None].astype(dtype)
     Y = pooled @ store["enc.fc.W"] + store["enc.fc.b"]

@@ -123,6 +123,7 @@ def sketch_lattices(sketches, cfg: LatticeConfig) -> list:
     lattices, kept = [], []
     for done, keys in drawn_pixels(sketches, cfg.side):
         kept.append(keys[on_line[keys % area]])
+        del keys  # not held while the next pass is drawn
         if done > len(lattices):
             lattices += _split_keys(kept, len(lattices), done, cfg)
             kept = []

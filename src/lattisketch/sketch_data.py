@@ -317,6 +317,7 @@ def rasterize(sketch: VectorSketch, side: int = CANVAS_SIDE) -> RasterSketch:
     grid = np.zeros(side * side, dtype=np.uint8)
     for _, keys in drawn_pixels([sketch], side):
         grid[keys] = 1
+        del keys  # not held while the next pass is drawn
     return RasterSketch(grid.reshape(side, side))
 
 
@@ -414,9 +415,9 @@ def _segment_keys(segs: np.ndarray, base: np.ndarray, side: int) -> np.ndarray:
     off += lead
     off //= den
     off *= minor_step
-    flat += off
-    flat += j * major_step
-    return flat
+    off += flat  # a fresh array: the (6, pixels) block goes when this returns
+    off += j * major_step
+    return off
 
 
 def _fmt(v: float) -> str:

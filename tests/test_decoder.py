@@ -1,12 +1,16 @@
 """Mixture-density LSTM decoder: head activations, NLL, sampling, rollout."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import expit, logsumexp
+from scipy.stats import chisquare
 
 import lattisketch as ls
 from lattisketch import decoder
-from lattisketch.decoder import LOG_2PI, _draw, _head, _lstm_cell, _sample
+from lattisketch.decoder import (LOG_2PI, _head, _lstm_cell, _rollout_columns, _rollout_noise,
+                                 _sample)
 
 
 @pytest.fixture
@@ -79,18 +83,40 @@ def reference_lstm_step(x, h, c, store):
     return sigmoid(o) * np.tanh(c), c
 
 
-def reference_sample(pi, mu_x, mu_y, sigma_x, sigma_y, rho, pen, rng):
-    """Untempered draw: inverse CDF over pi, correlated normal, inverse CDF over pen."""
-    j = int(np.searchsorted(np.cumsum(pi), rng.random() * pi.sum(), side="right"))
-    u, v = rng.standard_normal(2)
+def reference_argmax(values):
+    """Scalar argmax: the first index of the largest value."""
+    pick = 0
+    for i, a in enumerate(values):
+        if a > values[pick]:
+            pick = i
+    return pick
+
+
+def reference_noise(rng, n, K):
+    """Untempered Gumbel noise -log(E), one entry at a time, then raw normals,
+    drawn in the rollout's stream order."""
+    e = rng.standard_exponential((n, K))
+    gumbel = [[-math.log(max(v, np.finfo(float).tiny)) for v in row] for row in e]
+    return np.array(gumbel), rng.standard_normal((n, 2))
+
+
+def reference_sample(pi, mu_x, mu_y, sigma_x, sigma_y, rho, pen, gumbel, normal):
+    """Gumbel-max over log pi and log pen with untempered noise, then a
+    correlated normal offset from the drawn component."""
+    M = len(pi)
+    j = reference_argmax(np.log(pi) + gumbel[:M])
+    u, v = normal
     dx = mu_x[j] + sigma_x[j] * u
     dy = mu_y[j] + sigma_y[j] * (rho[j] * u + np.sqrt(1.0 - rho[j] ** 2) * v)
-    k = int(np.searchsorted(np.cumsum(pen), rng.random() * pen.sum(), side="right"))
-    return dx, dy, k
+    return dx, dy, reference_argmax(np.log(pen) + gumbel[M:])
 
 
 def sample(y, tau, rng):
-    return _sample(np.asarray(y), (len(y) - 3) // 6, tau, rng)
+    """One draw from raw head output y, in the decoder's layout, with a
+    one-step noise block from rng."""
+    M = (len(y) - 3) // 6
+    gumbel, normal = _rollout_noise(rng, 1, M, tau)
+    return _sample(_rollout_columns(np.asarray(y), M), gumbel[0], normal[0], M, np.empty(M + 3))
 
 
 def reference_rollout(z, store, cfg, rng):
@@ -99,9 +125,10 @@ def reference_rollout(z, store, cfg, rng):
     M, tau = cfg.M, cfg.temperature
     root_tau = np.sqrt(tau)
     h, c = np.split(np.tanh(z @ store["dec.init.W"] + store["dec.init.b"]), 2)
+    gumbel, normal = reference_noise(rng, cfg.n_max, M + 3)
     prev = np.array([0.0, 0.0, 1.0, 0.0, 0.0])
     steps = []
-    for _ in range(cfg.n_max):
+    for t in range(cfg.n_max):
         h, c = reference_lstm_step(np.concatenate([prev, z]), h, c, store)
         y = h @ store["dec.head.W"] + store["dec.head.b"]
         log_pi = y[:M] - logsumexp(y[:M])
@@ -109,7 +136,7 @@ def reference_rollout(z, store, cfg, rng):
         dx, dy, pen = reference_sample(
             softmax(log_pi / tau), y[M : 2 * M], y[2 * M : 3 * M],
             np.exp(y[3 * M : 4 * M]) * root_tau, np.exp(y[4 * M : 5 * M]) * root_tau,
-            np.tanh(y[5 * M : 6 * M]), softmax(pen_logp / tau), rng)
+            np.tanh(y[5 * M : 6 * M]), softmax(pen_logp / tau), gumbel[t], normal[t])
         steps.append([dx, dy, pen])
         if pen == ls.PEN_END:
             break
@@ -118,6 +145,17 @@ def reference_rollout(z, store, cfg, rng):
     steps = np.array(steps)
     steps[-1, 2] = ls.PEN_END
     return steps
+
+
+class CountingRng:
+    """A generator that records the name of every method called on it."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +226,15 @@ def test_temperature_one_matches_eval_exactly():
     y = np.random.default_rng(2).standard_normal(6 * M + 3)
     untempered = (softmax(y[:M]), y[M : 2 * M], y[2 * M : 3 * M], np.exp(y[3 * M : 4 * M]),
                   np.exp(y[4 * M : 5 * M]), np.tanh(y[5 * M : 6 * M]), softmax(y[6 * M :]))
+    picks = set()
     for seed in range(20):
         got = sample(y, 1.0, np.random.default_rng(seed))
-        want = reference_sample(*untempered, np.random.default_rng(seed))
-        assert got == want
+        gumbel, normal = reference_noise(np.random.default_rng(seed), 1, M + 3)
+        want = reference_sample(*untempered, gumbel[0], normal[0])
+        assert got[2] == want[2]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        picks.add(round(got[0], 6))
+    assert len(picks) > 1
 
 
 def test_temperature_scales_sigma():
@@ -199,8 +242,9 @@ def test_temperature_scales_sigma():
     one = np.ones(1)
     for seed in range(10):
         got = sample(y, 0.25, np.random.default_rng(seed))
+        gumbel, normal = reference_noise(np.random.default_rng(seed), 1, 4)
         want = reference_sample(one, 0 * one, 0 * one, 0.5 * one, 0.5 * one, 0 * one,
-                                np.full(3, 1 / 3), np.random.default_rng(seed))
+                                np.full(3, 1 / 3), gumbel[0], normal[0])
         assert got == pytest.approx(want, abs=1e-12)  # sqrt(tau) scaling
 
 
@@ -219,8 +263,12 @@ def test_lstm_cell_matches_expit_oracle(dtype, tol):
     assert np.abs(a).max() > 39.0
     # the prescaled pre-activation, which the cell activates in place
     gates = a * np.repeat([0.5, 0.5, 1.0, 0.5], hs).astype(dtype)
-    h_new = np.empty_like(h)
-    c_new, tc = _lstm_cell(gates, c, h_new)
+    c_new, tc, h_new = np.empty_like(c), np.empty_like(c), np.empty_like(h)
+    in_place = gates.copy()
+    _lstm_cell(gates, c, c_new, tc, h_new)
+    c_same, tc_same, h_same = c.copy(), np.empty_like(c), np.empty_like(h)
+    _lstm_cell(in_place, c_same, c_same, tc_same, h_same)  # c' written over c
+    assert c_same.tobytes() == c_new.tobytes() and h_same.tobytes() == h_new.tobytes()
 
     i, f, g, o = np.split(a, 4, axis=1)
     want = np.concatenate([expit(i), expit(f), np.tanh(g), expit(o)], axis=1)
@@ -235,34 +283,74 @@ def test_lstm_cell_matches_expit_oracle(dtype, tol):
     assert np.array_equal(h_new, gates[:, 3 * hs :] * tc)
 
 
-def test_draw_matches_searchsorted_oracle():
+def test_draw_matches_scalar_gumbel_max_reference():
     rng = np.random.default_rng(8)
     for trial in range(300):
-        logits = rng.standard_normal(int(rng.integers(1, 25))) * rng.uniform(0.1, 10.0)
+        M = int(rng.integers(1, 25))
+        y = head_vector(M, logits=rng.standard_normal(M) * rng.uniform(0.1, 10.0),
+                        mu_x=10.0 * np.arange(M), log_sx=-20.0, pen=rng.standard_normal(3) * 3.0)
+        y_roll = _rollout_columns(y, M)
         tau = float(rng.uniform(0.05, 2.0))
-        cdf = np.cumsum(np.exp((logits - logits.max()) / tau))
-        got_rng, want_rng = np.random.default_rng([14, trial]), np.random.default_rng([14, trial])
-        for _ in range(10):
-            got = _draw(logits.tolist(), tau, got_rng)
-            want = int(np.searchsorted(cdf, want_rng.random() * cdf[-1], side="right"))
-            assert got == want
-        assert got_rng.random() == want_rng.random()  # one uniform per draw
+        gumbel, normal = _rollout_noise(np.random.default_rng([14, trial]), 10, M, tau)
+        want, _ = reference_noise(np.random.default_rng([14, trial]), 10, M + 3)
+        assert np.allclose(gumbel, tau * want, rtol=1e-14, atol=0.0)
+        buf = np.empty(M + 3)
+        for g, nv in zip(gumbel, normal):
+            dx, _, pen = _sample(y_roll, g, nv, M, buf)
+            scalar = [float(a) + float(b) for a, b in zip(y_roll[: M + 3], g)]
+            assert pen == reference_argmax(scalar[M:])
+            assert round(dx / 10.0) == reference_argmax(scalar[:M])
 
 
-def test_draw_never_picks_a_vanishing_category():
-    # 1 + e^-125 == 1: the middle state's CDF interval is empty
+def test_draw_frequencies_follow_tempered_softmax():
+    # components sit far apart with tiny deviations, so dx names the component
+    n = 20_000
+    for seed, (logits, pen, tau) in enumerate([([0.5, 2.0, 1.0, -1.0], [0.0, -1.0, 1.0], 1.0),
+                                               ([0.1, 0.3, 0.2, -0.4], [0.2, -0.3, 0.0], 0.4),
+                                               ([0.0, 0.0, -1.5, 0.5], [0.0, -2.0, 0.5], 2.0)]):
+        M = len(logits)
+        y = _rollout_columns(head_vector(M, logits=logits, mu_x=10.0 * np.arange(M),
+                                         log_sx=-20.0, log_sy=-20.0, pen=pen), M)
+        gumbel, normal = _rollout_noise(np.random.default_rng([20, seed]), n, M, tau)
+        buf = np.empty(M + 3)
+        draws = [_sample(y, g, nv, M, buf) for g, nv in zip(gumbel, normal)]
+        for picks, l in (([round(d[0] / 10.0) for d in draws], logits),
+                         ([d[2] for d in draws], pen)):
+            counts = np.bincount(picks, minlength=len(l))
+            assert chisquare(counts, n * softmax(np.asarray(l) / tau)).pvalue > 1e-3
+
+
+def test_draw_keeps_a_vanishing_category_at_its_share():
+    # pen logits 50 apart at tau 0.4: the middle state's tempered share is
+    # about e^-125, so ordinary noise never draws it but noise that deep in
+    # the Gumbel tail does
+    y = head_vector(1, pen=[0.0, -50.0, 0.0])
     rng = np.random.default_rng(0)
-    draws = {_draw([0.0, -50.0, 0.0], 0.4, rng) for _ in range(2000)}
-    assert draws == {0, 2}
+    assert {sample(y, 0.4, rng)[2] for _ in range(2000)} == {0, 2}
+    gumbel = np.array([0.0, 0.0, 0.4 * 126.0, 0.0])
+    assert _sample(_rollout_columns(y, 1), gumbel, (0.0, 0.0), 1, np.empty(4))[2] == 1
 
 
 @pytest.mark.parametrize("logits", [[np.nan, 0.0, 1.0], [0.0, 1.0, np.nan],
                                     [0.0, np.nan, 1.0], [np.inf, 0.0, 1.0],
                                     [-np.inf, -np.inf]])
 def test_draw_non_finite_logits_raise(logits):
-    # Python's max keeps a leading NaN and skips a later one; both must raise
-    with pytest.raises(ls.NumericalUnderflow):
-        _draw(logits, 0.4, np.random.default_rng(0))
+    # NaN or +inf in any position, or every logit -inf, as mixture or pen logits
+    pen = (logits + [-np.inf] * 3)[:3]
+    for y in (head_vector(len(logits), logits=logits), head_vector(1, pen=pen)):
+        with pytest.raises(ls.NumericalUnderflow):
+            sample(y, 0.4, np.random.default_rng(0))
+
+
+def test_rollout_noise_guards_a_zero_exponential_draw():
+    class ZeroExponential:
+        def standard_exponential(self, shape):
+            return np.zeros(shape)
+
+        standard_normal = np.random.default_rng(0).standard_normal
+
+    gumbel, _ = _rollout_noise(ZeroExponential(), 2, 1, 0.4)
+    assert np.all(np.isfinite(gumbel)) and gumbel.min() > 0.4 * 700.0
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +416,9 @@ def test_sample_pen_forced():
 def test_sample_monte_carlo_mean():
     y = head_vector(mu_x=1.5, mu_y=-0.5, log_sx=np.log(2.0), log_sy=0.0,
                     rho_raw=np.arctanh(0.3))
-    rng = np.random.default_rng(7)
-    draws = np.array([_sample(y, 1, 1.0, rng)[:2] for _ in range(100_000)])
+    gumbel, normal = _rollout_noise(np.random.default_rng(7), 100_000, 1, 1.0)
+    y, buf = _rollout_columns(y, 1), np.empty(4)
+    draws = np.array([_sample(y, g, nv, 1, buf)[:2] for g, nv in zip(gumbel, normal)])
     se_x = 2.0 / np.sqrt(len(draws))
     se_y = 1.0 / np.sqrt(len(draws))
     assert abs(draws[:, 0].mean() - 1.5) < 3 * se_x
@@ -382,7 +471,7 @@ def test_generate_applies_offset_scale(dec_cfg, dec_store):
 
 
 def test_generate_never_draws_zero_probability_pen(dec_cfg, dec_store):
-    # the benchmark's heal model: pen=end underflows to probability 0 in float32
+    # the benchmark's heal model: pen=end's tempered share is about e^-125
     dec_store["dec.head.b"][6 * dec_cfg.M + ls.PEN_END] = -50.0
     for seed in range(20):
         sk = ls.generate(np.zeros(dec_cfg.z_dim), dec_store, dec_cfg,
@@ -394,6 +483,16 @@ def test_generate_non_finite_head_raises(dec_cfg, dec_store):
     dec_store["dec.head.b"][0] = np.nan
     with pytest.raises(ls.NumericalUnderflow):
         ls.generate(np.zeros(dec_cfg.z_dim), dec_store, dec_cfg, np.random.default_rng(0))
+
+
+def test_generate_draws_its_noise_once_per_rollout(dec_cfg, dec_store):
+    lengths = set()
+    for seed in range(20):
+        rng = CountingRng(seed)
+        sk = ls.generate(np.zeros(dec_cfg.z_dim), dec_store, dec_cfg, rng)
+        assert rng.calls == ["standard_exponential", "standard_normal"]
+        lengths.add(sk.n_steps)
+    assert len(lengths) > 3
 
 
 def test_generate_matches_float64_reference_rollout(dec_cfg):
@@ -411,20 +510,23 @@ def test_generate_matches_float64_reference_rollout(dec_cfg):
 
 
 def test_generate_state_stays_in_store_dtype(dec_cfg, dec_store, monkeypatch):
-    dtypes = []
+    calls = []
 
-    def spy(pre, c, h_out):
-        out = cell(pre, c, h_out)
-        dtypes.append((pre.dtype, h_out.dtype, out[0].dtype))
-        return out
+    def spy(pre, c, c_out, tc_out, h_out):
+        cell(pre, c, c_out, tc_out, h_out)
+        calls.append(tuple((a.dtype, a.__array_interface__["data"][0])
+                           for a in (pre, c, c_out, tc_out, h_out)))
 
     cell = decoder._lstm_cell
     monkeypatch.setattr(decoder, "_lstm_cell", spy)
     dec_store["dec.head.b"][6 * dec_cfg.M + ls.PEN_END] = -50.0
     z = np.random.default_rng(3).standard_normal(dec_cfg.z_dim)  # float64
     ls.generate(z, dec_store, dec_cfg, np.random.default_rng(0))
-    assert len(dtypes) == dec_cfg.n_max
-    assert set(dtypes) == {(np.dtype(np.float32),) * 3}
+    assert len(calls) == dec_cfg.n_max
+    # every step writes into the same float32 buffers, c' over c
+    assert len(set(calls)) == 1
+    assert {dt for dt, _ in calls[0]} == {np.dtype(np.float32)}
+    assert calls[0][1][1] == calls[0][2][1]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -465,15 +567,14 @@ def test_rollout_and_teacher_forcing_share_one_cell(dec_cfg, monkeypatch):
     store = ls.init_decoder_params(cfg, np.random.default_rng(0), dtype=np.float64)
     states = []
 
-    def spy(pre, c, h_out):
-        out = cell(pre, c, h_out)
+    def spy(pre, c, c_out, tc_out, h_out):
+        cell(pre, c, c_out, tc_out, h_out)
         states.append(h_out.reshape(-1).copy())
-        return out
 
     cell = decoder._lstm_cell
     monkeypatch.setattr(decoder, "_lstm_cell", spy)
     lengths = set()
-    for seed in range(10):
+    for seed in range(20):
         z = np.random.default_rng([18, seed]).standard_normal(cfg.z_dim)
         states.clear()
         sk = ls.generate(z, store, cfg, np.random.default_rng([19, seed]))

@@ -1,5 +1,7 @@
 """Lattice line placement, point sampling and masking."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 import lattisketch as ls
 from conftest import random_raster
 from lattisketch.lattice import sketch_lattices
-from lattisketch.sketch_data import SEGMENTS_PER_PASS
+from lattisketch.sketch_data import SEGMENTS_PER_PASS, drawn_pixels
 
 
 def test_line_positions_n1():
@@ -238,6 +240,31 @@ def test_sketch_lattices_equal_rasterize_then_sample(sketches, side_n):
         assert (lat.side, lat.n) == (cfg.side, cfg.n)
         assert lat.points.dtype == want.points.dtype
         assert np.array_equal(lat.points, want.points)
+
+
+def _scratch_peak(sketches, cfg):
+    tracemalloc.start()
+    try:
+        lattices = sketch_lattices(sketches, cfg)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return lattices, peak - kept
+
+
+def test_sketch_lattices_hold_one_pass_of_scratch(square_sketch):
+    # a square fitted to the canvas draws about 1,000 pixels, so a pass
+    # (about 205 copies) yields about 200,000 keys out of a (6, pixels)
+    # block; holding that block, or the previous pass's keys, while the
+    # next pass is drawn took the peak from 15 MB to 25 MB or 16.5 MB
+    cfg = ls.LatticeConfig(n=8)
+    _, one_pass = _scratch_peak([square_sketch] * (SEGMENTS_PER_PASS // 5), cfg)
+    lattices, many = _scratch_peak([square_sketch] * (4 * SEGMENTS_PER_PASS // 5), cfg)
+    assert many < 1.02 * one_pass  # 14.90 MB and 14.91 MB
+    want = ls.sample_lattice(ls.rasterize(square_sketch, cfg.side), cfg).points
+    assert all(np.array_equal(lat.points, want) for lat in lattices)
+    for _, keys in drawn_pixels([square_sketch] * 300, cfg.side):
+        assert keys.base is None  # owns its data, not a row of a larger block
 
 
 _BAD_FIT = _sketch([(1e308, 0.0, ls.PEN_DOWN), (1e308, 0.0, ls.PEN_DOWN)])  # sum overflows
