@@ -24,9 +24,8 @@ from .pipeline_eval import (HealRequest, RetrievalReport, edge_to_sketch,
                             embed_gallery, encode_raster, heal, healing_sweep,
                             retrieve)
 from .sketch_data import (PEN_DOWN, PEN_END, PEN_LIFT, RasterSketch, VectorSketch,
-                          canonicalize_raster, from_stroke5, parse_quickdraw_line,
-                          rasterize, read_pgm, render_svg, sketch_from_json_obj,
-                          sketch_to_json_obj, to_stroke5, validate_stroke5,
+                          canonicalize_raster, parse_quickdraw_line, rasterize, read_pgm,
+                          render_svg, sketch_from_json_obj, sketch_to_json_obj, to_stroke5,
                           write_pgm)
 from .synth import generate_dataset, make_sketch_record
 from .trainer import (ModelBundle, OptimizerState, PipelineConfig, TrainConfig,
@@ -39,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "PEN_DOWN", "PEN_LIFT", "PEN_END",
     "VectorSketch", "RasterSketch", "parse_quickdraw_line", "to_stroke5",
-    "from_stroke5", "validate_stroke5", "rasterize", "render_svg",
+    "rasterize", "render_svg",
     "sketch_to_json_obj", "sketch_from_json_obj", "write_pgm", "read_pgm",
     "canonicalize_raster",
     "LatticeConfig", "SketchLattice", "line_positions", "sample_lattice",

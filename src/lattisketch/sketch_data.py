@@ -6,13 +6,19 @@ offset and then sets the pen state. A move draws a segment when the pen
 was down *before* the move, so the first move of any non-empty sketch is
 drawn. Pen states: 0 = down, 1 = lift, 2 = end (at most one, final).
 
-Sketch files are JSON lines; ``read_sketches`` is their one reader.
+Sketch files are JSON lines; ``read_sketches`` is their one reader. It
+checks each line's structure on its own and the numbers of LINES_PER_CHUNK
+lines at once; the one-record parsers and ``VectorSketch.validate`` are the
+same code on a batch of one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -35,6 +41,10 @@ CANVAS_MARGIN = 2
 MIN_CANVAS_SIDE = 2 * CANVAS_MARGIN + 2
 #: the stroke-5 row (dx, dy, p_down, p_lift, p_end) that pads a sequence
 STROKE5_PAD = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+#: sketch-file lines read per chunk: bounds the reader's scratch memory
+LINES_PER_CHUNK = 256
+
+_FLOAT_MAX = sys.float_info.max
 
 
 def check_canvas_side(side: int) -> None:
@@ -62,19 +72,9 @@ class VectorSketch:
 
     def validate(self) -> None:
         """Raise MalformedRecord if the step list breaks the format invariants."""
-        pens = self.steps[:, 2]
-        if not np.all(np.isin(pens, (PEN_DOWN, PEN_LIFT, PEN_END))):
-            raise MalformedRecord("unknown pen state")
-        ends = np.flatnonzero(pens == PEN_END)
-        if ends.size > 1:
-            raise MalformedRecord("more than one pen=end step")
-        if ends.size == 1 and ends[0] != self.n_steps - 1:
-            raise MalformedRecord("pen=end is not the final step")
-        if not np.all(np.isfinite(self.steps)):
-            raise MalformedRecord("non-finite offset")
-        with np.errstate(over="ignore"):
-            if not np.all(np.isfinite(self.absolute_points())):
-                raise MalformedRecord("running sum of offsets overflows a float")
+        reason = _faults(self.steps, np.array([0, self.n_steps]))[0]
+        if reason:
+            raise MalformedRecord(reason)
 
     def absolute_points(self) -> np.ndarray:
         """Cursor positions, shape (n_steps + 1, 2); row 0 is the origin."""
@@ -151,7 +151,19 @@ def parse_quickdraw_line(line: str) -> VectorSketch:
     An empty drawing maps to an empty sketch; a drawing whose only content
     is a single point maps to a pen-down dot.
     """
-    return _quickdraw_sketch(_json_record(line))
+    return _one_sketch(_json_record(line), canonical=False)
+
+
+def sketch_from_json_obj(obj: dict) -> VectorSketch:
+    """The validated sketch of a canonical record (see ``sketch_to_json_obj``)."""
+    return _one_sketch(obj, canonical=True)
+
+
+def _one_sketch(record, canonical: bool) -> VectorSketch:
+    sketches, fault = _sketches([record], [canonical])
+    if fault:
+        raise fault
+    return sketches[0]
 
 
 def read_sketches(path):
@@ -160,74 +172,147 @@ def read_sketches(path):
     A record with a "steps" key is canonical (as ``sketch_to_json_obj``
     writes it) and is validated; any other record is raw QuickDraw (see
     ``parse_quickdraw_line``). A malformed line, or one that is not UTF-8
-    text, raises MalformedRecord naming ``path:lineno``.
+    text, raises MalformedRecord naming ``path:lineno`` once every sketch
+    before it has been yielded, so a consumer that stops earlier sees none.
     """
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
+        for first in itertools.count(1, LINES_PER_CHUNK):
+            lineno, linenos, records, fault = first - 1, [], [], None
+            for lineno, raw in enumerate(itertools.islice(fh, LINES_PER_CHUNK), first):
+                try:
+                    line = raw.decode("utf-8")
+                    if line.strip():
+                        records.append(_json_record(line))
+                        linenos.append(lineno)
+                except (UnicodeDecodeError, MalformedRecord) as exc:
+                    fault = lineno, exc if isinstance(exc, MalformedRecord) else "not UTF-8 text"
+                    break
+            if lineno < first:  # no line was left
+                return
+            good, bad = _sketches(records, [isinstance(r, dict) and "steps" in r for r in records])
+            yield from good
+            fault = (linenos[len(good)], bad) if bad else fault
+            if fault:
+                raise MalformedRecord(f"{path}:{fault[0]}: {fault[1]}")
+
+
+def _sketches(records: list, canonical: list):
+    """The sketches of decoded records, canonical where ``canonical[i]``, up
+    to the first malformed one, and its MalformedRecord (else None). A raw
+    record's first point anchors the origin; each later point is a step,
+    pen lift at a polyline's end and down elsewhere; pen=end closes it."""
+    xs, ys, lens, canon = [], [], [], []  # raw points and polyline lengths; canonical steps
+    bounds, fault = [], None  # (raw points, canonical steps) before each record, and at the end
+    for record, is_canon in zip(records, canonical):
+        bounds.append((len(xs), len(canon) // 3))
+        try:
+            _unpack(record, is_canon, xs, ys, lens, canon)
+        except MalformedRecord as exc:
+            fault = exc
+            break
+    bounds = np.array(bounds + [(len(xs), len(canon) // 3)])
+    points = _finite_floats(xs + ys).reshape(2, -1).T
+    raw = np.zeros((len(points), 3))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        raw[:-1, :2] = points[1:] - points[:-1]
+    raw[np.cumsum(lens, dtype=np.int64)[np.array(lens, dtype=bool)] - 2, 2] = PEN_LIFT
+    # each record's last row closes it, replacing the move to the next record
+    raw[bounds[1:, 0][bounds[1:, 0] > bounds[:-1, 0]] - 1] = (0.0, 0.0, PEN_END)
+    bad_points = _run_counts(~np.isfinite(points).all(axis=1), bounds[:, 0]).tolist()
+    bad_steps = _run_counts(~np.isfinite(raw[:, :2]).all(axis=1), bounds[:, 0]).tolist()
+    canon = np.array(canon).reshape(-1, 3)
+    faults = _faults(canon, bounds[:, 1])
+    sketches, rows = [], bounds.tolist()
+    for i in range(len(rows) - 1 - bool(fault)):  # the records unpacked whole
+        reason = ("coordinate is not a finite number" if bad_points[i] else
+                  "coordinate difference overflows a float" if bad_steps[i] else faults[i])
+        if reason:
+            return sketches, MalformedRecord(reason)
+        (a, c), (b, d) = rows[i:i + 2]
+        steps = (canon[c:d] if canonical[i] else raw[a:b] if b - a != 1  # a lone point: a dot
+                 else np.array([[0.0, 0.0, PEN_DOWN], [0.0, 0.0, PEN_END]]))
+        sketches.append(VectorSketch(steps.copy()))  # owns its rows, not the chunk's
+    if fault and bad_points[-1]:  # a record's coordinates are checked as it is unpacked
+        fault = MalformedRecord("coordinate is not a finite number")
+    return sketches, fault
+
+
+def _unpack(record, canonical: bool, xs: list, ys: list, lens: list, canon: list) -> None:
+    """Check a record's structure; append a canonical one's steps to ``canon``, a raw
+    one's coordinates to ``xs`` and ``ys`` and its polyline lengths to ``lens``."""
+    key = "steps" if canonical else "drawing"
+    if not isinstance(record, dict) or key not in record:
+        raise MalformedRecord(f'missing "{key}" key')
+    if not isinstance(record[key], list):
+        raise MalformedRecord(f'"{key}" is not a list')
+    for item in record[key]:
+        if canonical:
             try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                record = _json_record(line)
-                if isinstance(record, dict) and "steps" in record:
-                    sketch = sketch_from_json_obj(record)
-                else:
-                    sketch = _quickdraw_sketch(record)
-            except UnicodeDecodeError:
-                raise MalformedRecord(f"{path}:{lineno}: not UTF-8 text") from None
-            except MalformedRecord as exc:
-                raise MalformedRecord(f"{path}:{lineno}: {exc}") from exc
-            yield sketch
-
-
-def _quickdraw_sketch(record) -> VectorSketch:
-    if not isinstance(record, dict) or "drawing" not in record:
-        raise MalformedRecord('missing "drawing" key')
-    drawing = record["drawing"]
-    if not isinstance(drawing, list):
-        raise MalformedRecord('"drawing" is not a list')
-
-    # absolute points annotated with the pen state after arrival:
-    # down inside a polyline, lift on its last point
-    xs_all: list[float] = []
-    ys_all: list[float] = []
-    pens_all: list[int] = []
-    for poly in drawing:
-        if not isinstance(poly, (list, tuple)) or len(poly) < 2:
+                dx, dy, pen = item
+                canon += float(dx), float(dy), _PEN_CODES[pen]
+            except (TypeError, ValueError, KeyError, OverflowError):  # an int beyond float
+                raise MalformedRecord(f"bad step row: {item!r}") from None
+            continue
+        if not isinstance(item, (list, tuple)) or len(item) < 2:
             raise MalformedRecord("polyline is not an [xs, ys] pair")
-        xs, ys = poly[0], poly[1]
-        if not isinstance(xs, (list, tuple)) or not isinstance(ys, (list, tuple)):
+        px, py = item[0], item[1]
+        if not isinstance(px, (list, tuple)) or not isinstance(py, (list, tuple)):
             raise MalformedRecord("polyline coordinates are not lists")
-        if len(xs) != len(ys):
+        if len(px) != len(py):
             raise MalformedRecord("polyline x/y length mismatch")
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            # json gives bools for true/false, floats for NaN/Infinity, ints of any size
-            if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
-                       for v in (x, y)):
-                raise MalformedRecord("coordinate is not a finite number")
-            xs_all.append(float(x))
-            ys_all.append(float(y))
-            pens_all.append(PEN_LIFT if i == len(xs) - 1 else PEN_DOWN)
+        xs += px
+        ys += py
+        lens.append(len(px))
 
-    if not xs_all:
-        return VectorSketch(np.zeros((0, 3)))
-    if len(xs_all) == 1:
-        # lone dot: touch the pen down at the anchor, then end
-        steps = [(0.0, 0.0, PEN_DOWN), (0.0, 0.0, PEN_END)]
-        return VectorSketch(np.array(steps))
 
-    xs_arr = np.array(xs_all)
-    ys_arr = np.array(ys_all)
-    steps = np.zeros((len(xs_all), 3))
-    with np.errstate(over="ignore"):
-        steps[1:, 0] = np.diff(xs_arr)
-        steps[1:, 1] = np.diff(ys_arr)
-    if not np.all(np.isfinite(steps)):
-        raise MalformedRecord("coordinate difference overflows a float")
-    steps[:, 2] = pens_all
-    steps = steps[1:]  # the first point is the origin anchor
-    end_row = np.array([[0.0, 0.0, PEN_END]])
-    return VectorSketch(np.vstack([steps, end_row]))
+def _finite_floats(values: list) -> np.ndarray:
+    """``values`` as float64; NaN for each that is not an int or float within the float range."""
+    with contextlib.suppress(OverflowError):  # an int beyond float
+        if set(map(type, values)) <= {int, float}:
+            out = np.array(values, dtype=np.float64)  # as float() converts
+            if not (np.abs(out) == _FLOAT_MAX).any():  # an int just beyond it rounds to it
+                return out
+    return np.array([float(v) if type(v) in (int, float) and abs(v) <= _FLOAT_MAX else np.nan
+                     for v in values], dtype=np.float64)
+
+
+def _run_counts(flags: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """How many flags each run flags[bounds[i]:bounds[i + 1]] has set."""
+    total = np.zeros(len(flags) + 1, dtype=np.int64)
+    flags.cumsum(out=total[1:])
+    return total[bounds[1:]] - total[bounds[:-1]]
+
+
+#: the format invariants in the order they are checked, then None: all kept
+_FAULTS = ("unknown pen state", "more than one pen=end step", "pen=end is not the final step",
+           "non-finite offset", "running sum of offsets overflows a float", None)
+
+
+def _faults(steps: np.ndarray, bounds: np.ndarray) -> list:
+    """For each sketch steps[bounds[i]:bounds[i + 1]], the first of _FAULTS it breaks."""
+    if not len(steps):
+        return [None] * (len(bounds) - 1)
+    pens, offsets = steps[:, 2], steps[:, :2]
+    ends = _run_counts(pens == PEN_END, bounds)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a running sum of n offsets is at most about n times the largest one
+        small = np.abs(offsets).max() * (bounds[1:] - bounds[:-1]).max() < _FLOAT_MAX / 4
+        overflows = [not small and not np.isfinite(np.cumsum(offsets[a:b], axis=0)).all()
+                     for a, b in zip(bounds[:-1], bounds[1:])]
+    unknown = (pens != PEN_DOWN) & (pens != PEN_LIFT) & (pens != PEN_END)
+    broken = np.array([_run_counts(unknown, bounds),
+                       ends > 1, (ends == 1) & (pens[bounds[1:] - 1] != PEN_END),
+                       _run_counts(~np.isfinite(steps).all(axis=1), bounds), overflows,
+                       np.ones(len(bounds) - 1)], dtype=bool)
+    return [_FAULTS[k] for k in broken.argmax(axis=0)]
+
+
+def stroke5_rows(steps: np.ndarray) -> np.ndarray:
+    """The unpadded (n, 5) stroke-5 rows of (n, 3) steps, of one sketch or several."""
+    rows = np.zeros((len(steps), 5))
+    rows[:, :2] = steps[:, :2]
+    rows[np.arange(len(steps)), 2 + steps[:, 2].astype(int)] = 1.0
+    return rows
 
 
 def to_stroke5(sketch: VectorSketch, n_max: int) -> np.ndarray:
@@ -240,41 +325,8 @@ def to_stroke5(sketch: VectorSketch, n_max: int) -> np.ndarray:
     if n > n_max:
         raise SequenceTooLong(f"{n} steps exceed n_max={n_max}")
     rows = np.tile(STROKE5_PAD, (n_max, 1))
-    rows[:n] = 0.0
-    rows[:n, :2] = sketch.steps[:, :2]
-    rows[np.arange(n), 2 + sketch.steps[:, 2].astype(int)] = 1.0
+    rows[:n] = stroke5_rows(sketch.steps)
     return rows
-
-
-def from_stroke5(rows: np.ndarray) -> VectorSketch:
-    """Inverse of to_stroke5: keep rows up to and including the first p_end=1."""
-    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
-    pens = np.argmax(rows[:, 2:5], axis=1)
-    ends = np.flatnonzero(pens == PEN_END)
-    if ends.size:
-        cut = ends[0]
-        # a leading p_end row is all padding: the sketch is empty
-        if cut == 0 and not np.any(rows[0, :2]):
-            return VectorSketch(np.zeros((0, 3)))
-        rows = rows[: cut + 1]
-        pens = pens[: cut + 1]
-    steps = np.column_stack([rows[:, 0], rows[:, 1], pens.astype(np.float64)])
-    return VectorSketch(steps)
-
-
-def validate_stroke5(rows: np.ndarray) -> None:
-    """Check the stroke-5 invariants (one-hot pens, all-padding tail)."""
-    rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[1] != 5:
-        raise MalformedRecord("stroke-5 array must be (n, 5)")
-    onehot = rows[:, 2:5]
-    if not np.all(np.isin(onehot, (0.0, 1.0))) or not np.all(onehot.sum(axis=1) == 1.0):
-        raise MalformedRecord("pen columns are not one-hot")
-    ends = np.flatnonzero(onehot[:, 2] == 1.0)
-    if ends.size:
-        tail = rows[ends[0] + 1:]
-        if tail.size and not np.all(tail == STROKE5_PAD):
-            raise MalformedRecord("rows after the first p_end are not padding")
 
 
 def _fit_points(points: np.ndarray, side: int, margin: int, sizes=None) -> np.ndarray:
@@ -420,78 +472,35 @@ def _segment_keys(segs: np.ndarray, base: np.ndarray, side: int) -> np.ndarray:
     return off
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.4f}"
-
-
 def render_svg(sketch: VectorSketch) -> str:
     """Render to an SVG 1.1 document, one path per pen-down run."""
     segs = sketch.drawn_segments()
+    view = (0.0, 0.0, 1.0, 1.0)
     if len(segs):
-        pts = np.vstack([segs[:, 0:2], segs[:, 2:4]])
-        lo = pts.min(axis=0) - 2
-        hi = pts.max(axis=0) + 2
+        lo, hi = segs.reshape(-1, 2).min(axis=0) - 2, segs.reshape(-1, 2).max(axis=0) + 2
         view = (lo[0], lo[1], max(hi[0] - lo[0], 1e-3), max(hi[1] - lo[1], 1e-3))
-    else:
-        view = (0.0, 0.0, 1.0, 1.0)
-
-    # group consecutive drawn segments into polyline runs
+    # consecutive drawn segments make one path, until one starts away from
+    # where the one before ended
     paths = []
-    run: list[tuple[float, float]] = []
-    for x0, y0, x1, y1 in segs:
-        if run and (run[-1][0] != x0 or run[-1][1] != y0):
-            paths.append(run)
-            run = []
-        if not run:
-            run = [(x0, y0)]
-        run.append((x1, y1))
-    if run:
-        paths.append(run)
-
-    lines = [
+    starts = np.concatenate([[True], (segs[1:, :2] != segs[:-1, 2:]).any(axis=1)])
+    for (x0, y0, x1, y1), start in zip(segs.tolist(), starts.tolist()):
+        if start:
+            paths.append(f"M {x0:.4f} {y0:.4f}")
+        paths[-1] += f" L {x1:.4f} {y1:.4f}"
+    return "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_fmt(view[0])} {_fmt(view[1])} {_fmt(view[2])} {_fmt(view[3])}">',
-    ]
-    for run in paths:
-        d = f"M {_fmt(run[0][0])} {_fmt(run[0][1])}"
-        for x, y in run[1:]:
-            d += f" L {_fmt(x)} {_fmt(y)}"
-        lines.append(
-            f'<path d="{d}" fill="none" stroke="black" '
-            'stroke-width="1" stroke-linecap="round"/>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        f'viewBox="{" ".join(f"{v:.4f}" for v in view)}">',
+        *(f'<path d="{d}" fill="none" stroke="black" stroke-width="1" stroke-linecap="round"/>'
+          for d in paths),
+        "</svg>", ""])
 
 
 def sketch_to_json_obj(sketch: VectorSketch, label: str | None = None) -> dict:
-    obj = {
-        "steps": [
-            [float(dx), float(dy), _PEN_NAMES[int(pen)]]
-            for dx, dy, pen in sketch.steps
-        ]
-    }
+    obj = {"steps": [[dx, dy, _PEN_NAMES[int(pen)]] for dx, dy, pen in sketch.steps.tolist()]}
     if label is not None:
         obj["label"] = label
     return obj
-
-
-def sketch_from_json_obj(obj: dict) -> VectorSketch:
-    if not isinstance(obj, dict) or "steps" not in obj:
-        raise MalformedRecord('missing "steps" key')
-    if not isinstance(obj["steps"], list):
-        raise MalformedRecord('"steps" is not a list')
-    steps = []
-    for row in obj["steps"]:
-        try:
-            dx, dy, pen = row
-            steps.append((float(dx), float(dy), _PEN_CODES[pen]))
-        except (TypeError, ValueError, KeyError, OverflowError):  # an int beyond float
-            raise MalformedRecord(f"bad step row: {row!r}") from None
-    sketch = VectorSketch(np.array(steps).reshape(-1, 3))
-    sketch.validate()
-    return sketch
 
 
 def write_pgm(raster: RasterSketch, path) -> None:
@@ -502,6 +511,10 @@ def write_pgm(raster: RasterSketch, path) -> None:
         fh.write(data.tobytes())
 
 
+#: one PGM header token, after the whitespace and whole '#' comments before it
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)")
+
+
 def read_pgm(path) -> RasterSketch:
     """Read a P5 (or P2) PGM; values below 128 count as stroke ink.
 
@@ -510,23 +523,13 @@ def read_pgm(path) -> RasterSketch:
     with open(path, "rb") as fh:
         blob = fh.read()
 
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < 4 and pos < len(blob):
-        # skip whitespace and '#' comments between header tokens
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(blob) and blob[pos : pos + 1] == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if pos > start:
-            tokens.append(blob[start:pos])
-    if len(tokens) < 4:
-        raise MalformedRecord("truncated PGM header")
+    tokens, pos = [], 0
+    for _ in range(4):
+        token = _PGM_TOKEN.match(blob, pos)
+        if token is None:
+            raise MalformedRecord("truncated PGM header")
+        tokens.append(token[1])
+        pos = token.end()
     magic = tokens[0]
     try:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
@@ -573,7 +576,6 @@ def canonicalize_raster(raster: RasterSketch, side: int = CANVAS_SIDE) -> Raster
     if xs.size == 0:
         return RasterSketch(grid)
     pts = np.column_stack([xs, ys]).astype(np.float64)
-    mapped = _fit_points(pts, side, CANVAS_MARGIN).astype(np.int64)
-    mapped = np.clip(mapped, 0, side - 1)
+    mapped = np.clip(_fit_points(pts, side, CANVAS_MARGIN).astype(np.int64), 0, side - 1)
     grid[mapped[:, 1], mapped[:, 0]] = 1
     return RasterSketch(grid)

@@ -4,7 +4,8 @@ Two deliberately contrasting categories on the 0..255 canvas:
 "ring" (one closed elliptical stroke) and "ladder" (several horizontal
 rungs drawn as separate strokes). They differ strongly in both stroke
 statistics and raster geometry, which is what the desk-scale retrieval
-checks need.
+checks need. Each maker draws all its noise in one call and rounds and
+clips all its points at once.
 """
 
 from __future__ import annotations
@@ -17,8 +18,12 @@ import numpy as np
 CATEGORIES = ("ring", "ladder")
 
 
-def _clip_int(a) -> list:
-    return [int(v) for v in np.clip(np.round(a), 0, 255)]
+#: a ring's angles before its phase: 24 segments round the full circle
+_RING_ANGLES = np.linspace(0.0, 2 * np.pi, 25)
+
+
+def _clip_int(a: np.ndarray) -> list:
+    return a.round().clip(0, 255).astype(np.int64).tolist()
 
 
 def make_ring(rng: np.random.Generator) -> dict:
@@ -28,10 +33,12 @@ def make_ring(rng: np.random.Generator) -> dict:
     rx = rng.uniform(60, 105)
     ry = rx * rng.uniform(0.75, 1.0)
     phase = rng.uniform(0, 2 * np.pi)
-    theta = phase + np.linspace(0.0, 2 * np.pi, 25)
-    xs = cx + rx * np.cos(theta) + rng.normal(0, 1.0, theta.shape)
-    ys = cy + ry * np.sin(theta) + rng.normal(0, 1.0, theta.shape)
-    return {"word": "ring", "drawing": [[_clip_int(xs), _clip_int(ys)]]}
+    theta = phase + _RING_ANGLES
+    # row 0 is the xs' noise, row 1 the ys'
+    ring = rng.normal(0, 1.0, (2, len(theta)))
+    ring[0] += cx + rx * np.cos(theta)
+    ring[1] += cy + ry * np.sin(theta)
+    return {"word": "ring", "drawing": [_clip_int(ring)]}
 
 
 def make_ladder(rng: np.random.Generator) -> dict:
@@ -41,13 +48,12 @@ def make_ladder(rng: np.random.Generator) -> dict:
     x1 = rng.uniform(205, 240)
     top = rng.uniform(20, 50)
     bottom = rng.uniform(200, 240)
-    heights = np.linspace(top, bottom, n_rungs)
-    drawing = []
-    for y in heights:
-        xs = np.linspace(x0, x1, 4) + rng.normal(0, 1.5, 4)
-        ys = np.full(4, y) + rng.normal(0, 1.5, 4)
-        drawing.append([_clip_int(xs), _clip_int(ys)])
-    return {"word": "ladder", "drawing": drawing}
+    # rung r's noise is [r, 0] for its xs and [r, 1] for its ys: the order
+    # of one draw per rung and axis
+    rungs = rng.normal(0, 1.5, (n_rungs, 2, 4))
+    rungs[:, 0] += np.linspace(x0, x1, 4)
+    rungs[:, 1] += np.linspace(top, bottom, n_rungs)[:, None]
+    return {"word": "ladder", "drawing": _clip_int(rungs)}
 
 
 _MAKERS = {"ring": make_ring, "ladder": make_ladder}

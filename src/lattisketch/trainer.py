@@ -25,7 +25,8 @@ from .errors import (AllItemsSkipped, CheckpointFormatError, DatasetEmpty, Numer
 from .graph_builder import MAX_NODES, GraphConfig, build_adjacency
 from .lattice import LatticeConfig, SketchLattice, mask_lattice, sketch_lattices
 from .params import ParameterStore, load_checkpoint, save_checkpoint
-from .sketch_data import PEN_END, STROKE5_PAD, VectorSketch, read_sketches, to_stroke5
+from .sketch_data import (PEN_END, STROKE5_PAD, VectorSketch, read_sketches, stroke5_rows,
+                          to_stroke5)
 
 
 @dataclass
@@ -266,22 +267,24 @@ def prepare_items(sketches, labels, pcfg: PipelineConfig, offset_scale: float):
 
     The lattices come from ``sketch_lattices`` in a few array passes over
     the whole list, with no raster drawn; each equals
-    ``sample_lattice(rasterize(sk))``. Items whose lattice is empty or has
-    more than MAX_NODES points (no graph could be built) are dropped and
-    counted. A sketch whose fit leaves the canvas raises MalformedRecord.
+    ``sample_lattice(rasterize(sk))``. The kept items' stroke-5 rows are
+    packed and scaled in one pass, each item's equal to ``to_stroke5(sk,
+    sk.n_steps)`` with its offsets divided by offset_scale. Items whose
+    lattice is empty or has more than MAX_NODES points (no graph could be
+    built) are dropped and counted. A sketch whose fit leaves the canvas
+    raises MalformedRecord.
     """
-    items = []
-    skipped = 0
-    for sk, label, lat in zip(sketches, labels, sketch_lattices(sketches, pcfg.lattice)):
-        if not 0 < lat.m <= MAX_NODES:
-            skipped += 1
-            continue
-        rows = to_stroke5(sk, sk.n_steps)
-        rows[:, :2] /= offset_scale
-        items.append(TrainItem(lattice=lat, stroke5=rows, n_steps=sk.n_steps, label=label))
-    if not items:
+    kept = [(sk, label, lat) for sk, label, lat
+            in zip(sketches, labels, sketch_lattices(sketches, pcfg.lattice))
+            if 0 < lat.m <= MAX_NODES]
+    if not kept:
         raise DatasetEmpty("every sketch produced an empty or over-budget lattice")
-    return items, skipped
+    rows = stroke5_rows(np.concatenate([sk.steps for sk, _, _ in kept]))
+    rows[:, :2] /= offset_scale
+    ends = np.cumsum([sk.n_steps for sk, _, _ in kept])
+    items = [TrainItem(lattice=lat, stroke5=rows[end - sk.n_steps:end], n_steps=sk.n_steps,
+                       label=label) for (sk, label, lat), end in zip(kept, ends)]
+    return items, len(sketches) - len(kept)
 
 
 # ---------------------------------------------------------------------------

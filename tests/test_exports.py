@@ -13,7 +13,7 @@ import lattisketch as ls
 EXPORTS = [
     "PEN_DOWN", "PEN_LIFT", "PEN_END",
     "VectorSketch", "RasterSketch", "parse_quickdraw_line", "to_stroke5",
-    "from_stroke5", "validate_stroke5", "rasterize", "render_svg",
+    "rasterize", "render_svg",
     "sketch_to_json_obj", "sketch_from_json_obj", "write_pgm", "read_pgm",
     "canonicalize_raster",
     "LatticeConfig", "SketchLattice", "line_positions", "sample_lattice",

@@ -1,17 +1,25 @@
 """Sketch parsing, stroke formats, rasterization and SVG rendering."""
 
+import itertools
 import json
 import re
+import sys
+import tempfile
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from test_cli_inputs import _BROKEN, _LEGAL
 
 import lattisketch as ls
-from lattisketch.sketch_data import (CANVAS_MARGIN, SEGMENTS_PER_PASS, _fit_points,
-                                     read_sketches)
+from lattisketch import sketch_data
+from lattisketch.sketch_data import (CANVAS_MARGIN, SEGMENTS_PER_PASS, STROKE5_PAD,
+                                     _fit_points, read_sketches)
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +119,37 @@ def test_validate_rejects_midstream_end():
 # stroke-5
 
 
+def from_stroke5(rows: np.ndarray) -> ls.VectorSketch:
+    """Inverse of to_stroke5: keep rows up to and including the first p_end=1."""
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
+    pens = np.argmax(rows[:, 2:5], axis=1)
+    ends = np.flatnonzero(pens == ls.PEN_END)
+    if ends.size:
+        cut = ends[0]
+        # a leading p_end row is all padding: the sketch is empty
+        if cut == 0 and not np.any(rows[0, :2]):
+            return ls.VectorSketch(np.zeros((0, 3)))
+        rows = rows[: cut + 1]
+        pens = pens[: cut + 1]
+    steps = np.column_stack([rows[:, 0], rows[:, 1], pens.astype(np.float64)])
+    return ls.VectorSketch(steps)
+
+
+def validate_stroke5(rows: np.ndarray) -> None:
+    """Check the stroke-5 invariants (one-hot pens, all-padding tail)."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != 5:
+        raise ls.MalformedRecord("stroke-5 array must be (n, 5)")
+    onehot = rows[:, 2:5]
+    if not np.all(np.isin(onehot, (0.0, 1.0))) or not np.all(onehot.sum(axis=1) == 1.0):
+        raise ls.MalformedRecord("pen columns are not one-hot")
+    ends = np.flatnonzero(onehot[:, 2] == 1.0)
+    if ends.size:
+        tail = rows[ends[0] + 1:]
+        if tail.size and not np.all(tail == STROKE5_PAD):
+            raise ls.MalformedRecord("rows after the first p_end are not padding")
+
+
 def test_to_stroke5_empty_is_all_padding():
     rows = ls.to_stroke5(ls.VectorSketch(steps=np.zeros((0, 3))), 4)
     assert rows.shape == (4, 5)
@@ -138,7 +177,8 @@ def test_to_stroke5_too_long():
 
 def test_stroke5_round_trip(square_sketch):
     rows = ls.to_stroke5(square_sketch, 32)
-    back = ls.from_stroke5(rows)
+    back = from_stroke5(rows)
+    validate_stroke5(rows)
     assert np.allclose(back.steps, square_sketch.steps)
 
 
@@ -147,7 +187,7 @@ def test_validate_stroke5_rejects_bad_onehot():
     rows[:, 4] = 1
     rows[1, 3] = 1  # two hot bits
     with pytest.raises(ls.MalformedRecord):
-        ls.validate_stroke5(rows)
+        validate_stroke5(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +468,257 @@ def test_read_sketches_mixed_records(tmp_path, square_sketch):
             list(read_sketches(path))
 
 
+# ---------------------------------------------------------------------------
+# the chunked reader against record-at-a-time oracles
+
+
+def oracle_validate(steps: np.ndarray) -> None:
+    """One sketch's format invariants, checked one after the other."""
+    pens = steps[:, 2]
+    if not np.all(np.isin(pens, (ls.PEN_DOWN, ls.PEN_LIFT, ls.PEN_END))):
+        raise ls.MalformedRecord("unknown pen state")
+    ends = np.flatnonzero(pens == ls.PEN_END)
+    if ends.size > 1:
+        raise ls.MalformedRecord("more than one pen=end step")
+    if ends.size == 1 and ends[0] != len(steps) - 1:
+        raise ls.MalformedRecord("pen=end is not the final step")
+    if not np.all(np.isfinite(steps)):
+        raise ls.MalformedRecord("non-finite offset")
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(np.cumsum(steps[:, :2], axis=0))):
+            raise ls.MalformedRecord("running sum of offsets overflows a float")
+
+
+def oracle_quickdraw(record) -> np.ndarray:
+    """A raw record's steps, coordinate by coordinate."""
+    if not isinstance(record, dict) or "drawing" not in record:
+        raise ls.MalformedRecord('missing "drawing" key')
+    drawing = record["drawing"]
+    if not isinstance(drawing, list):
+        raise ls.MalformedRecord('"drawing" is not a list')
+    xs_all, ys_all, pens_all = [], [], []
+    for poly in drawing:
+        if not isinstance(poly, (list, tuple)) or len(poly) < 2:
+            raise ls.MalformedRecord("polyline is not an [xs, ys] pair")
+        xs, ys = poly[0], poly[1]
+        if not isinstance(xs, (list, tuple)) or not isinstance(ys, (list, tuple)):
+            raise ls.MalformedRecord("polyline coordinates are not lists")
+        if len(xs) != len(ys):
+            raise ls.MalformedRecord("polyline x/y length mismatch")
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                       for v in (x, y)):
+                raise ls.MalformedRecord("coordinate is not a finite number")
+            xs_all.append(float(x))
+            ys_all.append(float(y))
+            pens_all.append(ls.PEN_LIFT if i == len(xs) - 1 else ls.PEN_DOWN)
+    if not xs_all:
+        return np.zeros((0, 3))
+    if len(xs_all) == 1:
+        return np.array([(0.0, 0.0, ls.PEN_DOWN), (0.0, 0.0, ls.PEN_END)])
+    steps = np.zeros((len(xs_all), 3))
+    with np.errstate(over="ignore"):
+        steps[1:, 0] = np.diff(np.array(xs_all))
+        steps[1:, 1] = np.diff(np.array(ys_all))
+    if not np.all(np.isfinite(steps)):
+        raise ls.MalformedRecord("coordinate difference overflows a float")
+    steps[:, 2] = pens_all
+    return np.vstack([steps[1:], [[0.0, 0.0, ls.PEN_END]]])
+
+
+def oracle_canonical(obj) -> np.ndarray:
+    """A canonical record's steps, row by row, then validated."""
+    if not isinstance(obj, dict) or "steps" not in obj:
+        raise ls.MalformedRecord('missing "steps" key')
+    if not isinstance(obj["steps"], list):
+        raise ls.MalformedRecord('"steps" is not a list')
+    codes = {"down": ls.PEN_DOWN, "lift": ls.PEN_LIFT, "end": ls.PEN_END}
+    steps = []
+    for row in obj["steps"]:
+        try:
+            dx, dy, pen = row
+            steps.append((float(dx), float(dy), codes[pen]))
+        except (TypeError, ValueError, KeyError, OverflowError):
+            raise ls.MalformedRecord(f"bad step row: {row!r}") from None
+    steps = np.array(steps).reshape(-1, 3)
+    oracle_validate(steps)
+    return steps
+
+
+def oracle_read(path):
+    """Yield each line's steps as it is read; raise at the first bad line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError as exc:
+                    raise ls.MalformedRecord(f"invalid JSON: {exc}") from exc
+                if isinstance(record, dict) and "steps" in record:
+                    steps = oracle_canonical(record)
+                else:
+                    steps = oracle_quickdraw(record)
+            except UnicodeDecodeError:
+                raise ls.MalformedRecord(f"{path}:{lineno}: not UTF-8 text") from None
+            except ls.MalformedRecord as exc:
+                raise ls.MalformedRecord(f"{path}:{lineno}: {exc}") from exc
+            yield steps
+
+
+def _outcome(sketches):
+    """Each yielded steps array as (shape, dtype, bytes), then the error
+    text, or None when the reading ends without one."""
+    got = []
+    try:
+        for sk in sketches:
+            steps = sk if isinstance(sk, np.ndarray) else sk.steps
+            got.append((steps.shape, steps.dtype, steps.tobytes()))
+    except ls.MalformedRecord as exc:
+        return got, str(exc)
+    return got, None
+
+
+def _assert_reads_as_oracle(path):
+    want, want_error = _outcome(oracle_read(path))
+    with mock.patch.object(sketch_data, "LINES_PER_CHUNK", 3):
+        assert _outcome(read_sketches(path)) == (want, want_error)
+        # a consumer that stops before a bad line never sees it
+        for k in range(len(want) + 1):
+            reader = read_sketches(path)
+            assert len(list(itertools.islice(reader, k))) == k
+            reader.close()
+
+
+_READER_LINE = st.one_of(_LEGAL, _LEGAL, _LEGAL, _BROKEN, st.sampled_from(
+    [b"", b"  \t", b"\xff\xfe[]", b'{"drawing": [[[1, 2], [3, 4]]], "x": "\xe9"}']))
+
+
+@given(st.lists(_READER_LINE, max_size=10))
+@example([b'{"drawing": [[[0, 1], [0, 1]]]}'] * 3 + [b"not json"])  # bad just past a chunk
+@example([b'{"drawing": [[[0, 1], [0, 1]]]}'] * 2 + [b'{"steps": [[1e308, 0, "down"], '
+                                                    b'[1e308, 0, "end"]]}'])
+@example([b'{"drawing": [[[0, 1], [0, 1]]]}',  # a bad coordinate before a bad polyline
+          b'{"drawing": [[[NaN, 1], [0, 1]], 5]}'])
+@example([b'{"drawing": [[[0, %d], [0, 1]]]}' % (int(sys.float_info.max) + 1)])  # rounds to max
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_read_sketches_matches_record_at_a_time_oracle(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sketches.ndjson"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        _assert_reads_as_oracle(path)
+
+
+@given(_READER_LINE)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_batch_of_one_parsers_match_their_oracles(raw):
+    try:
+        line = raw.decode("utf-8")
+        record = json.loads(line)
+    except ValueError:  # UnicodeDecodeError too
+        return
+    for parse, arg, oracle in [(ls.parse_quickdraw_line, line, oracle_quickdraw),
+                               (ls.sketch_from_json_obj, record, oracle_canonical)]:
+        outcomes = []
+        for read in (lambda: oracle(record), lambda: parse(arg).steps):
+            try:
+                outcomes.append(read().tobytes())
+            except ls.MalformedRecord as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+
+_PEN = st.sampled_from([0.0, 1.0, 2.0, 0.0, 1.0, 0.5, 3.0, -1.0])
+_OFFSET = st.one_of(st.floats(-10, 10), st.sampled_from([1e308, -1e308, 8e307, np.inf,
+                                                         np.nan, 0.0]))
+
+
+@given(st.lists(st.tuples(_OFFSET, _OFFSET, _PEN), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_validate_matches_its_oracle(rows):
+    steps = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    try:
+        oracle_validate(steps)
+        want = None
+    except ls.MalformedRecord as exc:
+        want = str(exc)
+    try:
+        ls.VectorSketch(steps).validate()
+        got = None
+    except ls.MalformedRecord as exc:
+        got = str(exc)
+    assert got == want
+
+
+def _line_record(i: int) -> bytes:
+    cat = ("ring", "ladder")[i % 2]
+    return json.dumps(ls.make_sketch_record(cat, np.random.default_rng(i))).encode()
+
+
+@pytest.mark.parametrize("bad_at", [0, 2, 3, 5, 6])
+def test_a_bad_line_at_a_chunk_edge_comes_after_every_sketch_before_it(tmp_path, bad_at):
+    lines = [_line_record(i) for i in range(8)]
+    lines[bad_at] = b'{"steps": [[1, 0, "end"], [1, 0, "down"]]}'
+    path = tmp_path / "edge.ndjson"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    _assert_reads_as_oracle(path)
+    with mock.patch.object(sketch_data, "LINES_PER_CHUNK", 3):
+        reader = read_sketches(path)
+        assert len(list(itertools.islice(reader, bad_at))) == bad_at
+        with pytest.raises(ls.MalformedRecord, match=f"edge.ndjson:{bad_at + 1}: pen=end"):
+            next(reader)
+
+
+def test_each_sketch_owns_its_rows(tmp_path):
+    lines = [_line_record(i) for i in range(7)]
+    lines += [json.dumps(ls.sketch_to_json_obj(ls.parse_quickdraw_line(line))).encode()
+              for line in lines]
+    path = tmp_path / "mixed.ndjson"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with mock.patch.object(sketch_data, "LINES_PER_CHUNK", 5):
+        sketches = list(read_sketches(path))
+    assert len(sketches) == 14
+    for sk in sketches:
+        owner = sk.steps if sk.steps.base is None else sk.steps.base
+        assert owner.base is None and owner.nbytes == sk.steps.nbytes
+
+
+def _read_peak(path) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        for _ in read_sketches(path):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_holds_one_chunk_of_scratch(tmp_path):
+    lines = [_line_record(i) for i in range(3 * sketch_data.LINES_PER_CHUNK)]
+    one, three = tmp_path / "one.ndjson", tmp_path / "three.ndjson"
+    one.write_bytes(b"\n".join(lines[:sketch_data.LINES_PER_CHUNK]) + b"\n")
+    three.write_bytes(b"\n".join(lines) + b"\n")
+    _read_peak(one)  # first calls allocate caches that stay
+    assert _read_peak(three) < 2 * _read_peak(one)
+
+
+def test_sketch_to_json_obj_text_matches_row_by_row_conversion():
+    rng = np.random.default_rng(3)
+    steps = np.column_stack([rng.normal(0, 1e3, (50, 2)), rng.integers(0, 2, 50)])
+    steps[:5, :2] = [[-0.0, -0.0], [1e308, -5e-324], [0.1, 1 / 3], [2.0**60, -7.0], [3.0, 1e-7]]
+    steps[-1] = (0.0, 0.0, ls.PEN_END)
+    sketch = ls.VectorSketch(steps)
+    names = {0: "down", 1: "lift", 2: "end"}
+    want = {"steps": [[float(dx), float(dy), names[int(pen)]] for dx, dy, pen in sketch.steps],
+            "label": "x"}
+    assert json.dumps(ls.sketch_to_json_obj(sketch, label="x")) == json.dumps(want)
+
+
 def test_pgm_round_trip(tmp_path, square_sketch):
     r = ls.rasterize(square_sketch, 64)
     path = tmp_path / "square.pgm"
@@ -477,7 +768,8 @@ def test_property_stroke5_round_trip(points):
     ys = [p[1] for p in points]
     sk = ls.parse_quickdraw_line(json.dumps({"drawing": [[xs, ys]]}))
     rows = ls.to_stroke5(sk, 64)
-    back = ls.from_stroke5(rows)
+    back = from_stroke5(rows)
+    validate_stroke5(rows)
     assert np.allclose(back.steps, sk.steps)
 
 

@@ -1,6 +1,7 @@
 """Optimizer, schedule, clipping, train loop and the gradient audit."""
 
 import csv
+import hashlib
 import json
 import statistics
 import tracemalloc
@@ -177,6 +178,32 @@ def test_prepare_items_lattices_equal_per_sketch_sampling():
     for item, sk in zip(items, sketches):
         want = ls.sample_lattice(ls.rasterize(sk, 256), pcfg.lattice)
         assert np.array_equal(item.lattice.points, want.points)
+
+
+def test_prepare_items_stroke5_rows_equal_per_item_packing():
+    sketches = synthetic_sketches(30, seed=6) + [zigzag_scribble()] + synthetic_sketches(5, seed=8)
+    kept = sketches[:30] + sketches[31:]
+    items, skipped = ls.prepare_items(sketches, ["s"] * len(sketches), small_pcfg(), 7.25)
+    assert (len(items), skipped) == (35, 1)
+    for item, sk in zip(items, kept):
+        want = ls.to_stroke5(sk, sk.n_steps)
+        want[:, :2] /= 7.25
+        assert item.n_steps == sk.n_steps
+        assert (item.stroke5.shape, item.stroke5.dtype) == (want.shape, want.dtype)
+        assert item.stroke5.tobytes() == want.tobytes()
+
+
+# sha256 of generate_dataset(tmp, 50, seed=0)'s files as the generator wrote
+# them when it drew and rounded one rung or axis at a time
+DATASET_SHA256 = {
+    "ring.ndjson": "523d126f85490c132f558e648b83d205b5aab01376b82a98a79500c3af36e198",
+    "ladder.ndjson": "774ab1508ced3bf69aa221b1c57ae2e6dda39e81c9afb059f06cb02a726c8208",
+}
+
+
+def test_generate_dataset_files_are_pinned(tmp_path):
+    paths = ls.generate_dataset(tmp_path, 50, seed=0)
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths} == DATASET_SHA256
 
 
 def synthetic_sketches(count, seed):
