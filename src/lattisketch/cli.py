@@ -25,9 +25,11 @@ import numpy as np
 
 from .decoder import generate
 from .encoder import count_parameters, reparameterize
-from .errors import DatasetEmpty, LattisketchError, MalformedRecord, OutOfRange
+from .errors import DatasetEmpty, EmptyLattice, LattisketchError, MalformedRecord, OutOfRange
 from .params import checkpoint_hash
-from .pipeline_eval import HealRequest, edge_to_sketch, encode_raster, heal, healing_sweep
+from .lattice import sketch_lattices
+from .pipeline_eval import (HEAL_P_MASK, _lattice_config, _lattice_of, edge_to_sketch,
+                            encode_lattice, heal_lattice, healing_sweep)
 from .sketch_data import (VectorSketch, rasterize, read_pgm, read_sketches, render_svg,
                           sketch_to_json_obj, write_pgm)
 from .trainer import (PipelineConfig, finite_diff_audit, audit_probe, fit, init_params,
@@ -144,16 +146,15 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed,
     return path
 
 
-def _rasters_from_input(path, side: int):
-    """One or more rasters from a .pgm image or a JSON-lines sketch file;
-    DATASET_EMPTY when the sketch file holds none."""
-    path = Path(path)
-    if path.suffix.lower() == ".pgm":
-        return [read_pgm(path)]
-    rasters = [rasterize(s, side) for s in read_sketches(path)]
-    if not rasters:
+def _lattices_from_input(path, bundle, n):
+    """The lattice of a .pgm image, or one per sketch of a JSON-lines file with no raster
+    drawn, on the model's grid or n lines; DATASET_EMPTY when the file holds no sketch."""
+    if Path(path).suffix.lower() == ".pgm":
+        return [_lattice_of(read_pgm(path), bundle, n)]
+    sketches = list(read_sketches(path))
+    if not sketches:
         raise DatasetEmpty(f"no sketch in {path}")
-    return rasters
+    return sketch_lattices(sketches, _lattice_config(bundle, n))
 
 
 def _write_sketch_outputs(out_dir: Path, stem: str, sketch: VectorSketch,
@@ -225,18 +226,19 @@ def cmd_train(args) -> int:
 
 def cmd_heal(args) -> int:
     bundle = load_model(args.checkpoint)
-    p_mask = HealRequest.p_mask if args.pmask is None else args.pmask
-    rasters = _rasters_from_input(args.input, bundle.pcfg.lattice.side)
+    p_mask = HEAL_P_MASK if args.pmask is None else args.pmask
+    healed = []
+    for i, lat in enumerate(_lattices_from_input(args.input, bundle, args.n)):
+        try:  # every item heals before --out is made
+            healed.append(heal_lattice(lat, p_mask, [args.seed or 0, i], bundle))
+        except (EmptyLattice, OutOfRange) as exc:
+            raise type(exc)(f"heal_{i:04d}: {exc}") from exc
     out = _ensure_out(args)
-    outputs = []
-    for i, raster in enumerate(rasters):
-        req = HealRequest(raster=raster, p_mask=p_mask, n=args.n,
-                          seed=[args.seed or 0, i])
-        sketch, surviving = heal(req, bundle)
-        outputs += _write_sketch_outputs(out, f"heal_{i:04d}", sketch, surviving)
+    outputs = [path for i, (sketch, surviving) in enumerate(healed)
+               for path in _write_sketch_outputs(out, f"heal_{i:04d}", sketch, surviving)]
     write_manifest(out, "heal", bundle.pcfg.configs_dict(),
                    args.seed or 0, [args.input], outputs, checkpoint=args.checkpoint)
-    print(f"healed {len(rasters)} sketch(es) at p_mask={p_mask}")
+    print(f"healed {len(healed)} sketch(es) at p_mask={p_mask}")
     return 0
 
 
@@ -245,8 +247,8 @@ def cmd_generate(args) -> int:
     inputs = [args.input] if args.input else []
     psi = None
     if args.input:
-        raster = _rasters_from_input(args.input, bundle.pcfg.lattice.side)[0]
-        psi = encode_raster(raster, bundle, args.n)
+        lat = _lattices_from_input(args.input, bundle, args.n)[0]
+        psi = encode_lattice(lat, bundle, "the encoded input has no lattice points")
     out = _ensure_out(args)
     outputs = []
     for i in range(args.count):
@@ -407,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", parents=[common],
                        help="sample sketches from the prior or an encoded input")
-    p.add_argument("--input", help="optional PGM/JSON-lines input to encode")
+    p.add_argument("--input", help="optional PGM, or JSON-lines whose first sketch is encoded "
+                   "(every line is still read and checked)")
     p.add_argument("--count", type=_non_negative_int, default=1, help="number of samples")
     p.set_defaults(func=cmd_generate, need_out=True, need_checkpoint=True)
 

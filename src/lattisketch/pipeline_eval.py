@@ -1,6 +1,6 @@
-"""Task harnesses on top of a trained checkpoint: sketch healing under point
-corruption, embedding-based retrieval, edge-map-to-sketch synthesis, and the
-healing sweep that ties them together.
+"""Task harnesses on a trained checkpoint, all built on the lattice-level
+``heal_lattice`` and ``encode_lattice``: sketch healing under point corruption,
+embedding-based retrieval, edge-map-to-sketch synthesis and the healing sweep.
 
 Everything here is read-only over the model; healing and synthesis are
 deterministic functions of (checkpoint, inputs, seed).
@@ -26,11 +26,13 @@ from .trainer import ModelBundle
 #: memory at a few times this many entries, however large Q x G grows
 SIMILARITIES_PER_CHUNK = 1 << 20
 
+HEAL_P_MASK = 0.1  #: the corruption heal applies when none is given
+
 
 @dataclass
 class HealRequest:
     raster: RasterSketch
-    p_mask: float = 0.1
+    p_mask: float = HEAL_P_MASK
     n: int | None = None  # lattice grid; None = the model's training grid
     seed: int = 0
 
@@ -55,7 +57,7 @@ def _lattice_of(raster: RasterSketch, bundle: ModelBundle, n: int | None) -> Ske
     return sample_lattice(canonicalize_raster(raster, cfg.side), cfg)
 
 
-def _embed_lattice(lat: SketchLattice, bundle: ModelBundle, empty_msg: str) -> np.ndarray:
+def encode_lattice(lat: SketchLattice, bundle: ModelBundle, empty_msg: str) -> np.ndarray:
     """Eval-mode psi of a lattice; EmptyLattice(empty_msg) when it has no points."""
     if lat.m == 0:
         raise EmptyLattice(empty_msg)
@@ -63,31 +65,29 @@ def _embed_lattice(lat: SketchLattice, bundle: ModelBundle, empty_msg: str) -> n
     return enc_mod.encode(graph, bundle.store, bundle.pcfg.encoder)
 
 
-def _heal_lattice(lat: SketchLattice, p_mask: float, seed, bundle: ModelBundle):
+def heal_lattice(lat: SketchLattice, p_mask: float, seed, bundle: ModelBundle):
     """Bernoulli mask -> graph -> psi -> z (noise on) -> autoregressive
     generation, all from one ``default_rng(seed)`` stream. Returns (sketch,
-    surviving lattice)."""
+    surviving lattice); raises EmptyLattice when nothing survives."""
     rng = np.random.default_rng(seed)
     masked = mask_lattice(lat, p_mask, rng)
-    psi = _embed_lattice(masked, bundle, f"no lattice points survive p_mask={p_mask}")
+    psi = encode_lattice(masked, bundle, f"no lattice points survive p_mask={p_mask}")
     sample = enc_mod.reparameterize(psi, bundle.store, rng=rng)
     return generate(sample.z, bundle.store, bundle.pcfg.decoder, rng), masked
 
 
 def heal(req: HealRequest, bundle: ModelBundle):
-    """Regenerate a sketch from a corrupted lattice view of a raster.
-
-    raster -> lattice -> Bernoulli mask -> graph -> psi -> z (noise on) ->
-    autoregressive generation. Returns (sketch, surviving lattice); raises
-    EmptyLattice when nothing survives (blank raster or p_mask too high).
-    """
-    return _heal_lattice(_lattice_of(req.raster, bundle, req.n), req.p_mask, req.seed, bundle)
+    """Regenerate a sketch from a corrupted lattice view of a raster:
+    ``heal_lattice`` on its lattice (req.n lines, or the model's grid).
+    Returns (sketch, surviving lattice); raises EmptyLattice when nothing
+    survives (blank raster or p_mask too high)."""
+    return heal_lattice(_lattice_of(req.raster, bundle, req.n), req.p_mask, req.seed, bundle)
 
 
 def encode_raster(raster: RasterSketch, bundle: ModelBundle,
                   n: int | None = None) -> np.ndarray:
-    """Eval-mode sketch embedding psi of one raster (EmptyLattice if blank)."""
-    return _embed_lattice(_lattice_of(raster, bundle, n), bundle, "raster has no lattice points")
+    """Eval-mode psi of one raster: ``encode_lattice`` of its lattice (EmptyLattice if blank)."""
+    return encode_lattice(_lattice_of(raster, bundle, n), bundle, "raster has no lattice points")
 
 
 def embed_gallery(lattices, bundle: ModelBundle):
@@ -99,11 +99,10 @@ def embed_gallery(lattices, bundle: ModelBundle):
     rows, kept, failed = [], [], []
     for i, lat in enumerate(lattices):
         try:
-            rows.append(_embed_lattice(lat, bundle, "lattice has no points"))
+            rows.append(encode_lattice(lat, bundle, "lattice has no points"))
+            kept.append(i)
         except (EmptyLattice, NodeBudgetExceeded):
             failed.append(i)
-            continue
-        kept.append(i)
     mat = np.asarray(rows, dtype=np.float64).reshape(len(rows), bundle.pcfg.encoder.d)
     return mat / np.maximum(np.linalg.norm(mat, axis=1, keepdims=True), 1e-12), kept, failed
 
@@ -180,8 +179,8 @@ def healing_sweep(sketches, labels, bundle: ModelBundle, p_mask_list,
         healed, healed_pos, points = [], [], []
         for pos, i in enumerate(kept):
             try:
-                sketch, surviving = _heal_lattice(lattices[i], float(p_mask),
-                                                  [seed, pm_i, i], bundle)
+                sketch, surviving = heal_lattice(lattices[i], float(p_mask),
+                                                 [seed, pm_i, i], bundle)
             except (EmptyLattice, NodeBudgetExceeded):
                 continue
             healed.append(sketch)

@@ -14,9 +14,17 @@ import pytest
 
 import lattisketch as ls
 from conftest import rewrite_checkpoint_header
+from lattisketch import cli, sketch_data
 from lattisketch.cli import CONFIG_KEYS, build_parser, dispatch
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# runs dispatch on its arguments, then prints the process's peak RSS in KiB
+PEAK_RSS_SCRIPT = ("import resource, sys\n"
+                   "from lattisketch.cli import dispatch\n"
+                   "code = dispatch(sys.argv[1:])\n"
+                   "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+                   "sys.exit(code)\n")
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +192,110 @@ def test_input_with_no_sketch_exit_3_writes_nothing(workdir, tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("second_line,pmask,code,item", [
+    ('{"drawing": []}', "0.1", "EMPTY_LATTICE", "heal_0001"),
+    (None, "1.5", "OUT_OF_RANGE", "heal_0000"),
+])
+def test_heal_failing_item_exit_4_writes_nothing(workdir, tmp_path, capsys, second_line,
+                                                pmask, code, item):
+    lines = workdir["data"][0].read_text().splitlines()[:3]
+    if second_line is not None:
+        lines[1] = second_line
+    data = tmp_path / "three.ndjson"
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert dispatch(["heal", "--checkpoint", str(workdir["ckpt"]), "--input", str(data),
+                     "--out", str(out), "--pmask", pmask]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {code}: {item}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def _mixed_sketch_file(workdir, tmp_path):
+    """Three rings then three ladders in one file; returns (path, sketches)."""
+    lines = [line for path in workdir["data"] for line in path.read_text().splitlines()[:3]]
+    data = tmp_path / "mixed.ndjson"
+    data.write_text("\n".join(lines) + "\n")
+    return data, list(sketch_data.read_sketches(data))
+
+
+def _forbid_rasters(monkeypatch):
+    def no_raster(*args, **kwargs):
+        raise AssertionError("a raster was drawn for a sketch-file input")
+
+    monkeypatch.setattr(sketch_data, "rasterize", no_raster)
+    monkeypatch.setattr(cli, "rasterize", no_raster)
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj) + "\n"
+
+
+@pytest.mark.parametrize("n", [None, 20])
+def test_heal_sketch_file_matches_the_raster_route(workdir, tmp_path, monkeypatch, n):
+    """heal on a sketch file gives, bit for bit, what healing each sketch's
+    raster gives, and draws no raster."""
+    data, sketches = _mixed_sketch_file(workdir, tmp_path)
+    bundle = ls.load_model(workdir["ckpt"])
+    side = bundle.pcfg.lattice.side
+    expected = [ls.heal(ls.HealRequest(raster=ls.rasterize(sk, side), p_mask=0.3, n=n,
+                                       seed=[5, i]), bundle)
+                for i, sk in enumerate(sketches)]
+    _forbid_rasters(monkeypatch)
+    out = tmp_path / "healed"
+    n_flag = [] if n is None else ["--n", str(n)]
+    assert dispatch(["heal", "--checkpoint", str(workdir["ckpt"]), "--input", str(data),
+                     "--out", str(out), "--pmask", "0.3", "--seed", "5", *n_flag]) == 0
+    assert len(list(out.glob("heal_*.json"))) == 2 * len(sketches)
+    for i, (sketch, surviving) in enumerate(expected):
+        assert surviving.n == (n or bundle.pcfg.lattice.n)
+        assert (out / f"heal_{i:04d}.json").read_text() == \
+            _json_text(ls.sketch_to_json_obj(sketch))
+        assert (out / f"heal_{i:04d}.lattice.json").read_text() == \
+            _json_text(surviving.to_json_obj())
+
+
+@pytest.mark.parametrize("n", [None, 20])
+def test_generate_input_sketch_file_matches_the_raster_route(workdir, tmp_path, monkeypatch,
+                                                             n):
+    """generate --input encodes the file's first sketch as encode_raster of its
+    raster would, and draws no raster."""
+    data, sketches = _mixed_sketch_file(workdir, tmp_path)
+    bundle = ls.load_model(workdir["ckpt"])
+    psi = ls.encode_raster(ls.rasterize(sketches[0], bundle.pcfg.lattice.side), bundle, n)
+    expected = []
+    for i in range(2):
+        rng = np.random.default_rng([5, i])
+        z = ls.reparameterize(psi, bundle.store, rng=rng).z
+        expected.append(ls.generate(z, bundle.store, bundle.pcfg.decoder, rng))
+    _forbid_rasters(monkeypatch)
+    out = tmp_path / "gen"
+    n_flag = [] if n is None else ["--n", str(n)]
+    assert dispatch(["generate", "--checkpoint", str(workdir["ckpt"]), "--input", str(data),
+                     "--out", str(out), "--count", "2", "--seed", "5", *n_flag]) == 0
+    for i, sketch in enumerate(expected):
+        assert (out / f"gen_{i:04d}.json").read_text() == \
+            _json_text(ls.sketch_to_json_obj(sketch))
+
+
+def test_generate_input_memory_does_not_grow_with_the_file(workdir, tmp_path):
+    # a raster per sketch of a 2,000-line file would hold 2,000 x 64 KiB = 125 MiB
+    big = ls.generate_dataset(tmp_path / "big", 2000, seed=3)[0]
+    one = tmp_path / "one.ndjson"
+    with open(big, encoding="utf-8") as fh:
+        one.write_text(fh.readline())
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    peak_kib = {}
+    for name, data in (("big", big), ("one", one)):
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT, "generate",
+                               "--checkpoint", str(workdir["ckpt"]), "--input", str(data),
+                               "--count", "1", "--out", str(tmp_path / name)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        peak_kib[name] = int(proc.stdout.split()[-1])  # ru_maxrss is in KiB
+    assert peak_kib["big"] - peak_kib["one"] < 30 * 1024, peak_kib
+
+
 def test_generate_from_prior(workdir):
     out = workdir["tmp"] / "gen"
     code = dispatch(["generate", "--checkpoint", str(workdir["ckpt"]),
@@ -219,13 +331,8 @@ def test_img2sketch_full_ink_exit_4_within_memory(workdir, tmp_path):
     # 1.9 GB, so the process must refuse it before allocating
     pgm = tmp_path / "full_ink.pgm"
     ls.write_pgm(ls.RasterSketch(pixels=np.ones((256, 256), dtype=np.uint8)), pgm)
-    script = ("import resource, sys\n"
-              "from lattisketch.cli import dispatch\n"
-              "code = dispatch(sys.argv[1:])\n"
-              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-              "sys.exit(code)\n")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", script, "img2sketch",
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT, "img2sketch",
                            "--checkpoint", str(workdir["ckpt"]), "--input", str(pgm),
                            "--out", str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, timeout=120)
