@@ -146,15 +146,15 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed,
     return path
 
 
-def _lattices_from_input(path, bundle, n):
-    """The lattice of a .pgm image, or one per sketch of a JSON-lines file with no raster
-    drawn, on the model's grid or n lines; DATASET_EMPTY when the file holds no sketch."""
+def _lattices_from_input(path, bundle, n, count=None):
+    """Lattices, with no raster per sketch, of a .pgm image or of the first count sketches
+    of a checked JSON-lines file, on the model's grid or n lines; DATASET_EMPTY if none."""
     if Path(path).suffix.lower() == ".pgm":
         return [_lattice_of(read_pgm(path), bundle, n)]
     sketches = list(read_sketches(path))
     if not sketches:
         raise DatasetEmpty(f"no sketch in {path}")
-    return sketch_lattices(sketches, _lattice_config(bundle, n))
+    return sketch_lattices(sketches[:count], _lattice_config(bundle, n))
 
 
 def _write_sketch_outputs(out_dir: Path, stem: str, sketch: VectorSketch,
@@ -247,7 +247,7 @@ def cmd_generate(args) -> int:
     inputs = [args.input] if args.input else []
     psi = None
     if args.input:
-        lat = _lattices_from_input(args.input, bundle, args.n)[0]
+        lat = _lattices_from_input(args.input, bundle, args.n, count=1)[0]
         psi = encode_lattice(lat, bundle, "the encoded input has no lattice points")
     out = _ensure_out(args)
     outputs = []
@@ -268,8 +268,8 @@ def cmd_generate(args) -> int:
 def cmd_img2sketch(args) -> int:
     bundle = load_model(args.checkpoint)
     raster = read_pgm(args.input)
-    out = _ensure_out(args)
     sketch, lattice = edge_to_sketch(raster, bundle, n=args.n, seed=args.seed or 0)
+    out = _ensure_out(args)
     outputs = _write_sketch_outputs(out, "img2sketch", sketch, lattice)
     write_manifest(out, "img2sketch", bundle.pcfg.configs_dict(),
                    args.seed or 0, [args.input], outputs, checkpoint=args.checkpoint)

@@ -7,11 +7,11 @@ adjacency, two affine+ReLU units, dropout, residual add) -> pool each
 graph's rows -> FC -> batch norm -> Tanh giving the sketch embedding psi,
 and the reparameterized latent z = mu + sigma * eps on top.
 
-Propagation runs over the graphs' row bands (see graph_builder), shifted
-to the batch's rows: forward X[rows] = slab @ V[cols], backward
-dV[cols] += slab.T @ dX[rows], so no work is spent on the zeros outside
-the bands. A graph of one band (at most 128 points) propagates exactly as
-a dense product would.
+Propagation runs over the graphs' upper row bands (see graph_builder) in
+the batch's rows: X[rows] = slab @ V[cols], X[rows.stop:cols.stop] +=
+slab[:, k:].T @ V[rows] (k = len(rows)); A is symmetric, so backward is
+dV = A dX, or A (D^-1 dX) when row_normalize divides rows by their degrees
+D. A graph of one band (at most 128 points) propagates as a dense product.
 
 Everything is plain numpy with hand-written backward passes; caches
 returned by the forward functions carry exactly the values the backward
@@ -147,27 +147,37 @@ def embed_nodes_backward(points: np.ndarray, side: int, dV: np.ndarray,
         grads[name] += _onehot(rows, len(grads[name]), dV.dtype) @ dV
 
 
+def _propagate(bands: list, V: np.ndarray) -> np.ndarray:
+    """A @ V for A as upper bands (rows, cols, slab, mirror = slab[:, k:]) in V's rows."""
+    X = np.empty_like(V)
+    for rows, cols, slab, mirror in reversed(bands):  # later rows are set before a mirror adds
+        np.matmul(slab, V[cols], out=X[rows])
+        if cols.stop > rows.stop:
+            X[rows.stop:cols.stop] += mirror.T @ V[rows]
+    return X
+
+
 def encode_layer(V: np.ndarray, bands: list, store: ParameterStore,
                  layer: int, dmask: np.ndarray | None = None):
     """V' = V + Dropout(ReLU-chained MLP units applied to A @ V); returns (V', cache).
 
-    V stacks a batch's nodes; A is given as bands (rows, cols, slab) in V's
-    rows and dtype (row-normalized if configured), whose row slices cover
-    every row of V once. dmask is the scaled dropout mask, or None for no
-    dropout.
+    V stacks a batch's nodes; A is given as upper bands (rows, cols, slab,
+    mirror) in V's rows and dtype (row-normalized if configured), whose row
+    slices cover every row of V once. dmask is the scaled dropout mask, or
+    None for no dropout.
     """
-    X = np.empty_like(V)
-    for rows, cols, slab in bands:
-        np.matmul(slab, V[cols], out=X[rows])
+    X = _propagate(bands, V)
     acts = [X]
     for w_name, b_name in _unit_names(layer):
-        X = np.maximum(X @ store[w_name] + store[b_name], 0.0)
+        X = X @ store[w_name]
+        np.maximum(np.add(X, store[b_name], out=X), 0, out=X)
         acts.append(X)
     return V + (X if dmask is None else X * dmask), (acts, dmask)
 
 
-def encode_layer_backward(dout: np.ndarray, cache, bands: list,
-                          store: ParameterStore, layer: int, grads: dict) -> np.ndarray:
+def encode_layer_backward(dout: np.ndarray, cache, adjacency, store: ParameterStore,
+                          layer: int, grads: dict) -> np.ndarray:
+    bands, deg = adjacency  # A's unnormalized bands, and D or None
     acts, dmask = cache
     d_branch = dout if dmask is None else dout * dmask
     names = _unit_names(layer)
@@ -177,10 +187,27 @@ def encode_layer_backward(dout: np.ndarray, cache, bands: list,
         grads[w_name] += acts[idx].T @ d_pre
         grads[b_name] += d_pre.sum(axis=0)
         d_branch = d_pre @ store[w_name].T
-    dV = dout.copy()
-    for rows, cols, slab in bands:
-        dV[cols] += slab.T @ d_branch[rows]
-    return dV
+    return dout + _propagate(bands, d_branch if deg is None else d_branch / deg)
+
+
+def _batch_bands(graphs, starts: list, dtype, row_normalize: bool):
+    """Bands (rows, cols, slab, mirror = slab[:, k:]) in the batch's rows, row-normalized
+    if asked, and for backward (the bands unnormalized, the (N, 1) degrees or None)."""
+    bands = []
+    for g, s in zip(graphs, starts):
+        for r, c, slab in g.bands:
+            slab = np.asarray(slab, dtype=dtype)
+            bands.append((slice(s + r.start, s + r.stop), slice(s + c.start, s + c.stop), slab,
+                          slab[:, r.stop - r.start:]))
+    if not row_normalize:
+        return bands, (bands, None)
+    deg = np.zeros((starts[-1] + graphs[-1].m, 1), dtype=dtype)
+    for rows, cols, slab, mirror in bands:  # full row sums: slab rows plus mirrored columns
+        deg[rows, 0] += slab.sum(axis=1)
+        deg[rows.stop:cols.stop, 0] += mirror.sum(axis=0)
+    np.maximum(deg, np.finfo(dtype).tiny, out=deg)
+    return [(rows, cols, slab / deg[rows], mirror / deg[rows.stop:cols.stop, 0])
+            for rows, cols, slab, mirror in bands], (bands, deg)
 
 
 def encode_graphs(graphs, store: ParameterStore, cfg: EncoderConfig,
@@ -207,14 +234,7 @@ def encode_graphs(graphs, store: ParameterStore, cfg: EncoderConfig,
     dtype = store["enc.fc.W"].dtype
     points = np.concatenate([g.points for g in graphs])
     starts = (np.cumsum(ms) - ms).tolist()
-    bands = []
-    for g, s in zip(graphs, starts):
-        for rows, cols, slab in g.bands:
-            slab = np.asarray(slab, dtype=dtype)
-            if cfg.row_normalize:  # a row's links all lie in its band
-                slab = slab / np.maximum(slab.sum(axis=1, keepdims=True), np.finfo(dtype).tiny)
-            bands.append((slice(s + rows.start, s + rows.stop),
-                          slice(s + cols.start, s + cols.stop), slab))
+    bands, adjacency = _batch_bands(graphs, starts, dtype, cfg.row_normalize)
     masks = [None] * cfg.K
     if train_mode and cfg.dropout_rate > 0.0:
         if rng is None:
@@ -243,7 +263,7 @@ def encode_graphs(graphs, store: ParameterStore, cfg: EncoderConfig,
         xhat = (Y - store["enc.bn.running_mean"]) * ivar
         batch_stats = None
     psi = np.tanh(gamma * xhat + beta)
-    cache = (points, side, ms, bands, layer_caches, pooled, xhat, ivar, psi, batch_stats)
+    cache = (points, side, ms, adjacency, layer_caches, pooled, xhat, ivar, psi, batch_stats)
     return psi, cache
 
 
@@ -260,7 +280,7 @@ def update_running_stats(cache, store: ParameterStore, cfg: EncoderConfig) -> No
 
 def encode_graphs_backward(dpsi: np.ndarray, cache, store: ParameterStore,
                            cfg: EncoderConfig, grads: dict) -> None:
-    points, side, ms, bands, layer_caches, pooled, xhat, ivar, psi, batch_stats = cache
+    points, side, ms, adjacency, layer_caches, pooled, xhat, ivar, psi, batch_stats = cache
     if batch_stats is None:
         raise ValueError("backward needs a train-mode cache")
     d_bn = dpsi * (1.0 - psi * psi)
@@ -278,7 +298,7 @@ def encode_graphs_backward(dpsi: np.ndarray, cache, store: ParameterStore,
         d_pooled /= ms[:, None].astype(d_pooled.dtype)
     dV = np.repeat(d_pooled, ms, axis=0)
     for layer in range(cfg.K - 1, -1, -1):
-        dV = encode_layer_backward(dV, layer_caches[layer], bands, store, layer, grads)
+        dV = encode_layer_backward(dV, layer_caches[layer], adjacency, store, layer, grads)
     embed_nodes_backward(points, side, dV, cfg, grads)
 
 

@@ -9,17 +9,18 @@ nearest neighbor and symmetrizes by union.
 Lattice points sit on integer pixels of a side x side canvas, so a pair's
 distance depends only on its offset (dx, dy) in (-side, side)^2. Graphs
 are therefore gathered from per-canvas tables flat at the signed index
-(dx + side - 1) * (2 side - 1) + (dy + side - 1). Per point, let
-q = x * (2 side - 1) + y and p = q + (side - 1) * (2 side - 1) + side - 1;
+(dx + side - 1) * (2 side - 1) + (dy + side - 1), which is symmetric
+under dx <-> dy. Per point, let q = y * (2 side - 1) + x (y-major: short
+steps for row-major points) and p = q + (side - 1) * (2 side - 1) + side - 1;
 pair (i, j) then sits at p[i] - q[j], one subtraction per entry.
 
-The adjacency is stored as row bands. Points come in row-major order, and
-a pair whose |dy| exceeds the weight table's reach has weight 0. So when
-the rows are split evenly into blocks of at most _BLOCK_ROWS, the links of
-each block fall in one contiguous column range, and each block keeps only
-that (rows, cols) slab. On an inky 256^2 edge map (m about 1,500,
-d_t = 0.2) the bands hold about 62 % of the m^2 entries; a graph of at
-most _BLOCK_ROWS points is one full band.
+The adjacency is stored as upper row bands: the rows are split evenly into
+blocks of at most _BLOCK_ROWS, and each keeps its square diagonal block and
+the columns to its right up to its last link. Points come in row-major
+order and no pair farther apart in y than the weight table's reach is
+linked, so on an inky 256^2 edge map (m about 1,500, d_t = 0.2) the bands
+hold about 35 % of the m^2 entries; a graph of at most _BLOCK_ROWS points
+is one full band.
 
 Slabs come out in the dtype the caller asks for (the encoder's,
 store["enc.fc.W"].dtype), gathered from a weight table cached per
@@ -29,7 +30,7 @@ neighbours on the float64 distance table in either dtype.
 
 Graphs above MAX_NODES points raise NodeBudgetExceeded (an OutOfRange)
 before any slab is allocated: a full-ink 256^2 raster (m = 15,360) would
-need up to about 1.9 GB of float64 slabs.
+need about 0.5 GB of float64 slabs.
 """
 
 from __future__ import annotations
@@ -64,13 +65,13 @@ class GraphConfig:
 @dataclass(frozen=True)
 class SketchGraph:
     """Lattice points (x, y) on a side x side canvas plus a symmetric m x m
-    adjacency with entries in [0, 1], stored as row bands.
+    adjacency with entries in [0, 1], stored as upper row bands.
 
-    Each band is (rows, cols, slab): the adjacency's rows[rows] are zero
-    outside cols, and slab is its dense (rows, cols) block, in the dtype
-    build_adjacency was given (float64 by default, the encoder's dtype on
-    every pipeline path). The row slices tile 0..m in order. `adjacency`
-    assembles the dense matrix on each access.
+    Each band is (rows, cols, slab) with cols.start == rows.start: slab is
+    the dense (rows, cols) block in build_adjacency's dtype (float64 by
+    default, the encoder's on every pipeline path), and its part right of
+    the diagonal block, transposed, is the block below. The row slices tile
+    0..m in order. `adjacency` assembles the dense matrix on each access.
     """
 
     points: np.ndarray
@@ -81,17 +82,17 @@ class SketchGraph:
         shape, end = np.shape(self.points), 0
         ok = len(shape) == 2 and shape[1] == 2
         for rows, cols, slab in self.bands:
-            ok = (ok and rows.start == end and 0 <= cols.start <= cols.stop <= shape[0]
+            ok = (ok and rows.start == end == cols.start and rows.stop <= cols.stop <= shape[0]
                   and slab.shape == (rows.stop - rows.start, cols.stop - cols.start))
             end = rows.stop
         if not ok or end != shape[0]:
             raise ShapeMismatch(f"bands {[b[2].shape for b in self.bands]} do not tile the "
                                 f"adjacency of points {shape}: want (m, 2) points and row "
-                                f"bands covering rows 0..m in order")
+                                f"bands covering rows 0..m in order from the diagonal")
 
     @classmethod
     def from_dense(cls, points, adjacency, side: int) -> "SketchGraph":
-        """A graph whose adjacency is one band: the whole m x m matrix."""
+        """A graph whose adjacency is one band: the whole m x m matrix (symmetric to train)."""
         m = len(points)
         return cls(points=points, bands=((slice(0, m), slice(0, m), np.asarray(adjacency)),),
                    side=side)
@@ -106,6 +107,7 @@ class SketchGraph:
         a = np.zeros((self.m, self.m), dtype=self.bands[0][2].dtype)
         for rows, cols, slab in self.bands:
             a[rows, cols] = slab
+            a[rows.stop:cols.stop, rows] = slab[:, rows.stop - rows.start:].T
         a.flags.writeable = False
         return a
 
@@ -154,9 +156,9 @@ def _reach(side: int, d_t: float, dtype: np.dtype) -> int:
 
 def _band_extents(y: np.ndarray, reach: int) -> list:
     """(rows, cols) per block: the rows are split into the fewest blocks of at
-    most _BLOCK_ROWS, of equal size, and cols runs from the first to the last
-    point whose y lies within reach of the block's y-range, so it holds every
-    link of the block in any point order (tight when sorted by y)."""
+    most _BLOCK_ROWS, of equal size, and cols runs from the block's first row
+    to the last point whose y lies within reach of the block's y-range, so
+    it holds every link (i, j >= i) of the block in any point order."""
     m = len(y)
     if m <= _BLOCK_ROWS:  # one block spans every y of the graph
         return [(slice(0, m), slice(0, m))]
@@ -165,10 +167,9 @@ def _band_extents(y: np.ndarray, reach: int) -> list:
     bounds = np.arange(n + 1) * m // n
     near = ((y >= np.minimum.reduceat(y, bounds[:-1])[:, None] - reach)
             & (y <= np.maximum.reduceat(y, bounds[:-1])[:, None] + reach))
-    lo, hi = near.argmax(axis=1), m - near[:, ::-1].argmax(axis=1)
+    hi = m - near[:, ::-1].argmax(axis=1)  # past the block's own last row
     bounds = bounds.tolist()
-    return [(slice(r0, r1), slice(c0, c1))
-            for r0, r1, c0, c1 in zip(bounds, bounds[1:], lo.tolist(), hi.tolist())]
+    return [(slice(r0, r1), slice(r0, c1)) for r0, r1, c1 in zip(bounds, bounds[1:], hi.tolist())]
 
 
 def _offset_blocks(points: np.ndarray, side: int, extents: list):
@@ -179,7 +180,7 @@ def _offset_blocks(points: np.ndarray, side: int, extents: list):
     """
     width = 2 * side - 1
     pts = points.astype(np.intp)
-    q = pts[:, 0] * width + pts[:, 1]
+    q = pts[:, 1] * width + pts[:, 0]
     p = q + ((side - 1) * width + side - 1)
     buf = np.empty(_BLOCK_ROWS * len(q), dtype=np.intp)
     for rows, cols in extents:
@@ -212,10 +213,10 @@ def build_adjacency(L: SketchLattice, cfg: GraphConfig, dtype=np.float64) -> Ske
     Linked entries carry 1 - norm(d_ij); the diagonal is 1 with self loops
     (d_ii = 0 so the formula agrees). Entries are gathered from the
     canvas's offset tables, after every point is checked to lie on it.
-    "nearby" bands span the columns within the weight table's y-reach of
-    each block of rows; "nearest" links can lie at any distance, so its
-    bands are full width. Nothing m x m is allocated. More than MAX_NODES
-    points raise NodeBudgetExceeded.
+    Bands end at the last column within the weight table's y-reach of their
+    rows ("nearby"), or at column m ("nearest", whose links can lie at any
+    distance). Nothing m x m is allocated. More than MAX_NODES points raise
+    NodeBudgetExceeded.
     """
     if L.m == 0:
         raise EmptyLattice("cannot build a graph from an empty lattice")
@@ -234,7 +235,7 @@ def build_adjacency(L: SketchLattice, cfg: GraphConfig, dtype=np.float64) -> Ske
         for (_, _, slab), idx in zip(bands, _offset_blocks(L.points, side, extents)):
             weights.take(idx, out=slab, mode="clip")
     else:
-        extents = _band_extents(L.points[:, 1], side)  # full width
+        extents = _band_extents(L.points[:, 1], side)  # every band ends at column m
         bands = _slabs(extents, dtype)
         for _, _, slab in bands:
             slab.fill(0.0)
@@ -242,18 +243,20 @@ def build_adjacency(L: SketchLattice, cfg: GraphConfig, dtype=np.float64) -> Ske
             norm = _distance_table(side)
             nearest = np.empty(m, dtype=np.intp)
             w = np.empty(m)
-            for (rows, _), idx in zip(extents, _offset_blocks(L.points, side, extents)):
+            probes = [(rows, slice(0, m)) for rows, _ in extents]
+            for (rows, _), idx in zip(probes, _offset_blocks(L.points, side, probes)):
                 probe = norm.take(idx, mode="clip")
                 block = np.arange(idx.shape[0])
                 probe[block, block + rows.start] = np.inf
                 nearest[rows] = np.argmin(probe, axis=1)  # first minimum = smallest index
                 w[rows] = 1.0 - probe[block, nearest[rows]]
-            node = np.arange(m)
-            for rows, _, slab in bands:
-                slab[node[rows] - rows.start, nearest[rows]] = w[rows]
-                mine = (nearest >= rows.start) & (nearest < rows.stop)
-                slab[nearest[mine] - rows.start, node[mine]] = w[mine]
+            lo, hi = np.sort(np.stack([np.arange(m), nearest]), axis=0)
+            for rows, _, slab in bands:  # link (lo, hi), and (hi, lo) in the diagonal block
+                mine = (lo >= rows.start) & (lo < rows.stop)
+                slab[lo[mine] - rows.start, hi[mine] - rows.start] = w[mine]
+                mine &= hi < rows.stop
+                slab[hi[mine] - rows.start, lo[mine] - rows.start] = w[mine]
     diagonal = 1.0 if cfg.self_loops else 0.0
-    for rows, cols, slab in bands:  # row k's own point sits in column rows.start + k
-        slab.reshape(-1)[rows.start - cols.start::slab.shape[1] + 1] = diagonal
+    for _, _, slab in bands:  # row k's own point sits in column k
+        slab.reshape(-1)[::slab.shape[1] + 1] = diagonal
     return SketchGraph(points=L.points, bands=tuple(bands), side=side)

@@ -68,7 +68,9 @@ def encode_lattice(lat: SketchLattice, bundle: ModelBundle, empty_msg: str) -> n
 def heal_lattice(lat: SketchLattice, p_mask: float, seed, bundle: ModelBundle):
     """Bernoulli mask -> graph -> psi -> z (noise on) -> autoregressive
     generation, all from one ``default_rng(seed)`` stream. Returns (sketch,
-    surviving lattice); raises EmptyLattice when nothing survives."""
+    surviving lattice); raises EmptyLattice when nothing is there or survives."""
+    if lat.m == 0:
+        raise EmptyLattice("the input has no ink on the lattice lines")
     rng = np.random.default_rng(seed)
     masked = mask_lattice(lat, p_mask, rng)
     psi = encode_lattice(masked, bundle, f"no lattice points survive p_mask={p_mask}")

@@ -211,6 +211,17 @@ def test_heal_failing_item_exit_4_writes_nothing(workdir, tmp_path, capsys, seco
     assert not out.exists()
 
 
+def test_heal_inkless_item_says_it_has_no_ink(workdir, tmp_path, capsys):
+    lines = workdir["data"][0].read_text().splitlines()[:3]
+    lines[1] = '{"drawing": []}'
+    data = tmp_path / "three.ndjson"
+    data.write_text("\n".join(lines) + "\n")
+    assert dispatch(["heal", "--checkpoint", str(workdir["ckpt"]), "--input", str(data),
+                     "--out", str(tmp_path / "out"), "--pmask", "0.1"]) == 4
+    assert capsys.readouterr().err.strip() == \
+        "error: EMPTY_LATTICE: heal_0001: the input has no ink on the lattice lines"
+
+
 def _mixed_sketch_file(workdir, tmp_path):
     """Three rings then three ladders in one file; returns (path, sketches)."""
     lines = [line for path in workdir["data"] for line in path.read_text().splitlines()[:3]]
@@ -278,6 +289,26 @@ def test_generate_input_sketch_file_matches_the_raster_route(workdir, tmp_path, 
             _json_text(ls.sketch_to_json_obj(sketch))
 
 
+def test_generate_input_makes_one_lattice_and_checks_every_line(workdir, tmp_path,
+                                                                monkeypatch):
+    data, sketches = _mixed_sketch_file(workdir, tmp_path)
+    batches, original = [], cli.sketch_lattices
+
+    def recording(batch, cfg):
+        batches.append(len(batch))
+        return original(batch, cfg)
+
+    monkeypatch.setattr(cli, "sketch_lattices", recording)
+    args = ["generate", "--checkpoint", str(workdir["ckpt"]), "--count", "1", "--seed", "5"]
+    assert dispatch([*args, "--input", str(data), "--out", str(tmp_path / "gen")]) == 0
+    assert batches == [1] and len(sketches) == 6
+    # a bad last line still fails the command, before --out is made
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text(data.read_text() + '{"drawing": [[[0, 1], [2]]]}\n')
+    assert dispatch([*args, "--input", str(bad), "--out", str(tmp_path / "bad_out")]) == 3
+    assert not (tmp_path / "bad_out").exists()
+
+
 def test_generate_input_memory_does_not_grow_with_the_file(workdir, tmp_path):
     # a raster per sketch of a 2,000-line file would hold 2,000 x 64 KiB = 125 MiB
     big = ls.generate_dataset(tmp_path / "big", 2000, seed=3)[0]
@@ -326,6 +357,17 @@ def test_img2sketch_truncated_pgm_exit_3(workdir, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_img2sketch_blank_edge_map_exit_4_says_it_has_no_ink(workdir, tmp_path, capsys):
+    pgm = tmp_path / "blank.pgm"
+    ls.write_pgm(ls.RasterSketch(pixels=np.zeros((256, 256), dtype=np.uint8)), pgm)
+    out = tmp_path / "out"
+    assert dispatch(["img2sketch", "--checkpoint", str(workdir["ckpt"]),
+                     "--input", str(pgm), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.strip() == \
+        "error: EMPTY_LATTICE: the input has no ink on the lattice lines"
+    assert not out.exists()
+
+
 def test_img2sketch_full_ink_exit_4_within_memory(workdir, tmp_path):
     # m = 15,360 is over the node budget: the dense graph would need about
     # 1.9 GB, so the process must refuse it before allocating
@@ -339,6 +381,7 @@ def test_img2sketch_full_ink_exit_4_within_memory(workdir, tmp_path):
     assert proc.returncode == 4, proc.stderr
     assert "OUT_OF_RANGE" in proc.stderr and "budget" in proc.stderr
     assert int(proc.stdout.split()[-1]) < 300 * 1024  # ru_maxrss is in KiB
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_writes_metrics(workdir, capsys):

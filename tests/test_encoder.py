@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lattisketch as ls
-from lattisketch.encoder import embed_nodes, embedding_rows, encode_layer
+from lattisketch.encoder import _batch_bands, _propagate, embed_nodes, embedding_rows, encode_layer
 
 
 def make_graph(pts, cfg=None, dtype=np.float64):
@@ -24,6 +24,16 @@ def row_major_graph(rng, m, graph_cfg=None):
     points the bands are narrower than the graph."""
     pts = np.unique(rng.integers(0, 256, size=(m + 4, 2)), axis=0)[:m]
     return make_graph(pts[np.lexsort((pts[:, 0], pts[:, 1]))], graph_cfg)
+
+
+def diagonal_bands(*blocks):
+    """Encoder bands of a block-diagonal adjacency: square slabs, nothing mirrored."""
+    bands, at = [], 0
+    for a in blocks:
+        k = len(a)
+        bands.append((slice(at, at + k), slice(at, at + k), a, a[:, k:]))
+        at += k
+    return bands
 
 
 @pytest.fixture
@@ -94,7 +104,7 @@ def test_layer_zero_weights_residual_passthrough(enc_cfg):
             store[name] = np.zeros_like(store[name])
     V = np.random.default_rng(1).standard_normal((3, enc_cfg.d)).astype(np.float32)
     A = np.eye(3, dtype=np.float32)
-    out, _ = encode_layer(V, [(slice(0, 3), slice(0, 3), A)], store, 0)
+    out, _ = encode_layer(V, diagonal_bands(A), store, 0)
     assert np.array_equal(out, V)
 
 
@@ -104,8 +114,7 @@ def test_layer_relu_kill_residual_passthrough(enc_cfg, enc_store):
     enc_store["enc.layer0.u0.b0"] = np.full(enc_cfg.d, -1e6, dtype=np.float32)
     enc_store["enc.layer0.u1.b0"] = np.full(enc_cfg.d, -1.0, dtype=np.float32)
     V = np.abs(np.random.default_rng(1).standard_normal((5, enc_cfg.d))).astype(np.float32)
-    bands = [(slice(0, 2), slice(0, 2), np.eye(2, dtype=np.float32)),
-             (slice(2, 5), slice(2, 5), np.ones((3, 3), dtype=np.float32))]
+    bands = diagonal_bands(np.eye(2, dtype=np.float32), np.ones((3, 3), dtype=np.float32))
     out, _ = encode_layer(V, bands, enc_store, 0)
     assert np.array_equal(out, V)
 
@@ -119,11 +128,53 @@ def test_layer_propagates_within_each_graph_only(enc_cfg):
             store[name] = (np.eye(enc_cfg.d) if name.endswith("W0")
                            else np.zeros(enc_cfg.d))
     V = np.abs(np.random.default_rng(1).standard_normal((5, enc_cfg.d)))
-    bands = [(slice(0, 2), slice(0, 2), np.ones((2, 2))),
-             (slice(2, 5), slice(2, 5), np.ones((3, 3)))]
+    bands = diagonal_bands(np.ones((2, 2)), np.ones((3, 3)))
     out, _ = encode_layer(V, bands, store, 0)
     want = np.vstack([np.tile(V[:2].sum(axis=0), (2, 1)), np.tile(V[2:].sum(axis=0), (3, 1))])
     assert np.allclose(out - V, want, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# propagation over upper bands
+
+
+def propagation_batch(proximity, dtype):
+    """A batch of a row-major graph and an x-sorted one (links left of a block),
+    both of 3 or more bands, around a one-band graph."""
+    rng = np.random.default_rng(21)
+    cfg = ls.GraphConfig(proximity)
+    pts = np.unique(rng.integers(0, 256, size=(420, 2)), axis=0)[:400]  # sorted by x
+    return [make_graph(pts[np.lexsort((pts[:, 0], pts[:, 1]))], cfg, dtype),
+            random_graph(rng, 20, cfg, dtype), make_graph(pts[:300], cfg, dtype)]
+
+
+@pytest.mark.parametrize("proximity", ["nearby", "nearest"])
+@pytest.mark.parametrize("row_normalize", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_propagate_matches_dense_products(proximity, row_normalize, dtype):
+    # forward A @ V and backward A.T @ d, with A row-normalized if asked,
+    # against float64 products with the dense block-diagonal adjacency
+    graphs = propagation_batch(proximity, dtype)
+    assert [len(g.bands) for g in graphs] == [4, 1, 3]
+    ms = [g.m for g in graphs]
+    A = np.zeros((sum(ms), sum(ms)))
+    for g, s in zip(graphs, np.cumsum(ms) - ms):
+        A[s:s + g.m, s:s + g.m] = g.adjacency
+    if row_normalize:
+        A /= A.sum(axis=1, keepdims=True)
+    bands, (raw, deg) = _batch_bands(graphs, (np.cumsum(ms) - ms).tolist(), np.dtype(dtype),
+                                     row_normalize)
+    assert (deg is None) != row_normalize
+    # below every diagonal block but a graph's last lie links only the mirrors carry
+    assert all(np.any(A[r.stop:c.stop, r]) for r, c, _, _ in bands[:3] + bands[5:7])
+    rng = np.random.default_rng(3)
+    V, d = (rng.standard_normal((len(A), 5)).astype(dtype) for _ in range(2))
+    rtol = 1e-5 if dtype == np.float32 else 1e-13
+    for got, M, x in ((_propagate(bands, V), A, V),
+                      (_propagate(raw, d if deg is None else d / deg), A.T, d)):
+        assert got.dtype == dtype
+        bound = rtol * (np.abs(M) @ np.abs(x.astype(np.float64)))
+        assert np.all(np.abs(got - M @ x.astype(np.float64)) <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +227,15 @@ def test_encode_graphs_uses_store_dtype_adjacency_without_copy(enc_cfg, enc_stor
     _, cache = ls.encode_graphs(graphs, enc_store, enc_cfg)
     stored = [band for g in graphs for band in g.bands]
     assert all(slab.dtype == np.float32 for _, _, slab in stored)
-    # every stored slab is propagated as it is, shifted to its graph's rows
-    used = cache[3]
-    assert [u is s for (_, _, u), (_, _, s) in zip(used, stored)] == [True] * 4
-    assert [(r.start, c.start) for r, c, _ in used[1:]] == [
+    # every stored slab is propagated as it is, shifted to its graph's rows,
+    # and its mirrored part is a view of it
+    used, deg = cache[3]
+    assert deg is None
+    assert [u is s for (_, _, u, _), (_, _, s) in zip(used, stored)] == [True] * 4
+    for rows, _, slab, mirror in used:
+        assert mirror.shape == (slab.shape[0], slab.shape[1] - slab.shape[0])
+        assert mirror.size == 0 or np.shares_memory(mirror, slab[:, rows.stop - rows.start:])
+    assert [(r.start, c.start) for r, c, _, _ in used[1:]] == [
         (10 + rows.start, 10 + cols.start) for rows, cols, _ in graphs[1].bands]
 
 

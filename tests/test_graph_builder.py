@@ -373,26 +373,32 @@ def test_bands_equal_dense_oracle_and_hold_every_link(seed, blocks, n_rows, n_co
     g = ls.build_adjacency(lat, cfg, dtype)
     want = dense_adjacency(lat, cfg)
     assert np.array_equal(g.adjacency, want.astype(dtype))
-    inside = np.zeros((lat.m, lat.m), dtype=bool)
+    # every band starts at its diagonal block, and every link (i, j) with
+    # i <= j lies in i's band, so the stored bands and their mirrors hold all
+    stored = np.zeros((lat.m, lat.m), dtype=bool)
     for rows, cols, slab in g.bands:
         assert slab.dtype == dtype and rows.stop - rows.start <= graph_builder._BLOCK_ROWS
-        inside[rows, cols] = True
-    assert not want[~inside].any()
+        assert cols.start == rows.start < rows.stop <= cols.stop
+        stored[rows, cols] = True
+    assert not np.triu(want)[~stored].any()
+    assert not want[~(stored | stored.T)].any()
     n = -(-lat.m // graph_builder._BLOCK_ROWS)  # the fewest blocks, of equal size
     assert [rows.start for rows, _, _ in g.bands] == [k * lat.m // n for k in range(n)]
 
 
 def test_bands_tight_for_row_major_points():
     # rows of points 40 px apart: with the 72 px reach of d_t = 0.2 on a 256
-    # canvas, a block's band ends one row of points beyond its own rows
+    # canvas, a block's band starts at its own first row and ends one row of
+    # points beyond its last
     pts = np.array([[x, y] for y in range(0, 256, 40) for x in range(0, 256, 4)])
     g = ls.build_adjacency(points_lattice(pts), ls.GraphConfig())
     assert graph_builder._reach(256, 0.2, np.dtype(np.float64)) == 72
     y = pts[:, 1]
     for rows, cols, _ in g.bands:
         near = np.flatnonzero((y >= y[rows].min() - 40) & (y <= y[rows].max() + 40))
-        assert (cols.start, cols.stop) == (near[0], near[-1] + 1)
-    assert sum(s.size for _, _, s in g.bands) < 0.7 * g.m ** 2
+        assert (cols.start, cols.stop) == (rows.start, near[-1] + 1)
+    # the upper bands store 0.411 m^2 here
+    assert sum(s.size for _, _, s in g.bands) < 0.42 * g.m ** 2
 
 
 def test_band_holds_links_exactly_at_the_reach():

@@ -10,6 +10,7 @@ import pytest
 import lattisketch as ls
 from conftest import random_raster, zigzag_scribble
 from lattisketch import pipeline_eval
+from lattisketch.encoder import embed_nodes
 from lattisketch.graph_builder import MAX_NODES, build_adjacency
 from lattisketch.lattice import sketch_lattices
 
@@ -216,6 +217,72 @@ def test_full_ink_exceeds_node_budget_quickly(tiny_model):
     assert time.perf_counter() - start < 1.0
 
 
+def test_half_ink_encode_peak_memory(tiny_model):
+    # upper bands of m = 7,669 points hold about 60 MB of float32; the bands
+    # that also kept the columns left of each block took 126 MB here
+    pixels = (np.random.default_rng(0).random((256, 256)) < 0.5).astype(np.uint8)
+    lat = ls.sample_lattice(ls.RasterSketch(pixels), tiny_model.pcfg.lattice)
+    assert lat.m == 7669 and tiny_model.store["enc.fc.W"].dtype == np.float32
+    pipeline_eval.encode_lattice(ls.SketchLattice(lat.points[:2], lat.side, lat.n),
+                                 tiny_model, "")  # fill the offset table caches
+    tracemalloc.start()
+    try:
+        pipeline_eval.encode_lattice(lat, tiny_model, "")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 90e6, peak
+
+
+def dense_band_psi(lat, bundle):
+    """Oracle: eval-mode psi of a one-band graph, computed as the encoder did when
+    every band held its whole width: the graph's one slab (divided by its row
+    sums if configured) in one product per layer, then the affine+ReLU units,
+    mean pooling, FC, running-statistics batch norm and tanh."""
+    store, cfg = bundle.store, bundle.pcfg.encoder
+    dtype = store["enc.fc.W"].dtype
+    (rows, cols, slab), = build_adjacency(lat, bundle.pcfg.graph, dtype).bands
+    if cfg.row_normalize:
+        slab = slab / np.maximum(slab.sum(axis=1, keepdims=True), np.finfo(dtype).tiny)
+    V = embed_nodes(lat.points, lat.side, store, cfg)
+    for layer in range(cfg.K):
+        X = np.empty_like(V)
+        np.matmul(slab, V[cols], out=X[rows])
+        for unit in range(2):
+            W, b = (store[f"enc.layer{layer}.u{unit}.{p}0"] for p in "Wb")
+            X = np.maximum(X @ W + b, 0.0)
+        V = V + X
+    pooled = np.stack([V.sum(axis=0)])
+    pooled /= np.array([[lat.m]]).astype(dtype)
+    Y = pooled @ store["enc.fc.W"] + store["enc.fc.b"]
+    ivar = 1.0 / np.sqrt(store["enc.bn.running_var"].astype(dtype) + cfg.bn_eps)
+    xhat = (Y - store["enc.bn.running_mean"]) * ivar
+    return np.tanh(store["enc.bn.gamma"] * xhat + store["enc.bn.beta"])[0]
+
+
+@pytest.mark.parametrize("proximity", ["nearby", "nearest"])
+@pytest.mark.parametrize("row_normalize", [False, True])
+def test_one_band_psi_and_heal_bits_unchanged(tiny_model, square_sketch, proximity,
+                                              row_normalize):
+    pcfg = tiny_model.pcfg
+    bundle = replace(tiny_model, pcfg=replace(
+        pcfg, graph=replace(pcfg.graph, proximity=proximity),
+        encoder=replace(pcfg.encoder, row_normalize=row_normalize)))
+    rng = np.random.default_rng(4)
+    lattices = [lattice_of(random_raster(rng, density=0.005), bundle) for _ in range(3)]
+    lattices.append(lattice_of(ls.rasterize(square_sketch, 256), bundle))
+    assert [1 < lat.m <= 128 for lat in lattices] == [True] * 4
+    for lat in lattices:
+        assert np.array_equal(pipeline_eval.encode_lattice(lat, bundle, ""),
+                              dense_band_psi(lat, bundle))
+    # heal draws its mask, latent noise and rollout from one stream
+    sketch, masked = pipeline_eval.heal_lattice(lattices[0], 0.2, 9, bundle)
+    rng = np.random.default_rng(9)
+    assert np.array_equal(masked.points, ls.mask_lattice(lattices[0], 0.2, rng).points)
+    z = ls.reparameterize(dense_band_psi(masked, bundle), bundle.store, rng=rng).z
+    assert np.array_equal(sketch.steps, ls.generate(z, bundle.store, pcfg.decoder, rng).steps)
+
+
 def test_graphs_built_in_store_dtype(tiny_model, square_sketch, monkeypatch):
     built = []
 
@@ -237,13 +304,13 @@ def test_graphs_built_in_store_dtype(tiny_model, square_sketch, monkeypatch):
 
 def test_heal_blank_raster_raises(tiny_model):
     blank = ls.RasterSketch(pixels=np.zeros((256, 256), dtype=np.uint8))
-    with pytest.raises(ls.EmptyLattice):
+    with pytest.raises(ls.EmptyLattice, match="^the input has no ink on the lattice lines$"):
         ls.heal(ls.HealRequest(raster=blank, p_mask=0.0), tiny_model)
 
 
 def test_heal_pmask_one_raises(tiny_model, square_sketch):
     raster = ls.rasterize(square_sketch, 256)
-    with pytest.raises(ls.EmptyLattice):
+    with pytest.raises(ls.EmptyLattice, match="survive p_mask=1.0"):
         ls.heal(ls.HealRequest(raster=raster, p_mask=1.0), tiny_model)
 
 
