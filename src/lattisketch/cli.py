@@ -30,8 +30,8 @@ from .params import checkpoint_hash
 from .lattice import sketch_lattices
 from .pipeline_eval import (HEAL_P_MASK, _lattice_config, _lattice_of, edge_to_sketch,
                             encode_lattice, heal_lattice, healing_sweep)
-from .sketch_data import (VectorSketch, rasterize, read_pgm, read_sketches, render_svg,
-                          sketch_to_json_obj, write_pgm)
+from .sketch_data import (VectorSketch, drawn_pixels, rasterize, read_pgm, read_sketches,
+                          render_svg, sketch_to_json_obj, write_pgm)
 from .trainer import (PipelineConfig, finite_diff_audit, audit_probe, fit, init_params,
                       load_dataset, load_model)
 
@@ -168,6 +168,16 @@ def _write_sketch_outputs(out_dir: Path, stem: str, sketch: VectorSketch,
     return written
 
 
+def _drawable(sketches: list, side: int, path) -> list:
+    """The sketches, once the drawing core has fit each to the canvas (MALFORMED_RECORD if not)."""
+    try:
+        for _ in drawn_pixels(sketches, side):
+            pass
+    except MalformedRecord as exc:
+        raise MalformedRecord(f"{path}: {exc}") from exc
+    return sketches
+
+
 def _ensure_out(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -180,13 +190,8 @@ def _ensure_out(args) -> Path:
 
 def cmd_ingest(args) -> int:
     pcfg = build_pipeline_config(args)
-    out = _ensure_out(args)
-    raster_dir = out / "rasters"
-    raster_dir.mkdir(exist_ok=True)
-    outputs = []
-    n_kept = n_empty = 0
-    for input_path in args.inputs:
-        stem = Path(input_path).stem
+    kept_per_input, n_empty = [], 0
+    for input_path in args.inputs:  # every input is read and fit before --out is made
         kept = []
         for sk in read_sketches(input_path):
             if sk.is_empty():
@@ -195,25 +200,28 @@ def cmd_ingest(args) -> int:
             kept.append(sk)
             if args.limit and len(kept) >= args.limit:
                 break
-        jsonl_path = out / f"{stem}.jsonl"
-        with open(jsonl_path, "w", encoding="utf-8") as fh:
-            for sk in kept:
-                fh.write(json.dumps(sketch_to_json_obj(sk)) + "\n")
-        outputs.append(jsonl_path)
+        kept_per_input.append(_drawable(kept, pcfg.lattice.side, input_path))
+    out = _ensure_out(args)
+    raster_dir = out / "rasters"
+    raster_dir.mkdir(exist_ok=True)
+    outputs = []
+    for input_path, kept in zip(args.inputs, kept_per_input):
+        stem = Path(input_path).stem
+        outputs.append(out / f"{stem}.jsonl")
+        outputs[-1].write_text("".join(json.dumps(sketch_to_json_obj(sk)) + "\n" for sk in kept),
+                               encoding="utf-8")
         for i, sk in enumerate(kept):
-            pgm_path = raster_dir / f"{stem}_{i:05d}.pgm"
-            write_pgm(rasterize(sk, pcfg.lattice.side), pgm_path)
-            outputs.append(pgm_path)
-        n_kept += len(kept)
+            outputs.append(raster_dir / f"{stem}_{i:05d}.pgm")
+            write_pgm(rasterize(sk, pcfg.lattice.side), outputs[-1])
     write_manifest(out, "ingest", pcfg.configs_dict(), pcfg.train.seed,
                    args.inputs, outputs)
-    print(f"ingested {n_kept} sketches ({n_empty} empty drawings skipped)")
+    print(f"ingested {sum(map(len, kept_per_input))} sketches ({n_empty} empty drawings skipped)")
     return 0
 
 
 def cmd_train(args) -> int:
     pcfg = build_pipeline_config(args)
-    out = _ensure_out(args)
+    out = Path(args.out)  # fit makes it once the data is read
     summary = fit(args.data, pcfg, out, resume=args.resume)
     write_manifest(out, "train", summary["pcfg"].configs_dict(), pcfg.train.seed,
                    list(args.data), [summary["checkpoint"], summary["loss_csv"]],
@@ -336,18 +344,17 @@ def cmd_audit_grad(args) -> int:
 
 def cmd_render(args) -> int:
     pcfg = build_pipeline_config(args)
-    out = _ensure_out(args)
     sketches = list(read_sketches(args.input))
+    _drawable(sketches, pcfg.lattice.side, args.input)  # each fits before --out is made
+    out = _ensure_out(args)
     outputs = []
     for i, sk in enumerate(sketches):
         if args.format in ("svg", "both"):
-            path = out / f"render_{i:04d}.svg"
-            path.write_text(render_svg(sk), encoding="utf-8")
-            outputs.append(path)
+            outputs.append(out / f"render_{i:04d}.svg")
+            outputs[-1].write_text(render_svg(sk), encoding="utf-8")
         if args.format in ("pgm", "both"):
-            path = out / f"render_{i:04d}.pgm"
-            write_pgm(rasterize(sk, pcfg.lattice.side), path)
-            outputs.append(path)
+            outputs.append(out / f"render_{i:04d}.pgm")
+            write_pgm(rasterize(sk, pcfg.lattice.side), outputs[-1])
     write_manifest(out, "render", pcfg.configs_dict(), pcfg.train.seed,
                    [args.input], outputs)
     print(f"rendered {len(sketches)} sketch(es)")

@@ -1,9 +1,9 @@
 """Lattice point sampling: intersect a raster's dark pixels with a uniform grid.
 
 The lattice graph is a fixed criss-cross of n horizontal and n vertical
-lines. Sampling a raster keeps every dark pixel that lies on at least one
-line; crossings are deduplicated. The resulting point set is the model's
-only view of a sketch at inference time.
+lines: for a given (side, n), a fixed table of pixel sites, cached once.
+Sampling a raster keeps every dark pixel at a site, each crossing once. The
+resulting point set is the model's only view of a sketch at inference time.
 """
 
 from __future__ import annotations
@@ -39,19 +39,14 @@ class SketchLattice:
     n: int = LatticeConfig.n
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.int64).reshape(-1, 2)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", np.asarray(self.points, dtype=np.int64).reshape(-1, 2))
 
     @property
     def m(self) -> int:
         return self.points.shape[0]
 
     def to_json_obj(self) -> dict:
-        return {
-            "side": self.side,
-            "n": self.n,
-            "points": [[int(x), int(y)] for x, y in self.points],
-        }
+        return {"side": self.side, "n": self.n, "points": self.points.tolist()}
 
 
 def lattice_from_json_obj(obj: dict) -> SketchLattice:
@@ -77,35 +72,28 @@ def line_positions(cfg: LatticeConfig) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _lines(side: int, n: int):
-    """Read-only line positions and flat side*side mask of the pixels on a line."""
+def _sites(side: int, n: int):
+    """Read-only lattice sites: the sorted flat keys y * side + x of the
+    pixels on a line, and the flat side*side mask of those pixels."""
     pos = line_positions(LatticeConfig(n=n, side=side))
     on_line = np.zeros((side, side), dtype=bool)
-    on_line[pos] = True
-    on_line[:, pos] = True
-    pos.flags.writeable = on_line.flags.writeable = False
-    return pos, on_line.reshape(-1)
+    on_line[pos] = on_line[:, pos] = True
+    keys = np.flatnonzero(on_line)
+    keys.flags.writeable = on_line.flags.writeable = False
+    return keys, on_line.reshape(-1)
 
 
 def sample_lattice(r: RasterSketch, cfg: LatticeConfig) -> SketchLattice:
-    """Collect dark pixels lying on any lattice line, each crossing once.
+    """Gather the raster at the lattice sites and keep the dark ones.
 
-    Output order is row-major (y, then x), the canonical node order.
+    The sites are sorted and distinct, so the output is row-major (y, then
+    x), the canonical node order, with each crossing once.
     """
     if r.height != cfg.side or r.width != cfg.side:
-        raise OutOfRange(
-            f"raster {r.width}x{r.height} is not canonical {cfg.side}x{cfg.side}"
-        )
-    pos, _ = _lines(cfg.side, cfg.n)
-    side, n = cfg.side, cfg.n
-    # flat indices into the n line rows, [i, x], and the n line columns, [y, j]
-    rows = np.flatnonzero(r.pixels[pos] > 0)
-    col_hits = r.pixels[:, pos] > 0
-    col_hits[pos] = False  # a crossing is already a row hit
-    cols = np.flatnonzero(col_hits)
-    keys = np.sort(np.concatenate([pos[rows // side] * side + rows % side,
-                                   cols // n * side + pos[cols % n]]))
-    return SketchLattice(np.column_stack([keys % side, keys // side]), side=side, n=n)
+        raise OutOfRange(f"raster {r.width}x{r.height} is not canonical {cfg.side}x{cfg.side}")
+    sites, _ = _sites(cfg.side, cfg.n)
+    keys = sites[r.pixels.reshape(-1)[sites] > 0]
+    return SketchLattice(np.column_stack(np.divmod(keys, cfg.side)[::-1]), side=cfg.side, n=cfg.n)
 
 
 def sketch_lattices(sketches, cfg: LatticeConfig) -> list:
@@ -118,7 +106,7 @@ def sketch_lattices(sketches, cfg: LatticeConfig) -> list:
     into row-major lattices, so the scratch memory does not grow with the
     list. Raises MalformedRecord as rasterize does.
     """
-    _, on_line = _lines(cfg.side, cfg.n)
+    _, on_line = _sites(cfg.side, cfg.n)
     area = cfg.side * cfg.side
     lattices, kept = [], []
     for done, keys in drawn_pixels(sketches, cfg.side):

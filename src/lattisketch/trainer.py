@@ -367,8 +367,6 @@ def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None) -> dict:
     in this call: iteration,lr,loss with fixed float formatting, so two
     identical runs produce byte-identical files.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tcfg = pcfg.train
 
     if resume is not None:
@@ -385,6 +383,8 @@ def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None) -> dict:
         start = 0
     scale = pcfg.decoder.offset_scale
     items, skipped_lattice = prepare_items(sketches, labels, pcfg, scale)
+    out_dir = Path(out_dir)  # made only once the data is ready
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     n = len(items)
     loss_path = out_dir / "loss.csv"

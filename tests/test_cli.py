@@ -452,6 +452,27 @@ def test_ingest_side_below_minimum_exit_4_writes_nothing(workdir, tmp_path, caps
     assert list(out.glob("*.jsonl")) == []
 
 
+_OVERFLOWING_FIT = '{"steps": [[1e308, 0, "down"], [-1e308, 0, "down"], [-1e308, 0, "end"]]}'
+
+
+@pytest.mark.parametrize("command,second_line,reason", [
+    ("ingest", _OVERFLOWING_FIT, ": fitted coordinates are not finite"),  # reads, cannot be drawn
+    ("render", _OVERFLOWING_FIT, ": fitted coordinates are not finite"),
+    ("render", '{"drawing": 5}', ':2: "drawing" is not a list'),
+    ("train", '{"drawing": 5}', ':2: "drawing" is not a list'),
+], ids=["ingest", "render-fit", "render", "train"])
+def test_data_error_exit_3_writes_nothing(tmp_path, capsys, command, second_line, reason):
+    data = tmp_path / "d.jsonl"
+    data.write_text('{"steps": [[1, 2, "down"], [3, 1, "end"]]}\n' + second_line + "\n")
+    out = tmp_path / "out"
+    source = {"ingest": [str(data)], "render": ["--input", str(data)],
+              "train": ["--data", str(data)]}[command]
+    assert dispatch([command, *source, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: MALFORMED_RECORD: {data}{reason}") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("pmask_list", ["0.1,abc", "0.1,,0.3", "0.0,1.5", "-0.1", "0.1,nan",
                                         "inf"])
 def test_eval_bad_pmask_list_exit_2(workdir, tmp_path, capsys, pmask_list):

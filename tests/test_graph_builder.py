@@ -1,6 +1,10 @@
 """Graph construction: embedding tokens, distances, adjacency."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from conftest import pairwise_distances
 from lattisketch import graph_builder
 from lattisketch.encoder import embedding_rows
 from lattisketch.graph_builder import _distance_table, _weight_table
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def points_lattice(pts, side=256, n=32):
@@ -340,6 +346,18 @@ def test_graph_rejects_adjacency_not_m_by_m(adjacency):
         ls.SketchGraph.from_dense(points, adjacency, 256)
 
 
+def test_from_dense_rejects_an_adjacency_that_is_not_symmetric():
+    # the encoder's backward pass applies the bands as A for A^T, so a
+    # graph that is not symmetric would train on wrong gradients
+    points = np.array([[1, 2], [3, 4], [5, 6]])
+    a = np.eye(3)
+    a[0, 2] = 0.5
+    with pytest.raises(ls.ShapeMismatch, match="symmetric"):
+        ls.SketchGraph.from_dense(points, a, 256)
+    a[2, 0] = 0.5
+    assert np.array_equal(ls.SketchGraph.from_dense(points, a, 256).adjacency, a)
+
+
 # ---------------------------------------------------------------------------
 # band storage
 
@@ -440,3 +458,30 @@ def test_build_allocates_nothing_m_by_m():
     assert stored < 0.8 * 8 * lat.m ** 2  # the bands skip the zeros far off in y
     # besides the slabs, no m x m array of any dtype (a bool one has m^2 bytes)
     assert peak - stored < lat.m ** 2, (peak, stored, lat.m)
+
+
+# builds the graph of the points in argv[1] 20 times after a warm-up and
+# prints the process's minor page faults per build
+FAULTS_SCRIPT = ("import resource, sys\n"
+                 "import numpy as np\n"
+                 "import lattisketch as ls\n"
+                 "lat = ls.SketchLattice(np.load(sys.argv[1]))\n"
+                 "for _ in range(3):\n"
+                 "    ls.build_adjacency(lat, ls.GraphConfig(), dtype=np.float32)\n"
+                 "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                 "for _ in range(20):\n"
+                 "    ls.build_adjacency(lat, ls.GraphConfig(), dtype=np.float32)\n"
+                 "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)\n")
+
+
+def test_build_touches_no_fresh_pages_once_warm(tmp_path):
+    # the bands of a graph are views of one buffer, which the allocator hands
+    # back build after build; a buffer per band took about 250 fresh pages
+    # (minor faults) per build here, and touching them slowed the gather
+    lat = edge_map_lattice(1500)
+    np.save(tmp_path / "points.npy", lat.points)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT, str(tmp_path / "points.npy")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 25, proc.stdout

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import lattisketch as ls
 from conftest import random_raster
-from lattisketch.lattice import sketch_lattices
+from lattisketch.lattice import _sites, sketch_lattices
 from lattisketch.sketch_data import SEGMENTS_PER_PASS, drawn_pixels
 
 
@@ -137,6 +137,25 @@ def test_lattice_points_lie_on_lines_and_ink():
     for x, y in lat.points:
         assert raster.pixels[y, x] == 1
         assert x in pos or y in pos
+
+
+@pytest.mark.parametrize("shape", [(255, 256), (256, 255)])
+def test_sample_lattice_rejects_a_raster_that_is_not_canonical(shape):
+    # the sites are flat keys into a side x side raster, so any other shape
+    # must be refused rather than read
+    r = ls.RasterSketch(pixels=np.ones(shape, dtype=np.uint8))
+    with pytest.raises(ls.OutOfRange, match="not canonical 256x256"):
+        ls.sample_lattice(r, ls.LatticeConfig())
+
+
+def test_lattice_sites_are_one_read_only_table():
+    keys, on_line = _sites(256, 32)
+    assert _sites(256, 32)[0] is keys  # cached
+    assert len(keys) == 2 * 32 * 256 - 32 * 32
+    assert np.array_equal(keys, np.flatnonzero(on_line))
+    for table in (keys, on_line):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[1]
 
 
 def test_lattice_json_round_trip():
