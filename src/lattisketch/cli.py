@@ -30,8 +30,8 @@ from .params import checkpoint_hash
 from .lattice import sketch_lattices
 from .pipeline_eval import (HEAL_P_MASK, _lattice_config, _lattice_of, edge_to_sketch,
                             encode_lattice, heal_lattice, healing_sweep)
-from .sketch_data import (VectorSketch, drawn_pixels, rasterize, read_pgm, read_sketches,
-                          render_svg, sketch_to_json_obj, write_pgm)
+from .sketch_data import (VectorSketch, rasterize, read_pgm, read_sketches, render_svg,
+                          sketch_to_json_obj, write_pgm)
 from .trainer import (PipelineConfig, finite_diff_audit, audit_probe, fit, init_params,
                       load_dataset, load_model)
 
@@ -168,16 +168,6 @@ def _write_sketch_outputs(out_dir: Path, stem: str, sketch: VectorSketch,
     return written
 
 
-def _drawable(sketches: list, side: int, path) -> list:
-    """The sketches, once the drawing core has fit each to the canvas (MALFORMED_RECORD if not)."""
-    try:
-        for _ in drawn_pixels(sketches, side):
-            pass
-    except MalformedRecord as exc:
-        raise MalformedRecord(f"{path}: {exc}") from exc
-    return sketches
-
-
 def _ensure_out(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -191,7 +181,7 @@ def _ensure_out(args) -> Path:
 def cmd_ingest(args) -> int:
     pcfg = build_pipeline_config(args)
     kept_per_input, n_empty = [], 0
-    for input_path in args.inputs:  # every input is read and fit before --out is made
+    for input_path in args.inputs:  # every input is read before --out is made
         kept = []
         for sk in read_sketches(input_path):
             if sk.is_empty():
@@ -200,7 +190,7 @@ def cmd_ingest(args) -> int:
             kept.append(sk)
             if args.limit and len(kept) >= args.limit:
                 break
-        kept_per_input.append(_drawable(kept, pcfg.lattice.side, input_path))
+        kept_per_input.append(kept)
     out = _ensure_out(args)
     raster_dir = out / "rasters"
     raster_dir.mkdir(exist_ok=True)
@@ -257,16 +247,17 @@ def cmd_generate(args) -> int:
     if args.input:
         lat = _lattices_from_input(args.input, bundle, args.n, count=1)[0]
         psi = encode_lattice(lat, bundle, "the encoded input has no lattice points")
-    out = _ensure_out(args)
-    outputs = []
-    for i in range(args.count):
+    sketches = []
+    for i in range(args.count):  # every sample is drawn before --out is made
         rng = np.random.default_rng([args.seed or 0, i])
         if psi is None:
             z = rng.standard_normal(bundle.pcfg.encoder.d)
         else:
             z = reparameterize(psi, bundle.store, rng=rng).z
-        sketch = generate(z, bundle.store, bundle.pcfg.decoder, rng)
-        outputs += _write_sketch_outputs(out, f"gen_{i:04d}", sketch)
+        sketches.append(generate(z, bundle.store, bundle.pcfg.decoder, rng))
+    out = _ensure_out(args)
+    outputs = [path for i, sketch in enumerate(sketches)
+               for path in _write_sketch_outputs(out, f"gen_{i:04d}", sketch)]
     write_manifest(out, "generate", bundle.pcfg.configs_dict(),
                    args.seed or 0, inputs, outputs, checkpoint=args.checkpoint)
     print(f"generated {args.count} sketch(es)")
@@ -292,9 +283,9 @@ def cmd_eval(args) -> int:
         file_sketches, file_labels, _ = load_dataset([path], bundle.pcfg.decoder.n_max)
         sketches += file_sketches[:args.limit or None]
         labels += file_labels[:args.limit or None]
-    out = _ensure_out(args)
     rows, csv_text = healing_sweep(sketches, labels, bundle, args.pmask_list,
                                    n=args.n, seed=args.seed or 0)
+    out = _ensure_out(args)
     csv_path = out / "metrics.csv"
     csv_path.write_text(csv_text, encoding="utf-8")
     write_manifest(out, "eval", bundle.pcfg.configs_dict(), args.seed or 0,
@@ -344,8 +335,7 @@ def cmd_audit_grad(args) -> int:
 
 def cmd_render(args) -> int:
     pcfg = build_pipeline_config(args)
-    sketches = list(read_sketches(args.input))
-    _drawable(sketches, pcfg.lattice.side, args.input)  # each fits before --out is made
+    sketches = list(read_sketches(args.input))  # read before --out is made
     out = _ensure_out(args)
     outputs = []
     for i, sk in enumerate(sketches):

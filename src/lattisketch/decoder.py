@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_softmax, logsumexp
 
-from .errors import NumericalUnderflow, OutOfRange, ShapeMismatch
+from .errors import MalformedRecord, NumericalUnderflow, OutOfRange, ShapeMismatch
 from .params import ParameterStore
 from .sketch_data import PEN_DOWN, PEN_END, VectorSketch
 
@@ -58,7 +59,7 @@ class DecoderConfig:
     def __post_init__(self):
         if self.M < 1 or self.n_max < 1 or self.hidden_size < 1 or self.z_dim < 1:
             raise OutOfRange("hidden_size, M, n_max and z_dim must be >= 1")
-        if self.temperature <= 0.0 or self.offset_scale <= 0.0:
+        if not (self.temperature > 0.0 and self.offset_scale > 0.0):  # NaN fails too
             raise OutOfRange("temperature and offset_scale must be positive")
 
     @property
@@ -159,9 +160,9 @@ def _sample(y: np.ndarray, gumbel: np.ndarray, normal, M: int, buf: np.ndarray):
 
     Gumbel-max: argmax(logits + tau G) over buf = y[:M + 3] + gumbel, in
     float64, draws from softmax(logits / tau); a non-finite pick (NaN or
-    +inf anywhere, or all -inf) raises. Only the drawn component's
-    correlation is activated, with the training loss's floor, so a
-    saturated correlation still samples.
+    +inf anywhere, or all -inf) raises, and so does a deviation beyond the
+    float range. Only the drawn component's correlation is activated, with
+    the training loss's floor, so a saturated correlation still samples.
     """
     np.add(y[: M + 3], gumbel, out=buf)
     j, pen = int(buf[:M].argmax()), int(buf[M:].argmax())
@@ -170,8 +171,11 @@ def _sample(y: np.ndarray, gumbel: np.ndarray, normal, M: int, buf: np.ndarray):
     mu_x, mu_y, lsx, lsy, rho = y[M + 3 + j :: M].tolist()
     rho = math.tanh(rho)
     u, v = normal
-    dx = mu_x + math.exp(lsx) * u
-    dy = mu_y + math.exp(lsy) * (rho * u + math.sqrt(max(1.0 - rho * rho, RHO_S_FLOOR)) * v)
+    try:
+        dx = mu_x + math.exp(lsx) * u
+        dy = mu_y + math.exp(lsy) * (rho * u + math.sqrt(max(1.0 - rho * rho, RHO_S_FLOOR)) * v)
+    except OverflowError:
+        raise NumericalUnderflow("a mixture deviation overflows a float") from None
     return dx, dy, pen
 
 
@@ -184,8 +188,9 @@ def generate(z: np.ndarray, store: ParameterStore, cfg: DecoderConfig,
     gate-prescaled once per rollout, then [h', 1] times the head's weights
     over its bias, and one _sample draw. Stops at the first sampled pen=end;
     hitting the n_max cap forces the final step's pen to end so the output
-    always satisfies the sketch invariants. Offsets are scaled back to
-    pixels by cfg.offset_scale.
+    always satisfies the pen invariants. Offsets are scaled back to pixels
+    by cfg.offset_scale; a sketch that then breaks an offset invariant, and
+    so cannot be drawn, raises NumericalUnderflow.
     """
     dtype = store["dec.head.W"].dtype
     z = np.asarray(z, dtype=dtype).reshape(-1)
@@ -214,8 +219,16 @@ def generate(z: np.ndarray, store: ParameterStore, cfg: DecoderConfig,
         x[3 + pen] = 1.0
     steps = np.array(steps, dtype=float)
     steps[-1, 2] = PEN_END  # a rollout truncated by the cap ends here
-    steps[:, :2] *= cfg.offset_scale
-    return VectorSketch(steps)
+    with np.errstate(over="ignore"):  # checked just below
+        steps[:, :2] *= cfg.offset_scale
+    sketch = VectorSketch(steps)
+    # offsets this small keep every invariant; only larger ones need the full check
+    if not np.abs(steps[:, :2]).max() * len(steps) < sys.float_info.max / 4:
+        try:
+            sketch.validate()
+        except MalformedRecord as exc:
+            raise NumericalUnderflow(f"the sampled sketch cannot be drawn: {exc}") from None
+    return sketch
 
 
 def teacher_forced_nll(targets: np.ndarray, z: np.ndarray, store: ParameterStore,

@@ -52,6 +52,8 @@ class EncoderConfig:
             raise OutOfRange("d and K must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise OutOfRange(f"dropout_rate={self.dropout_rate} outside [0, 1)")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise OutOfRange(f"bn_momentum={self.bn_momentum} outside [0, 1]")
         if self.pooling not in POOLING_MODES:
             raise OutOfRange(f"unknown pooling {self.pooling!r}")
         if self.embed_mode not in ("joint", "factorized"):

@@ -9,7 +9,7 @@ drawn. Pen states: 0 = down, 1 = lift, 2 = end (at most one, final).
 Sketch files are JSON lines; ``read_sketches`` is their one reader. It
 checks each line's structure on its own and the numbers of LINES_PER_CHUNK
 lines at once; the one-record parsers and ``VectorSketch.validate`` are the
-same code on a batch of one.
+same code on a batch of one, and every sketch they yield can be drawn.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class VectorSketch:
         return self.n_steps == 0
 
     def validate(self) -> None:
-        """Raise MalformedRecord if the step list breaks the format invariants."""
+        """Raise MalformedRecord unless the steps keep the format invariants (see _FAULTS)."""
         reason = _faults(self.steps, np.array([0, self.n_steps]))[0]
         if reason:
             raise MalformedRecord(reason)
@@ -170,9 +170,9 @@ def read_sketches(path):
     """Yield the sketches of a JSON-lines file, one per non-blank line.
 
     A record with a "steps" key is canonical (as ``sketch_to_json_obj``
-    writes it) and is validated; any other record is raw QuickDraw (see
-    ``parse_quickdraw_line``). A malformed line, or one that is not UTF-8
-    text, raises MalformedRecord naming ``path:lineno`` once every sketch
+    writes it), any other is raw QuickDraw (see ``parse_quickdraw_line``);
+    both are validated. A malformed line, or one that is not UTF-8 text,
+    raises MalformedRecord naming ``path:lineno`` once every sketch
     before it has been yielded, so a consumer that stops earlier sees none.
     """
     with open(path, "rb") as fh:
@@ -222,6 +222,9 @@ def _sketches(records: list, canonical: list):
     bad_steps = _run_counts(~np.isfinite(raw[:, :2]).all(axis=1), bounds[:, 0]).tolist()
     canon = np.array(canon).reshape(-1, 3)
     faults = _faults(canon, bounds[:, 1])
+    # raw points within an eighth of the float range keep every sum and span finite
+    if not np.abs(points).max(initial=0.0) < _FLOAT_MAX / 8:  # a record has steps of one kind
+        faults = [c or r for c, r in zip(faults, _faults(raw, bounds[:, 0]))]
     sketches, rows = [], bounds.tolist()
     for i in range(len(rows) - 1 - bool(fault)):  # the records unpacked whole
         reason = ("coordinate is not a finite number" if bad_points[i] else
@@ -283,9 +286,11 @@ def _run_counts(flags: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return total[bounds[1:]] - total[bounds[:-1]]
 
 
-#: the format invariants in the order they are checked, then None: all kept
+#: the format invariants in the order they are checked, then None: all kept; with
+#: the origin drawn, the last is what lets _fit_points land inside the canvas
 _FAULTS = ("unknown pen state", "more than one pen=end step", "pen=end is not the final step",
-           "non-finite offset", "running sum of offsets overflows a float", None)
+           "non-finite offset", "running sum of offsets overflows a float",
+           "drawn points span more than the float range", None)
 
 
 def _faults(steps: np.ndarray, bounds: np.ndarray) -> list:
@@ -294,15 +299,19 @@ def _faults(steps: np.ndarray, bounds: np.ndarray) -> list:
         return [None] * (len(bounds) - 1)
     pens, offsets = steps[:, 2], steps[:, :2]
     ends = _run_counts(pens == PEN_END, bounds)
+    overflows, wide = np.zeros((2, len(bounds) - 1), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        # a running sum of n offsets is at most about n times the largest one
+        # a running sum of n offsets is at most about n times the largest one,
+        # so below a quarter of the float range both sums and spans are finite
         small = np.abs(offsets).max() * (bounds[1:] - bounds[:-1]).max() < _FLOAT_MAX / 4
-        overflows = [not small and not np.isfinite(np.cumsum(offsets[a:b], axis=0)).all()
-                     for a, b in zip(bounds[:-1], bounds[1:])]
+        for i, (a, b) in enumerate([] if small else zip(bounds[:-1], bounds[1:])):
+            overflows[i] = not np.isfinite(np.cumsum(offsets[a:b], axis=0)).all()
+            drawn = VectorSketch(steps[a:b]).drawn_segments().reshape(-1, 2)
+            wide[i] = a < b and not np.isfinite(np.ptp(drawn, axis=0)).all()  # b == a: no ink
     unknown = (pens != PEN_DOWN) & (pens != PEN_LIFT) & (pens != PEN_END)
     broken = np.array([_run_counts(unknown, bounds),
                        ends > 1, (ends == 1) & (pens[bounds[1:] - 1] != PEN_END),
-                       _run_counts(~np.isfinite(steps).all(axis=1), bounds), overflows,
+                       _run_counts(~np.isfinite(steps).all(axis=1), bounds), overflows, wide,
                        np.ones(len(bounds) - 1)], dtype=bool)
     return [_FAULTS[k] for k in broken.argmax(axis=0)]
 
@@ -400,7 +409,7 @@ def drawn_pixels(sketches, side: int):
 
 def _draw_run(run: list, done: int, side: int):
     """Fit and draw the sketches run[i] = batch[done - len(run) + i], pass by
-    pass (see drawn_pixels)."""
+    pass (see drawn_pixels); only a sketch built in code, never a read one, fails the fit."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         segs, counts = _drawn_segments(run)
         if not len(segs):
@@ -473,12 +482,16 @@ def _segment_keys(segs: np.ndarray, base: np.ndarray, side: int) -> np.ndarray:
 
 
 def render_svg(sketch: VectorSketch) -> str:
-    """Render to an SVG 1.1 document, one path per pen-down run."""
-    segs = sketch.drawn_segments()
+    """Render to an SVG 1.1 document, one path per pen-down run. Raises
+    MalformedRecord for a drawing whose frame is not finite."""
     view = (0.0, 0.0, 1.0, 1.0)
-    if len(segs):
-        lo, hi = segs.reshape(-1, 2).min(axis=0) - 2, segs.reshape(-1, 2).max(axis=0) + 2
-        view = (lo[0], lo[1], max(hi[0] - lo[0], 1e-3), max(hi[1] - lo[1], 1e-3))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        segs = sketch.drawn_segments()
+        if len(segs):
+            lo, hi = segs.reshape(-1, 2).min(axis=0) - 2, segs.reshape(-1, 2).max(axis=0) + 2
+            view = (lo[0], lo[1], max(hi[0] - lo[0], 1e-3), max(hi[1] - lo[1], 1e-3))
+    if not np.isfinite(view).all():  # NaN as well: max keeps a NaN first argument
+        raise MalformedRecord("drawn points are not finite or span more than the float range")
     # consecutive drawn segments make one path, until one starts away from
     # where the one before ended
     paths = []

@@ -45,14 +45,20 @@ class TrainConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if min(self.lr0, self.beta1, self.beta2, self.eps, self.clip) <= 0:
-            raise OutOfRange("optimizer constants must be positive")
+        if not all(v > 0 for v in (self.lr0, self.eps, self.clip)):  # NaN fails too
+            raise OutOfRange("lr0, eps and clip must be positive")
+        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
+            raise OutOfRange("beta1 and beta2 must lie in (0, 1)")
         if not 0.0 < self.decay <= 1.0:
             raise OutOfRange(f"decay={self.decay} outside (0, 1]")
         if not 0.0 <= self.p_mask_train <= 1.0:
             raise OutOfRange("p_mask_train outside [0, 1]")
         if self.batch_size < 1 or self.iterations < 0 or self.checkpoint_every < 1:
             raise OutOfRange("bad batch_size/iterations/checkpoint_every")
+        if self.seed < 0:
+            raise OutOfRange(f"seed={self.seed} is negative")
+        if self.dtype not in ("float32", "float64"):
+            raise OutOfRange(f"dtype {self.dtype!r} is not float32 or float64")
 
 
 @dataclass

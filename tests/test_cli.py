@@ -327,6 +327,38 @@ def test_generate_input_memory_does_not_grow_with_the_file(workdir, tmp_path):
     assert peak_kib["big"] - peak_kib["one"] < 30 * 1024, peak_kib
 
 
+@pytest.mark.parametrize("command", ["heal", "generate"])
+def test_overflowing_deviation_exit_4_writes_nothing(workdir, tmp_path, capsys, command):
+    bundle = ls.load_model(workdir["ckpt"])
+    M = bundle.pcfg.decoder.M
+    bundle.store["dec.head.b"][3 * M : 5 * M] = 800.0  # log sigma: exp overflows
+    ckpt = tmp_path / "wide.ckpt"
+    ls.save_model(ckpt, bundle.store, None, bundle.pcfg)
+    out = tmp_path / "out"
+    extra = ["--input", str(workdir["data"][0])] if command == "heal" else ["--count", "3"]
+    assert dispatch([command, "--checkpoint", str(ckpt), *extra, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: NUMERICAL_UNDERFLOW") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_generate_samples_every_sketch_before_writing(workdir, tmp_path, monkeypatch, capsys):
+    from lattisketch import cli
+    calls = []
+
+    def second_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ls.NumericalUnderflow("non-finite mixture or pen logits")
+        return ls.generate(*args)
+    monkeypatch.setattr(cli, "generate", second_fails)
+    out = tmp_path / "out"
+    assert dispatch(["generate", "--checkpoint", str(workdir["ckpt"]), "--count", "3",
+                     "--out", str(out)]) == 4
+    assert "NUMERICAL_UNDERFLOW" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_from_prior(workdir):
     out = workdir["tmp"] / "gen"
     code = dispatch(["generate", "--checkpoint", str(workdir["ckpt"]),
@@ -456,17 +488,26 @@ _OVERFLOWING_FIT = '{"steps": [[1e308, 0, "down"], [-1e308, 0, "down"], [-1e308,
 
 
 @pytest.mark.parametrize("command,second_line,reason", [
-    ("ingest", _OVERFLOWING_FIT, ": fitted coordinates are not finite"),  # reads, cannot be drawn
-    ("render", _OVERFLOWING_FIT, ": fitted coordinates are not finite"),
+    ("ingest", _OVERFLOWING_FIT, ":2: drawn points span more than the float range"),
+    ("render", _OVERFLOWING_FIT, ":2: drawn points span more than the float range"),
     ("render", '{"drawing": 5}', ':2: "drawing" is not a list'),
     ("train", '{"drawing": 5}', ':2: "drawing" is not a list'),
-], ids=["ingest", "render-fit", "render", "train"])
-def test_data_error_exit_3_writes_nothing(tmp_path, capsys, command, second_line, reason):
+    ("train", _OVERFLOWING_FIT, ":2: drawn points span more than the float range"),
+    ("heal", _OVERFLOWING_FIT, ":2: drawn points span more than the float range"),
+    ("generate", _OVERFLOWING_FIT, ":2: drawn points span more than the float range"),
+    ("eval", _OVERFLOWING_FIT, ":2: drawn points span more than the float range"),
+], ids=["ingest", "render-fit", "render", "train", "train-fit", "heal-fit", "generate-fit",
+        "eval-fit"])
+def test_data_error_exit_3_writes_nothing(workdir, tmp_path, capsys, command, second_line,
+                                          reason):
     data = tmp_path / "d.jsonl"
     data.write_text('{"steps": [[1, 2, "down"], [3, 1, "end"]]}\n' + second_line + "\n")
     out = tmp_path / "out"
+    ckpt = ["--checkpoint", str(workdir["ckpt"])]
     source = {"ingest": [str(data)], "render": ["--input", str(data)],
-              "train": ["--data", str(data)]}[command]
+              "train": ["--data", str(data)], "heal": [*ckpt, "--input", str(data)],
+              "generate": [*ckpt, "--input", str(data)], "eval": [*ckpt, "--data", str(data)]
+              }[command]
     assert dispatch([command, *source, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: MALFORMED_RECORD: {data}{reason}") and "Traceback" not in err

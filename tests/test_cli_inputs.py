@@ -1,7 +1,7 @@
-"""`lattisketch ingest` and `train` over generated bad sketch files, and
-`img2sketch` over generated bad PGM files: every run ends with a documented
-exit code (README "Errors and exit codes") and an `error: CODE: ...` line,
-never a traceback."""
+"""`lattisketch ingest` and `train` over generated bad sketch files,
+`img2sketch` over generated bad PGM files and `params` over config files
+with invalid values: every run ends with a documented exit code (README
+"Errors and exit codes") and an `error: CODE: ...` line, never a traceback."""
 
 import contextlib
 import io
@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import lattisketch as ls
@@ -168,3 +168,51 @@ def test_img2sketch_bad_pgm_sample_is_a_malformed_record(small_checkpoint, tmp_p
                       "--out", str(tmp_path / "out")])
     assert code == 3 and err.startswith("error: MALFORMED_RECORD"), err
     assert not (tmp_path / "out").exists()
+
+
+def _positive(v):
+    return v > 0
+
+
+# each config key's accepted values; every value drawn below lies outside them
+_FLOAT_OK = {"dropout_rate": lambda v: 0 <= v < 1, "bn_momentum": lambda v: 0 <= v <= 1,
+             "temperature": _positive, "d_t": lambda v: 0 < v < 1, "lr0": _positive,
+             "eps": _positive, "clip": _positive, "decay": lambda v: 0 < v <= 1,
+             "beta1": lambda v: 0 < v < 1, "beta2": lambda v: 0 < v < 1,
+             "p_mask_train": lambda v: 0 <= v <= 1}
+_INT_MIN = {"d": 1, "k": 1, "hidden_size": 1, "mixtures": 1, "n_max": 1, "n": 1, "side": 6,
+            "batch_size": 1, "iterations": 0, "checkpoint_every": 1, "seed": 0}
+_WORDS = {"pooling": ("mean", "sum"), "embed_mode": ("joint", "factorized"),
+          "proximity": ("nearest", "nearby"), "dtype": ("float32", "float64"),
+          "row_normalize": tuple(cli._BOOL), "self_loops": tuple(cli._BOOL)}
+_WORD = st.text("abcdefghijklmnopqrstuvwxyz0123456789_", max_size=8) | st.sampled_from(
+    ["int32", "float16", "banana", "MEAN", "on", "2"])
+_BAD_VALUE = st.one_of(
+    st.sampled_from(sorted(_FLOAT_OK)).flatmap(lambda key: st.tuples(st.just(key), st.one_of(
+        st.floats() | st.sampled_from([0.0, -0.0, 1.0, -1.0, 5.0, float("inf")]),
+        st.sampled_from(["abc", "", "1,5", "0x1p-2"])).filter(
+            lambda v: isinstance(v, str) or not _FLOAT_OK[key](v)))),
+    st.sampled_from(sorted(_INT_MIN)).flatmap(lambda key: st.tuples(st.just(key), st.one_of(
+        st.integers(max_value=_INT_MIN[key] - 1),
+        st.sampled_from(["1.5", "abc", "", "1e3", "0x10", "nan", "--1"])))),
+    st.tuples(st.just("n"), st.integers(257, 10**6)),  # more lines than the 256 side has
+    st.sampled_from(sorted(_WORDS)).flatmap(lambda key: st.tuples(
+        st.just(key), _WORD.filter(lambda v: v.lower() not in _WORDS[key]))),
+).map(lambda kv: "%s = %r" % kv if isinstance(kv[1], float) else "%s = %s" % kv)
+
+
+@given(st.one_of(_BAD_VALUE, st.sampled_from(["unknown_key = 1", "no equals sign"])))
+@example("dtype = banana")
+@example("dtype = int32")
+@example("dtype = float16")
+@example("lr0 = nan")
+@example("bn_momentum = 5.0")
+@settings(max_examples=300, deadline=10_000,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+def test_params_refuses_every_invalid_config_value(line):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "bad.cfg"
+        config.write_text(SMALL_CONFIG + line + "\n")
+        code, err = _run(["params", "--config", str(config)])
+    assert code in (2, 3, 4), (line, err)
+    assert "Traceback" not in err and err.splitlines()[-1].startswith("error: "), err

@@ -485,6 +485,21 @@ def test_generate_non_finite_head_raises(dec_cfg, dec_store):
         ls.generate(np.zeros(dec_cfg.z_dim), dec_store, dec_cfg, np.random.default_rng(0))
 
 
+def test_sample_deviation_beyond_the_float_range_raises():
+    y = _rollout_columns(head_vector(1, log_sx=800.0), 1)
+    with pytest.raises(ls.NumericalUnderflow, match="deviation"):
+        _sample(y, np.zeros(4), (1.0, 0.0), 1, np.empty(4))
+
+
+def test_generate_undrawable_sketch_raises(dec_cfg, dec_store):
+    # finite offsets that overflow once scaled back to pixels
+    import dataclasses
+    dec_store["dec.head.b"][dec_cfg.M : 2 * dec_cfg.M] = 5.0  # mu_x
+    cfg = dataclasses.replace(dec_cfg, offset_scale=1e308)
+    with pytest.raises(ls.NumericalUnderflow, match="cannot be drawn"):
+        ls.generate(np.zeros(dec_cfg.z_dim), dec_store, cfg, np.random.default_rng(0))
+
+
 def test_generate_draws_its_noise_once_per_rollout(dec_cfg, dec_store):
     lengths = set()
     for seed in range(20):

@@ -1,7 +1,9 @@
 """Sketch parsing, stroke formats, rasterization and SVG rendering."""
 
+import contextlib
 import itertools
 import json
+import math
 import re
 import sys
 import tempfile
@@ -427,6 +429,14 @@ def test_svg_round_trip_coordinates(square_sketch):
     assert np.max(np.abs(np.sort(got, axis=0) - np.sort(want, axis=0))) < 1e-3
 
 
+def test_svg_refuses_a_drawing_it_cannot_frame():
+    # the raw record {"drawing": [[[0.9e308, 0, -0.9e308], [0, 0, 0]]]}, built directly
+    sk = ls.VectorSketch(np.array([[-0.9e308, 0.0, ls.PEN_DOWN], [-0.9e308, 0.0, ls.PEN_LIFT],
+                                   [0.0, 0.0, ls.PEN_END]]))
+    with pytest.raises(ls.MalformedRecord, match="span more than the float range"):
+        ls.render_svg(sk)
+
+
 def test_svg_deterministic(square_sketch):
     assert ls.render_svg(square_sketch) == ls.render_svg(square_sketch)
 
@@ -487,6 +497,16 @@ def oracle_validate(steps: np.ndarray) -> None:
     with np.errstate(over="ignore"):
         if not np.all(np.isfinite(np.cumsum(steps[:, :2], axis=0))):
             raise ls.MalformedRecord("running sum of offsets overflows a float")
+    # the endpoints of every drawn move, pen by pen from the origin, pen down
+    x, y, pen, drawn = 0.0, 0.0, ls.PEN_DOWN, []
+    for dx, dy, next_pen in steps.tolist():
+        if pen == ls.PEN_DOWN:
+            drawn += [(x, y), (x + dx, y + dy)]
+        x, y, pen = x + dx, y + dy, next_pen
+    for axis in (0, 1):
+        values = [point[axis] for point in drawn]
+        if values and not math.isfinite(max(values) - min(values)):
+            raise ls.MalformedRecord("drawn points span more than the float range")
 
 
 def oracle_quickdraw(record) -> np.ndarray:
@@ -523,7 +543,9 @@ def oracle_quickdraw(record) -> np.ndarray:
     if not np.all(np.isfinite(steps)):
         raise ls.MalformedRecord("coordinate difference overflows a float")
     steps[:, 2] = pens_all
-    return np.vstack([steps[1:], [[0.0, 0.0, ls.PEN_END]]])
+    steps = np.vstack([steps[1:], [[0.0, 0.0, ls.PEN_END]]])
+    oracle_validate(steps)
+    return steps
 
 
 def oracle_canonical(obj) -> np.ndarray:
@@ -652,6 +674,69 @@ def test_validate_matches_its_oracle(rows):
     except ls.MalformedRecord as exc:
         got = str(exc)
     assert got == want
+
+
+@given(st.lists(st.tuples(_OFFSET, _OFFSET, _PEN), max_size=6), st.booleans())
+@example([(1e308, 0.0, 0.0), (-1e308, 0.0, 0.0), (-1e308, 0.0, 2.0)], False)  # spans 2e308
+@example([(1e308, 0.0, 1.0), (-1e308, 0.0, 1.0), (-1e308, 0.0, 2.0)], False)  # -1e308 not drawn
+@example([(1e308, 0.0, 1.0), (1e308, 0.0, 2.0)], False)  # only an undrawn point overflows
+@settings(max_examples=300, deadline=None)
+def test_validate_passes_exactly_when_rasterize_succeeds(rows, legal_pens):
+    # on the sketches the earlier rules admit; those rules also refuse a
+    # non-finite offset or running sum that only an undrawn point meets
+    steps = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    if legal_pens:  # most drawn pen lists break a pen rule
+        steps[:, 2] = np.where(steps[:, 2] == ls.PEN_DOWN, ls.PEN_DOWN, ls.PEN_LIFT)
+        steps[-1:, 2] = ls.PEN_END
+    sketch = ls.VectorSketch(steps)
+    try:
+        sketch.validate()
+        reason = None
+    except ls.MalformedRecord as exc:
+        reason = str(exc)
+    try:
+        ls.rasterize(sketch)
+        drawn = True
+    except ls.MalformedRecord:
+        drawn = False
+    if reason is None or reason == "drawn points span more than the float range":
+        assert drawn == (reason is None), reason
+    assert drawn or reason is not None
+
+
+_EXTREME_LINE = st.one_of(
+    st.lists(st.tuples(_OFFSET, _OFFSET, st.sampled_from(["down", "lift", "end"])).map(list),
+             max_size=6).map(lambda rows: {"steps": rows}),
+    st.lists(st.lists(_OFFSET, min_size=1, max_size=4).flatmap(
+        lambda xs: st.lists(_OFFSET, min_size=len(xs), max_size=len(xs)).map(
+            lambda ys: [xs, ys])), max_size=3).map(lambda d: {"drawing": d}),
+).map(lambda r: json.dumps(r).encode())
+
+
+@given(st.lists(st.one_of(_READER_LINE, _EXTREME_LINE), max_size=6))
+@example([b'{"drawing": [[[0, 1e308, 0, -1e308], [0, 0, 0, 0]]]}'])  # spans 2e308
+@example([b'{"drawing": [[[0.9e308, 0, -0.9e308], [0, 0, 0]]]}'])  # sums to -1.8e308
+@example([b'{"steps": [[1e308, 0, "down"], [-1e308, 0, "down"], [-1e308, 0, "end"]]}'])
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_every_sketch_a_reader_yields_passes_validate(lines):
+    yielded = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sketches.ndjson"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with contextlib.suppress(ls.MalformedRecord):
+            yielded += read_sketches(path)
+    for raw in lines:
+        try:
+            line = raw.decode("utf-8")
+            record = json.loads(line)
+        except ValueError:  # UnicodeDecodeError too
+            continue
+        for parse, arg in [(ls.parse_quickdraw_line, line), (ls.sketch_from_json_obj, record)]:
+            with contextlib.suppress(ls.MalformedRecord):
+                yielded.append(parse(arg))
+    for sketch in yielded:
+        sketch.validate()
 
 
 def _line_record(i: int) -> bytes:
