@@ -1,23 +1,33 @@
-"""Pinned sha256 digests of the front end: lattice sampling, the batched
-sketch-to-lattice route, masking and proximity graphs.
+"""Pinned sha256 digests of the front end (lattice sampling, the batched
+sketch-to-lattice route, masking and proximity graphs) and of training.
 
-These stages gather, compare and sort integers and table entries; none
-makes a BLAS call, so the digests do not depend on the BLAS build or its
-thread count. A change that moves any of these bits says so and re-pins:
+The front-end stages gather, compare and sort integers and table entries;
+none makes a BLAS call, so PINNED does not depend on the BLAS build or its
+thread count. Training steps do call BLAS, so TRAIN_PINNED holds one set of
+digests per build (numpy version, BLAS name and version), computed in a
+subprocess at one BLAS thread. A change that moves any of these bits says
+so and re-pins:
 
     PYTHONPATH=src python tests/test_bit_digests.py
 
-prints the current digests in the layout of PINNED.
+prints the current digests in the layouts of PINNED and TRAIN_PINNED.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lattisketch as ls
+from lattisketch import trainer
 from lattisketch.lattice import sketch_lattices
+
+REPIN = "PYTHONPATH=src python tests/test_bit_digests.py"
 
 PINNED = {
     "sample_lattice 256/32": "5e49267a7d8f5fd1547d1ea5c38a09d753c5cbb6166f9b4359fc3e13ed8cc11d",
@@ -101,7 +111,7 @@ def test_every_case_is_pinned(fresh):
 def test_digest_matches_the_pin(fresh, name):
     assert fresh[name] == PINNED[name], (
         f"{name} moved; if the change is meant, say so and re-pin with "
-        f"`PYTHONPATH=src python tests/test_bit_digests.py`")
+        f"`{REPIN}`")
 
 
 def test_graph_cases_span_one_band_and_several():
@@ -109,6 +119,98 @@ def test_graph_cases_span_one_band_and_several():
     assert bands[0] == 1 and bands[1] >= 3
 
 
+# ---------------------------------------------------------------------------
+# training: 12 train_steps per dtype over a small model, keyed by BLAS build
+
+TRAIN_PINNED = {
+    "numpy 2.4.6, scipy-openblas 0.3.31.188.0": {
+        "train_step float32": "d86db603784b58f018145d63dbb28e643a8799a0f532fe4fc5516b15e44eedc8",
+        "train_step float64": "7c1113a8b3bc0a0c0d2811ed1348e4ee1f2e4da00df3f6260a06fd6c46e3726f",
+    },
+}
+TRAIN_STEPS = 12
+
+
+def blas_key() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, {blas['name']} {blas['version']}"
+
+
+def _train_digests() -> dict:
+    """Losses, final store and Adam moments of TRAIN_STEPS fit-style steps in
+    each dtype, plus the largest graph built (it must span several bands)."""
+    sizes = []
+
+    def build(lattice, *args, **kwargs):
+        sizes.append(lattice.m)
+        return ls.build_adjacency(lattice, *args, **kwargs)
+
+    trainer.build_adjacency = build
+    rng = np.random.default_rng(30)
+    sketches = [ls.parse_quickdraw_line(json.dumps(ls.make_sketch_record(cat, rng)))
+                for _ in range(6) for cat in ("ring", "ladder")]
+    out = {}
+    for dtype in ("float32", "float64"):
+        pcfg = ls.PipelineConfig(encoder=ls.EncoderConfig(d=8, K=2),
+                                 decoder=ls.DecoderConfig(hidden_size=16, M=2, n_max=32, z_dim=8),
+                                 train=ls.TrainConfig(batch_size=4, seed=5, dtype=dtype))
+        items, _ = ls.prepare_items(sketches, ["s"] * len(sketches), pcfg,
+                                    trainer.offset_scale_of(sketches))
+        store = ls.init_params(pcfg)
+        opt = ls.OptimizerState.fresh(store)
+        losses = []
+        for it in range(TRAIN_STEPS):
+            step_rng = np.random.default_rng([pcfg.train.seed, it])
+            idx = step_rng.integers(0, len(items), size=pcfg.train.batch_size)
+            losses.append(ls.train_step([items[int(i)] for i in idx], store, opt, pcfg,
+                                        step_rng)[0])
+        out[f"train_step {dtype}"] = _sha(
+            [np.array(losses, dtype=np.float64), *(a for _, a in store.items()),
+             *opt.m.values(), *opt.v.values()])
+    return {"digests": out, "max_m": max(sizes)}
+
+
+def train_digests() -> dict:
+    """_train_digests in a fresh process at one BLAS thread."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, __file__, "--train-json"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def fresh_train():
+    return train_digests()
+
+
+def test_train_batches_span_several_bands(fresh_train):
+    assert fresh_train["max_m"] > 128
+
+
+def test_train_digests_match_the_pin(fresh_train):
+    key = blas_key()
+    if key not in TRAIN_PINNED:
+        pytest.fail(f"no train_step digests pinned for {key}; check training on this "
+                    f"build and pin them with `{REPIN}`")
+    assert fresh_train["digests"] == TRAIN_PINNED[key], (
+        f"train_step digests moved on {key}; if the change is meant, say so and re-pin "
+        f"with `{REPIN}`")
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--train-json"]:
+        print(json.dumps(_train_digests()))
+        sys.exit()
+    print("PINNED = {")
     for name, digest in digests().items():
         print(f'    "{name}": "{digest}",')
+    print("}")
+    print("TRAIN_PINNED = {")
+    print(f'    "{blas_key()}": {{')
+    for name, digest in train_digests()["digests"].items():
+        print(f'        "{name}": "{digest}",')
+    print("    },")
+    print("}")
