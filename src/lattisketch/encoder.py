@@ -174,7 +174,8 @@ def encode_layer(V: np.ndarray, bands: list, store: ParameterStore,
         X = X @ store[w_name]
         np.maximum(np.add(X, store[b_name], out=X), 0, out=X)
         acts.append(X)
-    return V + (X if dmask is None else X * dmask), (acts, dmask)
+    # train mode adds V into the masked branch: one new array, and the sum commutes
+    return (V + X if dmask is None else np.add(out := X * dmask, V, out=out)), (acts, dmask)
 
 
 def encode_layer_backward(dout: np.ndarray, cache, adjacency, store: ParameterStore,
@@ -241,8 +242,14 @@ def encode_graphs(graphs, store: ParameterStore, cfg: EncoderConfig,
     if train_mode and cfg.dropout_rate > 0.0:
         if rng is None:
             raise ValueError("train-mode dropout needs an rng")
-        draws = np.concatenate([rng.random((cfg.K, g.m, cfg.d)) for g in graphs], axis=1)
-        masks = (draws >= cfg.dropout_rate).astype(dtype) / (1.0 - cfg.dropout_rate)
+        # each graph's (K, m, d) block in turn, drawn into one buffer, compared into one array
+        K, d = cfg.K, cfg.d
+        keep = np.empty((K, len(points), d), dtype=bool)
+        draw = np.empty(K * ms.max() * d)
+        for s, m in zip(starts, ms.tolist()):
+            block = rng.random(out=draw[:K * m * d].reshape(K, m, d))
+            np.greater_equal(block, cfg.dropout_rate, out=keep[:, s:s + m])
+        masks = np.divide(keep, 1.0 - cfg.dropout_rate, dtype=dtype)
     V = embed_nodes(points, side, store, cfg)
     layer_caches = []
     for layer in range(cfg.K):

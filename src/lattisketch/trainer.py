@@ -117,27 +117,35 @@ def lr_schedule(iteration: int, lr0: float = TrainConfig.lr0,
 
 
 def clip_gradients(grads: dict, clip: float) -> dict:
-    """Clamp every gradient value to [-clip, clip]."""
+    """Clamp every gradient value to [-clip, clip] in place; returns grads itself."""
     if clip <= 0:
         raise OutOfRange("clip must be positive")
-    return {n: np.clip(g, -clip, clip) for n, g in grads.items()}
+    for g in grads.values():
+        np.clip(g, -clip, clip, out=g)
+    return grads
 
 
 def adam_update(store: ParameterStore, grads: dict, opt: OptimizerState,
                 lr: float, cfg: TrainConfig) -> None:
-    """In-place Adam step over the trainable arrays; advances opt.iteration."""
+    """Adam step; advances opt.iteration. The moments update in place, grads are
+    only read, and each trainable array is replaced by a fresh one (README,
+    "Determinism")."""
     opt.iteration += 1
-    t = opt.iteration  # bias-correction step count
-    b1, b2 = cfg.beta1, cfg.beta2
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
+    b1, b2, t = cfg.beta1, cfg.beta2, opt.iteration
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t  # bias corrections
     for name in store.trainable_names():
-        g = grads[name]
-        opt.m[name] = b1 * opt.m[name] + (1.0 - b1) * g
-        opt.v[name] = b2 * opt.v[name] + (1.0 - b2) * (g * g)
-        m_hat = opt.m[name] / c1
-        v_hat = opt.v[name] / c2
-        store[name] = store[name] - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        g, m, v = grads[name], opt.m[name], opt.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        den = np.sqrt(v / c2)
+        den += cfg.eps
+        new = np.divide(m, c1)
+        new *= lr
+        new /= den
+        store[name] = np.subtract(store[name], new, out=new)
+        del den  # before the next array's temporaries
 
 
 def _batch_targets(items: list, n_max: int, dtype) -> np.ndarray:
@@ -178,7 +186,7 @@ def train_step(items: list, store: ParameterStore, opt: OptimizerState,
 
     Per item: mask the cached lattice, build the proximity graph, encode
     the batch, reparameterize, teacher-forced decoder NLL; then backprop,
-    clip, Adam and the batch-norm running statistics. Items whose lattice
+    the batch-norm running statistics, clip (in place) and Adam. Items whose lattice
     empties out are skipped; a batch with nothing left aborts. A non-finite
     loss (before backprop) or gradient (before clipping) raises
     NumericalUnderflow, leaving every stored array and the optimizer state
@@ -206,8 +214,8 @@ def train_step(items: list, store: ParameterStore, opt: OptimizerState,
     bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
     if bad:
         raise NumericalUnderflow(f"non-finite gradient in {', '.join(bad)}")
-    grads = clip_gradients(grads, tcfg.clip)
     enc_mod.update_running_stats(caches[0], store, pcfg.encoder)
+    grads = clip_gradients(grads, tcfg.clip)
     adam_update(store, grads, opt, lr_schedule(opt.iteration, tcfg.lr0, tcfg.decay), tcfg)
     return loss, len(items) - len(kept)
 

@@ -414,6 +414,41 @@ def test_banded_encoder_matches_per_graph_oracle(row_normalize):
     assert_matches_oracle(graphs, store, cfg, rng)
 
 
+def oracle_dropout_masks(graphs, cfg, dtype, rng):
+    """The masks as one concatenate-compare-cast: each graph's (K, m, d)
+    float64 block drawn in turn, joined along the node axis, compared, cast
+    and scaled."""
+    draws = np.concatenate([rng.random((cfg.K, g.m, cfg.d)) for g in graphs], axis=1)
+    return (draws >= cfg.dropout_rate).astype(dtype) / (1.0 - cfg.dropout_rate)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_train_dropout_masks_match_the_concatenated_draws(dtype):
+    cfg = ls.EncoderConfig(d=8, K=3, dropout_rate=0.3)
+    store = ls.init_encoder_params(cfg, np.random.default_rng(0), dtype=dtype)
+    rng = np.random.default_rng(13)
+    graphs = [row_major_graph(rng, m) for m in (5, 150, 1, 40)]
+    oracle_rng, rng = np.random.default_rng(4), np.random.default_rng(4)
+    want = oracle_dropout_masks(graphs, cfg, dtype, oracle_rng)
+    _, cache = ls.encode_graphs(graphs, store, cfg, train_mode=True, rng=rng)
+    masks = [dmask for _, dmask in cache[4]]
+    assert len(masks) == cfg.K
+    for layer, dmask in enumerate(masks):
+        assert dmask.dtype == dtype
+        assert np.array_equal(dmask, want[layer]), layer
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_train_mode_without_dropout_draws_nothing(enc_cfg, enc_store):
+    cfg = replace(enc_cfg, dropout_rate=0.0)
+    graphs = [row_major_graph(np.random.default_rng(5), m) for m in (3, 140)]
+    rng = np.random.default_rng(6)
+    state = rng.bit_generator.state
+    _, cache = ls.encode_graphs(graphs, enc_store, cfg, train_mode=True, rng=rng)
+    assert rng.bit_generator.state == state
+    assert all(dmask is None for _, dmask in cache[4])
+
+
 # ---------------------------------------------------------------------------
 # latent bridge
 

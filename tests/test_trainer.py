@@ -81,6 +81,121 @@ def test_adam_moment_shapes_mirror_store():
         assert opt.v[name].shape == store[name].shape
 
 
+def oracle_adam(params: dict, grads: dict, m: dict, v: dict, t: int, lr: float, cfg):
+    """One Adam step written out of place; returns new (params, m, v) dicts."""
+    b1, b2 = cfg.beta1, cfg.beta2
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    new_p, new_m, new_v = {}, {}, {}
+    for name, g in grads.items():
+        new_m[name] = b1 * m[name] + (1.0 - b1) * g
+        new_v[name] = b2 * v[name] + (1.0 - b2) * (g * g)
+        m_hat, v_hat = new_m[name] / c1, new_v[name] / c2
+        new_p[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    return new_p, new_m, new_v
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_adam_matches_the_out_of_place_formula_bit_for_bit(dtype):
+    pcfg = small_pcfg(dtype=dtype)
+    store = ls.init_params(pcfg)
+    opt = ls.OptimizerState.fresh(store)
+    m_arrays, v_arrays = dict(opt.m), dict(opt.v)
+    names = store.trainable_names()
+    want_p = {n: store[n].copy() for n in names}
+    want_m, want_v = store.zero_grads(), store.zero_grads()
+    rng = np.random.default_rng(8)
+    for step in range(1, 6):
+        grads = {n: (rng.standard_normal(store[n].shape) * 3).astype(dtype) for n in names}
+        before = {n: g.copy() for n, g in grads.items()}
+        lr = ls.lr_schedule(step - 1)
+        want_p, want_m, want_v = oracle_adam(want_p, grads, want_m, want_v, step, lr,
+                                             pcfg.train)
+        ls.adam_update(store, grads, opt, lr, pcfg.train)
+        for n in names:
+            assert store[n].tobytes() == want_p[n].tobytes(), n
+            assert opt.m[n].tobytes() == want_m[n].tobytes(), n
+            assert opt.v[n].tobytes() == want_v[n].tobytes(), n
+            assert opt.m[n] is m_arrays[n] and opt.v[n] is v_arrays[n], n
+            assert np.array_equal(grads[n], before[n]), n
+    assert opt.iteration == 5
+
+
+def test_clip_returns_its_input_clamped_in_place():
+    arrays = {"w": np.array([0.5, 3.0, -3.0]), "b": np.array([[-7.0, 0.25]])}
+    grads = dict(arrays)
+    out = ls.clip_gradients(grads, 1.0)
+    assert out is grads
+    assert all(out[n] is arrays[n] for n in arrays)
+    assert arrays["w"].tolist() == [0.5, 1.0, -1.0]
+    assert arrays["b"].tolist() == [[-1.0, 0.25]]
+
+
+# ---------------------------------------------------------------------------
+# memory of the train step's parts, at a batch of 32 graphs (N about 5,700)
+
+
+@pytest.fixture(scope="module")
+def acceptance_batch():
+    pcfg = ls.PipelineConfig(encoder=ls.EncoderConfig(d=64, K=2),
+                             decoder=ls.DecoderConfig(hidden_size=256, M=20, n_max=64, z_dim=64),
+                             train=ls.TrainConfig(batch_size=32))
+    items = make_items(pcfg, n_items=32)
+    graphs = [ls.build_adjacency(item.lattice, pcfg.graph, np.float32) for item in items]
+    assert sum(g.m for g in graphs) >= 5000
+    return pcfg, graphs, ls.init_params(pcfg)
+
+
+def traced(fn, warmups=0):
+    """(fn's tracemalloc peak above its inputs, bytes it holds with its result).
+
+    Warm-up calls run traced first, so arrays fn replaces are ones whose
+    allocation tracemalloc saw (it does not count frees of older blocks)."""
+    tracemalloc.start()
+    try:
+        for _ in range(warmups):
+            fn()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()  # held while its memory is measured
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base, held - base
+
+
+def test_train_mode_encode_scratch_is_within_its_masks(acceptance_batch):
+    # the returned cache (masks and activations) is about 4x the mask size; the
+    # scratch above it was 3x when each graph's float64 draws were kept and
+    # concatenated, and is one (N, d) array now
+    pcfg, graphs, store = acceptance_batch
+    cfg = pcfg.encoder
+    mask_bytes = cfg.K * sum(g.m for g in graphs) * cfg.d * 4
+    peak, held = traced(lambda: ls.encode_graphs(graphs, store, cfg, train_mode=True,
+                                                    rng=np.random.default_rng(1)))
+    assert held > 3 * mask_bytes
+    assert peak - held <= 2.5 * mask_bytes, (peak - held) / mask_bytes
+
+
+def test_clip_and_adam_scratch_is_two_arrays(acceptance_batch):
+    # clipping in place, and per parameter one scratch array and the array
+    # that replaces it; a clipped copy of every gradient and Adam's formula
+    # written out of place took about 7x
+    _, _, store = acceptance_batch
+    store = store.copy()
+    names = store.trainable_names()
+    rng = np.random.default_rng(2)
+    grads = {n: rng.standard_normal(store[n].shape).astype(np.float32) for n in names}
+    opt = ls.OptimizerState.fresh(store)
+    largest = max(store[n].nbytes for n in names)
+
+    def update():
+        ls.adam_update(store, ls.clip_gradients(grads, 1.0), opt, 1e-3, ls.TrainConfig())
+
+    peak, held = traced(update, warmups=1)
+    assert peak <= 2.01 * largest, peak / largest  # the 1 % is array headers
+    assert held < 0.01 * largest
+
+
 # ---------------------------------------------------------------------------
 # train_step
 
