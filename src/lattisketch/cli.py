@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file")
-    common.add_argument("--seed", type=int, help="base random seed")
+    common.add_argument("--seed", type=_non_negative_int, help="base random seed")
     common.add_argument("--n", type=int, help="lattice grid (lines per direction)")
     common.add_argument("--pmask", type=float, help="lattice corruption probability")
     common.add_argument("--checkpoint", help="model checkpoint path")

@@ -527,11 +527,15 @@ def test_eval_bad_pmask_list_exit_2(workdir, tmp_path, capsys, pmask_list):
 
 
 @pytest.mark.parametrize("command,flag", [("ingest", "--limit"), ("eval", "--limit"),
-                                          ("generate", "--count")])
+                                          ("generate", "--count"), ("heal", "--seed"),
+                                          ("generate", "--seed"), ("img2sketch", "--seed"),
+                                          ("eval", "--seed")])
 def test_negative_limit_or_count_exit_2(workdir, tmp_path, capsys, command, flag):
+    # a seed reaches np.random.default_rng, which refuses negative entries
     data, ckpt = str(workdir["data"][0]), str(workdir["ckpt"])
     args = {"ingest": [data], "eval": ["--checkpoint", ckpt, "--data", data],
-            "generate": ["--checkpoint", ckpt]}[command]
+            "generate": ["--checkpoint", ckpt], "heal": ["--checkpoint", ckpt, "--input", data],
+            "img2sketch": ["--checkpoint", ckpt, "--input", data]}[command]
     out = tmp_path / "out"
     assert dispatch([command, *args, flag, "-1", "--out", str(out)]) == 2
     assert "must be >= 0" in capsys.readouterr().err
