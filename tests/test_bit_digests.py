@@ -1,23 +1,30 @@
 """Pinned sha256 digests of the front end (lattice sampling, the batched
-sketch-to-lattice route, masking and proximity graphs) and of training.
+sketch-to-lattice route, masking and proximity graphs), of training and of
+every command's output directory.
 
 The front-end stages gather, compare and sort integers and table entries;
 none makes a BLAS call, so PINNED does not depend on the BLAS build or its
-thread count. Training steps do call BLAS, so TRAIN_PINNED holds one set of
-digests per build (numpy version, BLAS name and version), computed in a
-subprocess at one BLAS thread. A change that moves any of these bits says
-so and re-pins:
+thread count, and neither do `ingest` and `render`, whose outputs it also
+pins. Training steps and the model commands (`train`, `heal`, `generate`)
+do call BLAS, so TRAIN_PINNED holds one set of digests per build (numpy
+version, BLAS name and version), computed in a subprocess at one BLAS
+thread. Commands run from a fresh working directory with relative paths,
+so their manifests are pinned too. A change that moves any of these bits
+says so and re-pins:
 
     PYTHONPATH=src python tests/test_bit_digests.py
 
 prints the current digests in the layouts of PINNED and TRAIN_PINNED.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +32,7 @@ import pytest
 
 import lattisketch as ls
 from lattisketch import trainer
+from lattisketch.cli import dispatch
 from lattisketch.lattice import sketch_lattices
 
 REPIN = "PYTHONPATH=src python tests/test_bit_digests.py"
@@ -43,6 +51,8 @@ PINNED = {
     "graph nearest float32 bands": "8b95c0a25558487b347d4467616bf4a6547e6f8689a62ef938d69d416c741191",
     "graph nearest float64 one band": "e99f4789b11b5e9499362e00d2151d60bd8db683992921992e338145c652a496",
     "graph nearest float64 bands": "75d169ab4a4e202b2e1db520b3c231c6f2e1a8d850b72a02fe4bd516ed01d8e0",
+    "ingest --limit 4": "1d27e17708ce11f2ca1a741270014df167a5d7561fe8e2440ac48f2486c40724",
+    "render --format both": "afcd4f6d251b6cb5d9292a010191e742ceb6ecf0a17158210dc07357a44c97a3",
 }
 
 
@@ -80,6 +90,39 @@ def _bands(graph) -> list:
             for a in (np.array([rows.start, rows.stop, cols.start, cols.stop]), slab)]
 
 
+def _tree_sha(root: Path) -> str:
+    """Digest of the relative path and bytes of every file under root, in path order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
+SMALL_CONFIG = ("d = 8\nk = 2\nhidden_size = 16\nmixtures = 2\nn_max = 64\nbatch_size = 4\n"
+                "iterations = 8\ncheckpoint_every = 4\nseed = 0\n")
+
+
+def _command_digests(commands: dict) -> dict:
+    """Run each named command line, in order, in a fresh working directory
+    holding a 10-sketch file per category under data/ and SMALL_CONFIG as
+    small.cfg; the digest of each --out tree."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            ls.generate_dataset("data", 10, seed=31)
+            Path("small.cfg").write_text(SMALL_CONFIG)
+            out = {}
+            for name, argv in commands.items():
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert dispatch(argv) == 0, name
+                out[name] = _tree_sha(Path(argv[argv.index("--out") + 1]))
+            return out
+        finally:
+            os.chdir(home)
+
+
 def digests() -> dict:
     out = {}
     for side, n in ((256, 32), (256, 17), (64, 64)):
@@ -95,6 +138,11 @@ def digests() -> dict:
             for size, lat in zip(("one band", "bands"), _graph_lattices()):
                 graph = ls.build_adjacency(lat, ls.GraphConfig(proximity), dtype=dtype)
                 out[f"graph {proximity} {dtype} {size}"] = _sha(_bands(graph))
+    out.update(_command_digests({
+        "ingest --limit 4": ["ingest", "data/ring.ndjson", "data/ladder.ndjson", "--limit", "4",
+                             "--out", "ingested"],
+        "render --format both": ["render", "--input", "data/ladder.ndjson", "--format", "both",
+                                 "--out", "rendered"]}))
     return out
 
 
@@ -120,10 +168,15 @@ def test_graph_cases_span_one_band_and_several():
 
 
 # ---------------------------------------------------------------------------
-# training: 12 train_steps per dtype over a small model, keyed by BLAS build
+# training and the model commands: 12 train_steps per dtype over a small
+# model and the --out trees of train, heal and generate, keyed by BLAS build
 
 TRAIN_PINNED = {
     "numpy 2.4.6, scipy-openblas 0.3.31.188.0": {
+        "train": "1a248855ca46d5c7b3df915213ebc4a1c25496d7574a4a5ed65219c9d6cf3f78",
+        "heal": "1359c176ff339dcd31d3200363cd1d6c9ed0f3137f72938f42708abf3315dfeb",
+        "generate --input": "8a854a7f0ffd41418e026b68dfcb56d6a159997ddef170d6ae0e6740d7c1b4d2",
+        "generate --count 3": "615fb2dfd960ea167fc4a20960c517bc35717be545eaecd5fa13c04261c15811",
         "train_step float32": "d86db603784b58f018145d63dbb28e643a8799a0f532fe4fc5516b15e44eedc8",
         "train_step float64": "7c1113a8b3bc0a0c0d2811ed1348e4ee1f2e4da00df3f6260a06fd6c46e3726f",
     },
@@ -137,19 +190,29 @@ def blas_key() -> str:
 
 
 def _train_digests() -> dict:
-    """Losses, final store and Adam moments of TRAIN_STEPS fit-style steps in
-    each dtype, plus the largest graph built (it must span several bands)."""
+    """The output trees of a small `train` run and of `heal` and `generate`
+    with its checkpoint; losses, final store and Adam moments of TRAIN_STEPS
+    fit-style steps in each dtype, plus the largest graph those steps built
+    (it must span several bands)."""
     sizes = []
 
     def build(lattice, *args, **kwargs):
         sizes.append(lattice.m)
         return ls.build_adjacency(lattice, *args, **kwargs)
 
+    ckpt = ["--checkpoint", "run/ckpt_final.ckpt"]
+    out = _command_digests({
+        "train": ["train", "--config", "small.cfg", "--data", "data/ring.ndjson",
+                  "data/ladder.ndjson", "--out", "run"],
+        "heal": ["heal", *ckpt, "--input", "data/ring.ndjson", "--seed", "3", "--out", "healed"],
+        "generate --input": ["generate", *ckpt, "--input", "data/ladder.ndjson", "--count", "2",
+                             "--seed", "4", "--out", "encoded"],
+        "generate --count 3": ["generate", *ckpt, "--count", "3", "--seed", "5",
+                               "--out", "sampled"]})
     trainer.build_adjacency = build
     rng = np.random.default_rng(30)
     sketches = [ls.parse_quickdraw_line(json.dumps(ls.make_sketch_record(cat, rng)))
                 for _ in range(6) for cat in ("ring", "ladder")]
-    out = {}
     for dtype in ("float32", "float64"):
         pcfg = ls.PipelineConfig(encoder=ls.EncoderConfig(d=8, K=2),
                                  decoder=ls.DecoderConfig(hidden_size=16, M=2, n_max=32, z_dim=8),
@@ -193,10 +256,10 @@ def test_train_batches_span_several_bands(fresh_train):
 def test_train_digests_match_the_pin(fresh_train):
     key = blas_key()
     if key not in TRAIN_PINNED:
-        pytest.fail(f"no train_step digests pinned for {key}; check training on this "
+        pytest.fail(f"no BLAS-keyed digests pinned for {key}; check training on this "
                     f"build and pin them with `{REPIN}`")
     assert fresh_train["digests"] == TRAIN_PINNED[key], (
-        f"train_step digests moved on {key}; if the change is meant, say so and re-pin "
+        f"BLAS-keyed digests moved on {key}; if the change is meant, say so and re-pin "
         f"with `{REPIN}`")
 
 
