@@ -9,16 +9,21 @@ instead of the config file.
 Every command that produces files writes exactly one manifest.json next
 to them (command, resolved config, seed, inputs, outputs, checkpoint
 hash). Outputs carry no timestamps, so identical inputs give
-byte-identical files. Exit codes: 0 success, 2 usage, 3 data error,
-4 numeric/model error.
+byte-identical files. Commands other than train stage their files and
+move them into --out only on success. Exit codes: 0 success, 2 usage,
+3 data error, 4 numeric/model error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +35,8 @@ from .params import checkpoint_hash
 from .lattice import sketch_lattices
 from .pipeline_eval import (HEAL_P_MASK, _lattice_config, _lattice_of, edge_to_sketch,
                             encode_lattice, heal_lattice, healing_sweep)
-from .sketch_data import (VectorSketch, rasterize, read_pgm, read_sketches, render_svg,
-                          sketch_to_json_obj, write_pgm)
+from .sketch_data import (LINES_PER_CHUNK, VectorSketch, rasterize, read_pgm, read_sketches,
+                          render_svg, sketch_to_json_obj, write_pgm)
 from .trainer import (PipelineConfig, finite_diff_audit, audit_probe, fit, init_params,
                       load_dataset, load_model)
 
@@ -130,7 +135,7 @@ def build_pipeline_config(args) -> PipelineConfig:
 
 
 def write_manifest(out_dir: Path, command: str, config: dict, seed,
-                   inputs, outputs, checkpoint=None) -> Path:
+                   inputs, outputs, checkpoint=None) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -139,22 +144,47 @@ def write_manifest(out_dir: Path, command: str, config: dict, seed,
         "outputs": [str(Path(p).name) for p in outputs],
         "checkpoint_hash": checkpoint_hash(checkpoint) if checkpoint else None,
     }
-    path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
-def _lattices_from_input(path, bundle, n, count=None):
-    """Lattices, with no raster per sketch, of a .pgm image or of the first count sketches
-    of a checked JSON-lines file, on the model's grid or n lines; DATASET_EMPTY if none."""
+@contextlib.contextmanager
+def _staged_out(out, command: str, config: dict, seed, inputs, checkpoint=None):
+    """Yield (stage, names): a fresh hidden directory for the command's files, inside out
+    if it exists, else beside it, and a list for their names. When the block ends normally,
+    manifest.json is written and every file moves into out, made under the umask if missing,
+    replacing same-named files and keeping others. On any error nothing reaches out. The
+    stage is deleted either way."""
+    out = anchor = Path(out)
+    while not anchor.is_dir() and anchor != anchor.parent:  # on out's file system
+        anchor = anchor.parent
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=anchor) as stage:
+        names = []
+        yield Path(stage), names
+        write_manifest(Path(stage), command, config, seed, inputs, names, checkpoint)
+        for root, _, files in os.walk(stage):
+            dest = out / os.path.relpath(root, stage)
+            dest.mkdir(parents=True, exist_ok=True)
+            for name in files:
+                os.replace(os.path.join(root, name), dest / name)
+
+
+def _lattice_chunks(path, bundle, n, count=None):
+    """Yield the lattices, with no raster per sketch, of a .pgm image or of a checked
+    JSON-lines file LINES_PER_CHUNK sketches at a time, on the model's grid or n lines;
+    with count, of the first count sketches only, though every line is read and checked."""
     if Path(path).suffix.lower() == ".pgm":
-        return [_lattice_of(read_pgm(path), bundle, n)]
-    sketches = list(read_sketches(path))
-    if not sketches:
+        yield [_lattice_of(read_pgm(path), bundle, n)]
+        return
+    sketches = read_sketches(path)
+    if (first := next(sketches, None)) is None:
         raise DatasetEmpty(f"no sketch in {path}")
-    return sketch_lattices(sketches[:count], _lattice_config(bundle, n))
+    kept = itertools.islice(itertools.chain([first], sketches), count)
+    while chunk := list(itertools.islice(kept, LINES_PER_CHUNK)):
+        yield sketch_lattices(chunk, _lattice_config(bundle, n))
+    for _ in sketches:  # the rest is read for its checks only
+        pass
 
 
 def _write_sketch_outputs(out_dir: Path, stem: str, sketch: VectorSketch,
@@ -162,16 +192,9 @@ def _write_sketch_outputs(out_dir: Path, stem: str, sketch: VectorSketch,
     texts = {"svg": render_svg(sketch), "json": json.dumps(sketch_to_json_obj(sketch)) + "\n"}
     if lattice is not None:
         texts["lattice.json"] = json.dumps(lattice.to_json_obj()) + "\n"
-    written = [out_dir / f"{stem}.{ext}" for ext in texts]
-    for path, text in zip(written, texts.values()):
-        path.write_text(text, encoding="utf-8")
-    return written
-
-
-def _ensure_out(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    for ext, text in texts.items():
+        (out_dir / f"{stem}.{ext}").write_text(text, encoding="utf-8")
+    return [f"{stem}.{ext}" for ext in texts]
 
 
 # ---------------------------------------------------------------------------
@@ -180,32 +203,26 @@ def _ensure_out(args) -> Path:
 
 def cmd_ingest(args) -> int:
     pcfg = build_pipeline_config(args)
-    kept_per_input, n_empty = [], 0
-    for input_path in args.inputs:  # every input is read before --out is made
-        kept = []
-        for sk in read_sketches(input_path):
-            if sk.is_empty():
-                n_empty += 1
-                continue
-            kept.append(sk)
-            if args.limit and len(kept) >= args.limit:
-                break
-        kept_per_input.append(kept)
-    out = _ensure_out(args)
-    raster_dir = out / "rasters"
-    raster_dir.mkdir(exist_ok=True)
-    outputs = []
-    for input_path, kept in zip(args.inputs, kept_per_input):
-        stem = Path(input_path).stem
-        outputs.append(out / f"{stem}.jsonl")
-        outputs[-1].write_text("".join(json.dumps(sketch_to_json_obj(sk)) + "\n" for sk in kept),
-                               encoding="utf-8")
-        for i, sk in enumerate(kept):
-            outputs.append(raster_dir / f"{stem}_{i:05d}.pgm")
-            write_pgm(rasterize(sk, pcfg.lattice.side), outputs[-1])
-    write_manifest(out, "ingest", pcfg.configs_dict(), pcfg.train.seed,
-                   args.inputs, outputs)
-    print(f"ingested {sum(map(len, kept_per_input))} sketches ({n_empty} empty drawings skipped)")
+    n_kept = n_empty = 0
+    with _staged_out(args.out, "ingest", pcfg.configs_dict(), pcfg.train.seed,
+                     args.inputs) as (stage, names):
+        (stage / "rasters").mkdir()
+        for input_path in args.inputs:
+            stem, kept = Path(input_path).stem, 0
+            names.append(f"{stem}.jsonl")
+            with open(stage / names[-1], "w", encoding="utf-8") as fh:
+                for sk in read_sketches(input_path):
+                    if sk.is_empty():
+                        n_empty += 1
+                        continue
+                    fh.write(json.dumps(sketch_to_json_obj(sk)) + "\n")
+                    names.append(f"{stem}_{kept:05d}.pgm")
+                    write_pgm(rasterize(sk, pcfg.lattice.side), stage / "rasters" / names[-1])
+                    kept += 1
+                    if kept == args.limit:
+                        break
+            n_kept += kept
+    print(f"ingested {n_kept} sketches ({n_empty} empty drawings skipped)")
     return 0
 
 
@@ -225,41 +242,40 @@ def cmd_train(args) -> int:
 def cmd_heal(args) -> int:
     bundle = load_model(args.checkpoint)
     p_mask = HEAL_P_MASK if args.pmask is None else args.pmask
-    healed = []
-    for i, lat in enumerate(_lattices_from_input(args.input, bundle, args.n)):
-        try:  # every item heals before --out is made
-            healed.append(heal_lattice(lat, p_mask, [args.seed or 0, i], bundle))
-        except (EmptyLattice, OutOfRange) as exc:
-            raise type(exc)(f"heal_{i:04d}: {exc}") from exc
-    out = _ensure_out(args)
-    outputs = [path for i, (sketch, surviving) in enumerate(healed)
-               for path in _write_sketch_outputs(out, f"heal_{i:04d}", sketch, surviving)]
-    write_manifest(out, "heal", bundle.pcfg.configs_dict(),
-                   args.seed or 0, [args.input], outputs, checkpoint=args.checkpoint)
-    print(f"healed {len(healed)} sketch(es) at p_mask={p_mask}")
+    seed, first = args.seed or 0, 0
+    with _staged_out(args.out, "heal", bundle.pcfg.configs_dict(), seed, [args.input],
+                     args.checkpoint) as (stage, names):
+        for lattices in _lattice_chunks(args.input, bundle, args.n):
+            healed = []  # a whole chunk heals, then is written
+            for i, lat in enumerate(lattices, first):
+                try:
+                    healed.append(heal_lattice(lat, p_mask, [seed, i], bundle))
+                except (EmptyLattice, OutOfRange) as exc:
+                    raise type(exc)(f"heal_{i:04d}: {exc}") from exc
+            for i, (sketch, surviving) in enumerate(healed, first):
+                names += _write_sketch_outputs(stage, f"heal_{i:04d}", sketch, surviving)
+            first += len(healed)
+    print(f"healed {first} sketch(es) at p_mask={p_mask}")
     return 0
 
 
 def cmd_generate(args) -> int:
     bundle = load_model(args.checkpoint)
-    inputs = [args.input] if args.input else []
-    psi = None
+    seed, psi = args.seed or 0, None
     if args.input:
-        lat = _lattices_from_input(args.input, bundle, args.n, count=1)[0]
+        (lat,) = itertools.chain.from_iterable(_lattice_chunks(args.input, bundle, args.n, 1))
         psi = encode_lattice(lat, bundle, "the encoded input has no lattice points")
-    sketches = []
-    for i in range(args.count):  # every sample is drawn before --out is made
-        rng = np.random.default_rng([args.seed or 0, i])
-        if psi is None:
-            z = rng.standard_normal(bundle.pcfg.encoder.d)
-        else:
-            z = reparameterize(psi, bundle.store, rng=rng).z
-        sketches.append(generate(z, bundle.store, bundle.pcfg.decoder, rng))
-    out = _ensure_out(args)
-    outputs = [path for i, sketch in enumerate(sketches)
-               for path in _write_sketch_outputs(out, f"gen_{i:04d}", sketch)]
-    write_manifest(out, "generate", bundle.pcfg.configs_dict(),
-                   args.seed or 0, inputs, outputs, checkpoint=args.checkpoint)
+    with _staged_out(args.out, "generate", bundle.pcfg.configs_dict(), seed,
+                     [args.input] if args.input else [], args.checkpoint) as (stage, names):
+        for first in range(0, args.count, LINES_PER_CHUNK):
+            sketches = []  # a whole chunk is drawn, then written
+            for i in range(first, min(first + LINES_PER_CHUNK, args.count)):
+                rng = np.random.default_rng([seed, i])
+                z = (rng.standard_normal(bundle.pcfg.encoder.d) if psi is None
+                     else reparameterize(psi, bundle.store, rng=rng).z)
+                sketches.append(generate(z, bundle.store, bundle.pcfg.decoder, rng))
+            for i, sketch in enumerate(sketches, first):
+                names += _write_sketch_outputs(stage, f"gen_{i:04d}", sketch)
     print(f"generated {args.count} sketch(es)")
     return 0
 
@@ -268,10 +284,9 @@ def cmd_img2sketch(args) -> int:
     bundle = load_model(args.checkpoint)
     raster = read_pgm(args.input)
     sketch, lattice = edge_to_sketch(raster, bundle, n=args.n, seed=args.seed or 0)
-    out = _ensure_out(args)
-    outputs = _write_sketch_outputs(out, "img2sketch", sketch, lattice)
-    write_manifest(out, "img2sketch", bundle.pcfg.configs_dict(),
-                   args.seed or 0, [args.input], outputs, checkpoint=args.checkpoint)
+    with _staged_out(args.out, "img2sketch", bundle.pcfg.configs_dict(), args.seed or 0,
+                     [args.input], args.checkpoint) as (stage, names):
+        names += _write_sketch_outputs(stage, "img2sketch", sketch, lattice)
     print("synthesized 1 sketch from the edge map")
     return 0
 
@@ -285,16 +300,15 @@ def cmd_eval(args) -> int:
         labels += file_labels[:args.limit or None]
     rows, csv_text = healing_sweep(sketches, labels, bundle, args.pmask_list,
                                    n=args.n, seed=args.seed or 0)
-    out = _ensure_out(args)
-    csv_path = out / "metrics.csv"
-    csv_path.write_text(csv_text, encoding="utf-8")
-    write_manifest(out, "eval", bundle.pcfg.configs_dict(), args.seed or 0,
-                   list(args.data), [csv_path], checkpoint=args.checkpoint)
+    with _staged_out(args.out, "eval", bundle.pcfg.configs_dict(), args.seed or 0,
+                     list(args.data), args.checkpoint) as (stage, names):
+        names.append("metrics.csv")
+        (stage / "metrics.csv").write_text(csv_text, encoding="utf-8")
     print(f"{'p_mask':>8} {'top1':>8} {'top3':>8} {'points':>10} {'failures':>9}")
     for r in rows:
         print(f"{r['p_mask']:>8.2f} {r['top1']:>8.4f} {r['top3']:>8.4f} "
               f"{r['mean_points']:>10.1f} {r['failures']:>9d}")
-    print(f"metrics written to {csv_path}")
+    print(f"metrics written to {Path(args.out) / 'metrics.csv'}")
     return 0
 
 
@@ -318,14 +332,13 @@ def cmd_audit_grad(args) -> int:
         worst = max(worst, entry["max_rel_err"])
     print(f"worst relative error {worst:.3e} (tolerance {args.tol:.1e})")
     if args.out:
-        out = _ensure_out(args)
-        report_path = out / "audit.csv"
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write("array,checked,max_rel_err\n")
-            for name, entry in report.items():
-                fh.write(f"{name},{entry['checked']},{entry['max_rel_err']:.6e}\n")
-        write_manifest(out, "audit-grad", pcfg.configs_dict(),
-                       args.seed or 0, [], [report_path])
+        with _staged_out(args.out, "audit-grad", pcfg.configs_dict(), args.seed or 0,
+                         []) as (stage, names):
+            names.append("audit.csv")
+            with open(stage / "audit.csv", "w", encoding="utf-8") as fh:
+                fh.write("array,checked,max_rel_err\n")
+                for name, entry in report.items():
+                    fh.write(f"{name},{entry['checked']},{entry['max_rel_err']:.6e}\n")
     if worst >= args.tol:
         print(f"error: AUDIT_FAILED: max relative error {worst:.3e} >= {args.tol:.1e}",
               file=sys.stderr)
@@ -335,19 +348,16 @@ def cmd_audit_grad(args) -> int:
 
 def cmd_render(args) -> int:
     pcfg = build_pipeline_config(args)
-    sketches = list(read_sketches(args.input))  # read before --out is made
-    out = _ensure_out(args)
-    outputs = []
-    for i, sk in enumerate(sketches):
-        if args.format in ("svg", "both"):
-            outputs.append(out / f"render_{i:04d}.svg")
-            outputs[-1].write_text(render_svg(sk), encoding="utf-8")
-        if args.format in ("pgm", "both"):
-            outputs.append(out / f"render_{i:04d}.pgm")
-            write_pgm(rasterize(sk, pcfg.lattice.side), outputs[-1])
-    write_manifest(out, "render", pcfg.configs_dict(), pcfg.train.seed,
-                   [args.input], outputs)
-    print(f"rendered {len(sketches)} sketch(es)")
+    with _staged_out(args.out, "render", pcfg.configs_dict(), pcfg.train.seed,
+                     [args.input]) as (stage, names):
+        for i, sk in enumerate(read_sketches(args.input)):
+            if args.format in ("svg", "both"):
+                names.append(f"render_{i:04d}.svg")
+                (stage / names[-1]).write_text(render_svg(sk), encoding="utf-8")
+            if args.format in ("pgm", "both"):
+                names.append(f"render_{i:04d}.pgm")
+                write_pgm(rasterize(sk, pcfg.lattice.side), stage / names[-1])
+    print(f"rendered {len(names) // (2 if args.format == 'both' else 1)} sketch(es)")
     return 0
 
 

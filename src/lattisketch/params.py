@@ -119,7 +119,12 @@ def save_checkpoint(path, store: ParameterStore, iteration: int,
 
 
 def load_checkpoint(path) -> tuple:
-    """Read a container; returns (store, header dict)."""
+    """Read a container; returns (store, header dict).
+
+    Each array must start where the one before it ends, as save_checkpoint
+    writes them, and the payload must hold exactly the arrays' values;
+    otherwise CheckpointFormatError names the first array out of place.
+    """
     try:
         with open(path, "rb") as fh:
             first = fh.readline()
@@ -141,18 +146,25 @@ def load_checkpoint(path) -> tuple:
     if len(payload) % np.dtype(payload_dtype).itemsize:
         raise CheckpointFormatError("payload is not a whole number of values")
     data = np.frombuffer(payload, dtype=payload_dtype)
-    store = ParameterStore()
+    store, start, name = ParameterStore(), 0, None
     try:
         for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
+            name, shape = entry["name"], tuple(entry["shape"])
             size = int(np.prod(shape)) if shape else 1
-            start = int(entry["offset"])
+            if entry["offset"] != start or min(shape, default=0) < 0:
+                raise CheckpointFormatError(
+                    f"array {name!r} has offset {entry['offset']} and shape {list(shape)}; "
+                    f"it must start at {start}, where the array before it ends")
             if start + size > data.size:
-                raise CheckpointFormatError(f"array {entry['name']!r} overruns payload")
+                raise CheckpointFormatError(f"array {name!r} overruns payload")
             arr = data[start : start + size].reshape(shape).copy()
-            store.add(entry["name"], arr, entry.get("trainable", True))
+            store.add(name, arr, entry.get("trainable", True))
+            start += size
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointFormatError(f"bad array table in checkpoint header: {exc!r}") from exc
+    if start != data.size:
+        raise CheckpointFormatError(f"payload holds {data.size - start} value(s) after the "
+                                    f"last array {name!r}")
     return store, header
 
 

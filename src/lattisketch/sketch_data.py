@@ -39,6 +39,9 @@ CANVAS_SIDE = 256
 CANVAS_MARGIN = 2
 #: smallest canvas side that leaves the fit at least two pixels per axis
 MIN_CANVAS_SIDE = 2 * CANVAS_MARGIN + 2
+#: largest canvas side: graph_builder's signed-offset tables hold (2 side - 1)^2
+#: float64 entries each, 33.5 MB at this side, and a raster side^2 bytes
+MAX_CANVAS_SIDE = 1024
 #: the stroke-5 row (dx, dy, p_down, p_lift, p_end) that pads a sequence
 STROKE5_PAD = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
 #: sketch-file lines read per chunk: bounds the reader's scratch memory
@@ -48,9 +51,11 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def check_canvas_side(side: int) -> None:
-    """Raise OutOfRange for a canvas side below MIN_CANVAS_SIDE."""
+    """Raise OutOfRange for a canvas side outside [MIN_CANVAS_SIDE, MAX_CANVAS_SIDE]."""
     if side < MIN_CANVAS_SIDE:
         raise OutOfRange(f"canvas side {side} is below the minimum {MIN_CANVAS_SIDE}")
+    if side > MAX_CANVAS_SIDE:
+        raise OutOfRange(f"canvas side {side} is above the maximum {MAX_CANVAS_SIDE}")
 
 
 @dataclass(frozen=True)
@@ -371,7 +376,7 @@ def rasterize(sketch: VectorSketch, side: int = CANVAS_SIDE) -> RasterSketch:
     This is the drawing core ``drawn_pixels`` on a batch of one: the drawing
     is uniformly scaled to fit (aspect ratio preserved), centered and rounded
     to pixels, and its drawn segments are then drawn by the midpoint rule.
-    Raises OutOfRange for a side below MIN_CANVAS_SIDE, and MalformedRecord
+    Raises OutOfRange for a side outside the canvas bounds, and MalformedRecord
     when a fitted coordinate is not finite or is off the canvas.
     """
     check_canvas_side(side)
@@ -579,7 +584,8 @@ def canonicalize_raster(raster: RasterSketch, side: int = CANVAS_SIDE) -> Raster
 
     Dark pixel coordinates are uniformly scaled (aspect ratio preserved)
     and centered with the same margin rule rasterize uses. A raster that
-    is already canonical passes through unchanged (OutOfRange below MIN_CANVAS_SIDE).
+    is already canonical passes through unchanged (OutOfRange for a side
+    outside the canvas bounds).
     """
     check_canvas_side(side)
     if raster.width == side and raster.height == side:

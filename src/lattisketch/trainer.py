@@ -263,7 +263,8 @@ def offset_scale_of(sketches) -> float:
     Offsets so large that their squared deviations could overflow (beyond
     about 1e154) are divided by the largest magnitude first and the std
     scaled back, so the scale stays finite; other data takes numpy's std
-    directly.
+    directly. The scale is at least a millionth of the largest magnitude
+    (and 1e-6), so offsets that barely vary still scale to at most 1e6.
     """
     offs = np.concatenate([s.steps[:, :2].ravel() for s in sketches])
     big = float(np.abs(offs).max())
@@ -272,7 +273,7 @@ def offset_scale_of(sketches) -> float:
         std = offs.std()
     else:
         std = (offs / big).std() * big
-    return float(max(std, 1e-6))
+    return float(max(std, 1e-6 * max(big, 1.0)))
 
 
 def prepare_items(sketches, labels, pcfg: PipelineConfig, offset_scale: float):
@@ -377,9 +378,11 @@ def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None) -> dict:
     encoder, decoder, offset scale, dtype) and takes the schedule from pcfg.
     The summary's "pcfg" is the resolved config every step and checkpoint used.
 
-    The loss CSV (out_dir/loss.csv) carries one row per iteration executed
-    in this call: iteration,lr,loss with fixed float formatting, so two
-    identical runs produce byte-identical files.
+    The loss CSV (out_dir/loss.csv) carries one row per iteration:
+    iteration,lr,loss with fixed float formatting, so two identical runs
+    produce byte-identical files. A resumed run keeps the rows already in
+    out_dir's file for the iterations before its checkpoint's, drops the
+    rest and appends its own.
     """
     tcfg = pcfg.train
 
@@ -403,11 +406,14 @@ def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None) -> dict:
     n = len(items)
     loss_path = out_dir / "loss.csv"
     final_path = out_dir / "ckpt_final.ckpt"
-    mode = "a" if (resume is not None and loss_path.exists()) else "w"
-    with open(loss_path, mode, encoding="utf-8", newline="") as fh:
+    kept = []
+    if resume is not None and loss_path.exists():
+        with open(loss_path, encoding="utf-8", newline="") as fh:
+            kept = [row for row in csv.reader(fh)
+                    if row and not (row[0].isdigit() and int(row[0]) >= start)]
+    with open(loss_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        if mode == "w":
-            writer.writerow(["iteration", "lr", "loss"])
+        writer.writerows(kept or [["iteration", "lr", "loss"]])
         for it in range(start, tcfg.iterations):
             rng = np.random.default_rng([tcfg.seed, it])
             idx = rng.integers(0, n, size=tcfg.batch_size)

@@ -1,4 +1,6 @@
+import contextlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -77,3 +79,12 @@ def rewrite_checkpoint_header(src, dst, edit):
     edit(header)
     with open(dst, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
+
+
+@contextlib.contextmanager
+def listing_unchanged(directory):
+    """Assert that the block adds, removes and renames no entry of directory:
+    a command that fails leaves no --out, staging directory or parent of --out."""
+    before = sorted(os.listdir(directory))
+    yield
+    assert sorted(os.listdir(directory)) == before

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import lattisketch as ls
-from conftest import rewrite_checkpoint_header
+from conftest import listing_unchanged, rewrite_checkpoint_header
 from lattisketch import cli, sketch_data
 from lattisketch.cli import CONFIG_KEYS, build_parser, dispatch
 
@@ -25,6 +26,20 @@ PEAK_RSS_SCRIPT = ("import resource, sys\n"
                    "code = dispatch(sys.argv[1:])\n"
                    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
                    "sys.exit(code)\n")
+# the same, but prints the process's own peak RSS (VmHWM, in KiB): ru_maxrss can read
+# the test process's peak instead, which Linux carries into a child across fork and exec
+OWN_PEAK_SCRIPT = PEAK_RSS_SCRIPT.replace(
+    "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+    "next(ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM:'))")
+
+
+def _own_peak_kib(argv) -> int:
+    """VmHWM of one successful command run in a fresh process at one BLAS thread."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", OWN_PEAK_SCRIPT, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
 
 
 @pytest.fixture(scope="module")
@@ -184,12 +199,11 @@ def test_input_with_no_sketch_exit_3_writes_nothing(workdir, tmp_path, capsys, c
                                                     content):
     data = tmp_path / "none.ndjson"
     data.write_text(content)
-    out = tmp_path / "out"
-    assert dispatch([command, "--checkpoint", str(workdir["ckpt"]), "--input", str(data),
-                     "--out", str(out)]) == 3
+    with listing_unchanged(tmp_path):
+        assert dispatch([command, "--checkpoint", str(workdir["ckpt"]), "--input", str(data),
+                         "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: DATASET_EMPTY") and "Traceback" not in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("second_line,pmask,code,item", [
@@ -203,12 +217,11 @@ def test_heal_failing_item_exit_4_writes_nothing(workdir, tmp_path, capsys, seco
         lines[1] = second_line
     data = tmp_path / "three.ndjson"
     data.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "out"
-    assert dispatch(["heal", "--checkpoint", str(workdir["ckpt"]), "--input", str(data),
-                     "--out", str(out), "--pmask", pmask]) == 4
+    with listing_unchanged(tmp_path):
+        assert dispatch(["heal", "--checkpoint", str(workdir["ckpt"]), "--input", str(data),
+                         "--out", str(tmp_path / "out"), "--pmask", pmask]) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"error: {code}: {item}: ") and "Traceback" not in err
-    assert not out.exists()
 
 
 def test_heal_inkless_item_says_it_has_no_ink(workdir, tmp_path, capsys):
@@ -305,8 +318,8 @@ def test_generate_input_makes_one_lattice_and_checks_every_line(workdir, tmp_pat
     # a bad last line still fails the command, before --out is made
     bad = tmp_path / "bad.ndjson"
     bad.write_text(data.read_text() + '{"drawing": [[[0, 1], [2]]]}\n')
-    assert dispatch([*args, "--input", str(bad), "--out", str(tmp_path / "bad_out")]) == 3
-    assert not (tmp_path / "bad_out").exists()
+    with listing_unchanged(tmp_path):
+        assert dispatch([*args, "--input", str(bad), "--out", str(tmp_path / "bad_out")]) == 3
 
 
 def test_generate_input_memory_does_not_grow_with_the_file(workdir, tmp_path):
@@ -315,16 +328,95 @@ def test_generate_input_memory_does_not_grow_with_the_file(workdir, tmp_path):
     one = tmp_path / "one.ndjson"
     with open(big, encoding="utf-8") as fh:
         one.write_text(fh.readline())
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    peak_kib = {}
-    for name, data in (("big", big), ("one", one)):
-        proc = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT, "generate",
-                               "--checkpoint", str(workdir["ckpt"]), "--input", str(data),
-                               "--count", "1", "--out", str(tmp_path / name)],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        peak_kib[name] = int(proc.stdout.split()[-1])  # ru_maxrss is in KiB
+    peak_kib = {name: _own_peak_kib(["generate", "--checkpoint", str(workdir["ckpt"]),
+                                     "--input", str(data), "--count", "1",
+                                     "--out", str(tmp_path / name)])
+                for name, data in (("big", big), ("one", one))}
     assert peak_kib["big"] - peak_kib["one"] < 30 * 1024, peak_kib
+
+
+def test_heal_memory_does_not_grow_with_the_file(workdir, tmp_path):
+    # heal holds one chunk of results at a time; holding all 4,000 took about 26 MiB
+    # more than 500
+    many = ls.generate_dataset(tmp_path / "data", 4000, seed=4)[0]
+    few = tmp_path / "few.ndjson"
+    few.write_text("".join(many.read_text().splitlines(keepends=True)[:500]))
+    peak_kib = {name: _own_peak_kib(["heal", "--checkpoint", str(workdir["ckpt"]),
+                                     "--input", str(data), "--out", str(tmp_path / name)])
+                for name, data in (("few", few), ("many", many))}
+    assert peak_kib["many"] - peak_kib["few"] < 10 * 1024, peak_kib
+
+
+def _long_sketch_file(workdir, tmp_path, second_line=None):
+    """More than a chunk of good lines, with second_line in place of the second,
+    then a malformed last line; returns (path, its number of lines)."""
+    lines = (workdir["data"][0].read_text().splitlines() * 30)[:sketch_data.LINES_PER_CHUNK + 10]
+    if second_line is not None:
+        lines[1] = second_line
+    data = tmp_path / "long.ndjson"
+    data.write_text("\n".join(lines) + '\n{"drawing": 5}\n')
+    return data, len(lines) + 1
+
+
+@pytest.mark.parametrize("second_line,err_start", [
+    (None, "error: MALFORMED_RECORD: {data}:{last}: "),
+    ('{"drawing": []}', "error: EMPTY_LATTICE: heal_0001: "),
+], ids=["malformed-last-line", "earlier-heal-failure-wins"])
+def test_heal_long_file_failing_after_its_first_chunk_writes_nothing(
+        workdir, tmp_path, capsys, second_line, err_start):
+    """heal heals the chunks before a malformed last line, then fails and writes
+    nothing, not even --out's parents; a heal failure in an earlier chunk comes
+    first and exits 4."""
+    data, last = _long_sketch_file(workdir, tmp_path, second_line)
+    with listing_unchanged(tmp_path):
+        code = dispatch(["heal", "--checkpoint", str(workdir["ckpt"]), "--input", str(data),
+                         "--out", str(tmp_path / "a" / "b" / "out"), "--pmask", "0.1"])
+    err = capsys.readouterr().err
+    assert err.startswith(err_start.format(data=data, last=last)) and "Traceback" not in err
+    assert code == (3 if second_line is None else 4)
+
+
+def test_out_parents_are_made_on_success(workdir, tmp_path):
+    data = tmp_path / "two.ndjson"
+    data.write_text("".join(workdir["data"][0].read_text().splitlines(keepends=True)[:2]))
+    out = tmp_path / "a" / "b" / "c"
+    assert dispatch(["heal", "--checkpoint", str(workdir["ckpt"]), "--input", str(data),
+                     "--out", str(out)]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["a", "two.ndjson"]  # no staging directory left
+    assert sorted(os.listdir(out)) == sorted(
+        ["manifest.json"] + [f"heal_{i:04d}.{ext}" for i in range(2)
+                             for ext in ("svg", "json", "lattice.json")])
+
+
+def test_out_that_holds_files_keeps_others_and_replaces_same_named(workdir, tmp_path,
+                                                                  capsys):
+    stem = workdir["data"][0].stem
+    out = tmp_path / "out"
+    (out / "rasters").mkdir(parents=True)
+    for name in ("notes.txt", "rasters/notes.txt", "manifest.json", f"rasters/{stem}_00000.pgm"):
+        (out / name).write_text("old\n")
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text(workdir["data"][0].read_text() + '{"drawing": 5}\n')
+    with listing_unchanged(out), listing_unchanged(out / "rasters"):  # a failure changes nothing
+        assert dispatch(["ingest", str(bad), "--out", str(out)]) == 3
+    bad.unlink()
+    assert "MALFORMED_RECORD" in capsys.readouterr().err
+    assert dispatch(["ingest", str(workdir["data"][0]), "--limit", "1", "--out", str(out)]) == 0
+    assert (out / "notes.txt").read_text() == (out / "rasters" / "notes.txt").read_text() == "old\n"
+    assert json.loads((out / "manifest.json").read_text())["command"] == "ingest"
+    assert ls.read_pgm(out / "rasters" / f"{stem}_00000.pgm").dark_count() > 0
+    assert sorted(os.listdir(tmp_path)) == ["out"]
+
+
+def test_out_and_its_files_take_the_umask_mode(workdir, tmp_path):
+    umask = os.umask(0o027)
+    try:
+        assert dispatch(["ingest", str(workdir["data"][0]), "--limit", "1",
+                         "--out", str(tmp_path / "a" / "out")]) == 0
+    finally:
+        os.umask(umask)
+    for path in [tmp_path / "a", *(tmp_path / "a").rglob("*")]:
+        assert stat.S_IMODE(path.stat().st_mode) == (0o750 if path.is_dir() else 0o640), path
 
 
 @pytest.mark.parametrize("command", ["heal", "generate"])
@@ -334,12 +426,12 @@ def test_overflowing_deviation_exit_4_writes_nothing(workdir, tmp_path, capsys, 
     bundle.store["dec.head.b"][3 * M : 5 * M] = 800.0  # log sigma: exp overflows
     ckpt = tmp_path / "wide.ckpt"
     ls.save_model(ckpt, bundle.store, None, bundle.pcfg)
-    out = tmp_path / "out"
     extra = ["--input", str(workdir["data"][0])] if command == "heal" else ["--count", "3"]
-    assert dispatch([command, "--checkpoint", str(ckpt), *extra, "--out", str(out)]) == 4
+    with listing_unchanged(tmp_path):
+        assert dispatch([command, "--checkpoint", str(ckpt), *extra,
+                         "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: NUMERICAL_UNDERFLOW") and "Traceback" not in err
-    assert not out.exists()
 
 
 def test_generate_samples_every_sketch_before_writing(workdir, tmp_path, monkeypatch, capsys):
@@ -352,11 +444,10 @@ def test_generate_samples_every_sketch_before_writing(workdir, tmp_path, monkeyp
             raise ls.NumericalUnderflow("non-finite mixture or pen logits")
         return ls.generate(*args)
     monkeypatch.setattr(cli, "generate", second_fails)
-    out = tmp_path / "out"
-    assert dispatch(["generate", "--checkpoint", str(workdir["ckpt"]), "--count", "3",
-                     "--out", str(out)]) == 4
+    with listing_unchanged(tmp_path):
+        assert dispatch(["generate", "--checkpoint", str(workdir["ckpt"]), "--count", "3",
+                         "--out", str(tmp_path / "out")]) == 4
     assert "NUMERICAL_UNDERFLOW" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_generate_from_prior(workdir):
@@ -392,12 +483,11 @@ def test_img2sketch_truncated_pgm_exit_3(workdir, capsys):
 def test_img2sketch_blank_edge_map_exit_4_says_it_has_no_ink(workdir, tmp_path, capsys):
     pgm = tmp_path / "blank.pgm"
     ls.write_pgm(ls.RasterSketch(pixels=np.zeros((256, 256), dtype=np.uint8)), pgm)
-    out = tmp_path / "out"
-    assert dispatch(["img2sketch", "--checkpoint", str(workdir["ckpt"]),
-                     "--input", str(pgm), "--out", str(out)]) == 4
+    with listing_unchanged(tmp_path):
+        assert dispatch(["img2sketch", "--checkpoint", str(workdir["ckpt"]),
+                         "--input", str(pgm), "--out", str(tmp_path / "out")]) == 4
     assert capsys.readouterr().err.strip() == \
         "error: EMPTY_LATTICE: the input has no ink on the lattice lines"
-    assert not out.exists()
 
 
 def test_img2sketch_full_ink_exit_4_within_memory(workdir, tmp_path):
@@ -406,14 +496,14 @@ def test_img2sketch_full_ink_exit_4_within_memory(workdir, tmp_path):
     pgm = tmp_path / "full_ink.pgm"
     ls.write_pgm(ls.RasterSketch(pixels=np.ones((256, 256), dtype=np.uint8)), pgm)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT, "img2sketch",
-                           "--checkpoint", str(workdir["ckpt"]), "--input", str(pgm),
-                           "--out", str(tmp_path / "out")],
-                          env=env, capture_output=True, text=True, timeout=120)
+    with listing_unchanged(tmp_path):
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT, "img2sketch",
+                               "--checkpoint", str(workdir["ckpt"]), "--input", str(pgm),
+                               "--out", str(tmp_path / "out")],
+                              env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 4, proc.stderr
     assert "OUT_OF_RANGE" in proc.stderr and "budget" in proc.stderr
     assert int(proc.stdout.split()[-1]) < 300 * 1024  # ru_maxrss is in KiB
-    assert not (tmp_path / "out").exists()
 
 
 def test_eval_writes_metrics(workdir, capsys):
@@ -473,15 +563,15 @@ def test_ingest_overflowing_coordinate_exit_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_ingest_side_below_minimum_exit_4_writes_nothing(workdir, tmp_path, capsys):
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text("side = 4\nn = 1\n")
-    out = tmp_path / "out"
-    assert dispatch(["ingest", str(workdir["data"][0]), "--config", str(cfg),
-                     "--out", str(out)]) == 4
+@pytest.mark.parametrize("side", [4, 100000])
+def test_ingest_side_out_of_range_exit_4_writes_nothing(workdir, tmp_path, capsys, side):
+    cfg = tmp_path / "side.cfg"
+    cfg.write_text(f"side = {side}\nn = 1\n")
+    with listing_unchanged(tmp_path):
+        assert dispatch(["ingest", str(workdir["data"][0]), "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
-    assert "OUT_OF_RANGE" in err and "Traceback" not in err
-    assert list(out.glob("*.jsonl")) == []
+    assert f"OUT_OF_RANGE: canvas side {side}" in err and "Traceback" not in err
 
 
 _OVERFLOWING_FIT = '{"steps": [[1e308, 0, "down"], [-1e308, 0, "down"], [-1e308, 0, "end"]]}'
@@ -502,28 +592,26 @@ def test_data_error_exit_3_writes_nothing(workdir, tmp_path, capsys, command, se
                                           reason):
     data = tmp_path / "d.jsonl"
     data.write_text('{"steps": [[1, 2, "down"], [3, 1, "end"]]}\n' + second_line + "\n")
-    out = tmp_path / "out"
     ckpt = ["--checkpoint", str(workdir["ckpt"])]
     source = {"ingest": [str(data)], "render": ["--input", str(data)],
               "train": ["--data", str(data)], "heal": [*ckpt, "--input", str(data)],
               "generate": [*ckpt, "--input", str(data)], "eval": [*ckpt, "--data", str(data)]
               }[command]
-    assert dispatch([command, *source, "--out", str(out)]) == 3
+    with listing_unchanged(tmp_path):
+        assert dispatch([command, *source, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: MALFORMED_RECORD: {data}{reason}") and "Traceback" not in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("pmask_list", ["0.1,abc", "0.1,,0.3", "0.0,1.5", "-0.1", "0.1,nan",
                                         "inf"])
 def test_eval_bad_pmask_list_exit_2(workdir, tmp_path, capsys, pmask_list):
-    out = tmp_path / "eval"
     # the checkpoint does not exist: the list is rejected before it would be read
-    assert dispatch(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
-                     "--data", str(workdir["data"][0]), "--out", str(out),
-                     "--pmask-list", pmask_list]) == 2
+    with listing_unchanged(tmp_path):
+        assert dispatch(["eval", "--checkpoint", str(tmp_path / "missing.ckpt"),
+                         "--data", str(workdir["data"][0]), "--out", str(tmp_path / "eval"),
+                         "--pmask-list", pmask_list]) == 2
     assert "--pmask-list" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flag", [("ingest", "--limit"), ("eval", "--limit"),
@@ -536,10 +624,9 @@ def test_negative_limit_or_count_exit_2(workdir, tmp_path, capsys, command, flag
     args = {"ingest": [data], "eval": ["--checkpoint", ckpt, "--data", data],
             "generate": ["--checkpoint", ckpt], "heal": ["--checkpoint", ckpt, "--input", data],
             "img2sketch": ["--checkpoint", ckpt, "--input", data]}[command]
-    out = tmp_path / "out"
-    assert dispatch([command, *args, flag, "-1", "--out", str(out)]) == 2
+    with listing_unchanged(tmp_path):
+        assert dispatch([command, *args, flag, "-1", "--out", str(tmp_path / "out")]) == 2
     assert "must be >= 0" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_readme_config_defaults_match_code():
@@ -621,17 +708,28 @@ def test_unknown_flag_rejected(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("edit", [
-    pytest.param(lambda h: h["configs"]["encoder"].update(bogus=1), id="unknown_key"),
-    pytest.param(lambda h: h.pop("configs"), id="no_configs"),
+def _negative_last_offset(header):
+    # the last array would read the tail of the one before it
+    last = header["arrays"][-1]
+    last["offset"] = -(int(np.prod(last["shape"])) + 5)
+
+
+@pytest.mark.parametrize("edit,named", [
+    pytest.param(lambda h: h["configs"]["encoder"].update(bogus=1), "", id="unknown_key"),
+    pytest.param(lambda h: h.pop("configs"), "", id="no_configs"),
+    pytest.param(_negative_last_offset, "array 'adam_v.dec.head.b'", id="negative_offset"),
+    pytest.param(lambda h: [a.update(offset=0) for a in h["arrays"]], "array 'enc.emb.y'",
+                 id="aliased_offsets"),
 ])
-def test_heal_malformed_configs_header_exit_3(workdir, tmp_path, capsys, edit):
+def test_heal_malformed_configs_header_exit_3(workdir, tmp_path, capsys, edit, named):
     ckpt = tmp_path / "bad.ckpt"
     rewrite_checkpoint_header(workdir["ckpt"], ckpt, edit)
-    code = dispatch(["heal", "--checkpoint", str(ckpt), "--input", str(workdir["data"][0]),
-                     "--out", str(tmp_path / "out")])
+    with listing_unchanged(tmp_path):
+        code = dispatch(["heal", "--checkpoint", str(ckpt), "--input", str(workdir["data"][0]),
+                         "--out", str(tmp_path / "out")])
     assert code == 3
-    assert "CHECKPOINT_FORMAT_ERROR" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: CHECKPOINT_FORMAT_ERROR: {named}") and "Traceback" not in err
 
 
 def test_config_keys_name_real_fields():

@@ -47,6 +47,9 @@ def test_lattice_config_rejects_side_below_minimum():
     with pytest.raises(ls.OutOfRange, match="canvas side 5"):
         ls.LatticeConfig(n=1, side=5)
     assert ls.LatticeConfig(n=1, side=6).side == 6
+    with pytest.raises(ls.OutOfRange, match="canvas side 1025 is above the maximum 1024"):
+        ls.LatticeConfig(n=1, side=1025)
+    assert ls.LatticeConfig(n=1, side=1024).side == 1024
 
 
 def brute_force_lattice(raster, cfg):

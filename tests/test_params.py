@@ -1,6 +1,7 @@
 """ParameterStore and the checkpoint container format."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,26 @@ def test_load_rejects_truncated_payload(tmp_path):
             path.write_bytes(data[:-cut])
             with pytest.raises(ls.CheckpointFormatError):
                 ls.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit,extra,message", [
+    (lambda h: h["arrays"][-1].update(offset=-9), b"", "array 'bn.running_mean' has offset -9"),
+    (lambda h: [a.update(offset=0) for a in h["arrays"]], b"", "array 'a.b' has offset 0"),
+    (lambda h: h["arrays"][1].update(offset=13), b"", "array 'a.b' has offset 13"),
+    (lambda h: h["arrays"][0].update(shape=[3, -4]), b"", "array 'a.W' has offset 0 and "
+                                                            "shape [3, -4]"),
+    (lambda h: None, bytes(4), "payload holds 1 value(s) after the last array "
+                               "'bn.running_mean'"),
+], ids=["negative", "aliased", "gap", "negative_dim", "trailing_value"])
+def test_load_rejects_arrays_out_of_place(tmp_path, edit, extra, message):
+    path = tmp_path / "model.ckpt"
+    ls.save_checkpoint(path, small_store(), iteration=0)
+    first, payload = path.read_bytes().split(b"\n", 1)
+    header = json.loads(first)
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload + extra)
+    with pytest.raises(ls.CheckpointFormatError, match=re.escape(message)):
+        ls.load_checkpoint(path)
 
 
 def test_save_to_unwritable_dir(tmp_path):

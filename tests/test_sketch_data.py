@@ -109,6 +109,10 @@ def test_rasterize_and_canonicalize_reject_side_below_minimum(square_sketch):
     with pytest.raises(ls.OutOfRange, match="canvas side 5"):
         ls.canonicalize_raster(ls.rasterize(square_sketch, 64), 5)
     assert ls.rasterize(square_sketch, 6).dark_count() > 0
+    with pytest.raises(ls.OutOfRange, match="canvas side 100000 is above the maximum"):
+        ls.rasterize(square_sketch, 100000)
+    with pytest.raises(ls.OutOfRange, match="canvas side 1025 is above the maximum"):
+        ls.canonicalize_raster(ls.rasterize(square_sketch, 64), 1025)
 
 
 def test_validate_rejects_midstream_end():

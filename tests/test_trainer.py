@@ -476,6 +476,18 @@ def test_fit_resume_reproduces_loss_sequence(tmp_path, toy_dataset):
         assert got == want, dtype
 
 
+def test_fit_resume_in_place_from_an_earlier_checkpoint_keeps_one_row_per_iteration(
+        tmp_path, toy_dataset):
+    pcfg = small_pcfg(iterations=30, batch_size=2, checkpoint_every=10)
+    run = tmp_path / "run"
+    summary = ls.fit(toy_dataset, pcfg, run)
+    want = {name: (run / name).read_bytes() for name in ("loss.csv", "ckpt_final.ckpt")}
+    ls.fit(toy_dataset, pcfg, run, resume=str(run / "ckpt_000020.ckpt"))
+    assert {name: (run / name).read_bytes() for name in want} == want
+    with open(summary["loss_csv"]) as fh:
+        assert [row[0] for row in csv.reader(fh)][1:] == [str(it) for it in range(30)]
+
+
 def test_fit_resume_keeps_checkpoint_model_settings(tmp_path, toy_dataset):
     # a float64 run whose n_max drops the longest toy sketches, resumed with
     # the built-in defaults (float32, n_max 200) plus the schedule, as
