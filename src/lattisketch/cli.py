@@ -164,10 +164,10 @@ def _staged_out(out, command: str, config: dict, seed, inputs, checkpoint=None):
         yield Path(stage), names
         write_manifest(Path(stage), command, config, seed, inputs, names, checkpoint)
         for root, _, files in os.walk(stage):
-            dest = out / os.path.relpath(root, stage)
-            dest.mkdir(parents=True, exist_ok=True)
+            dest = os.path.join(out, os.path.relpath(root, stage))
+            os.makedirs(dest, exist_ok=True)
             for name in files:
-                os.replace(os.path.join(root, name), dest / name)
+                os.replace(os.path.join(root, name), os.path.join(dest, name))
 
 
 def _lattice_chunks(path, bundle, n, count=None):

@@ -28,9 +28,12 @@ PEAK_RSS_SCRIPT = ("import resource, sys\n"
                    "sys.exit(code)\n")
 # the same, but prints the process's own peak RSS (VmHWM, in KiB): ru_maxrss can read
 # the test process's peak instead, which Linux carries into a child across fork and exec
-OWN_PEAK_SCRIPT = PEAK_RSS_SCRIPT.replace(
-    "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
-    "next(ln.split()[1] for ln in open('/proc/self/status') if ln.startswith('VmHWM:'))")
+OWN_PEAK_SCRIPT = ("import sys\n"
+                   "from lattisketch.cli import dispatch\n"
+                   "code = dispatch(sys.argv[1:])\n"
+                   "print(next(ln.split()[1] for ln in open('/proc/self/status')\n"
+                   "           if ln.startswith('VmHWM:')))\n"
+                   "sys.exit(code)\n")
 
 
 def _own_peak_kib(argv) -> int:
