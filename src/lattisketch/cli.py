@@ -1,10 +1,10 @@
 """Command-line entry point wiring the whole pipeline.
 
 Subcommands: ingest, train, heal, generate, img2sketch, eval, audit-grad,
-render, params. Settings resolve in three layers: built-in defaults, then
-a key=value config file (--config), then explicit flags. Commands that
-take a checkpoint read the model configuration from the checkpoint header
-instead of the config file.
+render, params; each takes only the flags it reads. Settings resolve in
+three layers: built-in defaults, a key=value config file (--config), then
+the --seed, --n and --pmask flags the command takes. Commands that take a
+checkpoint read the model configuration from its header, not --config.
 
 Every command that produces files writes exactly one manifest.json next
 to them (command, resolved config, seed, inputs, outputs, checkpoint
@@ -30,7 +30,7 @@ import numpy as np
 
 from .decoder import generate
 from .encoder import count_parameters, reparameterize
-from .errors import DatasetEmpty, EmptyLattice, LattisketchError, MalformedRecord, OutOfRange
+from .errors import DatasetEmpty, LattisketchError, MalformedRecord, OutOfRange
 from .params import checkpoint_hash
 from .lattice import sketch_lattices
 from .pipeline_eval import (HEAL_P_MASK, _lattice_config, _lattice_of, edge_to_sketch,
@@ -39,6 +39,8 @@ from .sketch_data import (LINES_PER_CHUNK, VectorSketch, rasterize, read_pgm, re
                           render_svg, sketch_to_json_obj, write_pgm)
 from .trainer import (PipelineConfig, finite_diff_audit, audit_probe, fit, init_params,
                       load_dataset, load_model)
+
+AUDIT_TOL = 1e-3  #: audit-grad fails once an array's max relative error reaches this
 
 # config file keys: name -> (section, dataclass field, parser)
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -122,15 +124,13 @@ def _float_list(text: str) -> list:
 
 
 def build_pipeline_config(args) -> PipelineConfig:
-    """defaults <- config file <- command-line flags."""
+    """defaults <- config file <- the --seed, --n and --pmask flags the command takes."""
     sections = (parse_config_file(args.config) if args.config
                 else {f.name: {} for f in dataclasses.fields(PipelineConfig)})
-    if args.seed is not None:
-        sections["train"]["seed"] = args.seed
-    if args.n is not None:
-        sections["lattice"]["n"] = args.n
-    if args.pmask is not None:
-        sections["train"]["p_mask_train"] = args.pmask
+    for flag, key in (("seed", "seed"), ("n", "n"), ("pmask", "p_mask_train")):
+        if (value := getattr(args, flag, None)) is not None:
+            section, field_name, _ = CONFIG_KEYS[key]
+            sections[section][field_name] = value
     return PipelineConfig.from_sections(sections)
 
 
@@ -250,7 +250,7 @@ def cmd_heal(args) -> int:
             for i, lat in enumerate(lattices, first):
                 try:
                     healed.append(heal_lattice(lat, p_mask, [seed, i], bundle))
-                except (EmptyLattice, OutOfRange) as exc:
+                except LattisketchError as exc:
                     raise type(exc)(f"heal_{i:04d}: {exc}") from exc
             for i, (sketch, surviving) in enumerate(healed, first):
                 names += _write_sketch_outputs(stage, f"heal_{i:04d}", sketch, surviving)
@@ -271,9 +271,12 @@ def cmd_generate(args) -> int:
             sketches = []  # a whole chunk is drawn, then written
             for i in range(first, min(first + LINES_PER_CHUNK, args.count)):
                 rng = np.random.default_rng([seed, i])
-                z = (rng.standard_normal(bundle.pcfg.encoder.d) if psi is None
-                     else reparameterize(psi, bundle.store, rng=rng).z)
-                sketches.append(generate(z, bundle.store, bundle.pcfg.decoder, rng))
+                try:
+                    z = (rng.standard_normal(bundle.pcfg.encoder.d) if psi is None
+                         else reparameterize(psi, bundle.store, rng=rng).z)
+                    sketches.append(generate(z, bundle.store, bundle.pcfg.decoder, rng))
+                except LattisketchError as exc:
+                    raise type(exc)(f"gen_{i:04d}: {exc}") from exc
             for i, sketch in enumerate(sketches, first):
                 names += _write_sketch_outputs(stage, f"gen_{i:04d}", sketch)
     print(f"generated {args.count} sketch(es)")
@@ -330,7 +333,7 @@ def cmd_audit_grad(args) -> int:
     for name, entry in report.items():
         print(f"{name:<24} {entry['checked']:>8d} {entry['max_rel_err']:>14.3e}")
         worst = max(worst, entry["max_rel_err"])
-    print(f"worst relative error {worst:.3e} (tolerance {args.tol:.1e})")
+    print(f"worst relative error {worst:.3e} (tolerance {AUDIT_TOL:.1e})")
     if args.out:
         with _staged_out(args.out, "audit-grad", pcfg.configs_dict(), args.seed or 0,
                          []) as (stage, names):
@@ -339,8 +342,8 @@ def cmd_audit_grad(args) -> int:
                 fh.write("array,checked,max_rel_err\n")
                 for name, entry in report.items():
                     fh.write(f"{name},{entry['checked']},{entry['max_rel_err']:.6e}\n")
-    if worst >= args.tol:
-        print(f"error: AUDIT_FAILED: max relative error {worst:.3e} >= {args.tol:.1e}",
+    if worst >= AUDIT_TOL:
+        print(f"error: AUDIT_FAILED: max relative error {worst:.3e} >= {AUDIT_TOL:.1e}",
               file=sys.stderr)
         return 4
     return 0
@@ -382,75 +385,76 @@ def cmd_params(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lattisketch",
-        description="Lattice point sampling, graph encoding and stroke generation.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file")
-    common.add_argument("--seed", type=_non_negative_int, help="base random seed")
-    common.add_argument("--n", type=int, help="lattice grid (lines per direction)")
-    common.add_argument("--pmask", type=float, help="lattice corruption probability")
-    common.add_argument("--checkpoint", help="model checkpoint path")
-    common.add_argument("--out", help="output directory")
+# the flags several subcommands share: name -> add_argument keywords
+_FLAGS = {
+    "config": {"help": "key=value config file"},
+    "seed": {"type": _non_negative_int, "help": "base random seed"},
+    "n": {"type": int, "help": "lattice grid (lines per direction)"},
+    "pmask": {"type": float, "help": "lattice corruption probability"},
+    "checkpoint": {"required": True, "help": "model checkpoint path"},
+    "out": {"required": True, "help": "output directory"},
+}
 
+
+def _add_command(sub, name, func, flags, help, optional=""):
+    """A subparser running func with the named shared flags, those in optional not required."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)  # eval --pmask is no --pmask-list
+    for flag in flags.split():
+        p.add_argument(f"--{flag}", **_FLAGS[flag])
+    for flag in optional.split():
+        p.add_argument(f"--{flag}", **{**_FLAGS[flag], "required": False})
+    p.set_defaults(func=func)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="lattisketch", description="Lattice point sampling, "
+                                     "graph encoding and stroke generation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common],
-                       help="QuickDraw JSON-lines -> canonical dataset + rasters")
+    p = _add_command(sub, "ingest", cmd_ingest, "config out",
+                     "QuickDraw JSON-lines -> canonical dataset + rasters")
     p.add_argument("inputs", nargs="+", help="QuickDraw JSON-lines files")
     p.add_argument("--limit", type=_non_negative_int, default=0, help="max sketches per file")
-    p.set_defaults(func=cmd_ingest, need_out=True)
 
-    p = sub.add_parser("train", parents=[common], help="fit the model")
+    p = _add_command(sub, "train", cmd_train, "config seed n pmask out", "fit the model")
     p.add_argument("--data", nargs="+", required=True,
                    help="JSON-lines dataset files (one per category)")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.set_defaults(func=cmd_train, need_out=True)
 
-    p = sub.add_parser("heal", parents=[common],
-                       help="regenerate sketches from corrupted lattices")
+    p = _add_command(sub, "heal", cmd_heal, "checkpoint seed n pmask out",
+                     "regenerate sketches from corrupted lattices")
     p.add_argument("--input", required=True, help="PGM raster or JSON-lines sketches")
-    p.set_defaults(func=cmd_heal, need_out=True, need_checkpoint=True)
 
-    p = sub.add_parser("generate", parents=[common],
-                       help="sample sketches from the prior or an encoded input")
+    p = _add_command(sub, "generate", cmd_generate, "checkpoint seed n out",
+                     "sample sketches from the prior or an encoded input")
     p.add_argument("--input", help="optional PGM, or JSON-lines whose first sketch is encoded "
                    "(every line is still read and checked)")
     p.add_argument("--count", type=_non_negative_int, default=1, help="number of samples")
-    p.set_defaults(func=cmd_generate, need_out=True, need_checkpoint=True)
 
-    p = sub.add_parser("img2sketch", parents=[common],
-                       help="edge-map PGM -> vector sketch")
+    p = _add_command(sub, "img2sketch", cmd_img2sketch, "checkpoint seed n out",
+                     "edge-map PGM -> vector sketch")
     p.add_argument("--input", required=True, help="edge map (binary PGM)")
-    p.set_defaults(func=cmd_img2sketch, need_out=True, need_checkpoint=True)
 
-    p = sub.add_parser("eval", parents=[common],
-                       help="healing sweep + retrieval metrics")
+    p = _add_command(sub, "eval", cmd_eval, "checkpoint seed n out",
+                     "healing sweep + retrieval metrics")
     p.add_argument("--data", nargs="+", required=True,
                    help="JSON-lines dataset files (one per category)")
     p.add_argument("--pmask-list", type=_float_list, default="0.0,0.1,0.3",
                    help="comma-separated corruption levels")
     p.add_argument("--limit", type=_non_negative_int, default=0, help="max sketches per file")
-    p.set_defaults(func=cmd_eval, need_out=True, need_checkpoint=True)
 
-    p = sub.add_parser("audit-grad", parents=[common],
-                       help="finite-difference gradient audit (small config)")
-    p.add_argument("--tol", type=float, default=1e-3, help="max relative error allowed")
-    p.set_defaults(func=cmd_audit_grad)
+    _add_command(sub, "audit-grad", cmd_audit_grad, "config seed",
+                 "finite-difference gradient audit (small config)", optional="out")
 
-    p = sub.add_parser("render", parents=[common],
-                       help="sketch JSON-lines -> SVG and/or PGM")
+    p = _add_command(sub, "render", cmd_render, "config out",
+                     "sketch JSON-lines -> SVG and/or PGM")
     p.add_argument("--input", required=True, help="JSON-lines sketches")
     p.add_argument("--format", choices=("svg", "pgm", "both"), default="svg")
-    p.set_defaults(func=cmd_render, need_out=True)
 
-    p = sub.add_parser("params", parents=[common],
-                       help="parameter-count report for the encoder")
+    p = _add_command(sub, "params", cmd_params, "config", "parameter-count report for the encoder")
     p.add_argument("--all", action="store_true",
                    help="also count decoder arrays and the model total")
-    p.set_defaults(func=cmd_params)
 
     return parser
 
@@ -461,12 +465,6 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse handles usage/help printing
         return int(exc.code or 0)
-    if getattr(args, "need_out", False) and not args.out:
-        print("error: USAGE: --out is required for this command", file=sys.stderr)
-        return 2
-    if getattr(args, "need_checkpoint", False) and not args.checkpoint:
-        print("error: USAGE: --checkpoint is required for this command", file=sys.stderr)
-        return 2
     try:
         return args.func(args) or 0
     except LattisketchError as exc:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through dispatch()."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -20,14 +21,9 @@ from lattisketch.cli import CONFIG_KEYS, build_parser, dispatch
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# runs dispatch on its arguments, then prints the process's peak RSS in KiB
-PEAK_RSS_SCRIPT = ("import resource, sys\n"
-                   "from lattisketch.cli import dispatch\n"
-                   "code = dispatch(sys.argv[1:])\n"
-                   "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-                   "sys.exit(code)\n")
-# the same, but prints the process's own peak RSS (VmHWM, in KiB): ru_maxrss can read
-# the test process's peak instead, which Linux carries into a child across fork and exec
+# runs dispatch on its arguments, then prints the process's own peak RSS (VmHWM, in KiB):
+# ru_maxrss can read the test process's peak instead, which Linux carries into a child
+# across fork and exec
 OWN_PEAK_SCRIPT = ("import sys\n"
                    "from lattisketch.cli import dispatch\n"
                    "code = dispatch(sys.argv[1:])\n"
@@ -36,12 +32,13 @@ OWN_PEAK_SCRIPT = ("import sys\n"
                    "sys.exit(code)\n")
 
 
-def _own_peak_kib(argv) -> int:
-    """VmHWM of one successful command run in a fresh process at one BLAS thread."""
+def _own_peak_kib(argv, code=0, err="") -> int:
+    """VmHWM of one command run in a fresh process at one BLAS thread, which must exit
+    with code and print err on stderr."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", OWN_PEAK_SCRIPT, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code and err in proc.stderr, proc.stderr
     return int(proc.stdout.split()[-1])
 
 
@@ -434,7 +431,8 @@ def test_overflowing_deviation_exit_4_writes_nothing(workdir, tmp_path, capsys, 
         assert dispatch([command, "--checkpoint", str(ckpt), *extra,
                          "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: NUMERICAL_UNDERFLOW") and "Traceback" not in err
+    item = "heal_0000" if command == "heal" else "gen_0000"  # the first rollout fails
+    assert err.startswith(f"error: NUMERICAL_UNDERFLOW: {item}: ") and "Traceback" not in err
 
 
 def test_generate_samples_every_sketch_before_writing(workdir, tmp_path, monkeypatch, capsys):
@@ -450,7 +448,8 @@ def test_generate_samples_every_sketch_before_writing(workdir, tmp_path, monkeyp
     with listing_unchanged(tmp_path):
         assert dispatch(["generate", "--checkpoint", str(workdir["ckpt"]), "--count", "3",
                          "--out", str(tmp_path / "out")]) == 4
-    assert "NUMERICAL_UNDERFLOW" in capsys.readouterr().err
+    assert capsys.readouterr().err.strip() == \
+        "error: NUMERICAL_UNDERFLOW: gen_0001: non-finite mixture or pen logits"
 
 
 def test_generate_from_prior(workdir):
@@ -498,15 +497,12 @@ def test_img2sketch_full_ink_exit_4_within_memory(workdir, tmp_path):
     # 1.9 GB, so the process must refuse it before allocating
     pgm = tmp_path / "full_ink.pgm"
     ls.write_pgm(ls.RasterSketch(pixels=np.ones((256, 256), dtype=np.uint8)), pgm)
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     with listing_unchanged(tmp_path):
-        proc = subprocess.run([sys.executable, "-c", PEAK_RSS_SCRIPT, "img2sketch",
-                               "--checkpoint", str(workdir["ckpt"]), "--input", str(pgm),
-                               "--out", str(tmp_path / "out")],
-                              env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 4, proc.stderr
-    assert "OUT_OF_RANGE" in proc.stderr and "budget" in proc.stderr
-    assert int(proc.stdout.split()[-1]) < 300 * 1024  # ru_maxrss is in KiB
+        peak_kib = _own_peak_kib(["img2sketch", "--checkpoint", str(workdir["ckpt"]),
+                                  "--input", str(pgm), "--out", str(tmp_path / "out")],
+                                 code=4, err="error: OUT_OF_RANGE: graph of 15360 points "
+                                             "exceeds the budget")
+    assert peak_kib < 300 * 1024
 
 
 def test_eval_writes_metrics(workdir, capsys):
@@ -643,6 +639,26 @@ def test_readme_config_defaults_match_code():
         assert caster(value) == getattr(getattr(pcfg, section), field_name), key
 
 
+def test_readme_flag_table_matches_parser():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| command | required | optional |", 1)[1].split("\n\n", 1)[0]
+
+    def names(cell):  # `--out DIR` -> --out, `INPUTS ...` -> inputs
+        return {token.split()[0].lower() for token in re.findall(r"`([^`]+)`", cell)}
+
+    documented = {command.strip("` "): (names(required), names(optional))
+                  for command, required, optional in re.findall(
+                      r"^\| (`[\w-]+`) \|(.*)\|(.*)\|$", table, re.M)}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {}
+    for command, parser in sub.choices.items():
+        actions = {(a.option_strings or [a.dest])[0]: a.required for a in parser._actions
+                   if not isinstance(a, argparse._HelpAction)}
+        parsed[command] = ({name for name, req in actions.items() if req},
+                           {name for name, req in actions.items() if not req})
+    assert documented == parsed
+
+
 def test_readme_typical_session_parses():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     session = readme.split("Typical session:", 1)[1].split("```")[1]
@@ -668,6 +684,60 @@ def test_audit_grad_rejects_big_config(tmp_path, capsys):
     code = dispatch(["audit-grad", "--config", str(cfg)])
     assert code == 4
     assert "OUT_OF_RANGE" in capsys.readouterr().err
+
+
+def test_audit_grad_failure_exit_4_still_writes_its_report(tmp_path, monkeypatch, capsys):
+    report = {"enc.fc.W": {"checked": 3, "max_rel_err": cli.AUDIT_TOL}}
+    monkeypatch.setattr(cli, "finite_diff_audit", lambda *args: report)
+    out = tmp_path / "audit"
+    assert dispatch(["audit-grad", "--out", str(out)]) == 4
+    assert "error: AUDIT_FAILED: " in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["audit.csv", "manifest.json"]
+    assert (out / "audit.csv").read_text() == "array,checked,max_rel_err\nenc.fc.W,3,1.000000e-03\n"
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["audit.csv"]
+
+
+# what each subcommand needs to parse, --checkpoint and --out aside
+_NEEDS = {"ingest": ["in.ndjson"], "render": ["--input", "in.ndjson"],
+          "train": ["--data", "in.ndjson"], "heal": ["--input", "in.ndjson"], "generate": [],
+          "img2sketch": ["--input", "in.pgm"], "eval": ["--data", "in.ndjson"],
+          "audit-grad": [], "params": []}
+_NEED_CHECKPOINT = ("heal", "generate", "img2sketch", "eval")
+_NEED_OUT = ("ingest", "render", "train", *_NEED_CHECKPOINT)
+
+
+def _complete_argv(command, tmp_path, without=None):
+    """A command line that parses, less the flag without."""
+    argv = [command, *_NEEDS[command]]
+    if command in _NEED_CHECKPOINT and without != "--checkpoint":
+        argv += ["--checkpoint", str(tmp_path / "model.ckpt")]
+    if command in _NEED_OUT and without != "--out":
+        argv += ["--out", str(tmp_path / "out")]
+    return argv
+
+
+@pytest.mark.parametrize("command,flag", [
+    *((cmd, flag) for cmd in ("ingest", "render")
+      for flag in ("--seed", "--n", "--pmask", "--checkpoint")),
+    ("train", "--checkpoint"), ("heal", "--config"),
+    *((cmd, flag) for cmd in ("generate", "img2sketch", "eval") for flag in ("--config", "--pmask")),
+    ("audit-grad", "--n"), ("audit-grad", "--pmask"), ("audit-grad", "--checkpoint"),
+    ("audit-grad", "--tol"),
+    *(("params", flag) for flag in ("--seed", "--n", "--pmask", "--checkpoint", "--out")),
+])
+def test_flag_the_command_does_not_read_exit_2(tmp_path, capsys, command, flag):
+    value = str(tmp_path / "x") if flag in ("--config", "--checkpoint", "--out") else "1"
+    with listing_unchanged(tmp_path):
+        assert dispatch([*_complete_argv(command, tmp_path), flag, value]) == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", [*((cmd, "--out") for cmd in _NEED_OUT),
+                                          *((cmd, "--checkpoint") for cmd in _NEED_CHECKPOINT)])
+def test_missing_required_flag_exit_2(tmp_path, capsys, command, flag):
+    with listing_unchanged(tmp_path):
+        assert dispatch(_complete_argv(command, tmp_path, without=flag)) == 2
+    assert f"the following arguments are required: {flag}" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(workdir, capsys):
@@ -701,9 +771,8 @@ def test_help_lists_documented_flags(capsys):
                 "eval", "audit-grad", "render", "params"):
         assert sub in out
     assert dispatch(["heal", "--help"]) == 0
-    out = capsys.readouterr().out
-    for flag in ("--config", "--seed", "--n", "--pmask", "--checkpoint", "--out"):
-        assert flag in out
+    flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+    assert flags == {"--help", "--checkpoint", "--seed", "--n", "--pmask", "--out", "--input"}
 
 
 def test_unknown_flag_rejected(capsys):
