@@ -33,7 +33,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_softmax, logsumexp
 
 from .errors import MalformedRecord, NumericalUnderflow, OutOfRange, ShapeMismatch
 from .params import ParameterStore
@@ -124,6 +123,31 @@ def _lstm_cell(pre, c, c_out, tc_out, h_out):
     np.multiply(o, tc_out, out=h_out)
 
 
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """(x - max) - log(sum(exp(x - max))) along the last axis, as scipy 1.17.1
+    computes it; a non-finite max is taken as 0."""
+    x_max = x.max(axis=-1, keepdims=True)
+    x_max[~np.isfinite(x_max)] = 0
+    tmp = x - x_max
+    with np.errstate(divide="ignore"):
+        return tmp - np.log(np.exp(tmp).sum(axis=-1, keepdims=True))
+
+
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) along the last axis, as scipy 1.17.1 computes it:
+    the k entries equal to the max leave the sum, giving log1p(sum(exp(a -
+    max)) / k) + log(k) + max; where that is not finite, log(sum(exp(a)))."""
+    a_max = a.max(axis=-1, keepdims=True)
+    at_max = a == a_max
+    k = at_max.sum(axis=-1, keepdims=True, dtype=a.dtype)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=-1, keepdims=True)
+        out = np.log1p(np.where(s == 0, s, s / k)) + np.log(k) + a_max
+        if not np.isfinite(out).all():
+            out = np.where(np.isfinite(out), out, np.log(np.exp(a).sum(axis=-1, keepdims=True)))
+    return out[..., 0]
+
+
 def _columns(Y: np.ndarray, M: int):
     """Views (logits, mu_x, mu_y, log_sx, log_sy, rho_raw, pen_logits) of (..., 6M+3) outputs."""
     return (Y[..., :M], Y[..., M : 2 * M], Y[..., 2 * M : 3 * M], Y[..., 3 * M : 4 * M],
@@ -134,8 +158,8 @@ def _head(Y: np.ndarray, M: int):
     """Activated (log_pi, mu_x, mu_y, log_sx, log_sy, rho, s, pen_logp) of (..., 6M+3) outputs."""
     logits, mu_x, mu_y, lsx, lsy, rho_raw, pen_logits = _columns(Y, M)
     rho = np.tanh(rho_raw)
-    return (log_softmax(logits, axis=-1), mu_x, mu_y, lsx, lsy, rho,
-            np.maximum(1.0 - rho * rho, RHO_S_FLOOR), log_softmax(pen_logits, axis=-1))
+    return (log_softmax(logits), mu_x, mu_y, lsx, lsy, rho,
+            np.maximum(1.0 - rho * rho, RHO_S_FLOOR), log_softmax(pen_logits))
 
 
 def _rollout_columns(A: np.ndarray, M: int) -> np.ndarray:
@@ -264,10 +288,10 @@ def teacher_forced_nll(targets: np.ndarray, z: np.ndarray, store: ParameterStore
     H = np.empty((B, T + 1, hs), dtype=dtype)  # states before the first step and after each
     C = np.empty((B, T + 1, hs), dtype=dtype)
     H[:, 0], C[:, 0] = init_state(z, store)
-    TC = np.empty((B, T, hs), dtype=dtype)
+    tc = np.empty((B, hs), dtype=dtype)  # tanh(c'), which backward recomputes
     for t in range(T):
         gates[:, t] += H[:, t] @ Wh
-        _lstm_cell(gates[:, t], C[:, t], C[:, t + 1], TC[:, t], H[:, t + 1])
+        _lstm_cell(gates[:, t], C[:, t], C[:, t + 1], tc, H[:, t + 1])
 
     Y = H[:, 1:] @ store["dec.head.W"] + store["dec.head.b"]
 
@@ -278,7 +302,7 @@ def teacher_forced_nll(targets: np.ndarray, z: np.ndarray, store: ParameterStore
     q = zx * zx - 2.0 * rho * zx * zy + zy * zy
     log_n = -(LOG_2PI + lsx + lsy + 0.5 * np.log(s)) - q / (2.0 * s)
     comp = log_pi + log_n
-    lse = logsumexp(comp, axis=-1)
+    lse = logsumexp(comp)
 
     pen_target = np.argmax(targets[:, :, 2:5], axis=2)
     is_end = pen_target == PEN_END
@@ -288,7 +312,7 @@ def teacher_forced_nll(targets: np.ndarray, z: np.ndarray, store: ParameterStore
     loss = float((-(lse) * off_mask).sum() + pen_nll.sum()) / (B * cfg.n_max)
 
     cache = {
-        "targets": targets, "x_prev": x_prev, "H": H, "C": C, "gates": gates, "TC": TC,
+        "targets": targets, "x_prev": x_prev, "H": H, "C": C, "gates": gates,
         "Y": Y, "log_pi": log_pi, "comp": comp, "lse": lse, "zx": zx, "zy": zy, "sx": sx,
         "sy": sy, "rho": rho, "s": s, "q": q, "pen_logp": pen_logp, "pen_target": pen_target,
         "off_mask": off_mask, "z": z, "B": B, "T": T,
@@ -298,18 +322,21 @@ def teacher_forced_nll(targets: np.ndarray, z: np.ndarray, store: ParameterStore
 
 def teacher_forced_backward(cache: dict, store: ParameterStore, cfg: DecoderConfig,
                             grads: dict) -> np.ndarray:
-    """Backprop through head, LSTM and initial state; returns dloss/dz (B, z_dim)."""
+    """Backprop through head, LSTM and initial state; returns dloss/dz (B, z_dim).
+
+    Consumes the cache: the mixture terms leave it once dY is formed, and
+    each step's gate derivatives dA are written over its activated gates.
+    """
     M, hs = cfg.M, cfg.hidden_size
     B, T = cache["B"], cache["T"]
-    zx, zy, sx, sy = cache["zx"], cache["zy"], cache["sx"], cache["sy"]
-    rho, s, q = cache["rho"], cache["s"], cache["q"]
+    zx, zy, sx, sy, rho, s, q = (cache.pop(k) for k in ("zx", "zy", "sx", "sy", "rho", "s", "q"))
     dtype = store["dec.head.W"].dtype
 
     w = (cache["off_mask"] / (B * cfg.n_max))[:, :, None].astype(dtype)
-    resp = np.exp(cache["comp"] - cache["lse"][:, :, None])  # responsibilities
-    pi = np.exp(cache["log_pi"])
+    resp = np.exp(cache.pop("comp") - cache.pop("lse")[:, :, None])  # responsibilities
+    pi = np.exp(cache.pop("log_pi"))
 
-    dY = np.empty_like(cache["Y"])
+    dY = np.empty_like(cache.pop("Y"))
     d_logits, d_mu_x, d_mu_y, d_lsx, d_lsy, d_rho, d_pen = _columns(dY, M)
     d_logits[...] = (pi - resp) * w
     # d log N / d(mu, log sigma, rho_raw); the tanh factor 1 - rho^2 = s
@@ -323,30 +350,32 @@ def teacher_forced_backward(cache: dict, store: ParameterStore, cfg: DecoderConf
     d_rho[...] = -resp * (rho + zx * zy - rho * q / s) * w
     pen_onehot = np.zeros((B, T, 3), dtype=dtype)
     np.put_along_axis(pen_onehot, cache["pen_target"][:, :, None], 1.0, axis=2)
-    d_pen[...] = (np.exp(cache["pen_logp"]) - pen_onehot) / (B * cfg.n_max)
+    d_pen[...] = (np.exp(cache.pop("pen_logp")) - pen_onehot) / (B * cfg.n_max)
+    del zx, zy, sx, sy, rho, s, q, resp, pi, gx, gy, w, pen_onehot
 
     dY2 = dY.reshape(B * T, cfg.head_width)
     grads["dec.head.W"] += cache["H"][:, 1:].reshape(B * T, hs).T @ dY2
     grads["dec.head.b"] += dY2.sum(axis=0)
     dH = (dY2 @ store["dec.head.W"].T).reshape(B, T, hs)
 
-    gates, C, TC = cache["gates"], cache["C"], cache["TC"]
-    dA = np.empty((B, T, 4 * hs), dtype=dtype)
+    dA, C = cache["gates"], cache["C"]  # dA[:, t] is written over step t's gates
     dh_next = np.zeros((B, hs), dtype=dtype)
     dc_next = np.zeros((B, hs), dtype=dtype)
     WhT = np.ascontiguousarray(store["dec.lstm.Wh"].T)
     for t in range(T - 1, -1, -1):
-        i, f, g, o = (gates[:, t, k * hs : (k + 1) * hs] for k in range(4))
-        tc = TC[:, t]
+        i, f, g, o = (dA[:, t, k * hs : (k + 1) * hs] for k in range(4))
+        tc = np.tanh(C[:, t + 1])  # the forward's ufunc on the same values: the same bits
         dh = dH[:, t] + dh_next
         do = dh * tc
         dc = dc_next + dh * o * (1.0 - tc * tc)
-        dA[:, t, :hs] = dc * g * i * (1.0 - i)
-        dA[:, t, hs : 2 * hs] = dc * C[:, t] * f * (1.0 - f)
-        dA[:, t, 2 * hs : 3 * hs] = dc * i * (1.0 - g * g)
-        dA[:, t, 3 * hs :] = do * o * (1.0 - o)
-        dh_next = dA[:, t] @ WhT
+        d_i = dc * g * i * (1.0 - i)
         dc_next = dc * f
+        f[...] = dc * C[:, t] * f * (1.0 - f)
+        g[...] = dc * i * (1.0 - g * g)
+        i[...] = d_i
+        o[...] = do * o * (1.0 - o)
+        dh_next = dA[:, t] @ WhT
+    del dH
 
     dA2 = dA.reshape(B * T, 4 * hs)
     dA_seq = dA.sum(axis=1)  # z's share of the projection is the same at every step

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy import sparse
 
 from .errors import EmptyLattice, OutOfRange, ShapeMismatch, TokenOutOfVocabulary
 from .graph_builder import SketchGraph
@@ -136,9 +135,11 @@ def embed_nodes(points: np.ndarray, side: int, store: ParameterStore,
     return V
 
 
-def _onehot(rows: np.ndarray, n_rows: int, dtype) -> sparse.csc_matrix:
-    """(n_rows x len(rows)) one-hot matrix with column j set at row rows[j]; a
-    product with it sums the rows that share a label, in row order."""
+def _onehot(rows: np.ndarray, n_rows: int, dtype):
+    """(n_rows x len(rows)) one-hot csc_matrix with column j set at row rows[j];
+    a product with it sums the rows that share a label, in row order."""
+    from scipy import sparse  # imported here, so only training loads scipy
+
     n = len(rows)
     return sparse.csc_matrix((np.ones(n, dtype=dtype), rows, np.arange(n + 1)), shape=(n_rows, n))
 
@@ -160,13 +161,14 @@ def _propagate(bands: list, V: np.ndarray) -> np.ndarray:
 
 
 def encode_layer(V: np.ndarray, bands: list, store: ParameterStore,
-                 layer: int, dmask: np.ndarray | None = None):
+                 layer: int, dropout: tuple | None = None):
     """V' = V + Dropout(ReLU-chained MLP units applied to A @ V); returns (V', cache).
 
     V stacks a batch's nodes; A is given as upper bands (rows, cols, slab,
     mirror) in V's rows and dtype (row-normalized if configured), whose row
-    slices cover every row of V once. dmask is the scaled dropout mask, or
-    None for no dropout.
+    slices cover every row of V once. dropout is (scale, keep): the scalar
+    1 / (1 - rate) in V's dtype and the (N, d) bool mask, or None for no
+    dropout. The cache keeps the last unit's output only as its sign.
     """
     X = _propagate(bands, V)
     acts = [X]
@@ -174,19 +176,25 @@ def encode_layer(V: np.ndarray, bands: list, store: ParameterStore,
         X = X @ store[w_name]
         np.maximum(np.add(X, store[b_name], out=X), 0, out=X)
         acts.append(X)
-    # train mode adds V into the masked branch: one new array, and the sum commutes
-    return (V + X if dmask is None else np.add(out := X * dmask, V, out=out)), (acts, dmask)
+    acts[-1] = X > 0  # all that backward reads of it
+    if dropout is None:
+        return V + X, (acts, None)
+    # (X * scale) * keep has the bits of X times the scaled mask; the sum commutes
+    scale, keep = dropout
+    X *= scale
+    X *= keep
+    return np.add(X, V, out=X), (acts, dropout)
 
 
 def encode_layer_backward(dout: np.ndarray, cache, adjacency, store: ParameterStore,
                           layer: int, grads: dict) -> np.ndarray:
     bands, deg = adjacency  # A's unnormalized bands, and D or None
-    acts, dmask = cache
-    d_branch = dout if dmask is None else dout * dmask
+    acts, dropout = cache
+    d_branch = dout if dropout is None else (dout * dropout[0]) * dropout[1]
     names = _unit_names(layer)
     for idx in (1, 0):
         w_name, b_name = names[idx]
-        d_pre = d_branch * (acts[idx + 1] > 0)
+        d_pre = d_branch * (acts[2] if idx else acts[1] > 0)  # acts[2] is its sign
         grads[w_name] += acts[idx].T @ d_pre
         grads[b_name] += d_pre.sum(axis=0)
         d_branch = d_pre @ store[w_name].T
@@ -238,7 +246,7 @@ def encode_graphs(graphs, store: ParameterStore, cfg: EncoderConfig,
     points = np.concatenate([g.points for g in graphs])
     starts = (np.cumsum(ms) - ms).tolist()
     bands, adjacency = _batch_bands(graphs, starts, dtype, cfg.row_normalize)
-    masks = [None] * cfg.K
+    dropouts = [None] * cfg.K
     if train_mode and cfg.dropout_rate > 0.0:
         if rng is None:
             raise ValueError("train-mode dropout needs an rng")
@@ -249,11 +257,12 @@ def encode_graphs(graphs, store: ParameterStore, cfg: EncoderConfig,
         for s, m in zip(starts, ms.tolist()):
             block = rng.random(out=draw[:K * m * d].reshape(K, m, d))
             np.greater_equal(block, cfg.dropout_rate, out=keep[:, s:s + m])
-        masks = np.divide(keep, 1.0 - cfg.dropout_rate, dtype=dtype)
+        scale = np.divide(1.0, 1.0 - cfg.dropout_rate, dtype=dtype)
+        dropouts = [(scale, k) for k in keep]
     V = embed_nodes(points, side, store, cfg)
     layer_caches = []
     for layer in range(cfg.K):
-        V, c = encode_layer(V, bands, store, layer, masks[layer])
+        V, c = encode_layer(V, bands, store, layer, dropouts[layer])
         layer_caches.append(c)
     # each graph's rows summed one after another, in row order
     pooled = np.stack([V[s : s + m].sum(axis=0) for s, m in zip(starts, ms.tolist())])

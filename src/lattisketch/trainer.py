@@ -375,7 +375,8 @@ def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None) -> dict:
     """Run the training loop; writes checkpoints and a per-iteration loss CSV.
 
     A resumed run keeps the checkpoint's model settings (lattice, graph,
-    encoder, decoder, offset scale, dtype) and takes the schedule from pcfg.
+    encoder, decoder, offset scale, dtype) and takes the schedule from pcfg;
+    a seed other than the checkpoint's raises OutOfRange.
     The summary's "pcfg" is the resolved config every step and checkpoint used.
 
     The loss CSV (out_dir/loss.csv) carries one row per iteration:
@@ -388,6 +389,9 @@ def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None) -> dict:
 
     if resume is not None:
         bundle = load_model(resume)
+        if bundle.pcfg.train.seed != tcfg.seed:  # its iterations drew from the old seed
+            raise OutOfRange(f"seed {tcfg.seed} differs from seed {bundle.pcfg.train.seed} "
+                             f"of the checkpoint {resume}")
         store = bundle.store
         opt = bundle.opt or OptimizerState.fresh(store)
         start = bundle.iteration

@@ -5,11 +5,12 @@ every command's output directory.
 The front-end stages gather, compare and sort integers and table entries;
 none makes a BLAS call, so PINNED does not depend on the BLAS build or its
 thread count, and neither do `ingest` and `render`, whose outputs it also
-pins. Training steps and the model commands (`train`, `heal`, `generate`)
-do call BLAS, so TRAIN_PINNED holds one set of digests per build (numpy
-version, BLAS name and version), computed in a subprocess at one BLAS
-thread. Commands run from a fresh working directory with relative paths,
-so their manifests are pinned too. A change that moves any of these bits
+pins. Training steps, the model commands (`train`, `heal`, `generate`,
+`img2sketch`, `eval`) and eval-mode edge-map embeddings do call BLAS, so
+TRAIN_PINNED holds one set of digests per build (numpy version, BLAS name
+and version), computed in a subprocess at one BLAS thread. Commands run
+from a fresh working directory with relative paths, so their manifests
+are pinned too. A change that moves any of these bits
 says so and re-pins:
 
     PYTHONPATH=src python tests/test_bit_digests.py
@@ -21,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -31,7 +33,7 @@ import numpy as np
 import pytest
 
 import lattisketch as ls
-from lattisketch import trainer
+from lattisketch import decoder, trainer
 from lattisketch.cli import dispatch
 from lattisketch.lattice import sketch_lattices
 
@@ -106,7 +108,8 @@ SMALL_CONFIG = ("d = 8\nk = 2\nhidden_size = 16\nmixtures = 2\nn_max = 64\nbatch
 def _command_digests(commands: dict) -> dict:
     """Run each named command line, in order, in a fresh working directory
     holding a 10-sketch file per category under data/ and SMALL_CONFIG as
-    small.cfg; the digest of each --out tree."""
+    small.cfg; the digest of each --out tree. A callable in place of a
+    command line runs in that directory and returns its digest."""
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -115,6 +118,9 @@ def _command_digests(commands: dict) -> dict:
             Path("small.cfg").write_text(SMALL_CONFIG)
             out = {}
             for name, argv in commands.items():
+                if callable(argv):
+                    out[name] = argv()
+                    continue
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert dispatch(argv) == 0, name
                 out[name] = _tree_sha(Path(argv[argv.index("--out") + 1]))
@@ -169,7 +175,8 @@ def test_graph_cases_span_one_band_and_several():
 
 # ---------------------------------------------------------------------------
 # training and the model commands: 12 train_steps per dtype over a small
-# model and the --out trees of train, heal and generate, keyed by BLAS build
+# model, the --out trees of train, heal, generate, img2sketch and eval, and
+# eval-mode psi of inky edge maps, keyed by BLAS build
 
 TRAIN_PINNED = {
     "numpy 2.4.6, scipy-openblas 0.3.31.188.0": {
@@ -177,6 +184,9 @@ TRAIN_PINNED = {
         "heal": "1359c176ff339dcd31d3200363cd1d6c9ed0f3137f72938f42708abf3315dfeb",
         "generate --input": "8a854a7f0ffd41418e026b68dfcb56d6a159997ddef170d6ae0e6740d7c1b4d2",
         "generate --count 3": "615fb2dfd960ea167fc4a20960c517bc35717be545eaecd5fa13c04261c15811",
+        "encode_raster edge maps": "9d4613e3547a38918a5b1fbb9fc56bb5dbfd2885959e51c046ea0972edcb2cfc",
+        "img2sketch": "ba1a71a02e3d5e12d81983449fd2c9029f891f6a460c0fc987fa0dc19ba70e49",
+        "eval": "4d63bf6ad236db45e8bd6a6081778949ca03f9a00ccf126519172b52f4ce3ecb",
         "train_step float32": "d86db603784b58f018145d63dbb28e643a8799a0f532fe4fc5516b15e44eedc8",
         "train_step float64": "7c1113a8b3bc0a0c0d2811ed1348e4ee1f2e4da00df3f6260a06fd6c46e3726f",
     },
@@ -189,9 +199,48 @@ def blas_key() -> str:
     return f"numpy {np.__version__}, {blas['name']} {blas['version']}"
 
 
+EDGE_POINTS = 1500
+ROLLOUTS = ("heal", "generate --input", "generate --count 3", "img2sketch", "eval")
+
+
+def _edge_maps() -> list:
+    """Three unions of one-pixel circle outlines with at least EDGE_POINTS
+    lattice points each, as written to edge_<k>.pgm."""
+    rng = np.random.default_rng(32)
+    angles = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+    maps = []
+    for k in range(3):
+        grid = np.zeros((256, 256), dtype=np.uint8)
+        while ls.sample_lattice(ls.RasterSketch(grid), ls.LatticeConfig()).m < EDGE_POINTS:
+            x, y, r = rng.uniform(16, 240), rng.uniform(16, 240), rng.uniform(12, 56)
+            grid[np.clip(np.rint(y + r * np.sin(angles)), 0, 255).astype(int),
+                 np.clip(np.rint(x + r * np.cos(angles)), 0, 255).astype(int)] = 1
+        maps.append(ls.RasterSketch(grid))
+        ls.write_pgm(maps[-1], f"edge_{k}.pgm")
+    return maps
+
+
+def _edge_psi() -> str:
+    bundle = ls.load_model("run/ckpt_final.ckpt")
+    return _sha(ls.encode_raster(raster, bundle) for raster in _edge_maps())
+
+
+def _swap_noise_order() -> None:
+    """A mutant sampler: every rollout draws its normal block before its Gumbel block."""
+    original = decoder._rollout_noise
+
+    def swapped(rng, n, M, tau):
+        normal = rng.standard_normal((n, 2))
+        gumbel, _ = original(rng, n, M, tau)
+        return gumbel, (math.sqrt(tau) * normal).tolist()
+
+    decoder._rollout_noise = swapped
+
+
 def _train_digests() -> dict:
-    """The output trees of a small `train` run and of `heal` and `generate`
-    with its checkpoint; losses, final store and Adam moments of TRAIN_STEPS
+    """The output trees of a small `train` run and of `heal`, `generate`,
+    `img2sketch` and `eval` with its checkpoint, and the eval-mode psi of
+    three edge maps; losses, final store and Adam moments of TRAIN_STEPS
     fit-style steps in each dtype, plus the largest graph those steps built
     (it must span several bands)."""
     sizes = []
@@ -208,7 +257,12 @@ def _train_digests() -> dict:
         "generate --input": ["generate", *ckpt, "--input", "data/ladder.ndjson", "--count", "2",
                              "--seed", "4", "--out", "encoded"],
         "generate --count 3": ["generate", *ckpt, "--count", "3", "--seed", "5",
-                               "--out", "sampled"]})
+                               "--out", "sampled"],
+        "encode_raster edge maps": _edge_psi,
+        "img2sketch": ["img2sketch", *ckpt, "--input", "edge_0.pgm", "--seed", "6",
+                       "--out", "synthesized"],
+        "eval": ["eval", *ckpt, "--data", "data/ring.ndjson", "data/ladder.ndjson", "--limit",
+                 "3", "--seed", "7", "--out", "evaluated"]})
     trainer.build_adjacency = build
     rng = np.random.default_rng(30)
     sketches = [ls.parse_quickdraw_line(json.dumps(ls.make_sketch_record(cat, rng)))
@@ -233,12 +287,13 @@ def _train_digests() -> dict:
     return {"digests": out, "max_m": max(sizes)}
 
 
-def train_digests() -> dict:
-    """_train_digests in a fresh process at one BLAS thread."""
+def train_digests(*flags) -> dict:
+    """_train_digests in a fresh process at one BLAS thread; --swap-noise runs
+    it on the mutant sampler."""
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": "1",
            "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, __file__, "--train-json"], env=env,
+    proc = subprocess.run([sys.executable, __file__, "--train-json", *flags], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -253,6 +308,12 @@ def test_train_batches_span_several_bands(fresh_train):
     assert fresh_train["max_m"] > 128
 
 
+def test_edge_maps_hold_about_1500_points(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sizes = [ls.sample_lattice(r, ls.LatticeConfig()).m for r in _edge_maps()]
+    assert all(EDGE_POINTS <= m < 1.1 * EDGE_POINTS for m in sizes), sizes
+
+
 def test_train_digests_match_the_pin(fresh_train):
     key = blas_key()
     if key not in TRAIN_PINNED:
@@ -263,8 +324,17 @@ def test_train_digests_match_the_pin(fresh_train):
         f"with `{REPIN}`")
 
 
+def test_rollout_digests_catch_a_swapped_noise_draw(fresh_train):
+    swapped = train_digests("--swap-noise")["digests"]
+    fresh = fresh_train["digests"]
+    assert [name for name in ROLLOUTS if swapped[name] == fresh[name]] == []
+    assert [name for name in fresh if name not in ROLLOUTS and swapped[name] != fresh[name]] == []
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--train-json"]:
+    if sys.argv[1:2] == ["--train-json"]:
+        if sys.argv[2:] == ["--swap-noise"]:
+            _swap_noise_order()
         print(json.dumps(_train_digests()))
         sys.exit()
     print("PINNED = {")

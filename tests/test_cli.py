@@ -71,6 +71,23 @@ def test_train_wrote_outputs_and_manifest(workdir):
     assert manifest["config"]["decoder"]["offset_scale"] == scale != 1.0
 
 
+@pytest.mark.parametrize("into_run", [False, True], ids=["new out", "in place"])
+def test_train_resume_with_another_seed_exit_4_writes_nothing(workdir, tmp_path, capsys,
+                                                              into_run):
+    # the checkpoint's iterations drew from seed 0; a resume at seed 1 would
+    # continue them from another stream and record only the new seed
+    out = workdir["run"] if into_run else tmp_path / "resumed"
+    before = {p.name: p.read_bytes() for p in workdir["run"].iterdir()}
+    with listing_unchanged(tmp_path):
+        assert dispatch(["train", "--config", str(workdir["cfg"]), "--resume",
+                         str(workdir["ckpt"]), "--seed", "1", "--out", str(out),
+                         "--data", *map(str, workdir["data"])]) == 4
+    assert {p.name: p.read_bytes() for p in workdir["run"].iterdir()} == before
+    err = capsys.readouterr().err
+    assert err.startswith("error: OUT_OF_RANGE: seed 1 differs from seed 0 of the checkpoint")
+    assert "Traceback" not in err
+
+
 def test_train_non_finite_loss_exit_4_keeps_checkpoint(workdir, tmp_path, monkeypatch,
                                                       capsys):
     from lattisketch import decoder
@@ -345,6 +362,23 @@ def test_heal_memory_does_not_grow_with_the_file(workdir, tmp_path):
                                      "--input", str(data), "--out", str(tmp_path / name)])
                 for name, data in (("few", few), ("many", many))}
     assert peak_kib["many"] - peak_kib["few"] < 10 * 1024, peak_kib
+
+
+@pytest.mark.parametrize("command", ["heal", "generate"])
+def test_inference_commands_do_not_load_scipy(workdir, tmp_path, command):
+    # scipy.special and scipy.sparse took about 250 ms of a one-sketch heal's start-up
+    script = ("import sys\n"
+              "from lattisketch.cli import dispatch\n"
+              "code = dispatch(sys.argv[1:])\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+              "sys.exit(code)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", script, command, "--checkpoint",
+                           str(workdir["ckpt"]), "--input", str(workdir["data"][0]),
+                           "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _long_sketch_file(workdir, tmp_path, second_line=None):

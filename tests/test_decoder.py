@@ -354,6 +354,44 @@ def test_rollout_noise_guards_a_zero_exponential_draw():
 
 
 # ---------------------------------------------------------------------------
+# the decoder's own log_softmax and logsumexp, bit for bit against scipy's
+
+
+def hard_rows(dtype) -> np.ndarray:
+    """(4, 52, 7) rows, read through a strided view as the head's columns are.
+    Most tie two entries at the max; a sum that drops only the first of them
+    rounds differently in about one row in twenty. Others have three ties,
+    -inf entries (also beside a tie), equal values or large magnitudes."""
+    rng = np.random.default_rng(41)
+    rows = rng.standard_normal((208, 7)) * 3.0
+    rows[:200, [2, 5]] = rows[:200].max(axis=1, keepdims=True) + 0.5
+    rows[200, [0, 3, 6]] = 4.0
+    rows[201, 4] = rows[202, [1, 2]] = -np.inf
+    rows[203] = 1.25
+    rows[204:] *= 1e4
+    rows[205, 1] = -np.inf
+    wide = np.concatenate([rows, rng.standard_normal((208, 3))], axis=1).astype(dtype)
+    return wide.reshape(4, 52, 10)[..., :7]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_log_softmax_and_logsumexp_match_scipy_bit_for_bit(dtype):
+    from scipy import special
+
+    x = hard_rows(dtype)
+    for ours, theirs in ((decoder.log_softmax(x), special.log_softmax(x, axis=-1)),
+                         (decoder.logsumexp(x), special.logsumexp(x, axis=-1))):
+        assert ours.dtype == theirs.dtype == dtype
+        assert ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
+
+
+def test_logsumexp_of_an_all_minus_inf_row_is_minus_inf():
+    x = np.array([[-np.inf, -np.inf], [0.0, -np.inf]])
+    assert decoder.logsumexp(x).tolist() == [-np.inf, 0.0]
+
+
+# ---------------------------------------------------------------------------
 # mixture NLL through teacher_forced_nll
 
 

@@ -431,11 +431,12 @@ def test_train_dropout_masks_match_the_concatenated_draws(dtype):
     oracle_rng, rng = np.random.default_rng(4), np.random.default_rng(4)
     want = oracle_dropout_masks(graphs, cfg, dtype, oracle_rng)
     _, cache = ls.encode_graphs(graphs, store, cfg, train_mode=True, rng=rng)
-    masks = [dmask for _, dmask in cache[4]]
-    assert len(masks) == cfg.K
-    for layer, dmask in enumerate(masks):
-        assert dmask.dtype == dtype
-        assert np.array_equal(dmask, want[layer]), layer
+    dropouts = [dropout for _, dropout in cache[4]]
+    assert len(dropouts) == cfg.K
+    for layer, (scale, keep) in enumerate(dropouts):
+        assert scale.dtype == dtype and keep.dtype == bool
+        assert np.array_equal(keep, want[layer] != 0), layer
+        assert np.all(want[layer][keep] == scale), layer
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -446,7 +447,7 @@ def test_train_mode_without_dropout_draws_nothing(enc_cfg, enc_store):
     state = rng.bit_generator.state
     _, cache = ls.encode_graphs(graphs, enc_store, cfg, train_mode=True, rng=rng)
     assert rng.bit_generator.state == state
-    assert all(dmask is None for _, dmask in cache[4])
+    assert all(dropout is None for _, dropout in cache[4])
 
 
 # ---------------------------------------------------------------------------

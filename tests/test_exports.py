@@ -58,7 +58,7 @@ def test_all_resolves_and_lists_every_public_import():
 KEYWORD_DEFAULTS = {
     "decoder.init_decoder_params": {"dtype": np.float32, "store": None},
     "encoder.init_encoder_params": {"dtype": np.float32, "side": 256},
-    "encoder.encode_layer": {"dmask": None},
+    "encoder.encode_layer": {"dropout": None},
     "encoder.encode_graphs": {"train_mode": False, "rng": None},
     "encoder.reparameterize": {"rng": None, "noise": None},
     "graph_builder.build_adjacency": {"dtype": np.float64},

@@ -164,16 +164,44 @@ def traced(fn, warmups=0):
 
 
 def test_train_mode_encode_scratch_is_within_its_masks(acceptance_batch):
-    # the returned cache (masks and activations) is about 4x the mask size; the
-    # scratch above it was 3x when each graph's float64 draws were kept and
-    # concatenated, and is one (N, d) array now
+    # per layer and (N, d) entry the returned cache holds the propagated and
+    # first unit's float32 activations and one byte each for the second unit's
+    # sign and the dropout keep mask: 2.5x the size of float32 masks, plus
+    # points, pooling and psi (float masks and the second unit's float output
+    # made it 4x). The scratch above it was 3x when each graph's float64 draws
+    # were kept and concatenated, and is one (N, d) array now
     pcfg, graphs, store = acceptance_batch
     cfg = pcfg.encoder
     mask_bytes = cfg.K * sum(g.m for g in graphs) * cfg.d * 4
     peak, held = traced(lambda: ls.encode_graphs(graphs, store, cfg, train_mode=True,
                                                     rng=np.random.default_rng(1)))
-    assert held > 3 * mask_bytes
+    assert 2.5 * mask_bytes <= held < 2.625 * mask_bytes, held / mask_bytes
     assert peak - held <= 2.5 * mask_bytes, (peak - held) / mask_bytes
+
+
+def test_decoder_backward_writes_gate_derivatives_over_the_gates():
+    # BPTT once kept tanh(c) beside the gates and a second (B, T, 4h) block
+    # for their derivatives; now dY, dH and one step's temporaries remain
+    B, T, hs = 8, 64, 128
+    cfg = ls.DecoderConfig(hidden_size=hs, M=5, n_max=T, z_dim=16)
+    store = ls.init_decoder_params(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    targets = np.zeros((B, T, 5), dtype=np.float32)
+    targets[:, :, :2] = rng.standard_normal((B, T, 2))
+    targets[:, :, 2] = 1.0
+    z = rng.standard_normal((B, cfg.z_dim)).astype(np.float32)
+    block = B * T * 4 * hs * 4
+    grads = store.zero_grads()
+    tracemalloc.start()
+    try:
+        _, cache = ls.teacher_forced_nll(targets, z, store, cfg)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ls.teacher_forced_backward(cache, store, cfg, grads)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < block, peak / block
 
 
 def test_clip_and_adam_scratch_is_two_arrays(acceptance_batch):
