@@ -21,6 +21,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -28,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .decoder import generate
-from .encoder import count_parameters, reparameterize
+from .decoder import decoder_layout, generate
+from .encoder import encoder_layout, reparameterize
 from .errors import DatasetEmpty, LattisketchError, MalformedRecord, OutOfRange
 from .params import checkpoint_hash
 from .lattice import sketch_lattices
@@ -365,19 +366,18 @@ def cmd_render(args) -> int:
 
 
 def cmd_params(args) -> int:
-    pcfg = build_pipeline_config(args)
-    per_array, model_total = count_parameters(init_params(pcfg))
-    enc = {name: count for name, count in per_array.items() if name.startswith("enc.")}
-    total = sum(enc.values())
-    for name, count in enc.items():
-        print(f"{name} {count}")
-    print(f"total {total}")
+    pcfg = build_pipeline_config(args)  # counted from the layout: nothing is allocated
+    parts = [("total", encoder_layout(pcfg.encoder, pcfg.lattice.side)),
+             ("decoder total", decoder_layout(pcfg.decoder))]
+    totals = []
+    for label, rows in parts[:2 if args.all else 1]:
+        counts = [(name, math.prod(shape)) for name, shape, trainable, _ in rows if trainable]
+        for name, count in counts:
+            print(f"{name} {count}")
+        totals.append(sum(count for _, count in counts))
+        print(f"{label} {totals[-1]}")
     if args.all:
-        for name, count in per_array.items():
-            if name not in enc:
-                print(f"{name} {count}")
-        print(f"decoder total {model_total - total}")
-        print(f"model total {model_total}")
+        print(f"model total {sum(totals)}")
     return 0
 
 

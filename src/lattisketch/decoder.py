@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedRecord, NumericalUnderflow, OutOfRange, ShapeMismatch
-from .params import ParameterStore
+from .params import ParameterStore, draw_params
 from .sketch_data import PEN_DOWN, PEN_END, VectorSketch
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -66,23 +66,21 @@ class DecoderConfig:
         return 6 * self.M + 3
 
 
+def decoder_layout(cfg: DecoderConfig) -> list:
+    """The decoder's rows (name, shape, trainable, draw) in draw order (params.draw_params)."""
+    h, w = cfg.hidden_size, cfg.head_width
+    return [("dec.init.W", (cfg.z_dim, 2 * h), True, "glorot"),
+            ("dec.init.b", (2 * h,), True, "zeros"),
+            ("dec.lstm.Wx", (5 + cfg.z_dim, 4 * h), True, "glorot"),
+            ("dec.lstm.Wh", (h, 4 * h), True, "glorot"),
+            ("dec.lstm.b", (4 * h,), True, "forget"),
+            ("dec.head.W", (h, w), True, "glorot"), ("dec.head.b", (w,), True, "zeros")]
+
+
 def init_decoder_params(cfg: DecoderConfig, rng: np.random.Generator,
                         dtype=np.float32, store: ParameterStore | None = None) -> ParameterStore:
-    from .encoder import glorot  # shared init helper
-
-    if store is None:
-        store = ParameterStore()
-    h = cfg.hidden_size
-    store.add("dec.init.W", glorot(rng, (cfg.z_dim, 2 * h), dtype))
-    store.add("dec.init.b", np.zeros(2 * h, dtype=dtype))
-    store.add("dec.lstm.Wx", glorot(rng, (5 + cfg.z_dim, 4 * h), dtype))
-    store.add("dec.lstm.Wh", glorot(rng, (h, 4 * h), dtype))
-    b = np.zeros(4 * h, dtype=dtype)
-    b[h : 2 * h] = 1.0  # forget-gate bias
-    store.add("dec.lstm.b", b)
-    store.add("dec.head.W", glorot(rng, (h, cfg.head_width), dtype))
-    store.add("dec.head.b", np.zeros(cfg.head_width, dtype=dtype))
-    return store
+    return draw_params(decoder_layout(cfg), rng, dtype,
+                       ParameterStore() if store is None else store)
 
 
 def init_state(z: np.ndarray, store: ParameterStore):

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import EmptyLattice, OutOfRange, ShapeMismatch, TokenOutOfVocabulary
 from .graph_builder import SketchGraph
 from .lattice import LatticeConfig
-from .params import ParameterStore
+from .params import ParameterStore, draw_params
 
 POOLING_MODES = ("mean", "sum")
 
@@ -68,48 +68,35 @@ class LatentSample:
     eps: np.ndarray
 
 
-def glorot(rng: np.random.Generator, shape, dtype) -> np.ndarray:
-    fan_in, fan_out = shape[0], shape[-1]
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
-
-
 def _unit_names(layer: int) -> list:
     """(weight, bias) names of the layer's two MLP units in application order."""
     return [(f"enc.layer{layer}.u{unit}.W0", f"enc.layer{layer}.u{unit}.b0")
             for unit in range(2)]
 
 
-def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
-                        dtype=np.float32, side: int = LatticeConfig.side) -> ParameterStore:
-    """Fresh encoder parameters for a side x side canvas, in a new store.
-
-    Draw order is fixed so a seed pins every array.
-    """
-    store = ParameterStore()
+def encoder_layout(cfg: EncoderConfig, side: int):
+    """Yield the encoder's rows (name, shape, trainable, draw) for a side x side canvas."""
     d = cfg.d
-    emb_scale = 1.0 / np.sqrt(d)
     if cfg.embed_mode == "joint":
-        store.add("enc.emb.joint",
-                  (rng.standard_normal((side * side, d)) * emb_scale).astype(dtype))
+        yield "enc.emb.joint", (side * side, d), True, "normal"
     else:
-        store.add("enc.emb.x", (rng.standard_normal((side, d)) * emb_scale).astype(dtype))
-        store.add("enc.emb.y", (rng.standard_normal((side, d)) * emb_scale).astype(dtype))
+        yield from ((f"enc.emb.{axis}", (side, d), True, "normal") for axis in "xy")
     for layer in range(cfg.K):
         for w_name, b_name in _unit_names(layer):
-            store.add(w_name, glorot(rng, (d, d), dtype))
-            store.add(b_name, np.zeros(d, dtype=dtype))
-    store.add("enc.fc.W", glorot(rng, (d, d), dtype))
-    store.add("enc.fc.b", np.zeros(d, dtype=dtype))
-    store.add("enc.bn.gamma", np.ones(d, dtype=dtype))
-    store.add("enc.bn.beta", np.zeros(d, dtype=dtype))
-    store.add("enc.bn.running_mean", np.zeros(d, dtype=dtype), trainable=False)
-    store.add("enc.bn.running_var", np.ones(d, dtype=dtype), trainable=False)
-    store.add("enc.mu.W", glorot(rng, (d, d), dtype))
-    store.add("enc.mu.b", np.zeros(d, dtype=dtype))
-    store.add("enc.sigma.W", glorot(rng, (d, d), dtype))
-    store.add("enc.sigma.b", np.zeros(d, dtype=dtype))
-    return store
+            yield from [(w_name, (d, d), True, "glorot"), (b_name, (d,), True, "zeros")]
+    yield from [
+        ("enc.fc.W", (d, d), True, "glorot"), ("enc.fc.b", (d,), True, "zeros"),
+        ("enc.bn.gamma", (d,), True, "ones"), ("enc.bn.beta", (d,), True, "zeros"),
+        ("enc.bn.running_mean", (d,), False, "zeros"), ("enc.bn.running_var", (d,), False, "ones"),
+        ("enc.mu.W", (d, d), True, "glorot"), ("enc.mu.b", (d,), True, "zeros"),
+        ("enc.sigma.W", (d, d), True, "glorot"), ("enc.sigma.b", (d,), True, "zeros")]
+
+
+def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
+                        dtype=np.float32, side: int = LatticeConfig.side) -> ParameterStore:
+    """Fresh encoder parameters for a side x side canvas, in a new store; the layout's
+    fixed draw order lets a seed pin every array."""
+    return draw_params(encoder_layout(cfg, side), rng, dtype, ParameterStore())
 
 
 def embedding_rows(points: np.ndarray, side: int, cfg: EncoderConfig) -> dict:

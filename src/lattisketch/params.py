@@ -1,4 +1,6 @@
-"""Named parameter arrays plus the binary checkpoint container.
+"""Named parameter arrays, the drawer that fills them from a layout (rows of
+name, shape, trainable flag and draw, in draw order), and the binary
+checkpoint container.
 
 Checkpoint layout: one line of JSON (UTF-8, newline-terminated) describing
 the arrays as {name, shape, offset, trainable} with offsets in elements,
@@ -6,7 +8,6 @@ followed by every array's data concatenated in the header's payload
 "dtype": little-endian float64 when the store holds any float64 array,
 else float32. The header also carries the model configs, the training
 iteration, and any optimizer scalars, so a file is self-describing.
-Version 1 files (no "dtype" key) hold a float32 payload and still load.
 """
 
 from __future__ import annotations
@@ -79,32 +80,39 @@ class ParameterStore:
         return {n: np.zeros_like(self._arrays[n]) for n in self.trainable_names()}
 
 
+def draw_params(rows, rng: np.random.Generator, dtype, store: ParameterStore) -> ParameterStore:
+    """Add one array per layout row (name, shape, trainable, draw) to store, in row order:
+    "normal" (times 1/sqrt(shape[-1])), "glorot", "zeros", "ones" or "forget" (zeros with
+    the second quarter set to 1, an LSTM's forget-gate bias). Returns the store."""
+    for name, shape, trainable, draw in rows:
+        if draw == "normal":
+            arr = rng.standard_normal(shape) * (1.0 / np.sqrt(shape[-1]))
+        elif draw == "glorot":
+            limit = np.sqrt(6.0 / (shape[0] + shape[-1]))
+            arr = rng.uniform(-limit, limit, size=shape)
+        elif draw == "ones":
+            arr = np.ones(shape)
+        else:
+            arr = np.zeros(shape)
+            if draw == "forget":
+                arr[shape[0] // 4 : shape[0] // 2] = 1.0
+        store.add(name, arr.astype(dtype), trainable)
+    return store
+
+
 def save_checkpoint(path, store: ParameterStore, iteration: int,
                     configs: dict | None = None, extra: dict | None = None) -> None:
     """Write the container atomically (temp file + rename)."""
     wide = any(arr.dtype == np.float64 for _, arr in store.items())
     payload_dtype = "<f8" if wide else "<f4"
-    entries = []
-    offset = 0
+    entries, offset = [], 0
     for name, arr in store.items():
-        entries.append(
-            {
-                "name": name,
-                "shape": list(arr.shape),
-                "offset": offset,
-                "trainable": store.is_trainable(name),
-            }
-        )
+        entries.append({"name": name, "shape": list(arr.shape), "offset": offset,
+                        "trainable": store.is_trainable(name)})
         offset += int(arr.size)
-    header = {
-        "format": CHECKPOINT_MAGIC,
-        "version": CHECKPOINT_VERSION,
-        "dtype": payload_dtype,
-        "iteration": int(iteration),
-        "configs": configs or {},
-        "extra": extra or {},
-        "arrays": entries,
-    }
+    header = {"format": CHECKPOINT_MAGIC, "version": CHECKPOINT_VERSION, "dtype": payload_dtype,
+              "iteration": int(iteration), "configs": configs or {}, "extra": extra or {},
+              "arrays": entries}
     directory = os.path.dirname(os.fspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".ckpt.tmp")
@@ -137,10 +145,9 @@ def load_checkpoint(path) -> tuple:
         raise CheckpointFormatError(f"bad checkpoint header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise CheckpointFormatError("not a checkpoint file")
-    version = header.get("version")
-    if version not in (1, CHECKPOINT_VERSION):
-        raise CheckpointFormatError(f"unsupported version {version}")
-    payload_dtype = header.get("dtype") if version == CHECKPOINT_VERSION else "<f4"
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointFormatError(f"unsupported version {header.get('version')}")
+    payload_dtype = header.get("dtype")
     if payload_dtype not in PAYLOAD_DTYPES:
         raise CheckpointFormatError(f"unsupported payload dtype {payload_dtype!r}")
     if len(payload) % np.dtype(payload_dtype).itemsize:
@@ -157,8 +164,11 @@ def load_checkpoint(path) -> tuple:
                     f"it must start at {start}, where the array before it ends")
             if start + size > data.size:
                 raise CheckpointFormatError(f"array {name!r} overruns payload")
+            if not isinstance(entry["trainable"], bool):
+                raise CheckpointFormatError(f"array {name!r} has trainable flag "
+                                            f"{entry['trainable']!r}, not true or false")
             arr = data[start : start + size].reshape(shape).copy()
-            store.add(name, arr, entry.get("trainable", True))
+            store.add(name, arr, entry["trainable"])
             start += size
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointFormatError(f"bad array table in checkpoint header: {exc!r}") from exc

@@ -10,8 +10,9 @@ runs produce identical loss sequences.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import dataclass, field, fields, replace, asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (AllItemsSkipped, CheckpointFormatError, DatasetEmpty, Numer
                      OutOfRange)
 from .graph_builder import MAX_NODES, GraphConfig, build_adjacency
 from .lattice import LatticeConfig, SketchLattice, mask_lattice, sketch_lattices
-from .params import ParameterStore, load_checkpoint, save_checkpoint
+from .params import ParameterStore, draw_params, load_checkpoint, save_checkpoint
 from .sketch_data import (PEN_END, STROKE5_PAD, VectorSketch, read_sketches, stroke5_rows,
                           to_stroke5)
 
@@ -220,15 +221,19 @@ def train_step(items: list, store: ParameterStore, opt: OptimizerState,
     return loss, len(items) - len(kept)
 
 
+def model_layout(pcfg: PipelineConfig):
+    """The model's rows (name, shape, trainable, draw), the encoder's then the decoder's."""
+    return itertools.chain(enc_mod.encoder_layout(pcfg.encoder, pcfg.lattice.side),
+                           dec_mod.decoder_layout(pcfg.decoder))
+
+
 def init_params(pcfg: PipelineConfig, seed: int | None = None,
                 dtype=None) -> ParameterStore:
     """Fresh encoder+decoder parameters in a single store, fixed draw order."""
     tcfg = pcfg.train
     rng = np.random.default_rng(tcfg.seed if seed is None else seed)
-    dt = np.dtype(tcfg.dtype if dtype is None else dtype)
-    store = enc_mod.init_encoder_params(pcfg.encoder, rng, dtype=dt, side=pcfg.lattice.side)
-    dec_mod.init_decoder_params(pcfg.decoder, rng, dtype=dt, store=store)
-    return store
+    return draw_params(model_layout(pcfg), rng, np.dtype(tcfg.dtype if dtype is None else dtype),
+                       ParameterStore())
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +314,10 @@ def prepare_items(sketches, labels, pcfg: PipelineConfig, offset_scale: float):
 def save_model(path, store: ParameterStore, opt: OptimizerState | None,
                pcfg: PipelineConfig) -> None:
     full = store.copy()
-    iteration = 0
-    if opt is not None:
-        iteration = opt.iteration
-        for name, arr in opt.m.items():
-            full.add(f"adam_m.{name}", arr, trainable=False)
-        for name, arr in opt.v.items():
-            full.add(f"adam_v.{name}", arr, trainable=False)
-    save_checkpoint(path, full, iteration, configs=pcfg.configs_dict())
+    for k, moments in () if opt is None else (("m", opt.m), ("v", opt.v)):
+        for name, arr in moments.items():
+            full.add(f"adam_{k}.{name}", arr, trainable=False)
+    save_checkpoint(path, full, 0 if opt is None else opt.iteration, configs=pcfg.configs_dict())
 
 
 @dataclass
@@ -328,43 +329,46 @@ class ModelBundle:
     header: dict
 
 
-def _drop_retired(section: dict, key: str, supported) -> None:
-    """Drop a key older checkpoints carry if it holds the only value supported now."""
-    if key in section and section.pop(key) != supported:
-        raise CheckpointFormatError(f"checkpoint needs {key}={supported!r}, "
-                                    "which this version no longer supports")
-
-
 def _header_pipeline_config(header: dict) -> PipelineConfig:
+    """The header's configs, each value of its default's type (or an int for a float)."""
     try:
-        cfgs = {name: dict(section) for name, section in header["configs"].items()}
-        enc = cfgs["encoder"]
-        _drop_retired(enc, "mlp_depth", 1)
-        _drop_retired(enc, "side", cfgs["lattice"].get("side", LatticeConfig.side))
-        _drop_retired(cfgs["graph"], "embed_mode", enc.get("embed_mode", EncoderConfig.embed_mode))
-        _drop_retired(cfgs.setdefault("train", {}), "clip_mode", "element")
-        return PipelineConfig.from_sections(cfgs)
+        pcfg = PipelineConfig.from_sections(header["configs"])
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointFormatError(f"bad configs in checkpoint header: {exc!r}") from exc
+    for section in fields(pcfg):
+        cfg = getattr(pcfg, section.name)
+        for f in fields(cfg):
+            want, value = type(f.default), getattr(cfg, f.name)
+            if type(value) not in ((want, int) if want is float else (want,)):
+                raise CheckpointFormatError(f"config {section.name}.{f.name}={value!r}: wrong type")
+    return pcfg
 
 
 def load_model(path) -> ModelBundle:
+    """Read a file save_model wrote: the layout of its configs (names in order, shapes and
+    trainable flags), then either no Adam moments or all of them, or CheckpointFormatError
+    names the first array out of place."""
     full, header = load_checkpoint(path)
     pcfg = _header_pipeline_config(header)
+    got = [(name, arr.shape, full.is_trainable(name)) for name, arr in full.items()]
+    rows = list(itertools.islice(model_layout(pcfg), len(got) + 1))  # bounded, whatever K is
+    want = [(name, shape, trainable) for name, shape, trainable, _ in rows]
+    if len(got) > len(rows):
+        want += [(f"adam_{k}.{name}", shape, False) for k in "mv"
+                 for name, shape, trainable, _ in rows if trainable]
+    for w, g in itertools.zip_longest(want, got):
+        if w != g:
+            raise CheckpointFormatError(f"array {(g or w)[0]!r} is out of place: the file "
+                                        f"has {g} where the layout of its configs has {w}")
     store = ParameterStore()
-    m, v = {}, {}
-    for name, arr in full.items():
-        if name.startswith("adam_m."):
-            m[name[len("adam_m."):]] = arr
-        elif name.startswith("adam_v."):
-            v[name[len("adam_v."):]] = arr
-        else:
-            store.add(name, arr, full.is_trainable(name))
-    opt = None
-    if m:
-        opt = OptimizerState(m=m, v=v, iteration=int(header.get("iteration", 0)))
-    return ModelBundle(store=store, opt=opt, pcfg=pcfg,
-                       iteration=int(header.get("iteration", 0)), header=header)
+    for name, _, trainable, _ in rows:
+        store.add(name, full[name], trainable)
+    iteration, opt = int(header.get("iteration", 0)), None
+    if len(want) > len(rows):
+        names = store.trainable_names()
+        opt = OptimizerState(m={n: full[f"adam_m.{n}"] for n in names},
+                             v={n: full[f"adam_v.{n}"] for n in names}, iteration=iteration)
+    return ModelBundle(store=store, opt=opt, pcfg=pcfg, iteration=iteration, header=header)
 
 
 # ---------------------------------------------------------------------------
@@ -455,21 +459,21 @@ def _touched_embedding_rows(probe: dict, name: str, cfg: EncoderConfig) -> set:
 def finite_diff_audit(store: ParameterStore, probe: dict, pcfg: PipelineConfig) -> dict:
     """Central-difference check (step 1e-4) of every trainable array against backprop.
 
-    probe: {"graphs": [SketchGraph...], "targets": (B, T, 5), "noise": (B, d)}.
-    Dropout is forced off (finite differences cannot share a mask with the
-    closed form) and the latent noise is fixed, so both sides evaluate the
-    same deterministic function. Embedding tables are checked on the rows
-    the probe actually touches, plus a few untouched rows that must come
-    out exactly zero on both sides. Work in float64.
+    probe: {"graphs": [SketchGraph...], "targets": (B, T, 5), "noise": (B, d),
+    "mask_seed": int}. Every forward pass draws its dropout masks afresh from
+    np.random.default_rng(mask_seed) and the latent noise is fixed, so both sides
+    evaluate the same deterministic function. Embedding tables are checked on the
+    rows the probe actually touches, plus a few untouched rows that must come out
+    exactly zero on both sides. Work in float64.
 
     Returns {array name: {"max_rel_err", "checked"}}.
     """
     step = 1e-4
-    pcfg = replace(pcfg, encoder=replace(pcfg.encoder, dropout_rate=0.0))
     work = store.astype(np.float64)
 
     def forward():
-        return _forward(probe["graphs"], probe["targets"], work, pcfg, noise=probe["noise"])
+        return _forward(probe["graphs"], probe["targets"], work, pcfg,
+                        rng=np.random.default_rng(probe["mask_seed"]), noise=probe["noise"])
 
     analytic = _backward(forward()[1], work, pcfg)
     report = {}
@@ -520,4 +524,5 @@ def audit_probe(pcfg: PipelineConfig, seed: int = 0) -> dict:
     steps = np.concatenate([offsets, pens], axis=2)
     targets = np.stack([to_stroke5(VectorSketch(s), T) for s in steps])
     noise = rng.standard_normal((n_graphs, pcfg.encoder.d))
-    return {"graphs": graphs, "targets": targets, "noise": noise}
+    return {"graphs": graphs, "targets": targets, "noise": noise,
+            "mask_seed": int(rng.integers(2**63))}

@@ -6,7 +6,8 @@ The front-end stages gather, compare and sort integers and table entries;
 none makes a BLAS call, so PINNED does not depend on the BLAS build or its
 thread count, and neither do `ingest` and `render`, whose outputs it also
 pins. Training steps, the model commands (`train`, `heal`, `generate`,
-`img2sketch`, `eval`) and eval-mode edge-map embeddings do call BLAS, so
+`img2sketch`, `eval`), the gradient audit (`audit-grad`) and eval-mode
+edge-map embeddings do call BLAS, so
 TRAIN_PINNED holds one set of digests per build (numpy version, BLAS name
 and version), computed in a subprocess at one BLAS thread. Commands run
 from a fresh working directory with relative paths, so their manifests
@@ -175,8 +176,8 @@ def test_graph_cases_span_one_band_and_several():
 
 # ---------------------------------------------------------------------------
 # training and the model commands: 12 train_steps per dtype over a small
-# model, the --out trees of train, heal, generate, img2sketch and eval, and
-# eval-mode psi of inky edge maps, keyed by BLAS build
+# model, the --out trees of train, heal, generate, img2sketch, eval and
+# audit-grad, and eval-mode psi of inky edge maps, keyed by BLAS build
 
 TRAIN_PINNED = {
     "numpy 2.4.6, scipy-openblas 0.3.31.188.0": {
@@ -187,6 +188,7 @@ TRAIN_PINNED = {
         "encode_raster edge maps": "9d4613e3547a38918a5b1fbb9fc56bb5dbfd2885959e51c046ea0972edcb2cfc",
         "img2sketch": "ba1a71a02e3d5e12d81983449fd2c9029f891f6a460c0fc987fa0dc19ba70e49",
         "eval": "4d63bf6ad236db45e8bd6a6081778949ca03f9a00ccf126519172b52f4ce3ecb",
+        "audit-grad": "d01b565b269f89ed6527afbb965f3fce5a17a04ad060e4013d1caddedfd58567",
         "train_step float32": "d86db603784b58f018145d63dbb28e643a8799a0f532fe4fc5516b15e44eedc8",
         "train_step float64": "7c1113a8b3bc0a0c0d2811ed1348e4ee1f2e4da00df3f6260a06fd6c46e3726f",
     },
@@ -238,9 +240,9 @@ def _swap_noise_order() -> None:
 
 
 def _train_digests() -> dict:
-    """The output trees of a small `train` run and of `heal`, `generate`,
-    `img2sketch` and `eval` with its checkpoint, and the eval-mode psi of
-    three edge maps; losses, final store and Adam moments of TRAIN_STEPS
+    """The output trees of a small `train` run, of `heal`, `generate`,
+    `img2sketch` and `eval` with its checkpoint and of `audit-grad`, and the
+    eval-mode psi of three edge maps; losses, final store and Adam moments of TRAIN_STEPS
     fit-style steps in each dtype, plus the largest graph those steps built
     (it must span several bands)."""
     sizes = []
@@ -262,7 +264,8 @@ def _train_digests() -> dict:
         "img2sketch": ["img2sketch", *ckpt, "--input", "edge_0.pgm", "--seed", "6",
                        "--out", "synthesized"],
         "eval": ["eval", *ckpt, "--data", "data/ring.ndjson", "data/ladder.ndjson", "--limit",
-                 "3", "--seed", "7", "--out", "evaluated"]})
+                 "3", "--seed", "7", "--out", "evaluated"],
+        "audit-grad": ["audit-grad", "--seed", "8", "--out", "audited"]})
     trainer.build_adjacency = build
     rng = np.random.default_rng(30)
     sketches = [ls.parse_quickdraw_line(json.dumps(ls.make_sketch_record(cat, rng)))

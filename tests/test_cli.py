@@ -32,14 +32,19 @@ OWN_PEAK_SCRIPT = ("import sys\n"
                    "sys.exit(code)\n")
 
 
-def _own_peak_kib(argv, code=0, err="") -> int:
-    """VmHWM of one command run in a fresh process at one BLAS thread, which must exit
-    with code and print err on stderr."""
+def _own_run(argv, code=0, err="") -> list:
+    """The stdout lines of one command run in a fresh process at one BLAS thread, which
+    must exit with code and print err on stderr; the last line is the VmHWM."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-c", OWN_PEAK_SCRIPT, *argv],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == code and err in proc.stderr, proc.stderr
-    return int(proc.stdout.split()[-1])
+    return proc.stdout.splitlines()
+
+
+def _own_peak_kib(argv, code=0, err="") -> int:
+    """VmHWM of one command run as _own_run runs it."""
+    return int(_own_run(argv, code, err)[-1])
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +74,22 @@ def test_train_wrote_outputs_and_manifest(workdir):
     # the resolved config, with the offset scale fit derived from the data
     scale = ls.load_model(workdir["ckpt"]).pcfg.decoder.offset_scale
     assert manifest["config"]["decoder"]["offset_scale"] == scale != 1.0
+
+
+def test_train_resumed_at_10_of_30_iterations_writes_the_bytes_of_one_run(workdir, tmp_path):
+    data = ["--data", *map(str, workdir["data"])]
+    for iterations in (10, 30):
+        cfg = tmp_path / f"i{iterations}.cfg"
+        cfg.write_text(workdir["cfg"].read_text() + f"iterations = {iterations}\n")
+    assert dispatch(["train", "--config", str(tmp_path / "i30.cfg"), "--out",
+                     str(tmp_path / "one"), *data]) == 0
+    assert dispatch(["train", "--config", str(tmp_path / "i10.cfg"), "--out",
+                     str(tmp_path / "two"), *data]) == 0
+    assert dispatch(["train", "--config", str(tmp_path / "i30.cfg"), "--resume",
+                     str(tmp_path / "two" / "ckpt_final.ckpt"), "--out", str(tmp_path / "two"),
+                     *data]) == 0
+    for name in ("loss.csv", "ckpt_final.ckpt"):
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 @pytest.mark.parametrize("into_run", [False, True], ids=["new out", "in place"])
@@ -159,6 +180,25 @@ def test_params_all_includes_decoder(capsys):
     out = capsys.readouterr().out
     assert "model total" in out
     assert "dec.lstm.Wx" in out
+
+
+def _closed_form_totals(d=128, K=2, side=256, hidden_size=512, M=20) -> list:
+    """The encoder, decoder and model totals params --all prints, for factorized embeddings."""
+    h = hidden_size
+    encoder = 2 * side * d + (2 * K + 3) * (d * d + d) + 2 * d
+    decoder = (d + 1) * 2 * h + (5 + d + h + 1) * 4 * h + (h + 1) * (6 * M + 3)
+    return [f"total {encoder}", f"decoder total {decoder}", f"model total {encoder + decoder}"]
+
+
+@pytest.mark.parametrize("setting", [{"hidden_size": 60000}, {"d": 50000}],
+                         ids=["hidden_size", "d"])
+def test_params_counts_from_the_layout_without_allocating(tmp_path, setting):
+    # drawn in float64, the arrays would take about 108 and 132 GiB
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in setting.items()))
+    *out, peak_kib = _own_run(["params", "--all", "--config", str(cfg)])
+    assert [line for line in out if "total" in line] == _closed_form_totals(**setting)
+    assert int(peak_kib) * 1024 < 150e6
 
 
 def test_heal_pmask_one_exit_code(workdir, capsys):
@@ -820,12 +860,34 @@ def _negative_last_offset(header):
     last["offset"] = -(int(np.prod(last["shape"])) + 5)
 
 
+def _array(header, name):
+    return next(a for a in header["arrays"] if a["name"] == name)
+
+
+def _swap_embedding_names(header):
+    # both tables are (side, d), so every offset still holds
+    x, y = _array(header, "enc.emb.x"), _array(header, "enc.emb.y")
+    x["name"], y["name"] = y["name"], x["name"]
+
+
 @pytest.mark.parametrize("edit,named", [
     pytest.param(lambda h: h["configs"]["encoder"].update(bogus=1), "", id="unknown_key"),
     pytest.param(lambda h: h.pop("configs"), "", id="no_configs"),
     pytest.param(_negative_last_offset, "array 'adam_v.dec.head.b'", id="negative_offset"),
     pytest.param(lambda h: [a.update(offset=0) for a in h["arrays"]], "array 'enc.emb.y'",
                  id="aliased_offsets"),
+    pytest.param(lambda h: (h.update(version=1), h.pop("dtype")), "unsupported version 1",
+                 id="version_1"),
+    # each edit below keeps every array's size, so only the layout check can refuse it
+    pytest.param(_swap_embedding_names, "array 'enc.emb.y'", id="embedding_names_swapped"),
+    pytest.param(lambda h: _array(h, "enc.bn.running_var").update(trainable=True),
+                 "array 'enc.bn.running_var'", id="buffer_marked_trainable"),
+    pytest.param(lambda h: _array(h, "dec.lstm.Wh").update(shape=[64, 16]),
+                 "array 'dec.lstm.Wh'", id="recurrent_weight_transposed"),
+    pytest.param(lambda h: _array(h, "enc.fc.W").update(name="enc.fc.V"), "array 'enc.fc.V'",
+                 id="array_renamed"),
+    pytest.param(lambda h: h["configs"]["decoder"].update(M=1), "array 'dec.head.W'",
+                 id="one_mixture_fewer"),
 ])
 def test_heal_malformed_configs_header_exit_3(workdir, tmp_path, capsys, edit, named):
     ckpt = tmp_path / "bad.ckpt"

@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import lattisketch as ls
@@ -112,12 +112,75 @@ def test_ingest_and_train_end_with_a_documented_exit_code(lines):
 
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory):
-    """An untrained model of SMALL_CONFIG's size, saved as a checkpoint."""
+    """An untrained model of SMALL_CONFIG's size with fresh Adam moments, saved as a
+    checkpoint."""
     pcfg = ls.PipelineConfig(encoder=ls.EncoderConfig(d=8, K=2),
                              decoder=ls.DecoderConfig(hidden_size=16, M=2, n_max=64, z_dim=8))
     path = tmp_path_factory.mktemp("pgm") / "small.ckpt"
-    ls.save_model(path, ls.init_params(pcfg, seed=0), None, pcfg)
+    store = ls.init_params(pcfg, seed=0)
+    ls.save_model(path, store, ls.OptimizerState.fresh(store), pcfg)
     return str(path)
+
+
+# config keys that set an array's shape or the array list: any other value breaks the file
+_LAYOUT_KEYS = {("encoder", "d"), ("encoder", "K"), ("encoder", "embed_mode"),
+                ("decoder", "hidden_size"), ("decoder", "M"), ("decoder", "z_dim"),
+                ("lattice", "side")}
+_DEFAULTS = ls.PipelineConfig().configs_dict()
+_SECTION_KEYS = [(section, key) for section, fields in _DEFAULTS.items() for key in fields]
+_HEADER_EDIT = st.one_of(
+    st.tuples(st.sampled_from(["offset", "shape", "name", "trainable"]), st.integers(0, 99),
+              st.one_of(_JUNK, st.integers(-9, 99), st.lists(st.integers(-2, 300), max_size=3),
+                        st.sampled_from(["enc.emb.x", "enc.fc.W", "adam_m.enc.fc.W"]))),
+    st.tuples(st.just("swap names"), st.integers(0, 99), st.integers(0, 99)),
+    st.tuples(st.just("dtype"), st.none(), _JUNK | st.sampled_from(["<f8", "<f4", ">f4", "f4"])),
+    st.tuples(st.just("config"), st.sampled_from(_SECTION_KEYS),
+              st.one_of(_JUNK, st.integers(-3, 40), st.sampled_from(["joint", "factorized"]))))
+
+
+def _edit_header(header, kind, at, value):
+    """Apply one edit; False when it leaves a valid file (a config value that sets no
+    array and has an accepted type, say), which then must load."""
+    arrays = header["arrays"]
+    if kind == "swap names":
+        i, j = at % len(arrays), value % len(arrays)
+        arrays[i]["name"], arrays[j]["name"] = arrays[j]["name"], arrays[i]["name"]
+    elif kind == "dtype":
+        header["dtype"] = value
+    elif kind == "config":
+        section, key = at
+        want = type(_DEFAULTS[section][key])
+        if at not in _LAYOUT_KEYS and (type(value) is want or want is float and
+                                       type(value) is int):
+            return False
+        header["configs"][section][key] = value
+    else:
+        arrays[at % len(arrays)][kind] = value
+    return True
+
+
+@given(st.lists(_HEADER_EDIT, min_size=1, max_size=3))
+@example([("config", ("encoder", "K"), 10**18)])  # a layout far longer than the file
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_heal_and_resume_refuse_every_header_edit(small_checkpoint, edits):
+    with open(small_checkpoint, "rb") as fh:
+        original, payload = json.loads(fh.readline()), fh.read()
+    header = json.loads(json.dumps(original))
+    assume(all([_edit_header(header, *edit) for edit in edits]) and header != original)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        ckpt = tmp / "edited.ckpt"
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        (tmp / "small.cfg").write_text(SMALL_CONFIG)
+        (tmp / "data.ndjson").write_text('{"drawing": [[[0, 60, 120], [0, 80, 0]]]}\n')
+        for argv in (["heal", "--checkpoint", str(ckpt), "--input", str(tmp / "data.ndjson")],
+                     ["train", "--config", str(tmp / "small.cfg"), "--data",
+                      str(tmp / "data.ndjson"), "--resume", str(ckpt)]):
+            code, err = _run([*argv, "--out", str(tmp / "out")])
+            assert code in (3, 4), (header, err)
+            _check(code, err)
+            assert sorted(os.listdir(tmp)) == ["data.ndjson", "edited.ckpt", "small.cfg"]
 
 
 _HEADER_FIELD = st.sampled_from(["0", "-1", "abc", "99999999999999999999", "1_0", "65536"])

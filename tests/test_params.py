@@ -96,25 +96,6 @@ def test_checkpoint_float64_round_trip_is_exact(tmp_path):
         assert np.array_equal(loaded[name], arr), name
 
 
-def test_load_version_1_file(tmp_path):
-    store = small_store()
-    arrays, offset = [], 0
-    for name, arr in store.items():
-        arrays.append({"name": name, "shape": list(arr.shape), "offset": offset,
-                       "trainable": store.is_trainable(name)})
-        offset += arr.size
-    header = {"format": CHECKPOINT_MAGIC, "version": 1, "iteration": 4,
-              "configs": {}, "extra": {}, "arrays": arrays}
-    path = tmp_path / "v1.ckpt"
-    path.write_bytes(json.dumps(header).encode() + b"\n"
-                     + b"".join(arr.astype("<f4").tobytes() for _, arr in store.items()))
-    loaded, got = ls.load_checkpoint(path)
-    assert got["iteration"] == 4
-    for name, arr in store.items():
-        assert loaded[name].dtype == np.float32
-        assert np.array_equal(loaded[name], arr), name
-
-
 def test_load_rejects_unknown_payload_dtype(tmp_path):
     path = tmp_path / "model.ckpt"
     ls.save_checkpoint(path, small_store(), iteration=0)

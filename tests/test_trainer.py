@@ -2,8 +2,10 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import statistics
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import lattisketch as ls
-from conftest import rewrite_checkpoint_header, zigzag_scribble
+from conftest import zigzag_scribble
 
 
 def small_pcfg(**train_kwargs):
@@ -676,6 +678,65 @@ def test_audit_deterministic():
     assert a == b
 
 
+# one planted bug per backward pass term: (module, source text, its mutant)
+MUTANTS = {
+    "dropout scale": ("encoder", "(dout * dropout[0]) * dropout[1]", "dout * dropout[1]"),
+    "batch-norm xhat term": ("encoder", " - xhat * (dxhat * xhat).sum(axis=0)", ""),
+    "row-normalize degree": ("encoder", "d_branch if deg is None else d_branch / deg",
+                             "d_branch"),
+    "reparameterize half": ("encoder", "sample.sigma * 0.5", "sample.sigma"),
+    "mean-pool divide": ("encoder", "d_pooled /= ms", "d_pooled += 0 * ms"),
+    "ReLU at zero": ("encoder", "acts[1] > 0", "acts[1] >= 0"),
+    "forget gate in dc": ("decoder", "dc_next = dc * f", "dc_next = dc"),
+    "g derivative": ("decoder", "dc * i * (1.0 - g * g)", "dc * i"),
+    "tanh(c) derivative": ("decoder", "dh * o * (1.0 - tc * tc)", "dh * o"),
+    "rho term": ("decoder", "(rho + zx * zy - rho * q / s)", "(zx * zy - rho * q / s)"),
+    "Wx[5:] gradient": ("decoder", 'grads["dec.lstm.Wx"][5:] += ', "_ = "),
+    "initial state tanh'": ("decoder", "* (1.0 - s_init ** 2)", ""),
+    "pen loss n_max": ("decoder", "pen_onehot) / (B * cfg.n_max)", "pen_onehot) / B"),
+}
+
+
+def _load_mutant(module, old, new, directory):
+    """A copy of lattisketch.<module> with old replaced by new, loaded with importlib."""
+    source = getattr(ls, module).__file__
+    with open(source, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(old) == 1, old
+    path = directory / f"{module}.py"
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    spec = importlib.util.spec_from_file_location(f"lattisketch.mutant_{module}", path)
+    mutant = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mutant  # dataclasses look their module up there
+    try:
+        spec.loader.exec_module(mutant)
+    finally:
+        del sys.modules[spec.name]
+    return mutant
+
+
+@pytest.mark.parametrize("mutant", [None, *MUTANTS])
+def test_audit_fails_each_planted_backward_bug(tmp_path, monkeypatch, mutant):
+    # dropout and row normalization are on, so each listed term is in the audited
+    # function; a joint table on a small canvas and a narrow decoder keep the audit's
+    # probe count, and so its time, low. At d = 4 whole rows of the first unit's output
+    # are 0, which puts the second unit's ReLU at its kink, so d is 8.
+    pcfg = ls.PipelineConfig(
+        lattice=ls.LatticeConfig(side=64),
+        encoder=ls.EncoderConfig(d=8, K=1, dropout_rate=0.3, embed_mode="joint",
+                                 row_normalize=True),
+        decoder=ls.DecoderConfig(hidden_size=2, M=1, n_max=8, z_dim=8),
+        train=ls.TrainConfig(seed=0))
+    if mutant is not None:
+        module, old, new = MUTANTS[mutant]
+        monkeypatch.setattr(ls.trainer, f"{module[:3]}_mod",  # trainer's enc_mod or dec_mod
+                            _load_mutant(module, old, new, tmp_path))
+    report = ls.finite_diff_audit(ls.init_params(pcfg, seed=0, dtype=np.float64),
+                                  ls.audit_probe(pcfg, seed=0), pcfg)
+    worst = max(entry["max_rel_err"] for entry in report.values())
+    assert (worst >= 1e-3) == (mutant is not None), worst
+
+
 @pytest.mark.parametrize("pcfg", [
     ls.PipelineConfig(),
     ls.PipelineConfig(lattice=ls.LatticeConfig(n=16, side=128),
@@ -696,47 +757,3 @@ def test_from_sections_takes_z_dim_from_encoder():
     sections["decoder"]["z_dim"] = 8  # named explicitly, it must agree with d
     with pytest.raises(ls.OutOfRange):
         ls.PipelineConfig.from_sections(sections)
-
-
-# ---------------------------------------------------------------------------
-# checkpoints written before the single-home config
-
-
-def version_1_checkpoint(tmp_path, **retired):
-    """A saved model rewritten as a version-1 file with the keys that
-    version carried: mlp_depth, encoder side, graph embed_mode, clip_mode."""
-    pcfg = small_pcfg()
-    store = ls.init_params(pcfg)
-    new = tmp_path / "new.ckpt"
-    ls.save_model(new, store, ls.OptimizerState.fresh(store), pcfg)
-    values = {"mlp_depth": 1, "side": pcfg.lattice.side,
-              "embed_mode": pcfg.encoder.embed_mode, "clip_mode": "element", **retired}
-
-    def as_version_1(header):
-        header["version"] = 1
-        del header["dtype"]
-        cfgs = header["configs"]
-        cfgs["encoder"].update(mlp_depth=values["mlp_depth"], side=values["side"])
-        cfgs["graph"]["embed_mode"] = values["embed_mode"]
-        cfgs["train"]["clip_mode"] = values["clip_mode"]
-
-    old = tmp_path / "old.ckpt"
-    rewrite_checkpoint_header(new, old, as_version_1)
-    return old, new
-
-
-def test_load_model_reads_version_1_config_keys(tmp_path):
-    old, new = version_1_checkpoint(tmp_path)
-    a, b = ls.load_model(old), ls.load_model(new)
-    assert a.pcfg == b.pcfg
-    assert a.store.names() == b.store.names()
-    for name in b.store.names():
-        assert np.array_equal(a.store[name], b.store[name]), name
-
-
-@pytest.mark.parametrize("retired", [dict(mlp_depth=2), dict(side=128),
-                                     dict(embed_mode="joint"), dict(clip_mode="global")])
-def test_load_model_rejects_retired_key_values(tmp_path, retired):
-    old, _ = version_1_checkpoint(tmp_path, **retired)
-    with pytest.raises(ls.CheckpointFormatError):
-        ls.load_model(old)
