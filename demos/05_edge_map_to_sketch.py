@@ -62,13 +62,14 @@ print("training a compact model (about 20 seconds)...")
 summary = ls.fit(data_paths, pcfg, work / "run")
 bundle = ls.load_model(summary["checkpoint"])
 
-sketch, lat = ls.edge_to_sketch(edge_map, bundle)
+# Image-to-sketch is heal with nothing masked.
+sketch, lat = ls.heal(ls.HealRequest(raster=edge_map, p_mask=0.0), bundle)
 sketch.validate()
 print(f"default grid: {lat.m} lattice points -> "
       f"{sketch.n_steps} steps, {len(sketch.drawn_segments())} drawn segments")
 
 # The n override trades fidelity for abstraction at inference time.
-sketch8, lat8 = ls.edge_to_sketch(edge_map, bundle, n=8)
+sketch8, lat8 = ls.heal(ls.HealRequest(raster=edge_map, p_mask=0.0, n=8), bundle)
 assert lat8.m < lat.m
 print(f"n=8 grid:     {lat8.m} lattice points -> {sketch8.n_steps} steps")
 

@@ -20,9 +20,8 @@ from .lattice import (LatticeConfig, SketchLattice, lattice_from_json_obj,
                       line_positions, mask_lattice, sample_lattice)
 from .params import (ParameterStore, checkpoint_hash, load_checkpoint,
                      save_checkpoint)
-from .pipeline_eval import (HealRequest, RetrievalReport, edge_to_sketch,
-                            embed_gallery, encode_raster, heal, healing_sweep,
-                            retrieve)
+from .pipeline_eval import (HealRequest, RetrievalReport, embed_gallery, encode_raster,
+                            heal, healing_sweep, retrieve)
 from .sketch_data import (PEN_DOWN, PEN_END, PEN_LIFT, RasterSketch, VectorSketch,
                           canonicalize_raster, parse_quickdraw_line, rasterize, read_pgm,
                           render_svg, sketch_from_json_obj, sketch_to_json_obj, to_stroke5,
@@ -55,7 +54,7 @@ __all__ = [
     "load_dataset", "prepare_items", "save_model", "load_model", "fit",
     "finite_diff_audit", "audit_probe",
     "HealRequest", "RetrievalReport", "heal", "encode_raster", "embed_gallery",
-    "retrieve", "edge_to_sketch", "healing_sweep",
+    "retrieve", "healing_sweep",
     "generate_dataset", "make_sketch_record",
     "LattisketchError", "MalformedRecord", "SequenceTooLong", "DatasetEmpty",
     "CheckpointWriteFailure", "CheckpointFormatError", "EmptyLattice",

@@ -34,8 +34,8 @@ from .encoder import encoder_layout, reparameterize
 from .errors import DatasetEmpty, LattisketchError, MalformedRecord, OutOfRange
 from .params import checkpoint_hash
 from .lattice import sketch_lattices
-from .pipeline_eval import (HEAL_P_MASK, _lattice_config, _lattice_of, edge_to_sketch,
-                            encode_lattice, heal_lattice, healing_sweep)
+from .pipeline_eval import (HEAL_P_MASK, HealRequest, _lattice_config, _lattice_of,
+                            encode_lattice, heal, heal_lattice, healing_sweep)
 from .sketch_data import (LINES_PER_CHUNK, VectorSketch, rasterize, read_pgm, read_sketches,
                           render_svg, sketch_to_json_obj, write_pgm)
 from .trainer import (PipelineConfig, finite_diff_audit, audit_probe, fit, init_params,
@@ -286,8 +286,8 @@ def cmd_generate(args) -> int:
 
 def cmd_img2sketch(args) -> int:
     bundle = load_model(args.checkpoint)
-    raster = read_pgm(args.input)
-    sketch, lattice = edge_to_sketch(raster, bundle, n=args.n, seed=args.seed or 0)
+    sketch, lattice = heal(HealRequest(raster=read_pgm(args.input), p_mask=0.0, n=args.n,
+                                       seed=args.seed or 0), bundle)
     with _staged_out(args.out, "img2sketch", bundle.pcfg.configs_dict(), args.seed or 0,
                      [args.input], args.checkpoint) as (stage, names):
         names += _write_sketch_outputs(stage, "img2sketch", sketch, lattice)

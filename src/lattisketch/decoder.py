@@ -78,9 +78,9 @@ def decoder_layout(cfg: DecoderConfig) -> list:
 
 
 def init_decoder_params(cfg: DecoderConfig, rng: np.random.Generator,
-                        dtype=np.float32, store: ParameterStore | None = None) -> ParameterStore:
-    return draw_params(decoder_layout(cfg), rng, dtype,
-                       ParameterStore() if store is None else store)
+                        dtype=np.float32) -> ParameterStore:
+    """Fresh decoder parameters in a new store, in the layout's draw order."""
+    return draw_params(decoder_layout(cfg), rng, dtype, ParameterStore())
 
 
 def init_state(z: np.ndarray, store: ParameterStore):
@@ -310,7 +310,7 @@ def teacher_forced_nll(targets: np.ndarray, z: np.ndarray, store: ParameterStore
     loss = float((-(lse) * off_mask).sum() + pen_nll.sum()) / (B * cfg.n_max)
 
     cache = {
-        "targets": targets, "x_prev": x_prev, "H": H, "C": C, "gates": gates,
+        "x_prev": x_prev, "H": H, "C": C, "gates": gates,
         "Y": Y, "log_pi": log_pi, "comp": comp, "lse": lse, "zx": zx, "zy": zy, "sx": sx,
         "sy": sy, "rho": rho, "s": s, "q": q, "pen_logp": pen_logp, "pen_target": pen_target,
         "off_mask": off_mask, "z": z, "B": B, "T": T,

@@ -127,7 +127,7 @@ def save_checkpoint(path, store: ParameterStore, iteration: int,
 
 
 def load_checkpoint(path) -> tuple:
-    """Read a container; returns (store, header dict).
+    """Read a container; returns (store, header dict), the header's iteration an int >= 0.
 
     Each array must start where the one before it ends, as save_checkpoint
     writes them, and the payload must hold exactly the arrays' values;
@@ -147,6 +147,9 @@ def load_checkpoint(path) -> tuple:
         raise CheckpointFormatError("not a checkpoint file")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointFormatError(f"unsupported version {header.get('version')}")
+    iteration = header.get("iteration")
+    if type(iteration) is not int or iteration < 0:  # bool is a subclass of int
+        raise CheckpointFormatError(f"iteration {iteration!r} is not an integer >= 0")
     payload_dtype = header.get("dtype")
     if payload_dtype not in PAYLOAD_DTYPES:
         raise CheckpointFormatError(f"unsupported payload dtype {payload_dtype!r}")

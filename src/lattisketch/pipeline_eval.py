@@ -1,15 +1,16 @@
 """Task harnesses on a trained checkpoint, all built on the lattice-level
 ``heal_lattice`` and ``encode_lattice``: sketch healing under point corruption,
-embedding-based retrieval, edge-map-to-sketch synthesis and the healing sweep.
+embedding-based retrieval and the healing sweep. Edge-map-to-sketch synthesis
+is ``heal`` at p_mask 0: an edge map is just another raster to latticize.
 
-Everything here is read-only over the model; healing and synthesis are
-deterministic functions of (checkpoint, inputs, seed).
+Everything here is read-only over the model; healing is a deterministic
+function of (checkpoint, inputs, seed).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +43,6 @@ class RetrievalReport:
     ranked: np.ndarray            # (Q, min(max ks, G)) gallery indices, best first
     top_k: dict                   # k -> accuracy
     confusion: dict               # (query label, top-1 label) -> count
-    query_labels: list = field(default_factory=list)
 
 
 def _lattice_config(bundle: ModelBundle, n: int | None) -> LatticeConfig:
@@ -81,8 +81,9 @@ def heal_lattice(lat: SketchLattice, p_mask: float, seed, bundle: ModelBundle):
 def heal(req: HealRequest, bundle: ModelBundle):
     """Regenerate a sketch from a corrupted lattice view of a raster:
     ``heal_lattice`` on its lattice (req.n lines, or the model's grid).
-    Returns (sketch, surviving lattice); raises EmptyLattice when nothing
-    survives (blank raster or p_mask too high)."""
+    At p_mask 0 this synthesizes a sketch from an edge map. Returns (sketch,
+    surviving lattice); raises EmptyLattice when nothing survives (blank
+    raster or p_mask too high)."""
     return heal_lattice(_lattice_of(req.raster, bundle, req.n), req.p_mask, req.seed, bundle)
 
 
@@ -110,13 +111,12 @@ def embed_gallery(lattices, bundle: ModelBundle):
 
 
 def retrieve(query_psi: np.ndarray, gallery_psi: np.ndarray,
-             query_labels, gallery_labels, ks=(1, 3),
-             exclude_self: bool = False, self_indices=None) -> RetrievalReport:
+             query_labels, gallery_labels, ks=(1, 3), self_indices=None) -> RetrievalReport:
     """Cosine-similarity ranking; a top-k hit shares the query's category.
 
     Rows are assumed L2-normalized. Ties resolve to the smaller gallery
-    index (stable sort). With exclude_self, query i's own gallery row
-    (self_indices[i], identity by default) is pushed out of the ranking.
+    index (stable sort). Query i's own gallery row self_indices[i], when
+    self_indices is given, is pushed out of the ranking.
     Query rows are ranked in chunks of at most about SIMILARITIES_PER_CHUNK
     similarities, and only the first max(ks) gallery indices of each row
     are kept.
@@ -128,7 +128,7 @@ def retrieve(query_psi: np.ndarray, gallery_psi: np.ndarray,
     n_q, n_g = query_psi.shape[0], gallery_psi.shape[0]
     if len(query_labels) != n_q or len(gallery_labels) != n_g:
         raise ShapeMismatch("label counts do not match embeddings")
-    own = np.arange(n_q) if self_indices is None else np.asarray(self_indices, dtype=np.int64)
+    own = None if self_indices is None else np.asarray(self_indices, dtype=np.int64)
     ranked = np.empty((n_q, min(max(ks), n_g)), dtype=np.int64)
     # rows split evenly into chunks of at most max(4, ...) rows: only a lone
     # query is a one-row product, which numpy sums in another order
@@ -137,7 +137,7 @@ def retrieve(query_psi: np.ndarray, gallery_psi: np.ndarray,
     bounds = [n_q * c // n_chunks for c in range(n_chunks + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
         neg_sims = query_psi[lo:hi] @ neg_gallery
-        if exclude_self:
+        if own is not None:
             neg_sims[np.arange(hi - lo), own[lo:hi]] = np.inf
         # assigned into ranked, so no view keeps the chunk alive
         ranked[lo:hi] = np.argsort(neg_sims, axis=1, kind="stable")[:, :ranked.shape[1]]
@@ -145,18 +145,7 @@ def retrieve(query_psi: np.ndarray, gallery_psi: np.ndarray,
     top_k = {int(k): sum(q in [g_labels[gi] for gi in row[:k]]
                          for q, row in zip(q_labels, ranked)) / max(n_q, 1) for k in ks}
     confusion = dict(Counter((q, g_labels[row[0]]) for q, row in zip(q_labels, ranked)))
-    return RetrievalReport(ranked=ranked, top_k=top_k, confusion=confusion,
-                           query_labels=q_labels)
-
-
-def edge_to_sketch(edge_raster: RasterSketch, bundle: ModelBundle,
-                   n: int | None = None, seed: int = 0):
-    """Synthesize a vector sketch from a binary edge map.
-
-    Identical pipeline to heal with p_mask = 0: the edge map is just
-    another raster to latticize. Returns (sketch, lattice).
-    """
-    return heal(HealRequest(raster=edge_raster, p_mask=0.0, n=n, seed=seed), bundle)
+    return RetrievalReport(ranked=ranked, top_k=top_k, confusion=confusion)
 
 
 def healing_sweep(sketches, labels, bundle: ModelBundle, p_mask_list,
@@ -191,7 +180,7 @@ def healing_sweep(sketches, labels, bundle: ModelBundle, p_mask_list,
         queries, q_kept, _ = embed_gallery(sketch_lattices(healed, cfg), bundle)
         q_self = [healed_pos[j] for j in q_kept]
         report = retrieve(queries, gallery, [gallery_labels[pos] for pos in q_self],
-                          gallery_labels, exclude_self=True, self_indices=q_self)
+                          gallery_labels, self_indices=q_self)
         rows.append({
             "p_mask": float(p_mask),
             "top1": report.top_k[1],

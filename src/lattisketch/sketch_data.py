@@ -81,13 +81,6 @@ class VectorSketch:
         if reason:
             raise MalformedRecord(reason)
 
-    def absolute_points(self) -> np.ndarray:
-        """Cursor positions, shape (n_steps + 1, 2); row 0 is the origin."""
-        pts = np.zeros((self.n_steps + 1, 2))
-        if self.n_steps:
-            pts[1:] = np.cumsum(self.steps[:, :2], axis=0)
-        return pts
-
     def drawn_segments(self) -> np.ndarray:
         """Segments actually inked, shape (k, 4) rows (x0, y0, x1, y1).
 
@@ -531,6 +524,9 @@ def write_pgm(raster: RasterSketch, path) -> None:
 
 #: one PGM header token, after the whitespace and whole '#' comments before it
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)")
+_PGM_SPACE = re.compile(rb"\s")
+#: P2 payload bytes split into tokens at once: bounds the reader's scratch memory
+P2_BLOCK = 1 << 20
 
 
 def read_pgm(path) -> RasterSketch:
@@ -563,13 +559,20 @@ def read_pgm(path) -> RasterSketch:
             raise MalformedRecord("truncated PGM payload")
         data = np.frombuffer(blob, dtype=sample, count=width * height, offset=pos)
     elif magic == b"P2":
-        values = blob[pos:].split()[: width * height]
-        if len(values) < width * height:
+        if len(blob) - pos < 2 * width * height:  # a space and a digit per sample at least
             raise MalformedRecord("truncated PGM payload")
-        # -1 marks a token that is not a plain decimal, or one with more
-        # significant digits than any maxval (< 65536) has
-        data = np.array([int(v) if v.isdigit() and len(v.lstrip(b"0")) <= 5 else -1
-                         for v in values], dtype=np.int64)
+        data, done = np.empty(width * height, dtype=np.int32), 0
+        while done < data.size and pos < len(blob):  # about P2_BLOCK bytes at a time
+            space = _PGM_SPACE.search(blob, pos + P2_BLOCK)  # so no token is cut
+            end = len(blob) if space is None else space.end()
+            tokens = blob[pos:end].split()[: data.size - done]  # the rest is ignored
+            # -1 marks a token that is not a plain decimal, or one with more
+            # significant digits than any maxval (< 65536) has
+            data[done : done + len(tokens)] = [
+                int(v) if v.isdigit() and len(v.lstrip(b"0")) <= 5 else -1 for v in tokens]
+            done, pos = done + len(tokens), end
+        if done < data.size:
+            raise MalformedRecord("truncated PGM payload")
     else:
         raise MalformedRecord(f"unsupported PGM magic {magic!r}")
     if data.min() < 0 or data.max() > maxval:
@@ -585,16 +588,25 @@ def canonicalize_raster(raster: RasterSketch, side: int = CANVAS_SIDE) -> Raster
     Dark pixel coordinates are uniformly scaled (aspect ratio preserved)
     and centered with the same margin rule rasterize uses. A raster that
     is already canonical passes through unchanged (OutOfRange for a side
-    outside the canvas bounds).
+    outside the canvas bounds). x and y fit on their own, so each inked
+    column and row is fit once, then ORed into the canvas line it lands on.
     """
     check_canvas_side(side)
     if raster.width == side and raster.height == side:
         return raster
-    ys, xs = np.nonzero(raster.pixels)
+    pixels = raster.pixels
+    xs, ys = np.flatnonzero(pixels.any(axis=0)), np.flatnonzero(pixels.any(axis=1))
     grid = np.zeros((side, side), dtype=np.uint8)
     if xs.size == 0:
         return RasterSketch(grid)
-    pts = np.column_stack([xs, ys]).astype(np.float64)
+    n = max(xs.size, ys.size)  # the shorter list repeats: its extent holds
+    pts = np.column_stack([np.resize(xs, n), np.resize(ys, n)]).astype(np.float64)
     mapped = np.clip(_fit_points(pts, side, CANVAS_MARGIN).astype(np.int64), 0, side - 1)
-    grid[mapped[:, 1], mapped[:, 0]] = 1
+    cols, rows = mapped[:xs.size, 0], mapped[:ys.size, 1]  # both nondecreasing
+    col_starts = np.flatnonzero(np.diff(cols, prepend=-1))
+    row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    # a group's slice also spans the blank rows (columns) after it: ORing them is harmless
+    block = np.logical_or.reduceat(pixels, ys[row_starts], axis=0)
+    grid[np.ix_(rows[row_starts], cols[col_starts])] = np.logical_or.reduceat(
+        block, xs[col_starts], axis=1)
     return RasterSketch(grid)

@@ -104,8 +104,7 @@ class OptimizerState:
 @dataclass
 class TrainItem:
     lattice: SketchLattice
-    stroke5: np.ndarray  # (n_steps, 5) float64, offsets already divided by offset_scale
-    n_steps: int
+    stroke5: np.ndarray  # (steps, 5) float64, offsets already divided by offset_scale
     label: str
 
 
@@ -151,11 +150,10 @@ def adam_update(store: ParameterStore, grads: dict, opt: OptimizerState,
 
 def _batch_targets(items: list, n_max: int, dtype) -> np.ndarray:
     """Pad stroke-5 sequences to the batch max length (capped at n_max)."""
-    T = min(max(item.n_steps for item in items), n_max)
+    T = min(max(len(item.stroke5) for item in items), n_max)
     out = np.tile(STROKE5_PAD.astype(dtype), (len(items), T, 1))
     for b, item in enumerate(items):
-        k = min(item.n_steps, T)
-        out[b, :k] = item.stroke5[:k]
+        out[b, :min(len(item.stroke5), T)] = item.stroke5[:T]
     return out
 
 
@@ -302,8 +300,8 @@ def prepare_items(sketches, labels, pcfg: PipelineConfig, offset_scale: float):
     rows = stroke5_rows(np.concatenate([sk.steps for sk, _, _ in kept]))
     rows[:, :2] /= offset_scale
     ends = np.cumsum([sk.n_steps for sk, _, _ in kept])
-    items = [TrainItem(lattice=lat, stroke5=rows[end - sk.n_steps:end], n_steps=sk.n_steps,
-                       label=label) for (sk, label, lat), end in zip(kept, ends)]
+    items = [TrainItem(lattice=lat, stroke5=rows[end - sk.n_steps:end], label=label)
+             for (sk, label, lat), end in zip(kept, ends)]
     return items, len(sketches) - len(kept)
 
 
@@ -363,7 +361,7 @@ def load_model(path) -> ModelBundle:
     store = ParameterStore()
     for name, _, trainable, _ in rows:
         store.add(name, full[name], trainable)
-    iteration, opt = int(header.get("iteration", 0)), None
+    iteration, opt = header["iteration"], None
     if len(want) > len(rows):
         names = store.trainable_names()
         opt = OptimizerState(m={n: full[f"adam_m.{n}"] for n in names},
@@ -406,8 +404,7 @@ def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None) -> dict:
         store = init_params(pcfg)
         opt = OptimizerState.fresh(store)
         start = 0
-    scale = pcfg.decoder.offset_scale
-    items, skipped_lattice = prepare_items(sketches, labels, pcfg, scale)
+    items, _ = prepare_items(sketches, labels, pcfg, pcfg.decoder.offset_scale)
     out_dir = Path(out_dir)  # made only once the data is ready
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -439,8 +436,6 @@ def fit(dataset_paths, pcfg: PipelineConfig, out_dir, resume=None) -> dict:
         "iterations": tcfg.iterations,
         "items": n,
         "skipped_parse": skipped_parse,
-        "skipped_lattice": skipped_lattice,
-        "offset_scale": scale,
         "pcfg": pcfg,
     }
 

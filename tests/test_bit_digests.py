@@ -176,8 +176,9 @@ def test_graph_cases_span_one_band_and_several():
 
 # ---------------------------------------------------------------------------
 # training and the model commands: 12 train_steps per dtype over a small
-# model, the --out trees of train, heal, generate, img2sketch, eval and
-# audit-grad, and eval-mode psi of inky edge maps, keyed by BLAS build
+# model, the --out trees of train, heal and generate --input (from a sketch
+# file and from a PGM), generate, img2sketch, eval and audit-grad, and
+# eval-mode psi of inky edge maps, keyed by BLAS build
 
 TRAIN_PINNED = {
     "numpy 2.4.6, scipy-openblas 0.3.31.188.0": {
@@ -187,6 +188,8 @@ TRAIN_PINNED = {
         "generate --count 3": "615fb2dfd960ea167fc4a20960c517bc35717be545eaecd5fa13c04261c15811",
         "encode_raster edge maps": "9d4613e3547a38918a5b1fbb9fc56bb5dbfd2885959e51c046ea0972edcb2cfc",
         "img2sketch": "ba1a71a02e3d5e12d81983449fd2c9029f891f6a460c0fc987fa0dc19ba70e49",
+        "heal --input pgm": "0a4c8827d95c99635db6a7b4cade1da1117404417f26339993dd4b97ea52dff2",
+        "generate --input pgm": "1a62134725b1692154e61760dd48704fb129b6f4f8d0094cae29004e65e91b15",
         "eval": "4d63bf6ad236db45e8bd6a6081778949ca03f9a00ccf126519172b52f4ce3ecb",
         "audit-grad": "d01b565b269f89ed6527afbb965f3fce5a17a04ad060e4013d1caddedfd58567",
         "train_step float32": "d86db603784b58f018145d63dbb28e643a8799a0f532fe4fc5516b15e44eedc8",
@@ -202,7 +205,8 @@ def blas_key() -> str:
 
 
 EDGE_POINTS = 1500
-ROLLOUTS = ("heal", "generate --input", "generate --count 3", "img2sketch", "eval")
+ROLLOUTS = ("heal", "generate --input", "generate --count 3", "img2sketch", "eval",
+            "heal --input pgm", "generate --input pgm")
 
 
 def _edge_maps() -> list:
@@ -240,8 +244,9 @@ def _swap_noise_order() -> None:
 
 
 def _train_digests() -> dict:
-    """The output trees of a small `train` run, of `heal`, `generate`,
-    `img2sketch` and `eval` with its checkpoint and of `audit-grad`, and the
+    """The output trees of a small `train` run, of `heal`, `generate` (each
+    from a sketch file and from a PGM), `img2sketch` and `eval` with its
+    checkpoint and of `audit-grad`, and the
     eval-mode psi of three edge maps; losses, final store and Adam moments of TRAIN_STEPS
     fit-style steps in each dtype, plus the largest graph those steps built
     (it must span several bands)."""
@@ -263,6 +268,10 @@ def _train_digests() -> dict:
         "encode_raster edge maps": _edge_psi,
         "img2sketch": ["img2sketch", *ckpt, "--input", "edge_0.pgm", "--seed", "6",
                        "--out", "synthesized"],
+        "heal --input pgm": ["heal", *ckpt, "--input", "edge_1.pgm", "--seed", "9",
+                             "--out", "healed_pgm"],
+        "generate --input pgm": ["generate", *ckpt, "--input", "edge_2.pgm", "--count", "2",
+                                 "--seed", "10", "--out", "encoded_pgm"],
         "eval": ["eval", *ckpt, "--data", "data/ring.ndjson", "data/ladder.ndjson", "--limit",
                  "3", "--seed", "7", "--out", "evaluated"],
         "audit-grad": ["audit-grad", "--seed", "8", "--out", "audited"]})

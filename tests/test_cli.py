@@ -579,6 +579,37 @@ def test_img2sketch_full_ink_exit_4_within_memory(workdir, tmp_path):
     assert peak_kib < 300 * 1024
 
 
+def _big_edge_maps(tmp_path) -> dict:
+    """A 4096^2 all-ink P5, a 2048^2 all-ink P2 and a 4096^2 one-pixel circle outline
+    (P5), written without a per-pixel array wider than a byte."""
+    paths = {"ink P5": tmp_path / "ink.pgm", "ink P2": tmp_path / "ink_p2.pgm",
+             "circle P5": tmp_path / "circle.pgm"}
+    ls.write_pgm(ls.RasterSketch(np.ones((4096, 4096), dtype=np.uint8)), paths["ink P5"])
+    with open(paths["ink P2"], "wb") as fh:
+        fh.write(b"P2\n2048 2048\n255\n" + (b"0 " * 2047 + b"0\n") * 2048)
+    t = np.linspace(0.0, 2.0 * np.pi, 40000, endpoint=False)
+    circle = np.zeros((4096, 4096), dtype=np.uint8)
+    circle[np.rint(2048 + 1500 * np.sin(t)).astype(int),
+           np.rint(2048 + 1500 * np.cos(t)).astype(int)] = 1
+    ls.write_pgm(ls.RasterSketch(circle), paths["circle P5"])
+    return paths
+
+
+# the read and the canonical fit once took about 80 bytes per ink pixel: 1.3 GB at 4096^2
+BIG_EDGE_MAP_PEAK_BYTES = 200_000_000
+
+
+def test_img2sketch_big_edge_maps_stay_within_memory(workdir, tmp_path):
+    paths = _big_edge_maps(tmp_path)
+    budget = "error: OUT_OF_RANGE: graph of 15168 points exceeds the budget"  # 252^2 inked
+    for name, code, err in [("ink P5", 4, budget), ("ink P2", 4, budget), ("circle P5", 0, "")]:
+        out = tmp_path / name.replace(" ", "_")
+        peak_kib = _own_peak_kib(["img2sketch", "--checkpoint", str(workdir["ckpt"]),
+                                  "--input", str(paths[name]), "--out", str(out)], code, err)
+        assert peak_kib * 1024 < BIG_EDGE_MAP_PEAK_BYTES, name
+        assert out.exists() == (code == 0)
+
+
 def test_eval_writes_metrics(workdir, capsys):
     out = workdir["tmp"] / "eval"
     code = dispatch(["eval", "--checkpoint", str(workdir["ckpt"]),

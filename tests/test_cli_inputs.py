@@ -122,6 +122,8 @@ def small_checkpoint(tmp_path_factory):
     return str(path)
 
 
+# header iterations that are not a JSON integer >= 0
+_BAD_ITERATIONS = ["abc", [1], 1.5, True, -3]
 # config keys that set an array's shape or the array list: any other value breaks the file
 _LAYOUT_KEYS = {("encoder", "d"), ("encoder", "K"), ("encoder", "embed_mode"),
                 ("decoder", "hidden_size"), ("decoder", "M"), ("decoder", "z_dim"),
@@ -135,7 +137,8 @@ _HEADER_EDIT = st.one_of(
     st.tuples(st.just("swap names"), st.integers(0, 99), st.integers(0, 99)),
     st.tuples(st.just("dtype"), st.none(), _JUNK | st.sampled_from(["<f8", "<f4", ">f4", "f4"])),
     st.tuples(st.just("config"), st.sampled_from(_SECTION_KEYS),
-              st.one_of(_JUNK, st.integers(-3, 40), st.sampled_from(["joint", "factorized"]))))
+              st.one_of(_JUNK, st.integers(-3, 40), st.sampled_from(["joint", "factorized"]))),
+    st.tuples(st.just("iteration"), st.none(), _JUNK | st.sampled_from(_BAD_ITERATIONS)))
 
 
 def _edit_header(header, kind, at, value):
@@ -147,6 +150,10 @@ def _edit_header(header, kind, at, value):
         arrays[i]["name"], arrays[j]["name"] = arrays[j]["name"], arrays[i]["name"]
     elif kind == "dtype":
         header["dtype"] = value
+    elif kind == "iteration":
+        if type(value) is int and value >= 0:
+            return False
+        header["iteration"] = value
     elif kind == "config":
         section, key = at
         want = type(_DEFAULTS[section][key])
@@ -168,6 +175,23 @@ def test_heal_and_resume_refuse_every_header_edit(small_checkpoint, edits):
         original, payload = json.loads(fh.readline()), fh.read()
     header = json.loads(json.dumps(original))
     assume(all([_edit_header(header, *edit) for edit in edits]) and header != original)
+    for code, err in _heal_and_resume(header, payload):
+        assert code in (3, 4), (header, err)
+
+
+@pytest.mark.parametrize("iteration", _BAD_ITERATIONS, ids=repr)
+def test_heal_and_resume_refuse_a_bad_iteration(small_checkpoint, iteration):
+    with open(small_checkpoint, "rb") as fh:
+        header, payload = json.loads(fh.readline()), fh.read()
+    header["iteration"] = iteration
+    for code, err in _heal_and_resume(header, payload):
+        assert code == 3 and "CHECKPOINT_FORMAT_ERROR: iteration" in err, err
+
+
+def _heal_and_resume(header, payload) -> list:
+    """(code, stderr) of `heal` and of `train --resume` on a checkpoint with this header;
+    each must end with an error line, no traceback, and leave no --out behind."""
+    results = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         ckpt = tmp / "edited.ckpt"
@@ -177,10 +201,10 @@ def test_heal_and_resume_refuse_every_header_edit(small_checkpoint, edits):
         for argv in (["heal", "--checkpoint", str(ckpt), "--input", str(tmp / "data.ndjson")],
                      ["train", "--config", str(tmp / "small.cfg"), "--data",
                       str(tmp / "data.ndjson"), "--resume", str(ckpt)]):
-            code, err = _run([*argv, "--out", str(tmp / "out")])
-            assert code in (3, 4), (header, err)
-            _check(code, err)
+            results.append(_run([*argv, "--out", str(tmp / "out")]))
+            _check(*results[-1])
             assert sorted(os.listdir(tmp)) == ["data.ndjson", "edited.ckpt", "small.cfg"]
+    return results
 
 
 _HEADER_FIELD = st.sampled_from(["0", "-1", "abc", "99999999999999999999", "1_0", "65536"])

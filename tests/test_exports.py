@@ -29,7 +29,7 @@ EXPORTS = [
     "load_dataset", "prepare_items", "save_model", "load_model", "fit",
     "finite_diff_audit", "audit_probe",
     "HealRequest", "RetrievalReport", "heal", "encode_raster", "embed_gallery",
-    "retrieve", "edge_to_sketch", "healing_sweep",
+    "retrieve", "healing_sweep",
     "generate_dataset", "make_sketch_record",
     "LattisketchError", "MalformedRecord", "SequenceTooLong", "DatasetEmpty",
     "CheckpointWriteFailure", "CheckpointFormatError", "EmptyLattice",
@@ -53,10 +53,10 @@ def test_all_resolves_and_lists_every_public_import():
     assert unlisted == []
 
 
-# Every keyword parameter with a default (31 of them) on a public function or
+# Every keyword parameter with a default (27 of them) on a public function or
 # method, in every module but the CLI: adding a setting is a deliberate edit here.
 KEYWORD_DEFAULTS = {
-    "decoder.init_decoder_params": {"dtype": np.float32, "store": None},
+    "decoder.init_decoder_params": {"dtype": np.float32},
     "encoder.init_encoder_params": {"dtype": np.float32, "side": 256},
     "encoder.encode_layer": {"dropout": None},
     "encoder.encode_graphs": {"train_mode": False, "rng": None},
@@ -65,8 +65,7 @@ KEYWORD_DEFAULTS = {
     "params.ParameterStore.add": {"trainable": True},
     "params.save_checkpoint": {"configs": None, "extra": None},
     "pipeline_eval.encode_raster": {"n": None},
-    "pipeline_eval.retrieve": {"ks": (1, 3), "exclude_self": False, "self_indices": None},
-    "pipeline_eval.edge_to_sketch": {"n": None, "seed": 0},
+    "pipeline_eval.retrieve": {"ks": (1, 3), "self_indices": None},
     "pipeline_eval.healing_sweep": {"n": None, "seed": 0},
     "sketch_data.rasterize": {"side": 256},
     "sketch_data.sketch_to_json_obj": {"label": None},

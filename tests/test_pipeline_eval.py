@@ -74,8 +74,7 @@ def test_retrieve_tie_break_by_gallery_index():
 def test_retrieve_exclude_self():
     emb = np.eye(4)
     labels = ["a", "a", "b", "b"]
-    report = ls.retrieve(emb, emb, labels, labels, ks=(1,),
-                         exclude_self=True, self_indices=list(range(4)))
+    report = ls.retrieve(emb, emb, labels, labels, ks=(1,), self_indices=list(range(4)))
     for i, row in enumerate(report.ranked):
         assert row[0] != i
 
@@ -117,8 +116,7 @@ def test_retrieve_chunks_equal_the_dense_argsort(monkeypatch, n_q, n_g, chunk):
     ks = (1, 3, 7)
     monkeypatch.setattr(pipeline_eval, "SIMILARITIES_PER_CHUNK", chunk)
     assert n_q > 2 * max(4, chunk // n_g)  # at least three chunks
-    report = ls.retrieve(queries, gallery, q_labels, labels, ks=ks,
-                         exclude_self=True, self_indices=own)
+    report = ls.retrieve(queries, gallery, q_labels, labels, ks=ks, self_indices=own)
     ranked, top_k = dense_retrieve(queries, gallery, q_labels, labels, ks, own)
     assert report.ranked.dtype == np.int64
     assert np.array_equal(report.ranked, ranked[:, :min(max(ks), n_g)])
@@ -136,7 +134,7 @@ def test_retrieve_memory_stays_bounded_at_5000_squared():
     labels = [f"c{i % 10}" for i in range(5000)]
     tracemalloc.start()
     try:
-        report = ls.retrieve(emb, emb, labels, labels, exclude_self=True)
+        report = ls.retrieve(emb, emb, labels, labels, self_indices=np.arange(5000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -299,7 +297,7 @@ def test_graphs_built_in_store_dtype(tiny_model, square_sketch, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# heal / edge_to_sketch
+# heal (at p_mask 0, image-to-sketch)
 
 
 def test_heal_blank_raster_raises(tiny_model):
@@ -323,14 +321,10 @@ def test_heal_deterministic(tiny_model, square_sketch):
     assert np.array_equal(lat_a.points, lat_b.points)
 
 
-def test_heal_pmask_zero_equals_edge_to_sketch(tiny_model, square_sketch):
+def test_heal_pmask_zero_keeps_every_lattice_point(tiny_model, square_sketch):
     raster = ls.rasterize(square_sketch, 256)
-    healed, lat = ls.heal(ls.HealRequest(raster=raster, p_mask=0.0, seed=9),
-                          tiny_model)
-    direct, lat2 = ls.edge_to_sketch(raster, tiny_model, seed=9)
-    assert np.array_equal(healed.steps, direct.steps)
-    assert np.array_equal(lat.points, lat2.points)
-    assert lat.m == ls.sample_lattice(raster, tiny_model.pcfg.lattice).m
+    _, lat = ls.heal(ls.HealRequest(raster=raster, p_mask=0.0, seed=9), tiny_model)
+    assert np.array_equal(lat.points, ls.sample_lattice(raster, tiny_model.pcfg.lattice).points)
 
 
 def test_heal_outputs_valid_sketches(tiny_model, square_sketch):
@@ -363,7 +357,7 @@ def test_heal_with_saturated_correlations(tiny_model, square_sketch):
     assert np.any(np.abs(cache["rho"]) == 1.0)
 
 
-def test_edge_to_sketch_lattice_on_outline(tiny_model):
+def test_heal_pmask_zero_lattice_on_outline(tiny_model):
     # hollow square outline: every lattice point must sit on the outline
     pixels = np.zeros((256, 256), dtype=np.uint8)
     pixels[60, 60:200] = 1
@@ -371,7 +365,7 @@ def test_edge_to_sketch_lattice_on_outline(tiny_model):
     pixels[60:201, 60] = 1
     pixels[60:201, 200] = 1
     raster = ls.RasterSketch(pixels=pixels)
-    _, lat = ls.edge_to_sketch(raster, tiny_model, seed=0)
+    _, lat = ls.heal(ls.HealRequest(raster=raster, p_mask=0.0), tiny_model)
     assert lat.m > 0
     for x, y in lat.points:
         assert pixels[y, x] == 1

@@ -426,8 +426,9 @@ def test_svg_round_trip_coordinates(square_sketch):
     pts = []
     for d in re.findall(r'd="([^"]+)"', svg):
         pts += [(float(x), float(y)) for x, y in re.findall(coord, d)]
-    # drop the zero-offset end row: it is not part of the drawn path
-    want = square_sketch.absolute_points()[:-1]
+    # the cursor's positions from the origin on, without the zero-offset end row:
+    # it is not part of the drawn path
+    want = np.vstack([[0.0, 0.0], np.cumsum(square_sketch.steps[:-1, :2], axis=0)])
     assert len(pts) == want.shape[0]
     got = np.array(pts)
     assert np.max(np.abs(np.sort(got, axis=0) - np.sort(want, axis=0))) < 1e-3
@@ -843,6 +844,99 @@ def test_read_pgm_16bit_samples(tmp_path):
     path.write_bytes(b"P5\n4 4\n65536\n" + pixels.tobytes())  # beyond 16 bits
     with pytest.raises(ls.MalformedRecord, match="bad PGM dimensions"):
         ls.read_pgm(path)
+
+
+def read_p2_oracle(blob: bytes, pos: int, count: int) -> np.ndarray:
+    """Every payload token as one bytes object, each through the per-token rule:
+    a plain decimal of at most five significant digits, or -1."""
+    values = blob[pos:].split()[:count]
+    if len(values) < count:
+        raise ls.MalformedRecord("truncated PGM payload")
+    return np.array([int(v) if v.isdigit() and len(v.lstrip(b"0")) <= 5 else -1
+                     for v in values], dtype=np.int64)
+
+
+_P2_TOKEN = st.one_of(
+    st.integers(0, 255).map(str), st.integers(0, 70000).map(str),
+    st.sampled_from(["abc", "+5", "-1", "1_0", "0x1f", "000000000000000000000255",
+                     "9" * 19, "9" * 5000]),
+    st.text("0123456789-+.e", min_size=1, max_size=6)).map(str.encode)
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from([1, 255, 65535]),
+       st.lists(st.tuples(_P2_TOKEN, st.sampled_from([b" ", b"\n", b"\t\r ", b"\x0b\x0c"])),
+                max_size=40), st.sampled_from([1, 3, 8, 1 << 20]))
+@settings(max_examples=300, deadline=None)
+def test_read_pgm_p2_blocks_equal_the_token_list_reader(width, height, maxval, samples, block):
+    header = f"P2\n{width} {height}\n{maxval}".encode()
+    blob = header + b"".join(sep + token for token, sep in samples)
+    try:
+        data = read_p2_oracle(blob, len(header), width * height)
+        if data.min() < 0 or data.max() > maxval:
+            raise ls.MalformedRecord("PGM sample not a decimal")
+        want = (data.reshape(height, width) < (maxval + 1) // 2).astype(np.uint8)
+    except ls.MalformedRecord as exc:
+        want = str(exc)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(sketch_data, "P2_BLOCK", block):
+        path = Path(tmp) / "edge.pgm"
+        path.write_bytes(blob)
+        try:
+            got = ls.read_pgm(path).pixels
+        except ls.MalformedRecord as exc:
+            assert isinstance(want, str) and str(exc).startswith(want), (exc, want)
+        else:
+            assert np.array_equal(got, want)
+
+
+def canonicalize_oracle(raster, side):
+    """Every dark pixel's coordinates fit as one point set, then set one by one; a
+    canonical raster passes through."""
+    if raster.width == side and raster.height == side:
+        return raster.pixels
+    ys, xs = np.nonzero(raster.pixels)
+    grid = np.zeros((side, side), dtype=np.uint8)
+    if xs.size:
+        pts = np.column_stack([xs, ys]).astype(np.float64)
+        mapped = np.clip(_fit_points(pts, side, CANVAS_MARGIN).astype(np.int64), 0, side - 1)
+        grid[mapped[:, 1], mapped[:, 0]] = 1
+    return grid
+
+
+def _outline(height, width, n=4000):
+    """A one-pixel ellipse outline touching the raster's four sides."""
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    grid = np.zeros((height, width), dtype=np.uint8)
+    grid[np.rint((height - 1) * (1 + np.sin(t)) / 2).astype(int),
+         np.rint((width - 1) * (1 + np.cos(t)) / 2).astype(int)] = 1
+    return grid
+
+
+def test_canonicalize_equals_the_per_pixel_oracle_on_random_rasters():
+    rng = np.random.default_rng(11)
+    for _ in range(120):
+        height, width = rng.integers(1, 700, size=2)
+        ink = rng.choice([0.0005, 0.01, 0.2, 1.0]) * rng.uniform(0.1, 1.0)
+        pixels = (rng.random((height, width)) < ink).astype(np.uint8)
+        raster = ls.RasterSketch(pixels)
+        for side in (6, 64, 256, 1024):
+            got = ls.canonicalize_raster(raster, side).pixels
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, canonicalize_oracle(raster, side)), (height, width, side)
+
+
+@pytest.mark.parametrize("pixels", [
+    _outline(4096 // 8, 4096 // 8), _outline(300, 1000), _outline(999, 7), np.ones((512, 512)),
+    np.ones((256, 256)), np.eye(300, 40), np.ones((1, 9)), np.ones((9, 1)),
+    np.pad([[1]], [(3, 50), (70, 2)]), np.zeros((30, 40))],
+    ids=["circle", "wide ellipse", "thin ellipse", "all ink", "all ink 256", "diagonal",
+         "one row", "one column", "one pixel", "blank"])
+def test_canonicalize_equals_the_per_pixel_oracle_on_pgm_rasters(tmp_path, pixels):
+    path = tmp_path / "edge.pgm"
+    ls.write_pgm(ls.RasterSketch(pixels), path)
+    raster = ls.read_pgm(path)
+    for side in (6, 256, 1024):
+        want = canonicalize_oracle(raster, side)
+        assert np.array_equal(ls.canonicalize_raster(raster, side).pixels, want)
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,38 @@ def test_train_step_non_finite_gradient_leaves_state(monkeypatch):
         assert all(np.array_equal(now[n], a) for n, a in kept.items())
 
 
+def _state(store, opt) -> list:
+    return [(n, store[n].tobytes()) for n in store.names()] + [
+        (n, a.tobytes()) for d in (opt.m, opt.v) for n, a in d.items()] + [opt.iteration]
+
+
+@pytest.mark.parametrize("batch", ["empty", "all masked"])
+def test_train_step_with_nothing_left_raises_and_leaves_state(batch):
+    pcfg = small_pcfg(p_mask_train=1.0)
+    items = [] if batch == "empty" else make_items(pcfg)[:4]
+    store = ls.init_params(pcfg)
+    opt = ls.OptimizerState.fresh(store)
+    ls.train_step(make_items(pcfg)[:4], store, opt, replace(pcfg, train=small_pcfg().train),
+                  np.random.default_rng(1))  # moments that are not all zero
+    before = _state(store, opt)
+    with pytest.raises(ls.AllItemsSkipped):
+        ls.train_step(items, store, opt, pcfg, np.random.default_rng(0))
+    assert _state(store, opt) == before
+
+
+def test_train_step_skips_an_item_whose_one_point_is_masked_away():
+    pcfg = small_pcfg(p_mask_train=0.5)
+    items = make_items(pcfg)[:3]
+    lone = replace(items[0], lattice=ls.SketchLattice(items[0].lattice.points[:1]))
+    # a seed whose first draw, the lone point's, masks it
+    seed = next(s for s in range(100) if np.random.default_rng(s).random() < 0.5)
+    store = ls.init_params(pcfg)
+    opt = ls.OptimizerState.fresh(store)
+    loss, skipped = ls.train_step([lone, *items[1:]], store, opt, pcfg,
+                                  np.random.default_rng(seed))
+    assert skipped == 1 and np.isfinite(loss) and opt.iteration == 1
+
+
 def test_prepare_items_drops_over_budget_lattices():
     pcfg = small_pcfg()
     scribble = zigzag_scribble()
@@ -333,7 +365,6 @@ def test_prepare_items_stroke5_rows_equal_per_item_packing():
     for item, sk in zip(items, kept):
         want = ls.to_stroke5(sk, sk.n_steps)
         want[:, :2] /= 7.25
-        assert item.n_steps == sk.n_steps
         assert (item.stroke5.shape, item.stroke5.dtype) == (want.shape, want.dtype)
         assert item.stroke5.tobytes() == want.tobytes()
 
